@@ -47,7 +47,7 @@ from repro.sim.simulator import (
     tlb_accept_rates,
     tlb_filter,
 )
-from repro.sim.sweep import build_sim, run_design_stats, run_sweep
+from repro.sim.sweep import build_sim, run_cells, run_sweep
 from repro.sim import NativeSimulation, SimConfig
 
 from conftest import SCALE
@@ -287,7 +287,7 @@ def test_group_cell_thread_scaling():
     """Thread-parallel group replay vs sequential, on one GUPS group.
 
     Replays every (env, design) cell of a native+virt GUPS group
-    through :func:`run_design_stats` with 1 and with ``CELL_THREADS``
+    through :func:`run_cells` with 1 and with ``CELL_THREADS``
     threads — stage 1 shared through one :class:`Stage1Cache`, fresh
     machines per timed round (replay mutates cache/PWC state), rounds
     alternating like the stage-2 bench. Results must be bit-identical;
@@ -308,11 +308,10 @@ def test_group_cell_thread_scaling():
                 sim = build_sim(env, "GUPS", config, stage1=stage1)
                 designs = list(sim.designs)
                 start = time.perf_counter()
-                env_stats = run_design_stats(sim, designs,
-                                             cell_threads=threads)
+                results = run_cells(sim, designs, threads)
                 total += time.perf_counter() - start
-                merged.update({f"{env}/{d}": s
-                               for d, s in env_stats.items()})
+                merged.update({f"{env}/{d}": result
+                               for d, result, _ in results})
             seconds[threads].append(total)
             stats[threads] = merged
     assert stats[1] == stats[CELL_THREADS], \

@@ -89,10 +89,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
 
         try:
-            from repro.sim.sweep import run_design_stats
+            from repro.sim.sweep import effective_split, run_cells
 
-            stats = run_design_stats(sim, designs,
-                                     cell_threads=args.cell_threads)
+            _, threads, _ = effective_split(1, 1, args.cell_threads)
+            stats = {}
+            for design, result, _ in run_cells(sim, designs, threads):
+                if isinstance(result, Exception):
+                    raise result
+                stats[design] = result
             vanilla = stats.get("vanilla") or sim.run("vanilla")
         except ValueError as error:
             # e.g. --walk-engine vec forced onto a design with no batched
@@ -277,7 +281,6 @@ def _cmd_regress(args: argparse.Namespace) -> int:
         sweep_path=args.sweep,
         baseline_sweep_path=args.baseline_sweep,
         tolerance=args.tolerance,
-        latency_tolerance=args.latency_tolerance,
         trajectory_path=None if args.no_trajectory else args.trajectory,
         stream_path=args.stream_bench,
         baseline_stream_path=args.baseline_stream_bench,
@@ -372,7 +375,8 @@ def main(argv=None) -> int:
                           "oracle)")
     run.add_argument("--cell-threads", type=int, default=1,
                      help="replay this many designs on concurrent threads "
-                          "(nogil native kernels; default: 1)")
+                          "(nogil native kernels; 1 without numba; "
+                          "default: 1)")
 
     gridopts = argparse.ArgumentParser(add_help=False)
     gridopts.add_argument("--env", default="native",
@@ -391,7 +395,8 @@ def main(argv=None) -> int:
     gridopts.add_argument("--cell-threads", type=int, default=1,
                           help="replay threads per worker process: each "
                                "group's (env, design) cells fan out over "
-                               "nogil native kernels (default: 1)")
+                               "nogil native kernels (1 without numba; "
+                               "default: 1)")
 
     sweep = sub.add_parser("sweep", parents=[common, simopts, gridopts],
                            help="run the workload×design grid in parallel")
@@ -461,7 +466,6 @@ def main(argv=None) -> int:
     from repro.obs.regress import (
         DEFAULT_BENCH,
         DEFAULT_BENCH_BASELINE,
-        DEFAULT_LATENCY_TOLERANCE,
         DEFAULT_STREAM_BASELINE,
         DEFAULT_STREAM_BENCH,
         DEFAULT_SWEEP_BASELINE,
@@ -490,12 +494,9 @@ def main(argv=None) -> int:
                               f"(default {DEFAULT_SWEEP_BASELINE})")
     regress.add_argument("--tolerance", type=float,
                          default=DEFAULT_TOLERANCE,
-                         help="relative slack on walks/sec throughput "
+                         help="relative slack on walks/sec throughput; "
+                              "mean_latency must match exactly "
                               f"(default {DEFAULT_TOLERANCE})")
-    regress.add_argument("--latency-tolerance", type=float,
-                         default=DEFAULT_LATENCY_TOLERANCE,
-                         help="relative slack on deterministic mean_latency "
-                              f"(default {DEFAULT_LATENCY_TOLERANCE})")
     regress.add_argument("--trajectory", default=DEFAULT_TRAJECTORY,
                          help="performance-history store appended to on "
                               f"clean runs (default {DEFAULT_TRAJECTORY})")

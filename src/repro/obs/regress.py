@@ -12,10 +12,11 @@ and exits non-zero when a metric regressed past its tolerance:
   grow past the baseline by more than ``tolerance`` — the footprint
   check is what catches a silent return to whole-trace materialization.
 * **sweep cells** — per (env, workload, design, thp) cell,
-  ``mean_latency`` is deterministic for a fixed config, so it gets the
-  tight ``latency_tolerance``; ``walks_per_second`` is wall-clock
-  throughput and gets the looser ``tolerance``. A baseline cell that is
-  missing or turned into an error cell is a regression.
+  ``mean_latency`` is deterministic for a fixed config, so it must equal
+  the baseline exactly: a drift in either direction is a regression.
+  ``walks_per_second`` is wall-clock throughput and gets ``tolerance``.
+  A baseline cell that is missing or turned into an error cell is a
+  regression.
 
 On a clean run a dated record is appended to ``BENCH_trajectory.json``
 so the performance history accumulates run over run (DESIGN.md §9).
@@ -33,9 +34,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 #: noise on shared machines reaches ~10%, so 0.15 trips on a real 20%
 #: regression without flaking on load (DESIGN.md §9).
 DEFAULT_TOLERANCE = 0.15
-#: Relative slack on mean-latency cells: the replay is deterministic for
-#: a fixed config, so 0.01 only absorbs float formatting (DESIGN.md §9).
-DEFAULT_LATENCY_TOLERANCE = 0.01
 
 #: Default artifact locations, relative to the repository root (cwd).
 DEFAULT_BENCH = "BENCH_engine.json"
@@ -166,10 +164,13 @@ def _cell_label(key: Tuple) -> str:
 
 
 def compare_sweep(current: Dict, baseline: Dict,
-                  tolerance: float = DEFAULT_TOLERANCE,
-                  latency_tolerance: float = DEFAULT_LATENCY_TOLERANCE,
-                  ) -> List[Regression]:
-    """Regressions of a sweep document against its baseline document."""
+                  tolerance: float = DEFAULT_TOLERANCE) -> List[Regression]:
+    """Regressions of a sweep document against its baseline document.
+
+    ``mean_latency`` compares exactly: a cell is a pure function of its
+    inputs, and JSON round-trips floats bit for bit, so any difference —
+    up or down — means the simulated result changed.
+    """
     cells = {_cell_key(c): c for c in current.get("cells", [])
              if "error" not in c}
     errors = {_cell_key(c) for c in current.get("cells", [])
@@ -186,11 +187,11 @@ def compare_sweep(current: Dict, baseline: Dict,
             out.append(Regression(metric, label, cell["mean_latency"], 0.0,
                                   cell["mean_latency"]))
             continue
-        latency_limit = cell["mean_latency"] * (1.0 + latency_tolerance)
-        if found["mean_latency"] > latency_limit:
+        if found["mean_latency"] != cell["mean_latency"]:
             out.append(Regression("mean_latency", label,
                                   cell["mean_latency"],
-                                  found["mean_latency"], latency_limit))
+                                  found["mean_latency"],
+                                  cell["mean_latency"]))
         base_wps = cell.get("walks_per_second") or 0.0
         wps_limit = base_wps * (1.0 - tolerance)
         if base_wps and (found.get("walks_per_second") or 0.0) < wps_limit:
@@ -203,14 +204,12 @@ def compare_sweep(current: Dict, baseline: Dict,
 def trajectory_record(bench: Optional[Dict], sweep: Optional[Dict],
                       regressions: List[Regression],
                       tolerance: float,
-                      latency_tolerance: float,
                       stream: Optional[Dict] = None) -> Dict:
     """The dated history entry appended to ``BENCH_trajectory.json``."""
     record: Dict[str, object] = {
         "date": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "status": "regressed" if regressions else "clean",
         "tolerance": tolerance,
-        "latency_tolerance": latency_tolerance,
         "regressions": [regression.render() for regression in regressions],
     }
     if bench is not None:
@@ -273,7 +272,6 @@ def run_gate(bench_path: Optional[str] = DEFAULT_BENCH,
              sweep_path: Optional[str] = None,
              baseline_sweep_path: Optional[str] = DEFAULT_SWEEP_BASELINE,
              tolerance: float = DEFAULT_TOLERANCE,
-             latency_tolerance: float = DEFAULT_LATENCY_TOLERANCE,
              trajectory_path: Optional[str] = DEFAULT_TRAJECTORY,
              stream_path: Optional[str] = DEFAULT_STREAM_BENCH,
              baseline_stream_path: Optional[str] = DEFAULT_STREAM_BASELINE,
@@ -311,7 +309,7 @@ def run_gate(bench_path: Optional[str] = DEFAULT_BENCH,
         current_sweep = load_document(sweep_path)
         baseline_sweep = load_document(baseline_sweep_path)
         regressions.extend(compare_sweep(current_sweep, baseline_sweep,
-                                         tolerance, latency_tolerance))
+                                         tolerance))
         compared += 1
         out(f"sweep: {sweep_path} vs {baseline_sweep_path} "
             f"({len(current_sweep.get('cells', []))} cell(s))")
@@ -323,14 +321,13 @@ def run_gate(bench_path: Optional[str] = DEFAULT_BENCH,
         out(regression.render())
     if regressions:
         out(f"{len(regressions)} regression(s) past tolerance "
-            f"{tolerance:.0%} (latency {latency_tolerance:.0%})")
+            f"{tolerance:.0%} (latency exact)")
         return 1
     out(f"clean: no regressions past tolerance {tolerance:.0%} "
-        f"(latency {latency_tolerance:.0%})")
+        "(latency exact)")
     if trajectory_path:
         record = trajectory_record(bench, current_sweep, regressions,
-                                   tolerance, latency_tolerance,
-                                   stream=stream)
+                                   tolerance, stream=stream)
         document = append_trajectory(trajectory_path, record)
         out(f"appended record #{len(document['records'])} to "
             f"{trajectory_path}")

@@ -3,7 +3,7 @@
 ``span("stage1.tlb_filter")`` opens a context manager; on exit one JSON
 line is appended to the trace file with the span's name, wall-clock
 duration, peak-RSS delta, process id, and parent/child linkage
-(``span_id`` / ``parent_id`` / ``depth`` via a per-process span stack).
+(``span_id`` / ``parent_id`` / ``depth`` via a per-thread span stack).
 The context manager yields a dict; keys added to it during the block are
 merged into the event, so callers can attach results (walk counts, miss
 counts) discovered mid-span.
@@ -13,9 +13,11 @@ yields ``None`` — instrumented code guards post-attrs with
 ``if sp is not None``. ``enable(path)`` opens the stream (append mode;
 idempotent for the same path so pool workers can re-enter per task), and
 ``disable()`` flushes and closes it. Each event is written and flushed
-as one line, so several worker processes can append to the same file;
-children close before their parents, so child events precede parent
-events in the stream.
+as one line under a lock, so several worker processes and threads can
+append to the same file; children close before their parents, so child
+events precede parent events in the stream. Span ids are unique per
+process; a span opened on a fresh thread (a sweep's cell thread) has no
+parent.
 
 Stream ownership is cooperative: :func:`active` reports whether a
 stream is already open, and code that would open one on a caller's
@@ -26,9 +28,11 @@ caller-enabled trace survives the call.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import resource
+import threading
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
@@ -40,21 +44,24 @@ def peak_rss_kb() -> int:
 
 
 class Tracer:
-    """One open JSONL span stream plus the process-local span stack."""
+    """One open JSONL span stream plus a span stack per thread."""
 
     def __init__(self, path: str):
         self.path = path
         self._handle = open(path, "a", encoding="utf-8")
-        self._stack = []
-        self._next_id = 1
+        self._local = threading.local()
+        self._ids = itertools.count(1)
+        self._lock = threading.Lock()
 
     @contextmanager
     def span(self, name: str, **attrs) -> Iterator[Dict[str, object]]:
-        span_id = self._next_id
-        self._next_id += 1
-        parent_id = self._stack[-1] if self._stack else None
-        depth = len(self._stack)
-        self._stack.append(span_id)
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        span_id = next(self._ids)
+        parent_id = stack[-1] if stack else None
+        depth = len(stack)
+        stack.append(span_id)
         extra: Dict[str, object] = {}
         rss_before = peak_rss_kb()
         started_unix = time.time()
@@ -63,7 +70,7 @@ class Tracer:
             yield extra
         finally:
             seconds = time.perf_counter() - started
-            self._stack.pop()
+            stack.pop()
             event = dict(attrs)
             event.update(extra)
             event.update(
@@ -77,12 +84,15 @@ class Tracer:
                 rss_delta_kb=peak_rss_kb() - rss_before,
             )
             # one write + flush per event: lines from concurrent sweep
-            # workers appending to the same file stay whole
-            self._handle.write(json.dumps(event, sort_keys=True) + "\n")
-            self._handle.flush()
+            # workers and cell threads appending to the file stay whole
+            line = json.dumps(event, sort_keys=True) + "\n"
+            with self._lock:
+                self._handle.write(line)
+                self._handle.flush()
 
     def close(self) -> None:
-        self._handle.close()
+        with self._lock:
+            self._handle.close()
 
 
 _TRACER: Optional[Tracer] = None

@@ -44,7 +44,8 @@ from repro.obs import trace as obs_trace
 from repro.sim.jobs import journal as jn
 from repro.sim.jobs.spec import JobSpec, Shard
 from repro.sim.sweep import (ALL_WORKLOADS, cell_sort_key, dead_group_cells,
-                             effective_workers, run_group, write_document)
+                             effective_split, effective_workers, run_group,
+                             threads_meta, write_document)
 
 #: How long one ``wait()`` poll blocks before re-checking timeouts/cancel.
 POLL_SECONDS = 0.2
@@ -99,7 +100,6 @@ class JobScheduler:
         self.out_path = out_path
         self.trace_path = trace_path
         self.artifact_dir = artifact_dir
-        self.cell_threads = max(1, int(cell_threads or 1))
         self.notify = progress or (lambda message: None)
         # Injectable for tests (suicidal/sleeping workers); must be
         # picklable for the pool path.
@@ -107,6 +107,9 @@ class JobScheduler:
         self.journal: Optional[jn.Journal] = None
         self._shards = spec.shards()
         self._total = len(self._shards)
+        self.requested_cell_threads = cell_threads
+        _, self.cell_threads, self.cell_threads_reason = effective_split(
+            self.workers, self._total, cell_threads)
         self._journal_cells: Dict[str, List[Dict]] = {}
         self._new_cells: Dict[str, List[Dict]] = {}
         self._failed: Dict[str, str] = {}
@@ -437,7 +440,8 @@ class JobScheduler:
             "config": dict(spec.config),
             "workers": pool_size,
             "requested_workers": self.workers,
-            "cell_threads": self.cell_threads,
+            **threads_meta(self.requested_cell_threads, self.cell_threads,
+                           self.cell_threads_reason),
             "parallelism": pool_size * self.cell_threads,
             "groups": self._total,
             "cells": len(cells),

@@ -8,14 +8,13 @@ and the ECPT cuckoo-walk cache) and per-design chunk kernels that are
 JIT-compiled with Numba ``@njit(cache=True)`` when Numba is importable
 — and run as the *same source, uncompiled* otherwise, so the fallback
 is bit-identical by construction (:mod:`repro.sim.kernels.backend`).
-Compiled kernels are ``nogil``, so the sweep's two-level executor can
-replay independent cells on concurrent threads (DESIGN.md §15).
+Compiled kernels are ``nogil``, so a sweep's cells can replay on
+concurrent threads and overlap (DESIGN.md §15).
 
 Entry point: :func:`repro.sim.kernels.replay.replay_walks_native`,
 reached through ``replay_walks(..., engine="native")`` or
-``--walk-engine native``; :func:`~repro.sim.kernels.replay.prepare_replay_native`
-is its sequential-prepare half for threaded execution. DESIGN.md §11
-documents the architecture and the array-view writeback contract.
+``--walk-engine native``. DESIGN.md §11 documents the architecture and
+the array-view writeback contract.
 """
 
 from repro.sim.kernels.backend import (  # noqa: F401
@@ -24,8 +23,4 @@ from repro.sim.kernels.backend import (  # noqa: F401
     UNAVAILABLE_REASON,
     jit,
 )
-from repro.sim.kernels.replay import (  # noqa: F401
-    PreparedReplay,
-    prepare_replay_native,
-    replay_walks_native,
-)
+from repro.sim.kernels.replay import replay_walks_native  # noqa: F401

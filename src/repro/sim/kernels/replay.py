@@ -20,20 +20,15 @@ the interpreted vec runners — the kernels carry no tag strings — and
 records :data:`STEP_COLLECTION_REASON` so profiling runs are visibly
 not kernel-timed.
 
-**Two-phase split (thread-safety contract).** The entry point is
-factored into :func:`prepare_replay_native` — every GIL-bound,
-order-dependent step: vec planning with its lazy first-touch side
-effects (shadow-table extension, frame allocation, and therefore cache
-set indices), plan flattening, and the per-cell ``array_view()`` state
-checkout — and :meth:`PreparedReplay.execute`, which only drives the
-``nogil`` kernels over the state captured at prepare time and writes
-the results back to that cell's private walker/memsys objects. Prepare
-MUST run on one thread in deterministic cell order; execute may run on
-any thread, concurrently with other cells' prepares and executes,
-because after checkout a cell shares nothing mutable with the rest of
-the process (the miss stream is read-only and memmap-shared). That
-split is what lets the sweep's two-level executor overlap cell *k*'s
-kernels with cell *k+1*'s planning without giving up bit-identity.
+**Thread safety.** A replay writes only to the walker it is given and
+that walker's private memory subsystem. The planners read the machine
+state the cells share (page tables, EPT, mirrors, register files),
+which the simulation builds once before its first walker
+(``_prepare_shared`` in :mod:`repro.sim.machine`), and the kernels run
+over ``array_view()`` copies of this walker's caches. So replays of
+different walkers of one machine may run on concurrent threads; with
+the compiled backend the ``nogil`` kernels then overlap. The miss
+stream is read-only and memmap-shared.
 """
 
 from __future__ import annotations
@@ -387,60 +382,6 @@ def _flatten_prefetch(pf_plans, uniq_ordered):
 # Entry point
 # --------------------------------------------------------------------- #
 
-class PreparedReplay:
-    """A planned cell replay whose kernels have not run yet.
-
-    Everything order-dependent already happened in
-    :func:`prepare_replay_native`; :meth:`execute` drives the ``nogil``
-    kernels over the captured flat arrays and writes results back to
-    this cell's private walker/memsys objects, so it is safe on any
-    thread, concurrently with other cells. ``execute`` is one-shot —
-    a second call returns the same ``WalkStats`` without replaying.
-    """
-
-    def __init__(self, stats, total, warmup, out_len, run_range,
-                 finishers, walker, extra_walkers, record_refs):
-        self.stats = stats
-        self._total = total
-        self._warmup = warmup
-        self._out_len = out_len
-        self._run_range = run_range
-        self._finishers = finishers
-        self._walker = walker
-        self._extra_walkers = extra_walkers
-        self._record_refs = record_refs
-        self._done = False
-
-    def execute(self):
-        if self._done:
-            return self.stats
-        self._done = True
-        if self._run_range is None:   # empty miss stream: nothing to run
-            return self.stats
-        total, warmup = self._total, self._warmup
-        out_warm = np.zeros(self._out_len, dtype=np.int64)
-        out_meas = np.zeros(self._out_len, dtype=np.int64)
-        with _gc_paused():
-            if warmup > 0:
-                self._run_range(0, warmup, out_warm)
-            if warmup < total:
-                self._run_range(warmup, total, out_meas)
-        stats = self.stats
-        stats.walks = total - warmup
-        stats.total_cycles = int(out_meas[0])
-        stats.ref_count = int(out_meas[1]) if self._record_refs else 0
-        stats.fallbacks = int(out_meas[2])
-        for finish in self._finishers:
-            finish(out_warm, out_meas)
-        all_cycles = int(out_warm[0] + out_meas[0])
-        all_fallbacks = int(out_warm[2] + out_meas[2])
-        for target in (self._walker,) + self._extra_walkers:
-            target.walks += total
-            target.total_cycles += all_cycles
-            target.fallbacks += all_fallbacks
-        return stats
-
-
 def replay_walks_native(
     walker: Walker,
     miss_vas,
@@ -460,43 +401,6 @@ def replay_walks_native(
     needs a per-chunk flush). Raises ``ValueError`` for unsupported
     walkers, exactly like the vec engine.
     """
-    memsys: MemorySubsystem = walker.memsys
-    if collect_steps and memsys.record_refs:
-        reason = walk_vec.unsupported_reason(walker)
-        if reason is not None:
-            raise ValueError(
-                f"walker {walker.name!r} has no batched replay path: "
-                f"{reason} (use the scalar engine)")
-        stats = walk_vec.replay_walks_vec(
-            walker, miss_vas, warmup_fraction=warmup_fraction,
-            collect_steps=True, chunk=chunk)
-        stats.engine = "native"
-        stats.fallback_reason = STEP_COLLECTION_REASON
-        return stats
-    return prepare_replay_native(
-        walker, miss_vas, warmup_fraction=warmup_fraction).execute()
-
-
-def prepare_replay_native(
-    walker: Walker,
-    miss_vas,
-    warmup_fraction: float = 0.1,
-) -> PreparedReplay:
-    """Plan a native-kernel replay; the kernels run in ``execute()``.
-
-    This is the sequential half of the two-phase split documented in
-    the module docstring: vec planning (lazy first-touch side effects
-    happen here, in deterministic order), plan flattening, and the
-    ``array_view()`` state checkout. The returned
-    :class:`PreparedReplay` owns thread-private state only. Raises
-    ``ValueError`` for unsupported walkers, exactly like the vec
-    engine.
-
-    Oracle: :func:`repro.sim.simulator.replay_walks` with
-    ``engine="scalar"`` — ``prepare().execute()`` must return
-    bit-identical :class:`WalkStats` and leave identical cache/PWC/
-    design state, on any thread.
-    """
     from repro.sim.simulator import WalkStats
 
     reason = walk_vec.unsupported_reason(walker)
@@ -505,7 +409,13 @@ def prepare_replay_native(
             f"walker {walker.name!r} has no batched replay path: {reason} "
             "(use the scalar engine)")
     memsys: MemorySubsystem = walker.memsys
-    record_refs = memsys.record_refs
+    if collect_steps and memsys.record_refs:
+        stats = walk_vec.replay_walks_vec(
+            walker, miss_vas, warmup_fraction=warmup_fraction,
+            collect_steps=True, chunk=chunk)
+        stats.engine = "native"
+        stats.fallback_reason = STEP_COLLECTION_REASON
+        return stats
 
     spec = walker.batch_spec()
     vas = np.asarray(miss_vas, dtype=np.int64)
@@ -514,8 +424,7 @@ def prepare_replay_native(
         stats.fallback_reason = backend.UNAVAILABLE_REASON
     total = int(vas.size)
     if total == 0:
-        return PreparedReplay(stats, 0, 0, 3, None, [], walker, (),
-                              record_refs)
+        return stats
     vpns = vas >> PAGE_SHIFT
 
     # Unique VPNs in first-occurrence order (planning must touch lazily
@@ -730,7 +639,23 @@ def prepare_replay_native(
         else:  # pragma: no cover - guarded by unsupported_reason
             raise ValueError(f"unknown batch-spec kind {kind!r}")
 
-    warmup = int(total * warmup_fraction)
-    return PreparedReplay(stats, total, warmup, out_len, run_range,
-                          finishers, walker, tuple(spec.extra_walkers),
-                          record_refs)
+        warmup = int(total * warmup_fraction)
+        out_warm = np.zeros(out_len, dtype=np.int64)
+        out_meas = np.zeros(out_len, dtype=np.int64)
+        if warmup > 0:
+            run_range(0, warmup, out_warm)
+        if warmup < total:
+            run_range(warmup, total, out_meas)
+    stats.walks = total - warmup
+    stats.total_cycles = int(out_meas[0])
+    stats.ref_count = int(out_meas[1]) if memsys.record_refs else 0
+    stats.fallbacks = int(out_meas[2])
+    for finish in finishers:
+        finish(out_warm, out_meas)
+    all_cycles = int(out_warm[0] + out_meas[0])
+    all_fallbacks = int(out_warm[2] + out_meas[2])
+    for target in (walker,) + tuple(spec.extra_walkers):
+        target.walks += total
+        target.total_cycles += all_cycles
+        target.fallbacks += all_fallbacks
+    return stats

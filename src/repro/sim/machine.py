@@ -20,7 +20,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from repro.sim.simulator import (
     TLBFilterResult,
     WalkStats,
     make_size_lookup,
-    prepare_replay,
     replay_walks,
     tlb_accept_rates,
     tlb_filter,
@@ -86,6 +85,12 @@ STREAM_NREFS_THRESHOLD = 8_000_000
 #: Trace references per streamed chunk when ``stream_chunk`` is left on
 #: auto: 1 Mi refs = 8 MB per in-flight chunk.
 DEFAULT_STREAM_CHUNK = 1 << 20
+
+#: Version of what a stage-2 result-cache entry means. Version 2: cells
+#: no longer depend on which designs ran earlier on the same machine
+#: (shared mirrors are built up front), so entries a design-subset run
+#: wrote under version 1 may hold numbers no current run computes.
+STAGE2_KEY_VERSION = 2
 
 
 def _page_align(nbytes: int) -> int:
@@ -287,51 +292,6 @@ def _stage2_state(walker: Walker) -> Dict:
     return state
 
 
-class PreparedCell:
-    """One (design) cell split for the two-level sweep executor.
-
-    ``prepare_run`` consults the per-design memo and the stage-2 result
-    cache and, on a miss, runs every order-dependent step (walker
-    build, vec planning, state checkout) on the calling thread. What
-    remains is: ``execute()`` — the replay itself, safe on a worker
-    thread iff ``threadable`` — and ``commit(stats)``, which must run
-    back on the preparing thread (it writes the memo and the result
-    cache, and artifact I/O opens trace spans that are process-global).
-    """
-
-    def __init__(self, design: str, stats: Optional[WalkStats] = None,
-                 execute: Optional[Callable[[], WalkStats]] = None,
-                 commit: Optional[Callable[[WalkStats], WalkStats]] = None,
-                 walker: Optional[Walker] = None, threadable: bool = False,
-                 source: str = "computed"):
-        self.design = design
-        self.stats = stats
-        self.walker = walker
-        self.threadable = threadable
-        #: Where the cell came from: "computed", "memo", or "disk".
-        self.source = source
-        self._execute = execute
-        self._commit = commit
-
-    @property
-    def ready(self) -> bool:
-        """Stats already in hand (memo or result-cache hit)?"""
-        return self.stats is not None
-
-    def execute(self) -> WalkStats:
-        """Replay the cell; thread-safe only when ``threadable``."""
-        if self.stats is not None:
-            return self.stats
-        return self._execute()
-
-    def commit(self, stats: WalkStats) -> WalkStats:
-        """Finalize on the preparing thread: memo + result-cache store."""
-        if self.stats is None and self._commit is not None:
-            stats = self._commit(stats)
-        self.stats = stats
-        return stats
-
-
 class _SimulationBase:
     """Shared stage-1 plumbing."""
 
@@ -364,6 +324,38 @@ class _SimulationBase:
         #: pipeline (a pure function of the config, so cold and warm
         #: runs of the same config report the same value).
         self.stage1_streamed = config.resolved_stream_chunk() is not None
+        #: Guards the one-shot :meth:`_prepare_shared` (cells may run on
+        #: several threads); ``_shared_ready`` flips once it has run.
+        self._shared_lock = threading.Lock()
+        self._shared_ready = False
+
+    def _ensure_shared(self) -> None:
+        """Run :meth:`_prepare_shared` once, on the first walker build.
+
+        Never called from ``__init__``: a warm run served entirely from
+        the memo or the result cache builds no walker and pays nothing.
+        """
+        if self._shared_ready:
+            return
+        with self._shared_lock:
+            if not self._shared_ready:
+                self._prepare_shared()
+                self._shared_ready = True
+
+    def _prepare_shared(self) -> None:
+        """Build every structure the designs share, in canonical order.
+
+        The mirrors (ECPT, FPT, shadow tables) allocate frames from the
+        machine's physical memory, so their placement — and with it
+        cache set indices and walk latencies — depends on which of them
+        exist already. Building all of them in the order a full grid
+        used to build them lazily makes each cell a function of (env,
+        design, config, miss stream) alone: a design run alone, in a
+        subset, or in any order gives its full-grid number, and after
+        this ``walker()`` and replay only read shared state (DESIGN.md
+        §15).
+        """
+        raise NotImplementedError
 
     def _memsys(self) -> MemorySubsystem:
         ws = paper_ws = None
@@ -379,6 +371,11 @@ class _SimulationBase:
         )
 
     def walker(self, design: str) -> Walker:
+        """A fresh walker for ``design`` (private memory subsystem).
+
+        Each environment's override starts with :meth:`_ensure_shared`
+        and then only reads shared machine state.
+        """
         raise NotImplementedError
 
     def run(self, design: str, collect_steps: bool = False) -> WalkStats:
@@ -388,6 +385,9 @@ class _SimulationBase:
         content-addressed stage-2 result cache (when an artifact cache
         is attached and ``sanitize`` is off), and only then plans and
         replays — a warm run with unchanged inputs does zero replay.
+        Safe to call for different designs on concurrent threads: the
+        shared set-up runs once under a lock, and each replay mutates
+        only its own walker and memory subsystem.
         """
         key = f"{design}:{collect_steps}"
         stats = self._stats_cache.get(key)
@@ -411,36 +411,6 @@ class _SimulationBase:
                 sp["walks"] = stats.walks
                 sp["engine"] = stats.engine
         return self._commit_stage2(design, collect_steps, stats, walker)
-
-    def prepare_run(self, design: str) -> PreparedCell:
-        """Split ``run(design)`` for the two-level executor (DESIGN.md §15).
-
-        Memo/result-cache consultation and all order-dependent work
-        (walker build, planning, state checkout) happen now, on the
-        calling thread. The returned cell's ``execute()`` may run on a
-        worker thread when ``threadable``; ``commit(stats)`` must then
-        run back on this thread. ``prepare -> execute -> commit`` is
-        bit-identical to ``run(design)``.
-        """
-        key = f"{design}:False"
-        stats = self._stats_cache.get(key)
-        if stats is not None:
-            return PreparedCell(design, stats=stats,
-                                source=self.stage2_source(design))
-        stats = self._fetch_stage2(design, False)
-        if stats is not None:
-            return PreparedCell(design, stats=stats, source="disk")
-        walker = self.walker(design)
-        execute, threadable = prepare_replay(
-            walker, self.tlb.miss_vas,
-            warmup_fraction=self.config.warmup_fraction,
-            engine=self.config.walk_engine)
-
-        def commit(stats: WalkStats) -> WalkStats:
-            return self._commit_stage2(design, False, stats, walker)
-
-        return PreparedCell(design, execute=execute, commit=commit,
-                            walker=walker, threadable=threadable)
 
     def stage2_source(self, design: str, collect_steps: bool = False) -> str:
         """Where ``run(design)``'s stats came from: "computed" or "disk"."""
@@ -474,7 +444,8 @@ class _SimulationBase:
         stage-2 engines are bit-identical on supported designs, so
         cells cached by one engine serve the others. The cost-model
         version constant invalidates every cached cell when calibrated
-        latencies change.
+        latencies change, and :data:`STAGE2_KEY_VERSION` when the
+        meaning of a cell does.
         """
         cfg = self.config
         return [
@@ -495,6 +466,7 @@ class _SimulationBase:
                 "machine": dataclasses.asdict(cfg.machine),
             },
             core_costs.COST_MODEL_VERSION,
+            STAGE2_KEY_VERSION,
         ]
 
     def _fetch_stage2(self, design: str,
@@ -786,35 +758,29 @@ class NativeSimulation(_SimulationBase):
         self.layout = self.workload.install(self.process)
         self.dmt.reload_registers(self.process)
         self.tlb = self._trace_and_filter(self.process, self.layout)
-        self._ecpt: Optional[ElasticCuckooPageTables] = None
-        self._fpt: Optional[FlattenedPageTable] = None
+        #: FPT/ECPT mirrors of the radix table, set by _prepare_shared.
+        self.fpt: Optional[FlattenedPageTable] = None
+        self.ecpt: Optional[ElasticCuckooPageTables] = None
 
-    # lazily built mirrors ------------------------------------------------ #
-
-    def ecpt(self) -> ElasticCuckooPageTables:
-        if self._ecpt is None:
-            self._ecpt = ElasticCuckooPageTables(self.kernel.memory)
-            self._ecpt.load_from_radix(self.process.page_table)
-        return self._ecpt
-
-    def fpt(self) -> FlattenedPageTable:
-        if self._fpt is None:
-            self._fpt = FlattenedPageTable(self.kernel.memory)
-            self._fpt.load_from_radix(self.process.page_table)
-        return self._fpt
+    def _prepare_shared(self) -> None:
+        self.fpt = FlattenedPageTable(self.kernel.memory)
+        self.fpt.load_from_radix(self.process.page_table)
+        self.ecpt = ElasticCuckooPageTables(self.kernel.memory)
+        self.ecpt.load_from_radix(self.process.page_table)
+        self.dmt.reload_registers(self.process)
 
     def walker(self, design: str) -> Walker:
+        self._ensure_shared()
         memsys = self._memsys()
         if design == "vanilla":
             return NativeRadixWalker(self.process.page_table, memsys)
         if design == "fpt":
-            return FPTNativeWalker(self.fpt(), memsys, probe_huge=self.config.thp)
+            return FPTNativeWalker(self.fpt, memsys, probe_huge=self.config.thp)
         if design == "ecpt":
-            return ECPTNativeWalker(self.ecpt(), memsys)
+            return ECPTNativeWalker(self.ecpt, memsys)
         if design == "asap":
             return ASAPNativeWalker(self.process.page_table, memsys)
         if design == "dmt":
-            self.dmt.reload_registers(self.process)
             fallback = NativeRadixWalker(self.process.page_table, memsys)
             return DMTNativeWalker(self.dmt.register_file, fallback, memsys,
                                    self.kernel.memory.read_word)
@@ -876,77 +842,53 @@ class VirtSimulation(_SimulationBase):
 
         self.read_machine = machine_reader(self.host_kernel.memory, [self.vm])
         self.tlb = self._trace_and_filter(self.process, self.layout)
-        self._shadow: Optional[ShadowPager] = None
-        self._guest_ecpt: Optional[ElasticCuckooPageTables] = None
-        self._host_ecpt: Optional[ElasticCuckooPageTables] = None
-        self._guest_fpt: Optional[FlattenedPageTable] = None
-        self._host_fpt: Optional[FlattenedPageTable] = None
+        #: Shared mirrors, set by _prepare_shared: the shadow pager
+        #: (shadow, agile) and the guest/host FPT and ECPT (fpt, ecpt).
+        self.shadow: Optional[ShadowPager] = None
+        self.guest_fpt: Optional[FlattenedPageTable] = None
+        self.host_fpt: Optional[FlattenedPageTable] = None
+        self.guest_ecpt: Optional[ElasticCuckooPageTables] = None
+        self.host_ecpt: Optional[ElasticCuckooPageTables] = None
 
-    # lazily built mirrors ------------------------------------------------ #
-
-    def shadow(self) -> ShadowPager:
-        if self._shadow is None:
-            self._shadow = ShadowPager(self.vm, self.process)
-            self._shadow.sync()
-        return self._shadow
-
-    def guest_ecpt(self) -> ElasticCuckooPageTables:
-        if self._guest_ecpt is None:
-            self._guest_ecpt = ElasticCuckooPageTables(self.vm.guest_memory)
-            self._guest_ecpt.load_from_radix(self.process.page_table)
-            # ensure the new guest table pages are host-backed
-            self.vm.back_range(0, self.vm.memory_bytes)
-            self._host_ecpt = None  # host view must include the new pages
-        return self._guest_ecpt
-
-    def host_ecpt(self) -> ElasticCuckooPageTables:
-        if self._host_ecpt is None:
-            self._host_ecpt = ElasticCuckooPageTables(self.host_kernel.memory)
-            self._host_ecpt.load_from_radix(self.vm.ept)
-        return self._host_ecpt
-
-    def guest_fpt(self) -> FlattenedPageTable:
-        if self._guest_fpt is None:
-            self._guest_fpt = FlattenedPageTable(self.vm.guest_memory)
-            self._guest_fpt.load_from_radix(self.process.page_table)
-            self.vm.back_range(0, self.vm.memory_bytes)
-            self._host_fpt = None
-        return self._guest_fpt
-
-    def host_fpt(self) -> FlattenedPageTable:
-        if self._host_fpt is None:
-            self._host_fpt = FlattenedPageTable(self.host_kernel.memory)
-            self._host_fpt.load_from_radix(self.vm.ept)
-        return self._host_fpt
-
-    # walkers -------------------------------------------------------------- #
+    def _prepare_shared(self) -> None:
+        self.shadow = ShadowPager(self.vm, self.process)
+        self.shadow.sync()
+        # The whole guest-physical space was backed in __init__, so the
+        # guest mirrors' table pages need no new EPT entries.
+        self.guest_fpt = FlattenedPageTable(self.vm.guest_memory)
+        self.guest_fpt.load_from_radix(self.process.page_table)
+        self.host_fpt = FlattenedPageTable(self.host_kernel.memory)
+        self.host_fpt.load_from_radix(self.vm.ept)
+        self.guest_ecpt = ElasticCuckooPageTables(self.vm.guest_memory)
+        self.guest_ecpt.load_from_radix(self.process.page_table)
+        self.host_ecpt = ElasticCuckooPageTables(self.host_kernel.memory)
+        self.host_ecpt.load_from_radix(self.vm.ept)
+        self.guest_dmt.reload_registers(self.process)
 
     def walker(self, design: str) -> Walker:
+        self._ensure_shared()
         memsys = self._memsys()
         if design == "vanilla":
             return NestedRadixWalker(self.process.page_table, self.vm, memsys)
         if design == "shadow":
-            return ShadowWalker(self.shadow().spt, memsys)
+            return ShadowWalker(self.shadow.spt, memsys)
         if design == "fpt":
-            guest = self.guest_fpt()
-            return FPTNestedWalker(guest, self.host_fpt(), self.vm, memsys,
-                                   probe_huge=self.config.thp)
+            return FPTNestedWalker(self.guest_fpt, self.host_fpt, self.vm,
+                                   memsys, probe_huge=self.config.thp)
         if design == "ecpt":
-            guest = self.guest_ecpt()
-            return ECPTNestedWalker(guest, self.host_ecpt(), self.vm, memsys)
+            return ECPTNestedWalker(self.guest_ecpt, self.host_ecpt, self.vm,
+                                    memsys)
         if design == "agile":
             return AgilePagingWalker(self.process.page_table,
-                                     self.shadow().spt, self.vm, memsys)
+                                     self.shadow.spt, self.vm, memsys)
         if design == "asap":
             return ASAPNestedWalker(self.process.page_table, self.vm, memsys)
         if design == "dmt":
-            self.guest_dmt.reload_registers(self.process)
             fallback = NestedRadixWalker(self.process.page_table, self.vm,
                                          memsys)
             return DMTVirtWalker(self.host_dmt.register_file, fallback,
                                  memsys, self.read_machine)
         if design == "pvdmt":
-            self.guest_dmt.reload_registers(self.process)
             fallback = NestedRadixWalker(self.process.page_table, self.vm,
                                          memsys)
             return PvDMTVirtWalker(self.host_dmt.register_file,
@@ -1061,14 +1003,17 @@ class NestedSimulation(_SimulationBase):
             RegisterSet.GUEST, manager.build_registers(gtea_ids)
         )
 
+    def _prepare_shared(self) -> None:
+        self.l2_dmt.reload_registers(self.process)
+        self._load_l1_registers()
+
     def walker(self, design: str) -> Walker:
+        self._ensure_shared()
         memsys = self._memsys()
         if design == "vanilla":
             adapter = _L2ShadowAdapter(self.nested)
             return NestedRadixWalker(self.process.page_table, adapter, memsys)
         if design == "pvdmt":
-            self.l2_dmt.reload_registers(self.process)
-            self._load_l1_registers()
             adapter = _L2ShadowAdapter(self.nested)
             fallback = NestedRadixWalker(self.process.page_table, adapter,
                                          memsys)

@@ -334,52 +334,6 @@ def replay_walks(
     return stats
 
 
-def prepare_replay(
-    walker: Walker,
-    miss_vas: Union[np.ndarray, Sequence[int]],
-    warmup_fraction: float = 0.1,
-    engine: str = "scalar",
-):
-    """Split one cell's replay into ``(execute, threadable)``.
-
-    The two-level sweep executor wants cell replays it can hand to
-    worker threads, but only the native kernels are thread-safe once
-    their sequential prepare has run (``nogil`` kernels over
-    thread-private flat arrays; DESIGN.md §15). This mirrors
-    :func:`replay_walks`'s engine dispatch:
-
-    * native path applies → the order-dependent planning and
-      ``array_view()`` checkout run *now*, on the calling thread
-      (:func:`repro.sim.kernels.prepare_replay_native`), and the
-      returned ``execute`` only drives kernels — ``threadable=True``;
-    * every other path (scalar, vec, auto-fallback) → ``execute`` is
-      the whole replay and must run on the calling thread in cell
-      order — ``threadable=False`` — because vec planning mutates
-      lazily populated structures shared across a simulation's cells.
-
-    ``execute()`` returns the cell's :class:`WalkStats` either way.
-    Step collection is not offered here (the sweep never asks for it);
-    use :func:`replay_walks` directly for that.
-    """
-    if engine not in ("scalar", "vec", "native", "auto"):
-        raise ValueError(f"unknown stage-2 engine {engine!r} "
-                         "(expected 'scalar', 'vec', 'native' or 'auto')")
-    if engine != "scalar":
-        from repro.sim import walk_vec
-        if walk_vec.unsupported_reason(walker) is None:
-            from repro.sim.kernels import HAVE_NUMBA, prepare_replay_native
-            if engine == "native" or (engine == "auto" and HAVE_NUMBA):
-                prepared = prepare_replay_native(
-                    walker, miss_vas, warmup_fraction=warmup_fraction)
-                return prepared.execute, True
-
-    def execute() -> WalkStats:
-        return replay_walks(walker, miss_vas,
-                            warmup_fraction=warmup_fraction, engine=engine)
-
-    return execute, False
-
-
 class Stage1Cache:
     """Sweep-wide stage-1 memo: trace + TLB-miss stream, computed once.
 

@@ -11,16 +11,15 @@ workload and config, not the environment). Groups are independent, so
 they fan out across worker processes with
 :class:`concurrent.futures.ProcessPoolExecutor`.
 
-Within one group the executor is **two-level** (DESIGN.md §15): the
-group's independent (env, design) cells can replay concurrently on
-``cell_threads`` threads of the worker process, sharing the memmapped
-miss stream with no pickling. Each cell's order-dependent prepare
-(walker build, vec planning, ``array_view()`` checkout) runs on the
-group's main thread in deterministic cell order; only the ``nogil``
-kernel execution is handed to the thread pool, so cell *k+1*'s planning
-overlaps cell *k*'s kernels and results stay bit-identical to
-sequential replay. Cells without a threadable engine (vec/scalar)
-complete inline at their prepare position.
+Within one group the executor is **two-level** (DESIGN.md §15): each
+machine's design cells can replay concurrently on ``cell_threads``
+threads of the worker process (:func:`run_cells`), sharing the
+memmapped miss stream with no pickling. A cell depends only on its own
+inputs — the machine builds the state its designs share once, before
+the first walker — so threaded results are bit-identical to sequential
+ones. Threads only overlap in the compiled ``nogil`` kernels, so
+without numba the sweep clamps ``cell_threads`` to 1
+(:func:`effective_split`).
 
 Each grid cell reports telemetry alongside its simulation statistics:
 stage-1 wall time and whether it was served from the group's memo,
@@ -49,6 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import metrics
 from repro.obs import trace as obs_trace
+from repro.sim import kernels
 from repro.sim.artifacts import ArtifactCache
 from repro.sim.machine import ENVIRONMENTS, SimConfig
 from repro.sim.simulator import Stage1Cache
@@ -60,10 +60,13 @@ ALL_WORKLOADS = ["Redis", "Memcached", "GUPS", "BTree", "Canneal",
 #: A group task — one (workload, THP) pair across every swept
 #: environment — as picklable primitives: (envs, workload, thp,
 #: designs, config kwargs, trace JSONL path, artifact-cache dir,
-#: cell threads). ``run_group`` tolerates the historical 7-tuple
-#: (missing cell_threads means 1: sequential cell replay).
+#: cell threads).
 GroupTask = Tuple[Tuple[str, ...], str, bool, Optional[Tuple[str, ...]],
                   Dict, Optional[str], Optional[str], int]
+
+#: Why :func:`effective_split` runs cells on one thread without numba.
+NO_JIT_THREADS_REASON = ("numba is not installed: interpreted replays "
+                         "hold the GIL, so cell threads cannot overlap")
 
 
 def build_sim(env: str, workload: str, config: SimConfig,
@@ -182,15 +185,30 @@ def effective_workers(workers: int, tasks: int) -> int:
 
 
 def effective_split(workers: int, tasks: int,
-                    cell_threads: Optional[int] = None) -> Tuple[int, int]:
+                    cell_threads: Optional[int] = None
+                    ) -> Tuple[int, int, Optional[str]]:
     """The ``processes × cell_threads`` split a sweep actually runs with.
 
-    Processes follow :func:`effective_workers`; the per-group thread
-    count is clamped to at least 1 (``None``/0 mean sequential cell
-    replay). Sweep meta records both halves plus their product.
+    Processes follow :func:`effective_workers`. The per-group thread
+    count is at least 1 (``None``/0 mean sequential cell replay), and
+    exactly 1 without the compiled kernel backend: no cell can release
+    the GIL then, so extra threads only add overhead. The third element
+    is the reason threads were clamped below the request, or None.
+    Sweep meta records the request, the effective split and the reason.
     """
-    return (effective_workers(workers, tasks),
-            max(1, int(cell_threads or 1)))
+    threads = max(1, int(cell_threads or 1))
+    reason = None
+    if threads > 1 and not kernels.HAVE_NUMBA:
+        threads, reason = 1, NO_JIT_THREADS_REASON
+    return effective_workers(workers, tasks), threads, reason
+
+
+def threads_meta(cell_threads: Optional[int], threads: int,
+                 reason: Optional[str]) -> Dict:
+    """Sweep-meta fields for a requested vs effective thread count."""
+    return {"requested_cell_threads": max(1, int(cell_threads or 1)),
+            "cell_threads": threads,
+            "cell_threads_reason": reason}
 
 
 def run_group(task: GroupTask) -> List[Dict]:
@@ -207,14 +225,11 @@ def run_group(task: GroupTask) -> List[Dict]:
     swept environment provides yields an error cell instead of being
     silently dropped. Module-level so the process pool can pickle it.
 
-    With ``cell_threads > 1`` in the task, the group's cells replay on
-    the two-level executor: prepares stay sequential on this thread,
-    threadable (native-kernel) executions fan out over a
-    ``ThreadPoolExecutor`` — bit-identical to sequential replay.
+    Each machine's cells run through :func:`run_cells` on the task's
+    ``cell_threads`` threads — bit-identical to sequential replay.
     """
     envs, workload, thp, designs, config_kwargs, trace_path, \
-        artifact_dir = task[:7]
-    cell_threads = int(task[7]) if len(task) > 7 and task[7] else 1
+        artifact_dir, cell_threads = task
     if trace_path:
         obs_trace.enable(trace_path)
     artifacts = ArtifactCache(artifact_dir) if artifact_dir else None
@@ -229,36 +244,43 @@ def run_group(task: GroupTask) -> List[Dict]:
         env_cls = ENVIRONMENTS.get(env)
         if env_cls is not None:
             provided.update(env_cls.designs)
-    executor = (ThreadPoolExecutor(max_workers=cell_threads,
-                                   thread_name_prefix="cell")
-                if cell_threads > 1 else None)
-    try:
-        with obs_trace.span("sweep.run_group", envs="+".join(envs),
-                            workload=workload, thp=thp,
-                            cell_threads=cell_threads):
-            for env in envs:
-                try:
-                    config = SimConfig(thp=thp, **config_kwargs)
-                    build_start = time.perf_counter()
-                    with obs_trace.span("sweep.build_sim", env=env,
-                                        workload=workload, thp=thp):
-                        sim = build_sim(env, workload, config,
-                                        stage1=stage1)
-                    build_seconds = time.perf_counter() - build_start
-                except Exception as exc:
-                    cells.append(error_cell(env, workload, thp, None, exc))
-                    continue
+    with obs_trace.span("sweep.run_group", envs="+".join(envs),
+                        workload=workload, thp=thp,
+                        cell_threads=cell_threads):
+        for env in envs:
+            try:
+                config = SimConfig(thp=thp, **config_kwargs)
+                build_start = time.perf_counter()
+                with obs_trace.span("sweep.build_sim", env=env,
+                                    workload=workload, thp=thp):
+                    sim = build_sim(env, workload, config, stage1=stage1)
+                build_seconds = time.perf_counter() - build_start
+            except Exception as exc:
+                cells.append(error_cell(env, workload, thp, None, exc))
+                continue
 
-                available = list(sim.designs)
-                requested = [d for d in (designs or available)
-                             if d in available]
-                env_cells = _run_env_cells(sim, env, workload, thp,
-                                           requested, build_seconds,
-                                           executor=executor)
-                cells.extend(env_cells)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+            available = list(sim.designs)
+            requested = [d for d in (designs or available)
+                         if d in available]
+            env_cells = []
+            for design, result, seconds in run_cells(sim, requested,
+                                                     cell_threads):
+                if isinstance(result, Exception):
+                    env_cells.append(error_cell(env, workload, thp, design,
+                                                result))
+                else:
+                    env_cells.append(_cell_record(
+                        sim, env, workload, thp, design, result, seconds,
+                        build_seconds))
+            vanilla = next((cell["mean_latency"] for cell in env_cells
+                            if cell["design"] == "vanilla"
+                            and "error" not in cell), None)
+            for cell in env_cells:
+                if "error" not in cell:
+                    cell["walk_speedup"] = (
+                        vanilla / cell["mean_latency"]
+                        if vanilla and cell["mean_latency"] else None)
+            cells.extend(env_cells)
     for design in designs or ():
         if design not in provided:
             exc = KeyError(f"unknown design {design!r}; no swept "
@@ -302,113 +324,31 @@ def _cell_record(sim, env: str, workload: str, thp: bool, design: str,
     }
 
 
-def _run_env_cells(sim, env: str, workload: str, thp: bool,
-                   requested: List[str], build_seconds: float,
-                   executor: Optional[ThreadPoolExecutor] = None
-                   ) -> List[Dict]:
-    """Replay every requested design on one built machine.
+def run_cells(sim, designs: Sequence[str],
+              threads: int = 1) -> List[Tuple[str, object, float]]:
+    """Run ``sim.run(design)`` for each design, inline or on ``threads``.
 
-    Without an ``executor`` this is the sequential oracle path
-    (``sim.run`` per design, in order). With one, each design is
-    *prepared* in order on this thread; threadable cells execute on
-    the pool while later cells prepare, and every cell is committed
-    back on this thread in design order — same cells, same bits.
+    Returns ``(design, result, seconds)`` in design order, where
+    ``result`` is the cell's :class:`~repro.sim.simulator.WalkStats` or
+    the exception its run raised. A cell depends only on its own inputs
+    (the machine builds the state its designs share once, under a lock,
+    before the first walker), so threaded results are bit-identical to
+    sequential ones.
     """
-    env_cells: List[Dict] = []
-    latency: Dict[str, float] = {}
-    if executor is None:
-        for design in requested:
-            replay_start = time.perf_counter()
-            try:
-                stats = sim.run(design)
-            except Exception as exc:
-                env_cells.append(error_cell(env, workload, thp, design,
-                                            exc))
-                continue
-            replay_seconds = time.perf_counter() - replay_start
-            latency[design] = stats.mean_latency
-            env_cells.append(_cell_record(sim, env, workload, thp, design,
-                                          stats, replay_seconds,
-                                          build_seconds))
-    else:
-        # (design, prep, future, exc, start, inline_seconds)
-        staged: List[Tuple] = []
-        for design in requested:
-            start = time.perf_counter()
-            prep = future = exc = inline_seconds = None
-            try:
-                prep = sim.prepare_run(design)
-                if prep.threadable and not prep.ready:
-                    future = executor.submit(prep.execute)
-                else:
-                    # memo/result-cache hits and non-threadable engines
-                    # (vec/scalar planning mutates lazily populated
-                    # structures shared across cells) complete inline,
-                    # at their sequential position
-                    prep.commit(prep.execute())
-                    inline_seconds = time.perf_counter() - start
-            except Exception as caught:
-                exc = caught
-            staged.append((design, prep, future, exc, start,
-                           inline_seconds))
-        for design, prep, future, exc, start, inline_seconds in staged:
-            stats = None
-            if exc is None:
-                try:
-                    if future is not None:
-                        stats = prep.commit(future.result())
-                    else:
-                        stats = prep.stats
-                except Exception as caught:
-                    exc = caught
-            if exc is not None:
-                env_cells.append(error_cell(env, workload, thp, design,
-                                            exc))
-                continue
-            replay_seconds = (inline_seconds if inline_seconds is not None
-                              else time.perf_counter() - start)
-            latency[design] = stats.mean_latency
-            env_cells.append(_cell_record(sim, env, workload, thp, design,
-                                          stats, replay_seconds,
-                                          build_seconds))
-    vanilla = latency.get("vanilla")
-    for cell in env_cells:
-        if "error" in cell:
-            continue
-        cell["walk_speedup"] = (
-            vanilla / cell["mean_latency"]
-            if vanilla and cell["mean_latency"] else None)
-    return env_cells
+    def cell(design: str) -> Tuple[str, object, float]:
+        start = time.perf_counter()
+        try:
+            result = sim.run(design)
+        except Exception as exc:  # one failing design is one error cell
+            result = exc
+        return design, result, time.perf_counter() - start
 
-
-def run_design_stats(sim, designs: Sequence[str],
-                     cell_threads: int = 1) -> Dict:
-    """``{design: WalkStats}`` on one machine, optionally thread-parallel.
-
-    The single-machine twin of the sweep's two-level executor, used by
-    ``python -m repro run --cell-threads``. Exceptions propagate (no
-    error cells — the CLI reports the failure). Bit-identical to
-    calling ``sim.run`` per design.
-    """
-    cell_threads = max(1, int(cell_threads or 1))
     designs = list(designs)
-    if cell_threads == 1 or len(designs) <= 1:
-        return {design: sim.run(design) for design in designs}
-    stats: Dict = {}
-    with ThreadPoolExecutor(max_workers=cell_threads,
-                            thread_name_prefix="cell") as executor:
-        staged = []
-        for design in designs:
-            prep = sim.prepare_run(design)
-            if prep.threadable and not prep.ready:
-                staged.append((design, prep, executor.submit(prep.execute)))
-            else:
-                prep.commit(prep.execute())
-                staged.append((design, prep, None))
-        for design, prep, future in staged:
-            stats[design] = (prep.commit(future.result())
-                             if future is not None else prep.stats)
-    return stats
+    if threads <= 1 or len(designs) <= 1:
+        return [cell(design) for design in designs]
+    with ThreadPoolExecutor(max_workers=threads,
+                            thread_name_prefix="cell") as pool:
+        return list(pool.map(cell, designs))
 
 
 def grid_tasks(envs: Sequence[str],
@@ -476,9 +416,11 @@ def run_sweep(envs: Sequence[str] = ("native",),
 
     ``cell_threads`` adds the second parallelism level: each group's
     worker replays its independent (env, design) cells on that many
-    threads (DESIGN.md §15). ``meta.parallelism`` records the resulting
-    ``processes × cell_threads`` product. Results are bit-identical to
-    ``cell_threads=1``.
+    threads (DESIGN.md §15), clamped to 1 without numba
+    (:func:`effective_split`). ``meta`` records the requested and the
+    effective count, the reason for any clamp, and the resulting
+    ``processes × cell_threads`` product as ``parallelism``. Results are
+    bit-identical to ``cell_threads=1``.
 
     Returns the JSON-ready document ``{"meta": ..., "cells": [...]}``
     and writes it to ``out_path`` when given (atomic tmp + rename). An
@@ -498,12 +440,14 @@ def run_sweep(envs: Sequence[str] = ("native",),
             progress=progress, trace_path=trace_path,
             artifact_dir=artifact_dir, cell_threads=cell_threads,
             **config_kwargs)
-    tasks = grid_tasks(envs, workloads, designs, thp_modes,
-                       trace_path=trace_path, artifact_dir=artifact_dir,
-                       cell_threads=cell_threads or 1, **config_kwargs)
     if workers is None:
         workers = os.cpu_count() or 1
-    pool_size, threads = effective_split(workers, len(tasks), cell_threads)
+    groups = len(workloads or ALL_WORKLOADS) * len(thp_modes)
+    pool_size, threads, threads_reason = effective_split(workers, groups,
+                                                         cell_threads)
+    tasks = grid_tasks(envs, workloads, designs, thp_modes,
+                       trace_path=trace_path, artifact_dir=artifact_dir,
+                       cell_threads=threads, **config_kwargs)
     notify = progress or (lambda message: None)
 
     # Parent-side progress counters; pool workers count in their own
@@ -532,7 +476,7 @@ def run_sweep(envs: Sequence[str] = ("native",),
             "config": dict(config_kwargs),
             "workers": pool_size,
             "requested_workers": workers,
-            "cell_threads": threads,
+            **threads_meta(cell_threads, threads, threads_reason),
             "parallelism": pool_size * threads,
             "groups": len(tasks),
             "cells": len(cells),

@@ -1,31 +1,43 @@
-"""Two-level executor and stage-2 result cache (DESIGN.md §15).
+"""Order-independent cells, the cell executor and the result cache.
 
-Thread parity: replaying a machine's designs with ``cell_threads=N``
-must be bit-identical to sequential replay — same :class:`WalkStats`
-*and* same end state of everything replay mutates (cache sets, PWCs,
-the ECPT CWC, ASAP's inner walker), across all fifteen supported
-(environment, design) pairs.
+DESIGN.md §15. Order independence: a cell's result depends only on
+(env, design, config, miss stream). Running a design alone, in grid
+order or in reversed grid order gives the same :class:`WalkStats`, and
+once a machine has built the state its designs share, no cell changes
+that state.
+
+Thread parity: ``run_cells(..., threads=4)`` must be bit-identical to
+sequential replay — same :class:`WalkStats` *and* same end state of
+everything replay mutates (cache sets, PWCs, the ECPT CWC, ASAP's inner
+walker), across all fifteen supported (environment, design) pairs.
 
 Result cache: a warm sweep over a shared artifact directory must serve
 every stage-2 cell from disk (zero replays) and emit a byte-identical
-document; corrupted payloads evict and recompute; bumping the cost
-model version invalidates every cached result.
+document, also for a design subset of a grid cached earlier; corrupted
+payloads evict and recompute; bumping the cost model or stage-2 key
+version invalidates every cached result.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.core.registers import RegisterSet
+from repro.sim import kernels
 from repro.sim.artifacts import ArtifactCache
 from repro.sim.machine import ENVIRONMENTS, SimConfig
 from repro.sim.simulator import Stage1Cache
 from repro.sim.sweep import (
+    NO_JIT_THREADS_REASON,
     effective_split,
     grid_tasks,
-    run_design_stats,
+    run_cells,
     run_group,
     run_sweep,
 )
@@ -40,66 +52,124 @@ ALL_PAIRS = [(env, design)
              for design in env_cls.designs]
 
 
-def _run_cells(sim, designs, cell_threads):
-    """{design: (stats, walker)} via the prepare/execute/commit pipeline.
+def _capture_walkers(sim):
+    """Record every walker ``sim.run`` builds, keyed by design."""
+    walkers = {}
+    build = sim.walker
 
-    Mirrors ``run_design_stats`` but keeps each cell's walker so tests
-    can compare the mutated end state, not just the returned stats.
+    def walker(design):
+        walkers[design] = built = build(design)
+        return built
+
+    sim.walker = walker
+    return walkers
+
+
+def _shared_state(sim):
+    """What one machine's cells share: allocator fill, register files,
+    page-table and shadow-table entry counts, and VM exit counters."""
+    if sim.env_name == "native":
+        vms = []
+        memories = [sim.kernel.memory]
+        files = [sim.dmt.register_file]
+        tables = [sim.process.page_table]
+    elif sim.env_name == "virt":
+        vms = [sim.vm]
+        memories = [sim.host_kernel.memory, sim.vm.guest_memory]
+        files = [sim.host_dmt.register_file]
+        tables = [sim.process.page_table, sim.vm.ept, sim.shadow.spt]
+    else:
+        vms = [sim.nested.l1_vm, sim.nested.l2_vm]
+        memories = [sim.host_kernel.memory] + [vm.guest_memory for vm in vms]
+        files = [sim.l0_dmt.register_file]
+        tables = ([sim.process.page_table, sim.nested.shadow.spt]
+                  + [vm.ept for vm in vms])
+    return {
+        "free_frames": [memory.allocator.free_frames for memory in memories],
+        "registers": [(regs.reloads,
+                       [[reg.encode() for reg in regs.registers(which)]
+                        for which in RegisterSet])
+                      for regs in files],
+        "mapped_pages": [table.mapped_pages for table in tables],
+        "exits": [dataclasses.astuple(vm.exits) for vm in vms],
+    }
+
+
+@pytest.mark.parametrize("workload,thp", [("GUPS", False), ("Redis", True)],
+                         ids=["GUPS-4KB", "Redis-THP"])
+@pytest.mark.parametrize("env", sorted(ENVIRONMENTS))
+def test_cell_alone_equals_forward_and_reversed_order(env, workload, thp):
+    """Each design's cell is the same alone, in grid order and reversed.
+
+    Redis/THP virt/ecpt differed by 6.5% between the full grid and a
+    run alone while mirrors were built lazily per design; the config is
+    the end-to-end benchmark's.
     """
-    from concurrent.futures import ThreadPoolExecutor
+    config = SimConfig(scale=4096, nrefs=5000, seed=0, thp=thp)
+    stage1 = Stage1Cache()
+    env_cls = ENVIRONMENTS[env]
+    designs = list(env_cls.designs)
 
-    out = {}
-    if cell_threads <= 1:
-        for design in designs:
-            prep = sim.prepare_run(design)
-            out[design] = (prep.commit(prep.execute()), prep.walker)
-        return out
-    with ThreadPoolExecutor(max_workers=cell_threads) as executor:
-        staged = []
-        for design in designs:
-            prep = sim.prepare_run(design)
-            if prep.threadable and not prep.ready:
-                staged.append((design, prep,
-                               executor.submit(prep.execute)))
-            else:
-                prep.commit(prep.execute())
-                staged.append((design, prep, None))
-        for design, prep, future in staged:
-            stats = (prep.commit(future.result()) if future is not None
-                     else prep.stats)
-            out[design] = (stats, prep.walker)
-    return out
+    forward = env_cls(workload, config, stage1=stage1)
+    forward._ensure_shared()
+    shared = _shared_state(forward)
+    in_order = {}
+    for design in designs:
+        in_order[design] = forward.run(design)
+        assert _shared_state(forward) == shared, \
+            f"{env}/{design} changed state the other cells share"
+    backward = env_cls(workload, config, stage1=stage1)
+    reversed_order = {d: backward.run(d) for d in reversed(designs)}
+    for design in designs:
+        alone = env_cls(workload, config, stage1=stage1).run(design)
+        assert alone == in_order[design] == reversed_order[design], \
+            (f"{env}/{design}: alone {alone.total_cycles}, forward "
+             f"{in_order[design].total_cycles}, reversed "
+             f"{reversed_order[design].total_cycles} cycles")
 
 
 def test_thread_parity_all_pairs():
-    """cell_threads=4 replays all 15 pairs bit-identically to 1."""
+    """run_cells on 4 threads replays all 15 pairs bit-identically to 1.
+
+    More threads than cores and a short switch interval interleave the
+    cells finely, so a race on shared machine state would show.
+    """
     config = SimConfig(**CONFIG)
     stage1 = Stage1Cache()
-    for env, env_cls in sorted(ENVIRONMENTS.items()):
-        designs = list(env_cls.designs)
-        seq = _run_cells(env_cls("GUPS", config, stage1=stage1),
-                         designs, cell_threads=1)
-        par = _run_cells(env_cls("GUPS", config, stage1=stage1),
-                         designs, cell_threads=4)
-        for design in designs:
-            stats_seq, walker_seq = seq[design]
-            stats_par, walker_par = par[design]
-            assert stats_seq == stats_par, f"{env}/{design}: stats diverged"
-            assert _memsys_state(walker_seq) == _memsys_state(walker_par), \
-                f"{env}/{design}: memory-subsystem end state diverged"
-            assert _design_state(walker_seq) == _design_state(walker_par), \
-                f"{env}/{design}: design end state diverged"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for env, env_cls in sorted(ENVIRONMENTS.items()):
+            designs = list(env_cls.designs)
+            runs = {}
+            for threads in (1, 4):
+                sim = env_cls("GUPS", config, stage1=stage1)
+                walkers = _capture_walkers(sim)
+                results = run_cells(sim, designs, threads)
+                assert [design for design, _, _ in results] == designs
+                runs[threads] = ({d: r for d, r, _ in results}, walkers)
+            (seq, seq_walkers), (par, par_walkers) = runs[1], runs[4]
+            for design in designs:
+                assert not isinstance(par[design], Exception), par[design]
+                assert seq[design] == par[design], \
+                    f"{env}/{design}: stats diverged"
+                assert _memsys_state(seq_walkers[design]) == \
+                    _memsys_state(par_walkers[design]), \
+                    f"{env}/{design}: memory-subsystem end state diverged"
+                assert _design_state(seq_walkers[design]) == \
+                    _design_state(par_walkers[design]), \
+                    f"{env}/{design}: design end state diverged"
+    finally:
+        sys.setswitchinterval(interval)
     assert len(ALL_PAIRS) == 15
 
 
 @pytest.mark.parametrize("env,design", [("native", "vanilla"),
                                         ("native", "dmt"),
                                         ("virt", "pvdmt")])
-def test_prepare_replay_native_matches_scalar_oracle(env, design):
-    """prepare_replay_native().execute() off-thread == the scalar oracle."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.sim.kernels import prepare_replay_native
+def test_replay_walks_native_matches_scalar_oracle(env, design):
+    """replay_walks_native on a worker thread == the scalar oracle."""
+    from repro.sim.kernels import replay_walks_native
     from repro.sim.simulator import replay_walks
 
     config = SimConfig(**CONFIG)
@@ -111,9 +181,9 @@ def test_prepare_replay_native_matches_scalar_oracle(env, design):
 
     sim = ENVIRONMENTS[env]("GUPS", config, stage1=stage1)
     walker = sim.walker(design)
-    prepared = prepare_replay_native(walker, sim.tlb.miss_vas)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        stats = pool.submit(prepared.execute).result()
+        stats = pool.submit(replay_walks_native, walker,
+                            sim.tlb.miss_vas).result()
     # engine/fallback_reason are compare=False provenance fields; the
     # replayed numbers and the mutated machine state are the contract.
     assert stats == oracle
@@ -121,20 +191,20 @@ def test_prepare_replay_native_matches_scalar_oracle(env, design):
     assert _design_state(walker) == _design_state(oracle_walker)
 
 
-def test_run_design_stats_matches_sim_run():
+def test_run_cells_matches_sim_run():
+    """run_cells returns sim.run's stats in design order; a design that
+    raises becomes that cell's exception and the others still run."""
     config = SimConfig(**CONFIG)
     stage1 = Stage1Cache()
     env_cls = ENVIRONMENTS["virt"]
     designs = list(env_cls.designs)
-    # The oracle is one machine replaying designs in order — cell
-    # results legitimately depend on earlier cells' lazy first-touch
-    # population of shared structures, which is exactly why prepares
-    # stay sequential on the two-level executor.
     oracle_sim = env_cls("GUPS", config, stage1=stage1)
     oracle = {d: oracle_sim.run(d) for d in designs}
-    threaded = run_design_stats(env_cls("GUPS", config, stage1=stage1),
-                                designs, cell_threads=4)
-    assert threaded == oracle
+    results = run_cells(env_cls("GUPS", config, stage1=stage1),
+                        designs + ["bogus"], threads=4)
+    assert [design for design, _, _ in results] == designs + ["bogus"]
+    assert {d: r for d, r, _ in results[:-1]} == oracle
+    assert isinstance(results[-1][1], KeyError)
 
 
 def _stable(cells):
@@ -143,24 +213,25 @@ def _stable(cells):
     return stable_cells(cells)
 
 
-def test_run_group_accepts_legacy_7_tuple_and_cell_threads():
-    legacy = (("native", "virt"), "GUPS", False, ("vanilla", "dmt"),
-              dict(CONFIG), None, None)
-    threaded = legacy + (4,)
-    cells_legacy = run_group(legacy)
-    cells_threaded = run_group(threaded)
-    assert _stable(cells_threaded) == _stable(cells_legacy)
-    for cell in cells_threaded:
+def test_run_group_cell_threads_matches_sequential():
+    grid = (("native", "virt"), ["GUPS"], ("vanilla", "dmt"))
+    sequential = run_group(grid_tasks(*grid, **CONFIG)[0])
+    threaded = run_group(grid_tasks(*grid, cell_threads=4, **CONFIG)[0])
+    assert _stable(threaded) == _stable(sequential)
+    for cell in threaded:
         assert cell["stage2_source"] == "computed"
         assert cell["group_seconds"] > 0.0
 
 
-def test_grid_tasks_and_split_carry_cell_threads():
+def test_grid_tasks_and_split_carry_cell_threads(monkeypatch):
     task = grid_tasks(("native",), ["GUPS"], cell_threads=3)[0]
     assert task[7] == 3
     assert grid_tasks(("native",), ["GUPS"])[0][7] == 1
-    assert effective_split(4, 10, 2) == (4, 2)
-    assert effective_split(8, 2, None) == (2, 1)
+    monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
+    assert effective_split(4, 10, 2) == (4, 2, None)
+    monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
+    assert effective_split(4, 10, 2) == (4, 1, NO_JIT_THREADS_REASON)
+    assert effective_split(8, 2, None) == (2, 1, None)
 
 
 # --------------------------------------------------------------------- #
@@ -187,6 +258,7 @@ def test_result_cache_cold_then_warm(tmp_path, monkeypatch):
     monkeypatch.setattr("repro.sim.machine.replay_walks", explode)
     stats_warm = warm.run("dmt")
     assert warm.stage2_source("dmt") == "disk"
+    assert not warm._shared_ready, "a warm hit must not build shared state"
     assert stats_warm == stats_cold
     assert stats_warm.engine == stats_cold.engine
     assert stats_warm.step_cycles == stats_cold.step_cycles
@@ -210,6 +282,11 @@ def test_result_cache_invalidated_by_cost_model_bump(tmp_path, monkeypatch):
     bumped = _sim(tmp_path)
     bumped.run("dmt")
     assert bumped.stage2_source("dmt") == "computed"
+    # entries written before a change of what a cell means are not served
+    monkeypatch.setattr("repro.sim.machine.STAGE2_KEY_VERSION", 1)
+    older = _sim(tmp_path)
+    older.run("dmt")
+    assert older.stage2_source("dmt") == "computed"
 
 
 def test_result_cache_evicts_corrupted_payload(tmp_path):
@@ -254,8 +331,26 @@ def test_warm_sweep_serves_stage2_from_disk_byte_identical(tmp_path):
     blob_warm = json.dumps(_stable(warm["cells"]), sort_keys=True)
     assert blob_warm == blob_cold, \
         "warm sweep must emit a byte-identical stable document"
-    assert warm["meta"]["cell_threads"] == 2
-    assert warm["meta"]["parallelism"] == 2
+    threads = 2 if kernels.HAVE_NUMBA else 1
+    assert warm["meta"]["requested_cell_threads"] == 2
+    assert warm["meta"]["cell_threads"] == threads
+    assert warm["meta"]["parallelism"] == threads
+    assert (warm["meta"]["cell_threads_reason"] is None) == kernels.HAVE_NUMBA
+
+
+def test_subset_sweep_from_full_grid_cache_equals_cold_subset(tmp_path):
+    """A design subset served from a full grid's cache equals the same
+    subset computed cold: the cache key holds no earlier cells."""
+    grid = dict(envs=("virt",), workloads=["GUPS"], workers=1, **CONFIG)
+    full_cache = str(tmp_path / "full")
+    run_sweep(artifact_dir=full_cache, **grid)
+    warm = run_sweep(designs=("ecpt", "fpt"), artifact_dir=full_cache,
+                     **grid)
+    cold = run_sweep(designs=("ecpt", "fpt"),
+                     artifact_dir=str(tmp_path / "subset"), **grid)
+    assert [c["stage2_source"] for c in warm["cells"]] == ["disk"] * 2
+    assert [c["stage2_source"] for c in cold["cells"]] == ["computed"] * 2
+    assert _stable(warm["cells"]) == _stable(cold["cells"])
 
 
 # --------------------------------------------------------------------- #

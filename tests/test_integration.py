@@ -62,9 +62,8 @@ class TestTranslationCorrectness:
                 assert result.pa == pa, (design, hex(va))
 
     def test_shadow_agrees_after_sync(self, virt_sim):
-        pager = virt_sim.shadow()
-        pager.sync()
         walker = virt_sim.walker("shadow")
+        virt_sim.shadow.sync()
         for va in virt_sim.tlb.miss_vas[:120]:
             gpa, _ = virt_sim.process.page_table.translate(va)
             assert walker.translate(va).pa == virt_sim.vm.gpa_to_hpa(gpa)

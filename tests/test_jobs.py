@@ -492,7 +492,7 @@ class TestRunSweepTelemetry:
         """A dead worker's fabricated cells must cover exactly the cells
         a healthy run of the same task would have produced."""
         task = (("native",), "GUPS", False, ("vanilla", "dmt"),
-                dict(CONFIG), None, None)
+                dict(CONFIG), None, None, 1)
         healthy = run_group(task)
         dead = dead_group_cells(task, OSError("worker died"))
         assert len(dead) == len(healthy)
@@ -504,7 +504,8 @@ class TestRunSweepTelemetry:
         """Sweeping all designs (designs=None): one cell per env design."""
         from repro.sim.machine import ENVIRONMENTS
 
-        task = (("native",), "GUPS", False, None, dict(CONFIG), None, None)
+        task = (("native",), "GUPS", False, None, dict(CONFIG), None, None,
+                1)
         dead = dead_group_cells(task, OSError("boom"))
         assert [c["design"] for c in dead] == \
             list(ENVIRONMENTS["native"].designs)

@@ -77,7 +77,7 @@ class TestVirtSimulation:
         # the walk itself is native-speed; the cost of shadow paging is the
         # VM exits, which the perf model charges from calibration (§2.2)
         assert shadow.mean_latency < vanilla.mean_latency
-        assert virt_sim.shadow().spt.mapped_pages > 0
+        assert virt_sim.shadow.spt.mapped_pages > 0
 
 
 class TestNestedSimulation:

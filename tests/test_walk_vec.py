@@ -318,7 +318,7 @@ def test_stage1_cache_shares_miss_stream_across_environments():
 def test_run_group_reports_stage1_reuse_telemetry(tmp_path):
     artifact_dir = str(tmp_path / "artifacts")
     task = (("native", "virt"), "GUPS", False, ("vanilla",),
-            dict(scale=4096, nrefs=3000), None, artifact_dir)
+            dict(scale=4096, nrefs=3000), None, artifact_dir, 1)
     cells = run_group(task)
     assert [cell["env"] for cell in cells] == ["native", "virt"]
     assert [cell["stage1_reused"] for cell in cells] == [False, True]
