@@ -15,9 +15,9 @@ Not a paper figure — this bench guards the simulator's own performance:
   at the repo root;
 * when the compiled kernel backend imported (numba), the native engine
   is timed too and must clear ``NATIVE_FLOORS`` (>= 10x on the vanilla
-  radix walk, >= 3x elsewhere) — on the pure-Python backend the same
-  kernels run bit-identically but at interpreter speed, so the native
-  leg is recorded as untimed rather than penalized;
+  radix walk, >= 3x elsewhere); without numba the native engine is
+  unavailable (it refuses to run uncompiled, DESIGN.md §11), so the
+  table has no native column;
 * the two-level executor must replay a native+virt GUPS group with
   ``REPRO_BENCH_CELL_THREADS`` threads bit-identically to sequential
   replay, and >= 2x faster on the numba backend (nogil kernels; the
@@ -58,8 +58,8 @@ MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "3.0"))
 #: Timing rounds per engine for the stage-2 comparison.
 ROUNDS = int(os.environ.get("REPRO_BENCH_ENGINE_ROUNDS", "5"))
 #: CI legs that install numba pin the backend they expect: a numba leg
-#: silently falling back to the pure-Python kernels would record
-#: "untimed" native columns and gut the bench without failing it.
+#: whose import silently failed would drop the native column and gut
+#: the bench without failing it.
 EXPECT_BACKEND = os.environ.get("REPRO_BENCH_EXPECT_BACKEND")
 #: Thread count for the two-level executor group bench.
 CELL_THREADS = int(os.environ.get("REPRO_BENCH_CELL_THREADS", "4"))
@@ -209,11 +209,11 @@ def test_stage2_vectorized_speedup(benchmark):
                           if native_seconds else None)
         native_floor = (NATIVE_FLOORS[design] * floor_scale
                         if HAVE_NUMBA else None)
-        rows.append([f"{env}/{design}", f"{best['scalar'] * 1e3:.1f} ms",
-                     f"{best['vec'] * 1e3:.1f} ms",
-                     f"{speedup:.2f}x (>={floor:.2f})",
-                     (f"{native_speedup:.2f}x" if native_speedup
-                      else "untimed"), walks])
+        row = [f"{env}/{design}", f"{best['scalar'] * 1e3:.1f} ms",
+               f"{best['vec'] * 1e3:.1f} ms", f"{speedup:.2f}x (>={floor:.2f})"]
+        if HAVE_NUMBA:
+            row.append(f"{native_speedup:.2f}x (>={native_floor:.2f})")
+        rows.append(row + [walks])
         results.append({
             "design": f"{env}/{design}",
             "env": env,
@@ -232,7 +232,8 @@ def test_stage2_vectorized_speedup(benchmark):
                  f"kernel backend {KERNEL_BACKEND}"))
     print(format_table(
         ["env/design", f"scalar (best of {ROUNDS})",
-         f"vec (best of {ROUNDS})", "vec speedup", "native", "walks"],
+         f"vec (best of {ROUNDS})", "vec speedup"]
+        + (["native speedup"] if HAVE_NUMBA else []) + ["walks"],
         rows,
     ))
     best_speedup = max(entry["speedup"] for entry in results)

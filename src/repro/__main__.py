@@ -332,13 +332,12 @@ def main(argv=None) -> int:
                          choices=("auto", "native", "vec", "scalar"),
                          default="auto",
                          help="stage-2 replay engine: 'native' runs the "
-                              "compiled chunk kernels (pure-Python "
-                              "fallback without numba, recorded in "
-                              "WalkStats.fallback_reason), 'vec' batches "
-                              "walks per design, 'scalar' is the "
-                              "reference oracle, 'auto' picks native "
-                              "when compiled, else vec, when the design "
-                              "supports it (default)")
+                              "compiled chunk kernels (requires numba), "
+                              "'vec' batches walks per design, 'scalar' "
+                              "is the reference oracle (always replays, "
+                              "bypassing the result cache), 'auto' "
+                              "picks native when compiled, else vec, "
+                              "when the design supports it (default)")
     simopts.add_argument("--stream-chunk", type=int, default=None,
                          metavar="REFS",
                          help="stream stage 0->1 in chunks of this many "

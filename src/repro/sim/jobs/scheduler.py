@@ -1,10 +1,18 @@
-"""The shard scheduler: fan pending shards over a pool, journal, retry.
+"""The shard scheduler: the one sweep executor (DESIGN.md §6, §14).
 
-One :class:`JobScheduler` owns one job directory. ``run()`` replays the
-journal, serves already-completed shards from it (counted in the
-``sweep.resumed_groups`` metric), and fans the missing shards over a
-worker pool in *rounds*:
+Every sweep runs through one :class:`JobScheduler` — a plain
+:func:`~repro.sim.sweep.run_sweep` as well as ``--resume`` and
+``repro jobs``. With a job directory, ``run()`` replays its journal,
+serves already-completed shards from it (counted in the
+``sweep.resumed_groups`` metric) and journals every shard it completes;
+with ``job_dir=None`` it keeps no journal: no files, no fsync, no cancel
+polling and no ``job`` key in the document's meta. Either way it fans
+the missing shards over a worker pool in *rounds*:
 
+* when the missing shards fit one worker (``workers`` <= 1 or a single
+  shard) every round runs inline, in this process; otherwise every
+  round, retries included, runs on a fresh pool, so a shard that kills
+  its worker never runs in the scheduler's own process;
 * each round submits at most ``pool_size`` shards at a time, so a
   submitted shard starts (approximately) immediately and the per-shard
   ``shard_timeout`` can be measured from submission;
@@ -16,17 +24,17 @@ worker pool in *rounds*:
 * a timed-out shard's worker cannot be reclaimed through the Executor
   API, so the whole pool is abandoned (terminated) and the next round
   starts a fresh one;
-* every completed shard is fsync-appended to the journal *before* the
-  scheduler moves on, so a SIGKILL at any instant loses at most the
-  shards in flight.
+* with a journal, every completed shard is fsync-appended to it
+  *before* the scheduler moves on, so a SIGKILL at any instant loses at
+  most the shards in flight.
 
 Exceptions *inside* a group (a bad design, a failing machine build)
 never reach the scheduler — :func:`~repro.sim.sweep.run_group` converts
 them to per-cell error records, and the shard completes normally.
 Retries are for infrastructure failures only.
 
-A shard that exhausts its retries is journaled as ``failed`` and
-contributes one fabricated error cell per (environment, design)
+A shard that exhausts its retries is marked ``failed`` (and journaled so)
+and contributes one fabricated error cell per (environment, design)
 (:func:`~repro.sim.sweep.dead_group_cells`), so the final document's
 cell count still matches a healthy run's.
 """
@@ -35,17 +43,18 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs import metrics
 from repro.obs import trace as obs_trace
+# Module import, attributes read at call time: sweep imports this
+# package in turn, and tests patch sweep.run_group/write_document.
+from repro.sim import sweep
 from repro.sim.jobs import journal as jn
 from repro.sim.jobs.spec import JobSpec, Shard
-from repro.sim.sweep import (ALL_WORKLOADS, cell_sort_key, dead_group_cells,
-                             effective_split, effective_workers, run_group,
-                             threads_meta, write_document)
 
 #: How long one ``wait()`` poll blocks before re-checking timeouts/cancel.
 POLL_SECONDS = 0.2
@@ -73,13 +82,14 @@ def stable_cells(cells: List[Dict]) -> List[Dict]:
     """Cells with volatile telemetry stripped, in document order."""
     return [{key: value for key, value in cell.items()
              if key not in VOLATILE_CELL_KEYS}
-            for cell in sorted(cells, key=cell_sort_key)]
+            for cell in sorted(cells, key=sweep.cell_sort_key)]
 
 
 class JobScheduler:
-    """Run (or resume) one sweep job to completion."""
+    """Run (or resume) one sweep to completion; journaled when ``job_dir``
+    is given."""
 
-    def __init__(self, spec: JobSpec, job_dir: str, *,
+    def __init__(self, spec: JobSpec, job_dir: Optional[str], *,
                  workers: Optional[int] = None,
                  shard_timeout: Optional[float] = None,
                  max_retries: int = DEFAULT_MAX_RETRIES,
@@ -102,23 +112,24 @@ class JobScheduler:
         self.artifact_dir = artifact_dir
         self.notify = progress or (lambda message: None)
         # Injectable for tests (suicidal/sleeping workers); must be
-        # picklable for the pool path.
-        self._run_fn = run_fn or run_group
+        # picklable for the pool path. Looked up on the sweep module at
+        # construction so a patched ``sweep.run_group`` reaches workers.
+        self._run_fn = run_fn or sweep.run_group
         self.journal: Optional[jn.Journal] = None
         self._shards = spec.shards()
         self._total = len(self._shards)
         self.requested_cell_threads = cell_threads
-        _, self.cell_threads, self.cell_threads_reason = effective_split(
-            self.workers, self._total, cell_threads)
+        _, self.cell_threads, self.cell_threads_reason = \
+            sweep.effective_split(self.workers, self._total, cell_threads)
         self._journal_cells: Dict[str, List[Dict]] = {}
         self._new_cells: Dict[str, List[Dict]] = {}
-        self._failed: Dict[str, str] = {}
+        #: shard id -> its fabricated per-(env, design) error cells
+        self._failed: Dict[str, List[Dict]] = {}
         self._failures: Dict[str, int] = {}
         self._cancelled = False
         self._last_heartbeat = float("-inf")
         # Parent-side sweep-wide counters (pool workers count in their
-        # own registries), same names as the one-shot runner plus the
-        # job-layer resume/retry telemetry.
+        # own registries), plus the job-layer resume/retry telemetry.
         self._groups_done = metrics.counter("sweep.groups")
         self._cells_done = metrics.counter("sweep.cells")
         self._errors_seen = metrics.counter("sweep.error_cells")
@@ -128,8 +139,14 @@ class JobScheduler:
     # ------------------------------------------------------------------
     # journal interaction
 
+    def _append(self, record: Dict) -> None:
+        if self.journal is not None:
+            self.journal.append(record)
+
     def _attach(self) -> None:
         """Open (or create) the journal and load completed shards."""
+        if self.job_dir is None:
+            return
         os.makedirs(self.job_dir, exist_ok=True)
         path = jn.journal_path(self.job_dir)
         records, torn = jn.read_journal(path)
@@ -166,6 +183,8 @@ class JobScheduler:
         self._resumed.inc(len(self._journal_cells))
 
     def _heartbeat(self, running: List[str], force: bool = True) -> None:
+        if self.journal is None:
+            return
         now = time.monotonic()
         if not force and now - self._last_heartbeat < HEARTBEAT_SECONDS:
             return
@@ -183,7 +202,7 @@ class JobScheduler:
     def _record_shard(self, shard: Shard, cells: List[Dict],
                       seconds: float) -> None:
         """Journal one completed shard — durability point for its cells."""
-        self.journal.append({
+        self._append({
             "type": "shard",
             "shard_id": shard.shard_id,
             "attempt": self._failures.get(shard.shard_id, 0) + 1,
@@ -200,11 +219,11 @@ class JobScheduler:
         self.notify(f"[{done}/{self._total}] {shard.shard_id} done")
 
     def _cancel_requested(self) -> bool:
-        if not self._cancelled and \
+        if self.job_dir is not None and not self._cancelled and \
                 os.path.exists(jn.cancel_path(self.job_dir)):
             self._cancelled = True
-            self.journal.append({"type": "cancel", "pid": os.getpid(),
-                                 "unix": time.time()})
+            self._append({"type": "cancel", "pid": os.getpid(),
+                          "unix": time.time()})
             self.notify("cancel requested; draining")
         return self._cancelled
 
@@ -219,7 +238,7 @@ class JobScheduler:
             backoff = min(self.backoff * (2 ** (failures - 1)),
                           MAX_BACKOFF_SECONDS)
             self._retried.inc()
-            self.journal.append({
+            self._append({
                 "type": "retry", "shard_id": shard.shard_id,
                 "attempt": failures, "error": error,
                 "backoff_seconds": backoff, "unix": time.time(),
@@ -227,8 +246,13 @@ class JobScheduler:
             self.notify(f"retrying {shard.shard_id} "
                         f"(attempt {failures + 1}) after {error}")
         else:
-            self._failed[shard.shard_id] = error
-            self.journal.append({
+            cells = sweep.dead_group_cells(self.spec.task(shard),
+                                           RuntimeError(error))
+            self._failed[shard.shard_id] = cells
+            self._groups_done.inc()
+            self._cells_done.inc(len(cells))
+            self._errors_seen.inc(len(cells))
+            self._append({
                 "type": "failed", "shard_id": shard.shard_id,
                 "attempts": failures, "error": error, "unix": time.time(),
             })
@@ -345,60 +369,56 @@ class JobScheduler:
     # the job
 
     def run(self) -> Dict:
-        """Run every missing shard and return the assembled document."""
-        self._attach()
+        """Run every missing shard and return the assembled document.
+
+        Writes the document to ``out_path`` once, through
+        ``sweep.write_document``. An interrupted run (Ctrl-C, fatal
+        error) first flushes the groups completed so far as a document
+        marked ``meta.partial``, then re-raises. A ``trace_path`` stream
+        this call opened is closed on exit; one the caller opened stays
+        open.
+        """
+        owns_trace = bool(self.trace_path) and not obs_trace.active()
+        if self.trace_path:
+            obs_trace.enable(self.trace_path)
         started = time.time()
-        pending = [shard for shard in self._shards
-                   if shard.shard_id not in self._journal_cells]
-        if self._journal_cells:
-            self.notify(f"resuming job {self.spec.job_id}: "
-                        f"{len(self._journal_cells)} of {self._total} "
-                        f"group(s) served from the journal, "
-                        f"{len(pending)} to run")
-        pool_size = effective_workers(self.workers, len(pending)) \
-            if pending else 1
+        pool_size = 1
         try:
-            with obs_trace.span("job.run", job_id=self.spec.job_id,
-                                shards=self._total,
-                                resumed=len(self._journal_cells)):
-                queue = pending
-                while queue and not self._cancel_requested():
-                    round_size = effective_workers(self.workers, len(queue))
-                    self._heartbeat(running=[])
-                    if round_size == 1:
-                        charged, leftovers = self._run_inline_round(queue)
-                    else:
-                        charged, leftovers = self._run_pool_round(
-                            queue, round_size)
-                    queue = list(leftovers)
-                    backoffs = []
-                    for shard, error in charged:
-                        self._charge_failure(shard, error)
-                        if shard.shard_id not in self._failed:
-                            queue.append(shard)
-                            failures = self._failures[shard.shard_id]
-                            backoffs.append(
-                                min(self.backoff * (2 ** (failures - 1)),
-                                    MAX_BACKOFF_SECONDS))
-                    if backoffs and not self._cancel_requested():
-                        time.sleep(max(backoffs))
+            self._attach()
+            pending = [shard for shard in self._shards
+                       if shard.shard_id not in self._journal_cells]
+            if self._journal_cells:
+                self.notify(f"resuming job {self.spec.job_id}: "
+                            f"{len(self._journal_cells)} of {self._total} "
+                            f"group(s) served from the journal, "
+                            f"{len(pending)} to run")
+            pool_size = sweep.effective_workers(
+                self.workers, len(pending)) if pending else 1
+            job_span = nullcontext() if self.journal is None else \
+                obs_trace.span("job.run", job_id=self.spec.job_id,
+                               shards=self._total,
+                               resumed=len(self._journal_cells))
+            with job_span:
+                self._run_rounds(pending, pool_size)
         except BaseException:
-            # The journal already holds every completed shard; also
-            # flush a partial document for out_path readers.
-            if self.out_path:
+            # A journal already holds every completed shard; also flush
+            # a partial document for out_path readers.
+            if self.out_path and (self._new_cells or self._journal_cells):
                 try:
-                    write_document(
+                    sweep.write_document(
                         self._document(started, pool_size, partial=True),
                         self.out_path)
                 except OSError:
-                    pass
+                    pass  # the original exception matters more
             raise
         finally:
             if self.journal is not None:
                 self.journal.close()
+            if owns_trace:
+                obs_trace.disable()
 
         document = self._document(started, pool_size)
-        if not document["meta"].get("partial"):
+        if self.journal is not None and not document["meta"].get("partial"):
             with jn.Journal(jn.journal_path(self.job_dir)) as journal:
                 journal.append({
                     "type": "done",
@@ -408,8 +428,34 @@ class JobScheduler:
                     "unix": time.time(),
                 })
         if self.out_path:
-            write_document(document, self.out_path)
+            sweep.write_document(document, self.out_path)
         return document
+
+    def _run_rounds(self, queue: List[Shard], pool_size: int) -> None:
+        """Run rounds until every shard completed or failed (or cancel).
+
+        A run that started on a pool retries on a pool too, even for a
+        single shard: a group that killed its worker must never run in
+        (and take down) the scheduler's own process.
+        """
+        while queue and not self._cancel_requested():
+            self._heartbeat(running=[])
+            if pool_size == 1:
+                charged, leftovers = self._run_inline_round(queue)
+            else:
+                charged, leftovers = self._run_pool_round(
+                    queue, min(pool_size, len(queue)))
+            queue = list(leftovers)
+            backoffs = []
+            for shard, error in charged:
+                self._charge_failure(shard, error)
+                if shard.shard_id not in self._failed:
+                    queue.append(shard)
+                    failures = self._failures[shard.shard_id]
+                    backoffs.append(min(self.backoff * (2 ** (failures - 1)),
+                                        MAX_BACKOFF_SECONDS))
+            if backoffs and not self._cancel_requested():
+                time.sleep(max(backoffs))
 
     def _document(self, started: float, pool_size: int,
                   partial: bool = False) -> Dict:
@@ -426,22 +472,21 @@ class JobScheduler:
                 cells.extend(self._journal_cells[shard_id])
                 resumed_groups += 1
             elif shard_id in self._failed:
-                exc = RuntimeError(self._failed[shard_id])
-                cells.extend(dead_group_cells(
-                    spec.task(shard, None, None), exc))
+                cells.extend(self._failed[shard_id])
             else:
                 missing.append(shard_id)
-        cells.sort(key=cell_sort_key)
+        cells.sort(key=sweep.cell_sort_key)
         meta = {
             "envs": list(spec.envs),
-            "workloads": list(spec.workloads or ALL_WORKLOADS),
+            "workloads": list(spec.workloads or sweep.ALL_WORKLOADS),
             "designs": list(spec.designs) if spec.designs else "all",
             "thp_modes": [bool(t) for t in spec.thp_modes],
             "config": dict(spec.config),
             "workers": pool_size,
             "requested_workers": self.workers,
-            **threads_meta(self.requested_cell_threads, self.cell_threads,
-                           self.cell_threads_reason),
+            **sweep.threads_meta(self.requested_cell_threads,
+                                 self.cell_threads,
+                                 self.cell_threads_reason),
             "parallelism": pool_size * self.cell_threads,
             "groups": self._total,
             "cells": len(cells),
@@ -450,23 +495,26 @@ class JobScheduler:
                                         time.localtime(started)),
             "trace": self.trace_path,
             "artifact_cache": self.artifact_dir,
-            "job": {
+            "metrics": {
+                "sweep.groups": self._groups_done.value,
+                "sweep.cells": self._cells_done.value,
+                "sweep.error_cells": self._errors_seen.value,
+            },
+        }
+        if self.job_dir is not None:
+            meta["job"] = {
                 "job_id": spec.job_id,
                 "dir": self.job_dir,
                 "resumed_groups": resumed_groups,
                 "retried_shards": self._retried.value,
                 "failed_shards": sorted(self._failed),
                 "cancelled": self._cancelled,
-            },
-            "metrics": {
-                "sweep.groups": self._groups_done.value,
-                "sweep.cells": self._cells_done.value,
-                "sweep.error_cells": self._errors_seen.value,
-                "sweep.resumed_groups": self._resumed.value,
-                "sweep.retried_shards": self._retried.value,
-            },
-        }
+            }
+            meta["metrics"]["sweep.resumed_groups"] = self._resumed.value
+            meta["metrics"]["sweep.retried_shards"] = self._retried.value
         if partial or missing or self._cancelled:
             meta["partial"] = True
+            meta["completed_groups"] = \
+                len(self._journal_cells) + len(self._new_cells)
             meta["missing_groups"] = missing
         return {"meta": meta, "cells": cells}

@@ -15,9 +15,9 @@ stores the canonical form verbatim, so a resume reconstructs the exact
 grid without trusting the caller's CLI flags.
 
 A spec expands into :class:`Shard`\\ s — one per (workload, page-size)
-pair, exactly the :data:`~repro.sim.sweep.GroupTask` granularity of the
-one-shot sweep runner — so journal records, retries, and resume all
-operate on the unit the worker pool already executes.
+pair, the granularity of a :data:`~repro.sim.sweep.GroupTask` — so
+journal records, retries, and resume all operate on the unit the worker
+pool executes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.sim.sweep import ALL_WORKLOADS, GroupTask, validate_grid
+from repro.sim import sweep
+from repro.sim.machine import SimConfig
 
 #: Bumped whenever the canonical form (and thus every job_id) changes.
 SPEC_VERSION = 1
@@ -63,14 +64,16 @@ class JobSpec:
               **config_kwargs) -> "JobSpec":
         """Normalize ``run_sweep``-style arguments into a spec.
 
-        Validates the grid the same way :func:`~repro.sim.sweep.run_sweep`
-        does (:class:`KeyError` on unknown environments/designs), so a
-        bad grid fails at submit time, not in a worker.
+        Validates the grid (:class:`KeyError` on unknown
+        environments/designs) and the config (:class:`ValueError` from
+        :class:`SimConfig`), so a bad grid fails at submit time, not in
+        every worker.
         """
-        validate_grid(envs, designs)
+        sweep.validate_grid(envs, designs)
+        SimConfig(**config_kwargs)
         return cls(
             envs=tuple(envs),
-            workloads=tuple(workloads or ALL_WORKLOADS),
+            workloads=tuple(workloads or sweep.ALL_WORKLOADS),
             designs=tuple(designs) if designs else None,
             thp_modes=tuple(bool(t) for t in thp_modes),
             config=dict(config_kwargs),
@@ -106,13 +109,13 @@ class JobSpec:
         return hashlib.sha256(blob).hexdigest()[:16]
 
     def shards(self) -> List[Shard]:
-        """Every shard of the grid, in the one-shot sweep's task order."""
+        """Every shard of the grid: workloads outer, page sizes inner."""
         return [Shard(workload, thp)
                 for workload in self.workloads for thp in self.thp_modes]
 
     def task(self, shard: Shard, trace_path: Optional[str] = None,
              artifact_dir: Optional[str] = None,
-             cell_threads: int = 1) -> GroupTask:
+             cell_threads: int = 1) -> sweep.GroupTask:
         """The picklable :data:`GroupTask` tuple for one shard.
 
         ``cell_threads`` is a runtime knob (like ``trace_path``): it

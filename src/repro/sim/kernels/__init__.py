@@ -5,22 +5,24 @@ chunked state machine per-reference in the Python interpreter over
 ``batch_view()`` dicts. This package replaces that hot loop with
 preallocated flat ndarray state (``array_view()`` on the caches, PWCs
 and the ECPT cuckoo-walk cache) and per-design chunk kernels that are
-JIT-compiled with Numba ``@njit(cache=True)`` when Numba is importable
-— and run as the *same source, uncompiled* otherwise, so the fallback
-is bit-identical by construction (:mod:`repro.sim.kernels.backend`).
-Compiled kernels are ``nogil``, so a sweep's cells can replay on
-concurrent threads and overlap (DESIGN.md §15).
+JIT-compiled with Numba ``@njit(cache=True)``. The engine requires
+Numba; without it the *same source* still runs uncompiled when called
+directly, which is how the parity suites check it without Numba
+(:mod:`repro.sim.kernels.backend`). Compiled kernels are ``nogil``, so
+a sweep's cells can replay on concurrent threads and overlap
+(DESIGN.md §15).
 
 Entry point: :func:`repro.sim.kernels.replay.replay_walks_native`,
-reached through ``replay_walks(..., engine="native")`` or
-``--walk-engine native``. DESIGN.md §11 documents the architecture and
-the array-view writeback contract.
+reached through ``replay_walks(..., engine="native")``,
+``--walk-engine native`` or ``auto`` when Numba is installed.
+DESIGN.md §11 documents the architecture and the array-view writeback
+contract.
 """
 
 from repro.sim.kernels.backend import (  # noqa: F401
     BACKEND,
     HAVE_NUMBA,
-    UNAVAILABLE_REASON,
+    NATIVE_REQUIRES_NUMBA,
     jit,
 )
 from repro.sim.kernels.replay import replay_walks_native  # noqa: F401

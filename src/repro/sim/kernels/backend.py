@@ -3,11 +3,11 @@
 Numba is an optional dependency: when it imports, every kernel in this
 package is compiled with ``@njit(cache=True)``; when it does not, the
 ``jit`` decorator is the identity and the *same source* runs under the
-plain interpreter. Both backends therefore execute the identical
-algorithm over the identical flat-array state — the pure-Python path is
-bit-identical by construction, just slow, and callers record
-:data:`UNAVAILABLE_REASON` as ``WalkStats.fallback_reason`` so a
-missing JIT can never silently masquerade as the compiled engine.
+plain interpreter. The uncompiled kernels are bit-identical by
+construction but 2.5-13x slower than the vec engine (DESIGN.md §11),
+so the ``native`` engine requires numba (:data:`NATIVE_REQUIRES_NUMBA`)
+and ``auto`` resolves to vec without it. The parity suites still call
+the kernels directly, so their source is checked uncompiled too.
 """
 
 from __future__ import annotations
@@ -17,15 +17,16 @@ try:
 
     HAVE_NUMBA = True
     BACKEND = "numba"
-    UNAVAILABLE_REASON = None
 except ImportError:  # pragma: no cover - exercised by the no-numba CI leg
     _njit = None
     HAVE_NUMBA = False
     BACKEND = "python"
-    UNAVAILABLE_REASON = (
-        "numba unavailable: native kernels run as uncompiled Python "
-        "(bit-identical, interpreter speed)"
-    )
+
+#: Why ``walk_engine="native"`` is refused when numba is absent.
+NATIVE_REQUIRES_NUMBA = (
+    "walk_engine 'native' needs numba, which is not installed "
+    "(use 'auto', which resolves to 'vec' without it, or 'vec')"
+)
 
 
 def jit(func):

@@ -42,7 +42,6 @@ import numpy as np
 
 from repro.arch import PAGE_SHIFT
 from repro.sim import walk_vec
-from repro.sim.kernels import backend
 from repro.sim.kernels.designs import (
     agile_chunk,
     asap_native_chunk,
@@ -420,8 +419,6 @@ def replay_walks_native(
     spec = walker.batch_spec()
     vas = np.asarray(miss_vas, dtype=np.int64)
     stats = WalkStats(design=walker.name, engine="native")
-    if backend.UNAVAILABLE_REASON is not None:
-        stats.fallback_reason = backend.UNAVAILABLE_REASON
     total = int(vas.size)
     if total == 0:
         return stats
@@ -525,22 +522,18 @@ def replay_walks_native(
             if kind == "ecpt-native":
                 plans = walk_vec._build_ecpt_native_plans(
                     spec, uniq_ordered, False)
-                cwc = spec.ecpt.cwc
             elif kind == "ecpt-nested":
                 plans = walk_vec._build_ecpt_nested_plans(
                     spec, uniq_ordered, False)
-                cwc = spec.host_ecpt.cwc  # scalar probes only this one
             elif kind == "fpt-native":
                 plans = walk_vec._build_fpt_native_plans(
                     spec, uniq_ordered, False)
-                cwc = None
             else:
                 plans = walk_vec._build_fpt_nested_plans(
                     spec, uniq_ordered, False)
-                cwc = None
             (base_cycles, op_start, op_count, ops_arr, cand_addr,
              cand_crit) = _flatten_ops(plans, uniq_ordered)
-            ws, ws_fin = _cwc_state(cwc)
+            ws, ws_fin = _cwc_state(spec.cwc)
             if ws_fin is not None:
                 finishers.append(ws_fin)
 

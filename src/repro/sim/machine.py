@@ -35,7 +35,7 @@ from repro.core.paravirt import PvDMTHost, PvTEAAllocator
 from repro.core.registers import REGISTERS_PER_SET, RegisterSet
 from repro.hw.config import MachineConfig, xeon_gold_6138
 from repro.kernel.kernel import Kernel
-from repro.sim import tlb_vec
+from repro.sim import kernels, tlb_vec
 from repro.sim.simulator import (
     Stage1Cache,
     TLBFilterResult,
@@ -129,9 +129,10 @@ class SimConfig:
     #: backend and the design support them, else batched
     #: :mod:`repro.sim.walk_vec` when supported, scalar otherwise — the
     #: default), "native" (:mod:`repro.sim.kernels` chunk kernels,
-    #: erroring on unsupported designs), "vec" (batched, same erroring),
-    #: or "scalar" (the per-walk reference oracle). All paths are
-    #: bit-identical on supported designs.
+    #: erroring on unsupported designs; requires numba), "vec"
+    #: (batched, same erroring), or "scalar" (the per-walk reference
+    #: oracle, never served from the stage-2 result cache). All paths
+    #: are bit-identical on supported designs.
     walk_engine: str = "auto"
     #: Enable the runtime translation sanitizer
     #: (:mod:`repro.analysis.sanitizer`) for this run.
@@ -167,6 +168,8 @@ class SimConfig:
                 f"walk_engine={self.walk_engine!r}: expected 'auto', "
                 f"'native', 'vec' or 'scalar'"
             )
+        if self.walk_engine == "native" and not kernels.HAVE_NUMBA:
+            raise ValueError(kernels.NATIVE_REQUIRES_NUMBA)
         if self.stream_chunk is not None and self.stream_chunk < 0:
             raise ValueError(
                 f"stream_chunk={self.stream_chunk} must be None, 0 (off), "
@@ -419,9 +422,12 @@ class _SimulationBase:
 
     def _result_artifacts(self):
         """The attached artifact cache, or None (no result caching)."""
-        if self._stage1 is None or self.config.sanitize:
+        if self._stage1 is None or self.config.sanitize \
+                or self.config.walk_engine == "scalar":
             # sanitize replays must actually run (the checks live in
-            # the replay), so the result cache is bypassed entirely
+            # the replay), and so must the scalar oracle (it exists to
+            # check the fast path's cells, so it must not be served
+            # them): the result cache is bypassed entirely
             return None
         return self._stage1.artifacts
 
@@ -440,9 +446,10 @@ class _SimulationBase:
 
         The miss-stream digest subsumes the stage-1 knobs (engine,
         stream_chunk — both bit-identical by contract and pinned by
-        test); ``walk_engine`` is deliberately absent because all
+        test); ``walk_engine`` is deliberately absent because the fast
         stage-2 engines are bit-identical on supported designs, so
-        cells cached by one engine serve the others. The cost-model
+        cells cached by one serve the other (the ``scalar`` oracle
+        bypasses the cache, :meth:`_result_artifacts`). The cost-model
         version constant invalidates every cached cell when calibrated
         latencies change, and :data:`STAGE2_KEY_VERSION` when the
         meaning of a cell does.

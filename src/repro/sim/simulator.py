@@ -259,23 +259,25 @@ def replay_walks(
     reference oracle), ``"vec"`` (:mod:`repro.sim.walk_vec`, raising for
     walkers without a batched path), ``"native"``
     (:mod:`repro.sim.kernels`, the compiled chunk kernels — same raise,
-    and ``WalkStats.fallback_reason`` records when the kernels ran as
-    uncompiled Python because Numba is absent), or ``"auto"`` (native
-    when the compiled backend is available and the walker supports it,
-    else vec when supported, scalar otherwise). All paths are
-    bit-identical on supported designs (``tests/test_walk_vec.py``).
+    and a :class:`ValueError` when Numba is absent), or ``"auto"``
+    (native when the compiled backend is available and the walker
+    supports it, else vec when supported, scalar otherwise). All paths
+    are bit-identical on supported designs (``tests/test_walk_vec.py``).
     """
     if engine not in ("scalar", "vec", "native", "auto"):
         raise ValueError(f"unknown stage-2 engine {engine!r} "
                          "(expected 'scalar', 'vec', 'native' or 'auto')")
+    from repro.sim import kernels
+    if engine == "native" and not kernels.HAVE_NUMBA:
+        raise ValueError(kernels.NATIVE_REQUIRES_NUMBA)
     fallback_reason: Optional[str] = None
     if engine != "scalar":
         from repro.sim import walk_vec
         fallback_reason = walk_vec.unsupported_reason(walker)
         if fallback_reason is None:
-            from repro.sim.kernels import HAVE_NUMBA, replay_walks_native
-            if engine == "native" or (engine == "auto" and HAVE_NUMBA):
-                return replay_walks_native(
+            if engine == "native" or (engine == "auto"
+                                      and kernels.HAVE_NUMBA):
+                return kernels.replay_walks_native(
                     walker, miss_vas,
                     warmup_fraction=warmup_fraction,
                     collect_steps=collect_steps,

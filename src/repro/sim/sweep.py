@@ -8,8 +8,10 @@ environments: the worker shares one
 TLB-miss stream are computed once per group and reused by every
 environment and design cell (the miss stream depends only on the
 workload and config, not the environment). Groups are independent, so
-they fan out across worker processes with
-:class:`concurrent.futures.ProcessPoolExecutor`.
+they fan out across worker processes; :func:`run_sweep` hands them to
+the one executor, :class:`~repro.sim.jobs.JobScheduler`, which retries
+a group whose worker died and journals groups when asked to
+(DESIGN.md §6, §14).
 
 Within one group the executor is **two-level** (DESIGN.md §15): each
 machine's design cells can replay concurrently on ``cell_threads``
@@ -39,16 +41,11 @@ import json
 import os
 import resource
 import time
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs import metrics
 from repro.obs import trace as obs_trace
-from repro.sim import kernels
+from repro.sim import jobs, kernels
 from repro.sim.artifacts import ArtifactCache
 from repro.sim.machine import ENVIRONMENTS, SimConfig
 from repro.sim.simulator import Stage1Cache
@@ -351,33 +348,6 @@ def run_cells(sim, designs: Sequence[str],
         return list(pool.map(cell, designs))
 
 
-def grid_tasks(envs: Sequence[str],
-               workloads: Optional[Sequence[str]] = None,
-               designs: Optional[Sequence[str]] = None,
-               thp_modes: Sequence[bool] = (False,),
-               trace_path: Optional[str] = None,
-               artifact_dir: Optional[str] = None,
-               cell_threads: int = 1,
-               **config_kwargs) -> List[GroupTask]:
-    """Enumerate the group tasks of a sweep.
-
-    One task per (workload, THP) pair covering every environment, so a
-    single worker computes stage 1 once and replays it everywhere. With
-    ``trace_path`` set, each task carries the span-stream destination so
-    pool workers append to the shared JSONL file; with ``artifact_dir``
-    set, each worker's stage-0/1 results persist to (and load from) the
-    shared cross-run artifact cache. ``cell_threads`` sizes the
-    per-group replay thread pool (1 = sequential).
-    """
-    names = list(workloads or ALL_WORKLOADS)
-    wanted = tuple(designs) if designs else None
-    env_tuple = tuple(envs)
-    threads = max(1, int(cell_threads or 1))
-    return [(env_tuple, workload, thp, wanted, dict(config_kwargs),
-             trace_path, artifact_dir, threads)
-            for workload in names for thp in thp_modes]
-
-
 def run_sweep(envs: Sequence[str] = ("native",),
               workloads: Optional[Sequence[str]] = None,
               designs: Optional[Sequence[str]] = None,
@@ -408,11 +378,15 @@ def run_sweep(envs: Sequence[str] = ("native",),
     ``stage1_source`` telemetry says whether its stage 1 came from
     ``"disk"``.
 
-    With ``resume_dir`` set, the sweep runs as a durable *job* through
-    :mod:`repro.sim.jobs`: completed groups are journaled under that
-    directory as they finish, an interrupted sweep restarts from the
-    journal re-running only missing groups, and dead pool workers are
-    retried with backoff (DESIGN.md §14).
+    Every sweep runs through :class:`~repro.sim.jobs.JobScheduler`
+    (DESIGN.md §6, §14): a group whose pool worker dies (OOM kill,
+    segfault) is retried with backoff, and only a group that exhausts
+    its retries becomes per-(env, design) error cells. With
+    ``resume_dir`` set, the sweep is a durable *job*: completed groups
+    are journaled under that directory as they finish, and an
+    interrupted sweep restarts from the journal re-running only missing
+    groups. A directory that already holds a journal runs *its* grid,
+    not this call's.
 
     ``cell_threads`` adds the second parallelism level: each group's
     worker replays its independent (env, design) cells on that many
@@ -428,130 +402,21 @@ def run_sweep(envs: Sequence[str] = ("native",),
     completed so far to ``out_path`` — marked ``meta.partial`` — before
     the exception propagates.
     """
-    validate_grid(envs, designs)
+    spec = jobs.JobSpec.build(envs=envs, workloads=workloads,
+                              designs=designs, thp_modes=thp_modes,
+                              **config_kwargs)
     if resume_dir is not None:
-        # Durable path: the one-shot CLI becomes a thin client of the
-        # jobs layer. Imported lazily — jobs imports this module.
-        from repro.sim.jobs import run_resumable_sweep
-
-        return run_resumable_sweep(
-            resume_dir, envs=envs, workloads=workloads, designs=designs,
-            thp_modes=thp_modes, workers=workers, out_path=out_path,
-            progress=progress, trace_path=trace_path,
-            artifact_dir=artifact_dir, cell_threads=cell_threads,
-            **config_kwargs)
-    if workers is None:
-        workers = os.cpu_count() or 1
-    groups = len(workloads or ALL_WORKLOADS) * len(thp_modes)
-    pool_size, threads, threads_reason = effective_split(workers, groups,
-                                                         cell_threads)
-    tasks = grid_tasks(envs, workloads, designs, thp_modes,
-                       trace_path=trace_path, artifact_dir=artifact_dir,
-                       cell_threads=threads, **config_kwargs)
-    notify = progress or (lambda message: None)
-
-    # Parent-side progress counters; pool workers count in their own
-    # registries, so these instances are the sweep-wide truth.
-    groups_done = metrics.counter("sweep.groups")
-    cells_done = metrics.counter("sweep.cells")
-    errors_seen = metrics.counter("sweep.error_cells")
-    # Only close the process-global trace stream on exit if this call
-    # opened it: a caller (repro run --trace, a jobs client running
-    # several sweeps) that enabled tracing before entry keeps its
-    # stream.
-    owns_trace = bool(trace_path) and not obs_trace.active()
-    if trace_path:
-        obs_trace.enable(trace_path)
-
-    started = time.time()
-    cells: List[Dict] = []
-    done = 0
-
-    def document_for(partial: bool = False) -> Dict:
-        meta = {
-            "envs": list(envs),
-            "workloads": list(workloads or ALL_WORKLOADS),
-            "designs": list(designs) if designs else "all",
-            "thp_modes": [bool(t) for t in thp_modes],
-            "config": dict(config_kwargs),
-            "workers": pool_size,
-            "requested_workers": workers,
-            **threads_meta(cell_threads, threads, threads_reason),
-            "parallelism": pool_size * threads,
-            "groups": len(tasks),
-            "cells": len(cells),
-            "wall_seconds": time.time() - started,
-            "started_at": time.strftime("%Y-%m-%dT%H:%M:%S%z",
-                                        time.localtime(started)),
-            "trace": trace_path,
-            "artifact_cache": artifact_dir,
-            "metrics": {
-                "sweep.groups": groups_done.value,
-                "sweep.cells": cells_done.value,
-                "sweep.error_cells": errors_seen.value,
-            },
-        }
-        if partial:
-            meta["partial"] = True
-            meta["completed_groups"] = done
-        return {"meta": meta, "cells": sorted(cells, key=cell_sort_key)}
-
-    try:
-        if pool_size == 1:
-            for task in tasks:
-                group_cells = run_group(task)
-                cells.extend(group_cells)
-                done += 1
-                groups_done.inc()
-                cells_done.inc(len(group_cells))
-                errors_seen.inc(
-                    sum(1 for cell in group_cells if "error" in cell))
-                notify(f"[{done}/{len(tasks)}] {'+'.join(task[0])}/{task[1]}"
-                       f"{' thp' if task[2] else ''} done (inline)")
-        else:
-            with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                futures = {pool.submit(run_group, task): task
-                           for task in tasks}
-                for future in as_completed(futures):
-                    task = futures[future]
-                    try:
-                        group_cells = future.result()
-                    except Exception as exc:
-                        # run_group catches cell failures itself; reaching
-                        # here means the worker process died (OOM kill,
-                        # segfault) or the result failed to unpickle —
-                        # fabricate one error cell per (env, design) so
-                        # diff tooling sees exactly which cells are gone.
-                        group_cells = dead_group_cells(task, exc)
-                    cells.extend(group_cells)
-                    done += 1
-                    failed = sum(1 for cell in group_cells
-                                 if "error" in cell)
-                    groups_done.inc()
-                    cells_done.inc(len(group_cells))
-                    errors_seen.inc(failed)
-                    notify(f"[{done}/{len(tasks)}] "
-                           f"{'+'.join(task[0])}/{task[1]}"
-                           f"{' thp' if task[2] else ''} "
-                           f"{'FAILED' if failed else 'done'}")
-    except BaseException:
-        # An interrupted sweep (Ctrl-C, OOM-killed pool, fatal error)
-        # must not discard the groups already completed: flush them as
-        # a partial document before the exception propagates.
-        if out_path and cells:
-            try:
-                write_document(document_for(partial=True), out_path)
-            except OSError:
-                pass  # the original exception matters more
-        raise
-    finally:
-        if owns_trace:
-            obs_trace.disable()
-
-    document = document_for()
-    if out_path:
-        write_document(document, out_path)
-    return document
+        journaled, _, _ = jobs.load_job(resume_dir)
+        if journaled is not None:
+            spec = journaled
+            if progress is not None:
+                progress(f"resuming journaled grid {spec.job_id} from "
+                         f"{resume_dir} (CLI grid flags ignored)")
+    return jobs.JobScheduler(spec, resume_dir, workers=workers,
+                             out_path=out_path, progress=progress,
+                             trace_path=trace_path,
+                             artifact_dir=artifact_dir,
+                             cell_threads=cell_threads).run()
 
 
 def summarize(document: Dict) -> List[List]:

@@ -1621,12 +1621,10 @@ def _make_ecpt_runner(spec: BatchSpec, memsys: MemorySubsystem,
     """ECPT (native or nested): plans + the live-CWC op interpreter."""
     if spec.kind == "ecpt-native":
         plans = _build_ecpt_native_plans(spec, uniq_vpns, collect)
-        cwc = spec.ecpt.cwc
     else:
         plans = _build_ecpt_nested_plans(spec, uniq_vpns, collect)
-        cwc = spec.host_ecpt.cwc   # the scalar walker probes only this one
-    return _make_ops_runner(plans, access, _make_probe(access_ctx), cwc,
-                            finalizers)
+    return _make_ops_runner(plans, access, _make_probe(access_ctx),
+                            spec.cwc, finalizers)
 
 
 def _make_fpt_runner(spec: BatchSpec, memsys: MemorySubsystem,

@@ -182,9 +182,9 @@ class BatchSpec:
     over ``guest_pt`` with host resolution through ``vm``), ``"dmt"``
     (register attempt via ``attempt``/``fetcher`` with ``fallback``
     handling register misses), ``"ecpt-native"``/``"ecpt-nested"``
-    (hashed-bucket probing over ``ecpt``/``host_ecpt`` with the live
-    Cuckoo Walk Cache), ``"fpt-native"``/``"fpt-nested"`` (flattened
-    two-level plans over ``fpt``/``host_fpt``), ``"agile"`` (shadow
+    (hashed-bucket probing over ``ecpt``/``host_ecpt`` with the walker's
+    live Cuckoo Walk Cache ``cwc``), ``"fpt-native"``/``"fpt-nested"``
+    (flattened two-level plans over ``fpt``/``host_fpt``), ``"agile"`` (shadow
     upper levels over ``spt`` + nested leaf through ``vm``), or
     ``"asap-native"``/``"asap-nested"`` (prefetch cost model wrapped
     around the ``inner`` radix walker's plan).
@@ -199,6 +199,7 @@ class BatchSpec:
     fallback: object = None         # dmt: Walker covering register misses
     ecpt: object = None             # ecpt-*: guest/native cuckoo tables
     host_ecpt: object = None        # ecpt-nested: host cuckoo tables
+    cwc: object = None              # ecpt-*: the walker's cuckoo-walk cache
     fpt: object = None              # fpt-*: guest/native flattened table
     host_fpt: object = None         # fpt-nested: host flattened table
     probe_huge: bool = False        # fpt-*: parallel 2M slot probing

@@ -343,7 +343,6 @@ class ElasticCuckooPageTables:
     def __init__(self, memory: PhysicalMemory, ways: int = 3,
                  initial_buckets: int = 128):
         self.memory = memory
-        self.cwc = CuckooWalkCache()
         self.tables: Dict[PageSize, CuckooTable] = {
             size: CuckooTable(
                 memory, size, ways=ways,
@@ -397,11 +396,12 @@ class ElasticCuckooPageTables:
 
 
 # dmtlint-domain: va=any -- probes both guest (gVA) and host (gPA) ECPTs
-def _probe_step(ecpt: "ElasticCuckooPageTables", va: int,
-                rec: WalkRecorder, tag: str) -> None:
+def _probe_step(ecpt: "ElasticCuckooPageTables", cwc: CuckooWalkCache,
+                va: int, rec: WalkRecorder, tag: str) -> None:
     """One probe step of an ECPT lookup.
 
-    The Cuckoo Walk Cache predicts the resident (size, way): on a CWC hit
+    The walker's Cuckoo Walk Cache ``cwc`` predicts the resident (size,
+    way): on a CWC hit
     a single probe is issued. On a CWC miss, all ways of all size tables
     are probed in parallel; the translation completes when the *hitting*
     probe returns, so only that access is on the critical path — the
@@ -418,12 +418,12 @@ def _probe_step(ecpt: "ElasticCuckooPageTables", va: int,
             break
     if hit_addr is not None:
         group = (va >> int(hit_size)) >> 3
-        predicted = ecpt.cwc.get(int(hit_size), group)
+        predicted = cwc.get(int(hit_size), group)
         if predicted == hit_way:
             # CWC hit: single targeted probe
             rec.fetch(hit_addr, f"{tag}-{hit_size.name}")
             return
-        ecpt.cwc.put(int(hit_size), group, hit_way)
+        cwc.put(int(hit_size), group, hit_way)
     hit_line = hit_addr >> 6 if hit_addr is not None else None
     fetched_hit = False
     for addr, probe_size, vpn in ecpt.candidate_probes(va):
@@ -441,21 +441,27 @@ def _probe_step(ecpt: "ElasticCuckooPageTables", va: int,
 
 
 class ECPTNativeWalker(Walker):
-    """Native ECPT: one sequential step, ways*sizes parallel probes."""
+    """Native ECPT: one sequential step, ways*sizes parallel probes.
+
+    The CWC is per walker, like the memory subsystem: the cuckoo tables
+    are shared, read-only machine state, so a second walker on the same
+    machine starts from a cold CWC.
+    """
 
     name = "ecpt-native"
 
     def __init__(self, ecpt: ElasticCuckooPageTables, memsys: MemorySubsystem):
         super().__init__(memsys)
         self.ecpt = ecpt
+        self.cwc = CuckooWalkCache()
 
     def batch_spec(self) -> Optional[BatchSpec]:
-        return BatchSpec(kind="ecpt-native", ecpt=self.ecpt)
+        return BatchSpec(kind="ecpt-native", ecpt=self.ecpt, cwc=self.cwc)
 
     def translate(self, va: int) -> WalkResult:
         rec = WalkRecorder(self.memsys)
         rec.charge(HASH_CYCLES)
-        _probe_step(self.ecpt, va, rec, "ecpt")
+        _probe_step(self.ecpt, self.cwc, va, rec, "ecpt")
         hit = self.ecpt.translate(va)
         pa, size = hit if hit else (None, PageSize.SIZE_4K)
         return self.record(WalkResult(va, rec.finish(), rec.refs, pa, size))
@@ -467,7 +473,8 @@ class ECPTNestedWalker(Walker):
     Step 1 resolves the host location of every guest candidate entry by
     probing the host ECPT (guest candidates x host ways parallel probes).
     Step 2 fetches the guest candidates. Step 3 resolves the data page's
-    gPA through the host ECPT again.
+    gPA through the host ECPT again. Only the critical host probes
+    consult the walker's CWC.
     """
 
     name = "ecpt-nested"
@@ -483,10 +490,11 @@ class ECPTNestedWalker(Walker):
         self.guest_ecpt = guest_ecpt
         self.host_ecpt = host_ecpt
         self.vm = vm
+        self.cwc = CuckooWalkCache()
 
     def batch_spec(self) -> Optional[BatchSpec]:
         return BatchSpec(kind="ecpt-nested", ecpt=self.guest_ecpt,
-                         host_ecpt=self.host_ecpt, vm=self.vm)
+                         host_ecpt=self.host_ecpt, vm=self.vm, cwc=self.cwc)
 
     def _host_probe(self, gpa: int, rec: WalkRecorder, tag: str,
                     critical: bool) -> Optional[int]:
@@ -497,7 +505,7 @@ class ECPTNestedWalker(Walker):
         accesses occupying bandwidth and cache capacity only.
         """
         if critical:
-            _probe_step(self.host_ecpt, gpa, rec, tag)
+            _probe_step(self.host_ecpt, self.cwc, gpa, rec, tag)
         else:
             for addr, size, vpn in self.host_ecpt.candidate_probes(gpa):
                 rec.memsys.caches.probe(addr)

@@ -8,8 +8,8 @@ that state.
 
 Thread parity: ``run_cells(..., threads=4)`` must be bit-identical to
 sequential replay — same :class:`WalkStats` *and* same end state of
-everything replay mutates (cache sets, PWCs, the ECPT CWC, ASAP's inner
-walker), across all fifteen supported (environment, design) pairs.
+everything replay mutates (cache sets, PWCs, the ECPT walker's CWC,
+ASAP's inner walker), across all fifteen supported (environment, design) pairs.
 
 Result cache: a warm sweep over a shared artifact directory must serve
 every stage-2 cell from disk (zero replays) and emit a byte-identical
@@ -31,12 +31,12 @@ import pytest
 from repro.core.registers import RegisterSet
 from repro.sim import kernels
 from repro.sim.artifacts import ArtifactCache
+from repro.sim.jobs import JobSpec
 from repro.sim.machine import ENVIRONMENTS, SimConfig
 from repro.sim.simulator import Stage1Cache
 from repro.sim.sweep import (
     NO_JIT_THREADS_REASON,
     effective_split,
-    grid_tasks,
     run_cells,
     run_group,
     run_sweep,
@@ -65,25 +65,42 @@ def _capture_walkers(sim):
     return walkers
 
 
+def _ecpt_state(ecpt):
+    """An ECPT's cuckoo tables: geometry, backing frames and bucket tags.
+
+    The tables hold only shared, read-only state: the cuckoo-walk cache
+    a replay updates lives on the walker.
+    """
+    assert set(vars(ecpt)) == {"memory", "tables"}, sorted(vars(ecpt))
+    return [(table.nbuckets, table.groups, table.resizes,
+             tuple(table._way_frames),
+             [tuple(tags.items()) for tags in table._tags])
+            for table in ecpt.tables.values()]
+
+
 def _shared_state(sim):
     """What one machine's cells share: allocator fill, register files,
-    page-table and shadow-table entry counts, and VM exit counters."""
+    page-table and shadow-table entry counts, ECPT tables, and VM exit
+    counters."""
     if sim.env_name == "native":
         vms = []
         memories = [sim.kernel.memory]
         files = [sim.dmt.register_file]
         tables = [sim.process.page_table]
+        ecpts = [sim.ecpt]
     elif sim.env_name == "virt":
         vms = [sim.vm]
         memories = [sim.host_kernel.memory, sim.vm.guest_memory]
         files = [sim.host_dmt.register_file]
         tables = [sim.process.page_table, sim.vm.ept, sim.shadow.spt]
+        ecpts = [sim.guest_ecpt, sim.host_ecpt]
     else:
         vms = [sim.nested.l1_vm, sim.nested.l2_vm]
         memories = [sim.host_kernel.memory] + [vm.guest_memory for vm in vms]
         files = [sim.l0_dmt.register_file]
         tables = ([sim.process.page_table, sim.nested.shadow.spt]
                   + [vm.ept for vm in vms])
+        ecpts = []
     return {
         "free_frames": [memory.allocator.free_frames for memory in memories],
         "registers": [(regs.reloads,
@@ -91,6 +108,7 @@ def _shared_state(sim):
                         for which in RegisterSet])
                       for regs in files],
         "mapped_pages": [table.mapped_pages for table in tables],
+        "ecpt": [_ecpt_state(ecpt) for ecpt in ecpts],
         "exits": [dataclasses.astuple(vm.exits) for vm in vms],
     }
 
@@ -126,6 +144,26 @@ def test_cell_alone_equals_forward_and_reversed_order(env, workload, thp):
             (f"{env}/{design}: alone {alone.total_cycles}, forward "
              f"{in_order[design].total_cycles}, reversed "
              f"{reversed_order[design].total_cycles} cycles")
+
+
+def test_second_ecpt_replay_equals_a_fresh_machine():
+    """A second ecpt replay on one machine starts from a cold CWC.
+
+    The CWC used to sit on the shared cuckoo tables, so
+    ``run("ecpt", collect_steps=True)`` after ``run("ecpt")`` replayed
+    with a warm CWC: 146.638 cycles per walk against 146.647 on a fresh
+    machine (the end-to-end benchmark's config, with ``record_refs``).
+    """
+    config = SimConfig(scale=4096, nrefs=5000, seed=0, record_refs=True)
+    stage1 = Stage1Cache()
+    env_cls = ENVIRONMENTS["virt"]
+    sim = env_cls("GUPS", config, stage1=stage1)
+    sim.run("ecpt")
+    second = sim.run("ecpt", collect_steps=True)
+    fresh = env_cls("GUPS", config, stage1=stage1).run("ecpt",
+                                                       collect_steps=True)
+    assert second == fresh, (second.mean_latency, fresh.mean_latency)
+    assert second.step_breakdown() == fresh.step_breakdown()
 
 
 def test_thread_parity_all_pairs():
@@ -213,20 +251,27 @@ def _stable(cells):
     return stable_cells(cells)
 
 
+def _task(envs, workloads, designs, cell_threads=1, **config):
+    """The group task of a one-group grid, as the scheduler builds it."""
+    spec = JobSpec.build(envs=envs, workloads=workloads, designs=designs,
+                         **config)
+    return spec.task(spec.shards()[0], cell_threads=cell_threads)
+
+
 def test_run_group_cell_threads_matches_sequential():
     grid = (("native", "virt"), ["GUPS"], ("vanilla", "dmt"))
-    sequential = run_group(grid_tasks(*grid, **CONFIG)[0])
-    threaded = run_group(grid_tasks(*grid, cell_threads=4, **CONFIG)[0])
+    sequential = run_group(_task(*grid, **CONFIG))
+    threaded = run_group(_task(*grid, cell_threads=4, **CONFIG))
     assert _stable(threaded) == _stable(sequential)
     for cell in threaded:
         assert cell["stage2_source"] == "computed"
         assert cell["group_seconds"] > 0.0
 
 
-def test_grid_tasks_and_split_carry_cell_threads(monkeypatch):
-    task = grid_tasks(("native",), ["GUPS"], cell_threads=3)[0]
+def test_job_tasks_and_split_carry_cell_threads(monkeypatch):
+    task = _task(("native",), ["GUPS"], None, cell_threads=3)
     assert task[7] == 3
-    assert grid_tasks(("native",), ["GUPS"])[0][7] == 1
+    assert _task(("native",), ["GUPS"], None)[7] == 1
     monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
     assert effective_split(4, 10, 2) == (4, 2, None)
     monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
@@ -313,10 +358,31 @@ def test_result_cache_evicts_corrupted_payload(tmp_path):
 
 
 def test_sanitize_bypasses_result_cache(tmp_path):
+    from repro.analysis import sanitizer
+
     _sim(tmp_path).run("dmt")
-    sanitized = _sim(tmp_path, sanitize=True)
-    sanitized.run("dmt")
-    assert sanitized.stage2_source("dmt") == "computed"
+    try:
+        sanitized = _sim(tmp_path, sanitize=True)
+        sanitized.run("dmt")
+        assert sanitized.stage2_source("dmt") == "computed"
+    finally:
+        sanitizer.reset()  # the sanitizer is process-wide
+
+
+def test_scalar_oracle_bypasses_result_cache(tmp_path):
+    """``walk_engine="scalar"`` is the oracle: a sweep with it against a
+    warm cache must replay every cell, not serve the fast path's."""
+    kwargs = dict(envs=("native",), workloads=["GUPS"],
+                  designs=("vanilla", "dmt"), workers=1,
+                  artifact_dir=str(tmp_path / "cache"), **CONFIG)
+    fast = run_sweep(**kwargs)
+    oracle = run_sweep(walk_engine="scalar", **kwargs)
+    assert [c["stage2_source"] for c in oracle["cells"]] == ["computed"] * 2
+    assert [c["walk_engine"] for c in oracle["cells"]] == ["scalar"] * 2
+    strip = [{k: v for k, v in cell.items() if k != "walk_engine"}
+             for cell in _stable(fast["cells"])]
+    assert strip == [{k: v for k, v in cell.items() if k != "walk_engine"}
+                     for cell in _stable(oracle["cells"])]
 
 
 def test_warm_sweep_serves_stage2_from_disk_byte_identical(tmp_path):

@@ -510,6 +510,20 @@ class TestRunSweepTelemetry:
         assert [c["design"] for c in dead] == \
             list(ENVIRONMENTS["native"].designs)
 
+    def test_plain_sweep_retries_a_dead_worker(self, tmp_path, reference,
+                                               monkeypatch):
+        """A plain sweep (no journal) runs through the scheduler too: a
+        worker that dies once is retried and its group's real cells
+        come back."""
+        import repro.sim.sweep as sweep_mod
+
+        monkeypatch.setenv(_SENTINEL_VAR, str(tmp_path / "sentinel"))
+        monkeypatch.setattr(sweep_mod, "run_group", _suicidal_run_group)
+        document = sweep_mod.run_sweep(workers=2, **GRID, **CONFIG)
+        assert jobs.stable_cells(document["cells"]) == reference
+        assert "job" not in document["meta"]
+        assert document["meta"]["metrics"]["sweep.error_cells"] == 0
+
     def test_dead_worker_in_pool_yields_per_design_cells(self, monkeypatch):
         """End to end: a SIGKILLed pool worker degrades to per-(env,
         design) error cells, not one design=None cell per env."""

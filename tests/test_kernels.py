@@ -23,7 +23,7 @@ from repro.sim.artifacts import ArtifactCache
 from repro.sim.kernels import (
     BACKEND,
     HAVE_NUMBA,
-    UNAVAILABLE_REASON,
+    NATIVE_REQUIRES_NUMBA,
     jit,
     replay_walks_native,
 )
@@ -45,7 +45,7 @@ def _sets_state(caches):
 
 def test_backend_selection():
     assert BACKEND == ("numba" if HAVE_NUMBA else "python")
-    assert (UNAVAILABLE_REASON is None) == HAVE_NUMBA
+    assert "numba" in NATIVE_REQUIRES_NUMBA
     decorated = jit(lambda: 0)
     assert callable(decorated)
 

@@ -8,8 +8,15 @@ sets + LRU order, PWC tables + thinning credits, the ECPT cuckoo-walk
 cache) after the replay. Designs the engines do not support must
 transparently fall back to the scalar path under ``engine="auto"``.
 The parity cases run against both batched engines (the ``ENGINES``
-parametrization); on the native engine the same assertions hold
-whichever kernel backend (numba or pure Python) is active.
+parametrization); the native leg calls the kernels directly, so the
+same assertions hold whichever kernel backend (numba or pure Python)
+is active.
+
+Both walkers of a parity case come from one machine, shared by every
+case with the same (env, workload, config) (the ``machines`` fixture):
+walkers keep all replay state (memory subsystem, CWC, fetcher)
+private and only read the machine's. The DMT-fallback cases prune a
+register file, so they build private machines.
 """
 
 from dataclasses import replace
@@ -19,7 +26,7 @@ import pytest
 
 from repro.core.registers import RegisterSet
 from repro.hw.config import xeon_gold_6138
-from repro.sim.kernels import HAVE_NUMBA
+from repro.sim.kernels import HAVE_NUMBA, replay_walks_native
 from repro.sim.machine import ENVIRONMENTS, SimConfig
 from repro.sim.simulator import Stage1Cache, replay_walks
 from repro.sim.sweep import run_group
@@ -64,6 +71,27 @@ def _config(thp=False, seed=0):
                      record_refs=True)
 
 
+@pytest.fixture(scope="module")
+def machines():
+    """``get(env, config, workload)``: one built machine per key, shared
+    by this module's cases (a virt build takes about a second)."""
+    built = {}
+
+    def get(env, config, workload="GUPS"):
+        key = (env, workload, repr(config))
+        if key not in built:
+            built[key] = ENVIRONMENTS[env](workload, config)
+        return built[key]
+
+    yield get
+    built.clear()
+
+
+def _walker_pair(sim, design):
+    """Two walkers of one machine, with identical initial state."""
+    return sim.walker(design), sim.walker(design), sim.tlb.miss_vas
+
+
 def _build_pair(env, design, config, workload="GUPS"):
     """Two independent machines + walkers with identical initial state."""
     env_cls = ENVIRONMENTS[env]
@@ -106,18 +134,15 @@ def _walker_counters(walker):
 def _design_state(walker):
     """Mutable design-side state outside the memory subsystem.
 
-    ECPT's cuckoo-walk cache is LRU-ordered like the cache sets, so its
-    entry *order* is part of the snapshot; ASAP keeps a prefetch count
-    plus a full inner radix walker whose counters the batched path must
-    reproduce.
+    An ECPT walker's cuckoo-walk cache is LRU-ordered like the cache
+    sets, so its entry *order* is part of the snapshot; ASAP keeps a
+    prefetch count plus a full inner radix walker whose counters the
+    batched path must reproduce.
     """
     state = {}
-    for attr in ("ecpt", "guest_ecpt", "host_ecpt"):
-        tables = getattr(walker, attr, None)
-        if tables is not None:
-            cwc = tables.cwc
-            state[attr] = (tuple(cwc._entries.items()),
-                           cwc.hits, cwc.misses)
+    cwc = getattr(walker, "cwc", None)
+    if cwc is not None:
+        state["cwc"] = (tuple(cwc._entries.items()), cwc.hits, cwc.misses)
     if hasattr(walker, "prefetches"):
         state["prefetches"] = walker.prefetches
     inner = getattr(walker, "_walker", None)
@@ -133,8 +158,7 @@ def _assert_parity(walker_scalar, walker_vec, miss_vas, engine="vec"):
         # post-replay state without step collection.
         stats_scalar = replay_walks(walker_scalar, miss_vas,
                                     collect_steps=False, engine="scalar")
-        stats_vec = replay_walks(walker_vec, miss_vas,
-                                 collect_steps=False, engine="native")
+        stats_vec = replay_walks_native(walker_vec, miss_vas)
     else:
         stats_scalar = replay_walks(walker_scalar, miss_vas,
                                     collect_steps=True, engine="scalar")
@@ -162,9 +186,10 @@ def _assert_parity(walker_scalar, walker_vec, miss_vas, engine="vec"):
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("env,design,thp,seed", PARITY_CASES)
-def test_vec_replay_matches_scalar_oracle(env, design, thp, seed, engine):
-    config = _config(thp=thp, seed=seed)
-    walker_scalar, walker_vec, miss_vas = _build_pair(env, design, config)
+def test_vec_replay_matches_scalar_oracle(env, design, thp, seed, engine,
+                                         machines):
+    sim = machines(env, _config(thp=thp, seed=seed))
+    walker_scalar, walker_vec, miss_vas = _walker_pair(sim, design)
     assert supports(walker_scalar) and supports(walker_vec)
     stats = _assert_parity(walker_scalar, walker_vec, miss_vas,
                            engine=engine)
@@ -196,7 +221,7 @@ def test_vec_replay_matches_scalar_on_dmt_fallbacks(env, design, which,
     ("virt", "shadow", None),
 ])
 def test_vec_chunk_runner_matches_scalar_without_step_collection(
-        env, design, pte_share):
+        env, design, pte_share, machines):
     """Without step collection radix-native replays take the fused
     chunk runner (inlined probe + hierarchy, counters flushed per
     chunk); a small chunk size exercises the flush boundaries and
@@ -206,7 +231,8 @@ def test_vec_chunk_runner_matches_scalar_without_step_collection(
     if pte_share is not None:
         machine = replace(xeon_gold_6138(), pte_cache_share=pte_share)
         config = replace(config, machine=machine)
-    walker_scalar, walker_vec, miss_vas = _build_pair(env, design, config)
+    walker_scalar, walker_vec, miss_vas = _walker_pair(
+        machines(env, config), design)
     if pte_share is not None:
         l1 = walker_vec.memsys.caches.levels[0]
         assert l1.batch_view().num_sets > 1
@@ -243,50 +269,49 @@ def test_auto_engine_falls_back_to_scalar():
         sanitizer.reset()
 
 
-def test_auto_engine_prefers_native_when_compiled():
+def test_auto_engine_prefers_native_when_compiled(machines):
     """``auto`` resolves to the native kernels only when the compiled
     backend imported; with the pure-Python backend it stays on vec (the
-    uncompiled kernels are bit-identical but slower), and only an
-    explicit ``engine="native"`` runs them."""
-    sim = ENVIRONMENTS["native"]("GUPS", _config())
+    uncompiled kernels are bit-identical but slower, DESIGN.md §11)."""
+    sim = machines("native", _config())
     stats = replay_walks(sim.walker("ecpt"), sim.tlb.miss_vas[:64],
                          engine="auto")
     assert stats.engine == AUTO_ENGINE
+    assert stats.fallback_reason is None
+
+
+def test_explicit_native_requires_numba(machines):
+    """``engine="native"`` runs the compiled kernels, and without numba
+    it refuses (in replay and in the config) instead of running them
+    uncompiled."""
+    from repro.sim.kernels import NATIVE_REQUIRES_NUMBA
+
+    sim = machines("native", _config())
     if HAVE_NUMBA:
+        stats = replay_walks(sim.walker("vanilla"), sim.tlb.miss_vas[:64],
+                             engine="native")
+        assert stats.engine == "native"
         assert stats.fallback_reason is None
-    else:
-        assert stats.fallback_reason is None  # vec path, nothing fell back
+        return
+    assert "numba" in NATIVE_REQUIRES_NUMBA
+    with pytest.raises(ValueError, match="needs numba"):
+        replay_walks(sim.walker("vanilla"), sim.tlb.miss_vas[:64],
+                     engine="native")
+    with pytest.raises(ValueError, match="needs numba"):
+        SimConfig(walk_engine="native")
 
 
-def test_explicit_native_records_backend_fallback_reason():
-    """``engine="native"`` always runs the kernels; when numba is absent
-    the stats must say the uncompiled backend ran (never silently
-    masquerade as the compiled engine)."""
-    from repro.sim.kernels import UNAVAILABLE_REASON
-
-    sim = ENVIRONMENTS["native"]("GUPS", _config())
-    stats = replay_walks(sim.walker("vanilla"), sim.tlb.miss_vas[:64],
-                         engine="native")
-    assert stats.engine == "native"
-    if HAVE_NUMBA:
-        assert stats.fallback_reason is None
-    else:
-        assert stats.fallback_reason == UNAVAILABLE_REASON
-        assert "numba" in stats.fallback_reason
-
-
-def test_native_step_collection_delegates_to_vec():
+def test_native_step_collection_delegates_to_vec(machines):
     """Step collection needs the interpreted runners' latency tags; the
     native engine must hand off and say so, bit-identically."""
     from repro.sim.kernels.replay import STEP_COLLECTION_REASON
 
-    config = _config()
-    walker_scalar, walker_native, miss_vas = _build_pair(
-        "native", "vanilla", config)
+    walker_scalar, walker_native, miss_vas = _walker_pair(
+        machines("native", _config()), "vanilla")
     stats_scalar = replay_walks(walker_scalar, miss_vas,
                                 collect_steps=True, engine="scalar")
-    stats_native = replay_walks(walker_native, miss_vas,
-                                collect_steps=True, engine="native")
+    stats_native = replay_walks_native(walker_native, miss_vas,
+                                       collect_steps=True)
     assert stats_native.engine == "native"
     assert stats_native.fallback_reason == STEP_COLLECTION_REASON
     assert stats_scalar == stats_native
@@ -294,8 +319,22 @@ def test_native_step_collection_delegates_to_vec():
     assert _memsys_state(walker_scalar) == _memsys_state(walker_native)
 
 
-def test_replay_rejects_unknown_engine():
-    sim = ENVIRONMENTS["native"]("GUPS", _config())
+def test_independent_machines_replay_identically():
+    """Two machines built independently from one config are identical:
+    same miss stream and same oracle results (what lets the parity
+    cases share one machine per config)."""
+    config = _config()
+    for env, design in (("virt", "ecpt"), ("nested", "pvdmt")):
+        walker_a, walker_b, miss_vas = _build_pair(env, design, config)
+        stats_a = replay_walks(walker_a, miss_vas, engine="scalar")
+        stats_b = replay_walks(walker_b, miss_vas, engine="scalar")
+        assert stats_a == stats_b and stats_a.walks > 0
+        assert _memsys_state(walker_a) == _memsys_state(walker_b)
+        assert _design_state(walker_a) == _design_state(walker_b)
+
+
+def test_replay_rejects_unknown_engine(machines):
+    sim = machines("native", _config())
     with pytest.raises(ValueError):
         replay_walks(sim.walker("vanilla"), sim.tlb.miss_vas[:8],
                      engine="turbo")
