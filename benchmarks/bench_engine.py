@@ -83,6 +83,7 @@ def test_kernel_backend_expected():
 def _stage1_inputs():
     config = SimConfig(scale=SCALE, nrefs=NREFS)
     sim = NativeSimulation("GUPS", config)
+    sim.build()
     trace = sim.workload.generate_trace(sim.layout, config.nrefs, config.seed)
     ws = sim.workload.working_set_bytes()
     paper_ws = int(sim.workload.paper_working_set_gb * (1 << 30))

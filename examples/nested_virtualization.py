@@ -29,6 +29,7 @@ def main() -> None:
           "hypervisors,\nthree DMT-Linux instances and the shadow table "
           "the baseline needs) ...")
     sim = NestedSimulation("GUPS", config)
+    sim.build()  # machine attributes (process, nested, ...) exist once built
 
     # one address, end to end
     va = int(sim.tlb.miss_vas[0])  # miss_vas is an int64 ndarray

@@ -23,6 +23,7 @@ def main() -> None:
     config = SimConfig(scale=1024, nrefs=20_000)
     print("building the virtualized machine (host + VM + guest DMT) ...")
     sim = VirtSimulation("Redis", config)
+    sim.build()  # machine attributes (vm, pv_host, ...) exist once built
 
     print(f"  guest working set : {sim.workload.working_set_bytes() >> 20} MiB "
           f"(paper: {sim.workload.paper_working_set_gb} GB, scaled 1/{config.scale})")

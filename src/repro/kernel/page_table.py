@@ -15,7 +15,7 @@ tables inside TEAs (§4.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.arch import (
     PAGE_SHIFT,
@@ -35,6 +35,13 @@ PTE_DIRTY = 1 << 6
 PTE_HUGE = 1 << 7  # PS bit: this entry maps a huge page
 
 PTE_FLAGS_MASK = (1 << PAGE_SHIFT) - 1
+
+#: Page size of a leaf entry, by the radix level it sits at.
+_LEAF_SIZES = {1: PageSize.SIZE_4K, 2: PageSize.SIZE_2M, 3: PageSize.SIZE_1G}
+
+#: ``frame_for(va, old)`` of :meth:`RadixPageTable.map_run`: the frame
+#: to map at ``va`` given the entry ``old`` that maps it now, or None.
+FrameFor = Callable[[int, int], Optional[int]]
 
 
 def pte_frame(pte: int) -> int:
@@ -121,6 +128,10 @@ class RadixPageTable:
     def mapped_pages(self) -> int:
         return len(self._mapped_pages)
 
+    def mappings(self) -> List[Tuple[int, PageSize]]:
+        """(va, page size) of every leaf mapping, in the order it was made."""
+        return list(self._mapped_pages.items())
+
     def _table_key(self, va: int, level: int) -> int:
         return va >> level_shift(level + 1)
 
@@ -201,6 +212,79 @@ class RadixPageTable:
         self._mapped_pages[base] = page_size
         return slot
 
+    def _leaf_table(self, va: int, leaf_level: int) -> Tuple[Optional[int], int]:
+        """``(frame, 0)`` of the level-``leaf_level`` table covering ``va``,
+        or ``(None, pte)`` when it does not exist: ``pte`` is the huge
+        entry above that maps ``va``, 0 when none does."""
+        frame = self.root_frame
+        for level in range(self.levels, leaf_level, -1):
+            pte = self.memory.read_word(self._entry_addr(frame, va, level))
+            if not pte & PTE_PRESENT:
+                return None, 0
+            if pte & PTE_HUGE:
+                return None, pte
+            frame = pte_frame(pte)
+        return frame, 0
+
+    # dmtlint-domain: va=any -- EPTs and shadow tables map gPAs in bulk too
+    def map_run(self, va: int, count: int, page_size: PageSize,
+                frame_for: FrameFor,
+                flags: int = PTE_PRESENT | PTE_WRITE) -> int:
+        """Map ``count`` consecutive ``page_size`` pages from ``va``.
+
+        Descends from the root once per leaf table instead of once per
+        page. ``frame_for(page_va, old)`` is called for each page in
+        ascending order, with ``old`` the entry that maps the page now
+        (its slot, or the huge entry above that covers it; 0 when none
+        does), and returns the frame to map there or None to leave the
+        page alone. It runs before the leaf table the page opens is
+        created, so a caller that allocates the data frame inside it
+        gets the frame order of calling :meth:`map` page by page. A
+        present entry given a new frame is unmapped first, as
+        ``unmap`` + ``map`` would. Each written PTE takes the same
+        sanitizer check, write hook and ``pte_writes`` count as
+        :meth:`map`. Returns the number of pages written.
+        """
+        leaf_level = page_size.leaf_level
+        step = page_size.bytes
+        huge_frames = step >> PAGE_SHIFT
+        if page_size != PageSize.SIZE_4K:
+            flags |= PTE_HUGE
+        index_shift = level_shift(leaf_level)
+        span_shift = level_shift(leaf_level + 1)
+        index_mask = (1 << span_shift - index_shift) - 1
+        read_word = self.memory.read_word
+        span = table = None
+        above = 0
+        written = 0
+        page = va & ~(step - 1)
+        for _ in range(count):
+            if page >> span_shift != span:
+                span = page >> span_shift
+                table, above = self._leaf_table(page, leaf_level)
+            slot = None if table is None else frame_to_addr(table) \
+                + ((page >> index_shift) & index_mask) * PTE_SIZE
+            old = above if slot is None else read_word(slot)
+            pfn = frame_for(page, old)
+            if pfn is not None:
+                if huge_frames > 1 and pfn % huge_frames:
+                    raise ValueError("huge-page frame must be size aligned")
+                if old & PTE_PRESENT:
+                    self.unmap(page)
+                    above = 0
+                if slot is None:
+                    slot = self._descend(page, leaf_level, create=True,
+                                         page_size=page_size)
+                    table = slot >> PAGE_SHIFT
+                if sanitizer.active():
+                    sanitizer.check_pte_target(page, pfn, page_size,
+                                               self.memory.total_frames)
+                self._write_pte(slot, make_pte(pfn, flags))
+                self._mapped_pages[page] = page_size
+                written += 1
+            page += step
+        return written
+
     def unmap(self, va: int, page_size: Optional[PageSize] = None) -> Optional[int]:
         """Clear the leaf PTE for ``va``; returns the frame it mapped."""
         found = self.lookup(va)
@@ -224,10 +308,33 @@ class RadixPageTable:
             if not pte & PTE_PRESENT:
                 return None
             if level == 1 or pte & PTE_HUGE:
-                size = {1: PageSize.SIZE_4K, 2: PageSize.SIZE_2M, 3: PageSize.SIZE_1G}[level]
-                return addr, pte, size
+                return addr, pte, _LEAF_SIZES[level]
             frame = pte_frame(pte)
         return None
+
+    def cursor(self) -> "LeafCursor":
+        """A :meth:`lookup` for runs of nearby addresses (:class:`LeafCursor`)."""
+        return LeafCursor(self)
+
+    def leaves(self) -> Iterator[Tuple[int, int, PageSize]]:
+        """Every leaf mapping as ``(va, pte, page size)``, by ascending va.
+
+        A depth-first walk that reads each table page once, where a
+        :meth:`lookup` per mapped page descends from the root each time.
+        """
+        return self._leaves_below(self.root_frame, self.levels, 0)
+
+    def _leaves_below(self, frame: int, level: int,
+                      base: int) -> Iterator[Tuple[int, int, PageSize]]:
+        shift = level_shift(level)
+        for index, pte in enumerate(self.memory.read_page(frame)):
+            if pte & PTE_PRESENT:
+                va = base | index << shift
+                if level == 1 or pte & PTE_HUGE:
+                    yield va, pte, _LEAF_SIZES[level]
+                else:
+                    yield from self._leaves_below(pte_frame(pte), level - 1,
+                                                  va)
 
     def translate(self, va: int) -> Optional[Tuple[int, PageSize]]:
         """Full software translation: ``va`` -> (physical address, page size)."""
@@ -316,3 +423,38 @@ class RadixPageTable:
         self._tables.clear()
         self.memory.allocator.free_pages(self.root_frame)
         self._mapped_pages.clear()
+
+
+class LeafCursor:
+    """:meth:`RadixPageTable.lookup` for a run of nearby addresses.
+
+    Remembers the table holding the last leaf it found and reads from it
+    directly while addresses stay inside that table's span, so a mostly
+    ascending sequence descends from the root about once per leaf table.
+    Valid while no table of the page table is relocated or freed.
+    """
+
+    def __init__(self, table: RadixPageTable):
+        self.table = table
+        #: (level, index shift, span key) of the remembered table
+        self._span: Optional[Tuple[int, int, int]] = None
+        self._frame = 0
+
+    def lookup(self, va: int) -> Optional[Tuple[int, int, PageSize]]:
+        """Same result as ``table.lookup(va)``."""
+        span = self._span
+        if span is not None and va >> span[1] == span[2]:
+            level = span[0]
+            addr = self.table._entry_addr(self._frame, va, level)
+            pte = self.table.memory.read_word(addr)
+            if not pte & PTE_PRESENT:
+                return None
+            if level == 1 or pte & PTE_HUGE:
+                return addr, pte, _LEAF_SIZES[level]
+        found = self.table.lookup(va)
+        if found is not None:
+            addr, _, size = found
+            shift = level_shift(size.leaf_level + 1)
+            self._span = (size.leaf_level, shift, va >> shift)
+            self._frame = addr >> PAGE_SHIFT
+        return found

@@ -10,8 +10,12 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from repro.arch import PAGE_SIZE, PageSize, align_down
-from repro.kernel.page_table import RadixPageTable, TablePlacementPolicy
+from repro.arch import PAGE_SIZE, PageSize, align_down, align_up
+from repro.kernel.page_table import (
+    PTE_PRESENT,
+    RadixPageTable,
+    TablePlacementPolicy,
+)
 from repro.kernel.vma import VMA, AddressSpace
 from repro.mem.buddy import OutOfMemoryError
 from repro.mem.physmem import PhysicalMemory
@@ -66,43 +70,57 @@ class Process:
 
         With THP enabled (and no explicit ``page_size``), 2 MB-aligned
         chunks are mapped with huge pages and the remainder with 4 KB pages,
-        matching Linux THP behaviour for large anonymous areas.
+        matching Linux THP behaviour for large anonymous areas. Pages that
+        are mapped already keep their frames.
         """
-        mapped = 0
-        va = vma.start
-        while va < vma.end:
-            use_huge = False
-            if page_size == PageSize.SIZE_2M:
-                use_huge = True
-            elif page_size is None and self.thp_enabled:
-                use_huge = (
-                    va % PageSize.SIZE_2M.bytes == 0
-                    and va + PageSize.SIZE_2M.bytes <= vma.end
-                )
-            if use_huge:
-                mapped += self._map_huge(va)
-                va += PageSize.SIZE_2M.bytes
-            else:
-                if self.page_table.lookup(va) is None:
-                    frame = self.memory.allocator.alloc_pages(0, movable=True)
-                    self.page_table.map(va, frame, PageSize.SIZE_4K)
-                mapped += 1
-                va += PAGE_SIZE
-        return mapped
+        huge = PageSize.SIZE_2M.bytes
+        start, end = vma.start, vma.end
+        if page_size == PageSize.SIZE_2M:
+            return self._map_huge_run(start, -(-(end - start) // huge))
+        head = tail = end
+        if page_size is None and self.thp_enabled:
+            head = align_up(start, huge)
+            tail = max(head, align_down(end, huge))
+        mapped = self._map_base_run(start, min(head, end))
+        mapped += self._map_huge_run(head, (tail - head) // huge)
+        return mapped + self._map_base_run(tail, end)
 
-    def _map_huge(self, va: int) -> int:
-        if self.page_table.lookup(va) is not None:
-            return 0
-        try:
-            frame = self.memory.allocator.alloc_pages(_HUGE_ORDER, movable=True)
-        except OutOfMemoryError:
-            # fall back to base pages, as Linux THP does under pressure
-            for offset in range(0, PageSize.SIZE_2M.bytes, PAGE_SIZE):
-                frame = self.memory.allocator.alloc_pages(0, movable=True)
-                self.page_table.map(va + offset, frame, PageSize.SIZE_4K)
-            return 512
-        self.page_table.map(va, frame, PageSize.SIZE_2M)
-        return 512
+    def _base_frame(self, va: int, old: int) -> Optional[int]:
+        """``map_run`` frame source: a fresh frame for an unmapped page."""
+        if old & PTE_PRESENT:
+            return None
+        return self.memory.allocator.alloc_pages(0, movable=True)
+
+    def _map_base_run(self, start: int, end: int) -> int:
+        """Map [start, end) with 4 KB pages; counts every page in it."""
+        count = (end - start) // PAGE_SIZE
+        if count > 0:
+            self.page_table.map_run(start, count, PageSize.SIZE_4K,
+                                    self._base_frame)
+        return max(count, 0)
+
+    def _map_huge_run(self, start: int, count: int) -> int:
+        """Map ``count`` 2 MB pages from ``start``; returns 512 per page
+        newly backed. A huge page the allocator cannot supply falls back
+        to 512 base pages on the spot, as Linux THP does under pressure."""
+        mapped = 0
+
+        def huge_frame(va: int, old: int) -> Optional[int]:
+            nonlocal mapped
+            if old & PTE_PRESENT:
+                return None
+            mapped += 512
+            try:
+                return self.memory.allocator.alloc_pages(_HUGE_ORDER,
+                                                         movable=True)
+            except OutOfMemoryError:
+                self._map_base_run(va, va + PageSize.SIZE_2M.bytes)
+                return None
+
+        if count > 0:
+            self.page_table.map_run(start, count, PageSize.SIZE_2M,
+                                    huge_frame)
+        return mapped
 
     def touch(self, va: int, write: bool = False) -> int:
         """Demand-fault ``va`` if needed; returns the physical address."""

@@ -138,7 +138,7 @@ class AddressSpace:
             addr = self._find_gap(length)
         elif not is_aligned(addr, PAGE_SIZE):
             raise ValueError("fixed mmap address must be page aligned")
-        if any(vma.overlaps(addr, addr + length) for vma in self._vmas):
+        if self._last_overlap(addr, addr + length) is not None:
             raise ValueError(f"mmap range {addr:#x}+{length:#x} overlaps an existing VMA")
         vma = VMA(addr, addr + length, name=name, writable=writable, file_backed=file_backed)
         self._insert(vma)
@@ -216,10 +216,22 @@ class AddressSpace:
         idx = bisect.bisect_right(self._starts, vma.start)
         return self._vmas[idx] if idx < len(self._vmas) else None
 
+    def _last_overlap(self, start: int, end: int) -> Optional[VMA]:
+        """The highest VMA overlapping [start, end), or None.
+
+        VMAs are sorted and disjoint, so only the last one starting
+        below ``end`` can reach past ``start``: O(log n).
+        """
+        idx = bisect.bisect_left(self._starts, end) - 1
+        if idx >= 0 and self._vmas[idx].end > start:
+            return self._vmas[idx]
+        return None
+
     def _find_gap(self, length: int) -> int:
         addr = self._mmap_cursor
-        while any(vma.overlaps(addr, addr + length) for vma in self._vmas):
-            addr = align_up(max(v.end for v in self._vmas if v.overlaps(addr, addr + length)),
-                            PAGE_SIZE)
+        blocker = self._last_overlap(addr, addr + length)
+        while blocker is not None:
+            addr = align_up(blocker.end, PAGE_SIZE)
+            blocker = self._last_overlap(addr, addr + length)
         self._mmap_cursor = addr + length
         return addr

@@ -8,7 +8,7 @@ radix walkers read real PTE values from real physical addresses.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from repro.arch import PAGE_SHIFT, PAGE_SIZE, PTE_SIZE
 from repro.mem.buddy import BuddyAllocator
@@ -48,6 +48,13 @@ class PhysicalMemory:
             self._words[addr // PTE_SIZE] = value
         else:
             self._words.pop(addr // PTE_SIZE, None)
+
+    def read_page(self, frame: int) -> List[int]:
+        """The page's words in order (0 where none was written)."""
+        words = self._words
+        base = frame_to_addr(frame) // PTE_SIZE
+        return [words.get(word, 0)
+                for word in range(base, base + PAGE_SIZE // PTE_SIZE)]
 
     def clear_page(self, frame: int) -> None:
         base = frame_to_addr(frame) // PTE_SIZE

@@ -7,7 +7,9 @@ the TLB filter once, and can then replay the identical miss stream
 through any design's walker. Sharing one machine across designs is
 faithful to the paper: DMT's TEA placement serves the vanilla radix
 walker too (same PTEs, §3), and ECPT/FPT maintain their own tables
-alongside.
+alongside. The substrate is built lazily, only when stage 1 must be
+computed or a design must replay, so a cell served from the caches
+builds nothing (DESIGN.md §17).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.analysis import sanitizer
-from repro.arch import PAGE_SHIFT, PAGE_SIZE, PageSize, align_up
+from repro.arch import PAGE_SIZE, PageSize, align_up
 from repro.obs import metrics
 from repro.obs import trace as obs_trace
 from repro.core import costs as core_costs
@@ -302,8 +304,9 @@ class _SimulationBase:
     #: Environment key in :data:`ENVIRONMENTS`; trace spans carry it.
     env_name: str = "?"
 
-    def __init__(self, workload_name: str, config: SimConfig,
+    def __init__(self, workload_name: str, config: Optional[SimConfig] = None,
                  stage1: Optional[Stage1Cache] = None):
+        config = config or SimConfig()
         self.config = config
         if config.sanitize:
             sanitizer.enable()
@@ -327,19 +330,44 @@ class _SimulationBase:
         #: pipeline (a pure function of the config, so cold and warm
         #: runs of the same config report the same value).
         self.stage1_streamed = config.resolved_stream_chunk() is not None
-        #: Guards the one-shot :meth:`_prepare_shared` (cells may run on
-        #: several threads); ``_shared_ready`` flips once it has run.
+        #: Guards the one-shot :meth:`build` and :meth:`_prepare_shared`
+        #: (cells may run on several threads); ``built`` and
+        #: ``_shared_ready`` flip once each has run.
         self._shared_lock = threading.Lock()
+        self.built = False
         self._shared_ready = False
+        self.tlb = self._trace_and_filter()
+
+    def build(self) -> None:
+        """Build the machine: kernels, VMs, the workload's process and
+        its backing, and the register files (:meth:`_build`).
+
+        Lazy and idempotent. It runs when stage 1 has to be computed
+        (the trace needs the installed layout, the TLB filter the page
+        sizes) or on the first walker; a cell served from the stage-1
+        and stage-2 caches never builds. Code that reads machine
+        attributes (``process``, ``vm``, ``nested``, ...) calls it first.
+        """
+        if self.built:
+            return
+        with self._shared_lock:
+            if not self.built:
+                self._build()
+                self.built = True
+
+    def _build(self) -> None:
+        raise NotImplementedError
 
     def _ensure_shared(self) -> None:
-        """Run :meth:`_prepare_shared` once, on the first walker build.
+        """Build the machine, then run :meth:`_prepare_shared` once, on
+        the first walker build.
 
         Never called from ``__init__``: a warm run served entirely from
         the memo or the result cache builds no walker and pays nothing.
         """
         if self._shared_ready:
             return
+        self.build()
         with self._shared_lock:
             if not self._shared_ready:
                 self._prepare_shared()
@@ -707,21 +735,24 @@ class _SimulationBase:
             spill_dir.cleanup()
         return TLBFilterResult(misses, total_refs)
 
-    def _trace_and_filter(self, process, layout) -> TLBFilterResult:
+    def _trace_and_filter(self) -> TLBFilterResult:
         stream_chunk = self.config.resolved_stream_chunk()
 
         def build() -> TLBFilterResult:
             with obs_trace.span("stage1", workload=self.workload.name,
                                 thp=self.config.thp,
                                 streamed=stream_chunk is not None) as sp:
+                # Stage 1 reads the installed layout and page sizes, so
+                # a miss builds the machine, inside this span.
+                self.build()
                 if stream_chunk is not None:
-                    result = self._stream_stage1(process, layout,
+                    result = self._stream_stage1(self.process, self.layout,
                                                  stream_chunk)
                 else:
-                    trace = self._generate_trace(layout)
+                    trace = self._generate_trace(self.layout)
                     result = tlb_filter(
                         trace, self.config.machine,
-                        make_size_lookup(process.page_table),
+                        make_size_lookup(self.process.page_table),
                         accept_rates=self._accept_rates(),
                         engine=self.config.engine)
                 if sp is not None:
@@ -749,9 +780,7 @@ class NativeSimulation(_SimulationBase):
     designs = ("vanilla", "fpt", "ecpt", "asap", "dmt")
     env_name = "native"
 
-    def __init__(self, workload_name: str, config: Optional[SimConfig] = None,
-                 stage1: Optional[Stage1Cache] = None):
-        super().__init__(workload_name, config or SimConfig(), stage1)
+    def _build(self) -> None:
         ws = self.workload.working_set_bytes()
         mem_bytes = _page_align(ws * 2 + 256 * _MB)
         self.kernel = Kernel(memory_bytes=mem_bytes, thp_enabled=self.config.thp,
@@ -764,7 +793,6 @@ class NativeSimulation(_SimulationBase):
         self.process = self.kernel.create_process(self.workload.name)
         self.layout = self.workload.install(self.process)
         self.dmt.reload_registers(self.process)
-        self.tlb = self._trace_and_filter(self.process, self.layout)
         #: FPT/ECPT mirrors of the radix table, set by _prepare_shared.
         self.fpt: Optional[FlattenedPageTable] = None
         self.ecpt: Optional[ElasticCuckooPageTables] = None
@@ -801,9 +829,7 @@ class VirtSimulation(_SimulationBase):
                "dmt", "pvdmt")
     env_name = "virt"
 
-    def __init__(self, workload_name: str, config: Optional[SimConfig] = None,
-                 stage1: Optional[Stage1Cache] = None):
-        super().__init__(workload_name, config or SimConfig(), stage1)
+    def _build(self) -> None:
         cfg = self.config
         ws = self.workload.working_set_bytes()
         guest_bytes = _page_align(int(ws * 1.3) + 128 * _MB)
@@ -848,7 +874,6 @@ class VirtSimulation(_SimulationBase):
         )
 
         self.read_machine = machine_reader(self.host_kernel.memory, [self.vm])
-        self.tlb = self._trace_and_filter(self.process, self.layout)
         #: Shared mirrors, set by _prepare_shared: the shadow pager
         #: (shadow, agile) and the guest/host FPT and ECPT (fpt, ecpt).
         self.shadow: Optional[ShadowPager] = None
@@ -912,18 +937,15 @@ class _L2ShadowAdapter:
     """
 
     def __init__(self, nested: NestedSetup):
-        self.nested = nested
         self.ept = nested.shadow.spt
 
     def gpa_to_hpa(self, l2pa: int) -> int:
         translated = self.ept.translate(l2pa)
-        if translated is not None:
-            return translated[0]
-        # lazily extend the shadow for newly backed pages
-        l0pa = self.nested.l2pa_to_l0pa(l2pa)
-        self.ept.map((l2pa >> PAGE_SHIFT) << PAGE_SHIFT,
-                     l0pa >> PAGE_SHIFT, PageSize.SIZE_4K)
-        return l0pa
+        if translated is None:
+            # The machine backs all of L2 and syncs the sPT before any
+            # walker exists; walkers only read shared state (§15).
+            raise KeyError(f"L2PA {l2pa:#x} has no nested shadow entry")
+        return translated[0]
 
 
 class NestedSimulation(_SimulationBase):
@@ -932,9 +954,7 @@ class NestedSimulation(_SimulationBase):
     designs = ("vanilla", "pvdmt")
     env_name = "nested"
 
-    def __init__(self, workload_name: str, config: Optional[SimConfig] = None,
-                 stage1: Optional[Stage1Cache] = None):
-        super().__init__(workload_name, config or SimConfig(), stage1)
+    def _build(self) -> None:
         cfg = self.config
         ws = self.workload.working_set_bytes()
         l2_bytes = _page_align(int(ws * 1.3) + 128 * _MB)
@@ -996,7 +1016,6 @@ class NestedSimulation(_SimulationBase):
         self.nested.shadow.sync()
         self.read_machine = machine_reader(self.host_kernel.memory,
                                            [l1_vm, l2_vm])
-        self.tlb = self._trace_and_filter(self.process, self.layout)
 
     def _load_l1_registers(self) -> None:
         manager = self.l1_dmt.ept_mappings[self.nested.l2_vm.vm_id]

@@ -37,6 +37,7 @@ Exposed through ``python -m repro sweep`` and reused by
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import resource
@@ -278,6 +279,12 @@ def run_group(task: GroupTask) -> List[Dict]:
                         vanilla / cell["mean_latency"]
                         if vanilla and cell["mean_latency"] else None)
             cells.extend(env_cells)
+            built = sim.built
+            del sim
+            if built:
+                # A machine is held by reference cycles (write hooks,
+                # VM <-> Hypervisor): free it before the next one grows.
+                gc.collect()
     for design in designs or ():
         if design not in provided:
             exc = KeyError(f"unknown design {design!r}; no swept "

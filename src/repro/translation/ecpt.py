@@ -383,11 +383,8 @@ class ElasticCuckooPageTables:
     def load_from_radix(self, page_table) -> int:
         """Mirror an existing radix page table's leaf mappings."""
         count = 0
-        for base_va, size in page_table._mapped_pages.items():
-            found = page_table.lookup(base_va)
-            if found is None:
-                continue
-            self.map(base_va, pte_frame(found[1]), size)
+        for va, pte, size in page_table.leaves():
+            self.map(va, pte_frame(pte), size)
             count += 1
         return count
 

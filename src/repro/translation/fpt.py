@@ -143,13 +143,12 @@ class FlattenedPageTable:
         return None
 
     def load_from_radix(self, page_table) -> int:
+        """Mirror a radix page table's 4 KB and 2 MB leaf mappings."""
         count = 0
-        for base_va, size in page_table._mapped_pages.items():
-            found = page_table.lookup(base_va)
-            if found is None or size == PageSize.SIZE_1G:
-                continue
-            self.map(base_va, pte_frame(found[1]), size)
-            count += 1
+        for va, pte, size in page_table.leaves():
+            if size != PageSize.SIZE_1G:
+                self.map(va, pte_frame(pte), size)
+                count += 1
         return count
 
     def table_bytes(self) -> int:

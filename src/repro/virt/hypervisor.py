@@ -19,9 +19,15 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.analysis import sanitizer
-from repro.arch import PAGE_SHIFT, PAGE_SIZE, PageSize
+from repro.arch import PAGE_SHIFT, PAGE_SIZE, PageSize, align_up
 from repro.kernel.kernel import Kernel
-from repro.kernel.page_table import RadixPageTable, TablePlacementPolicy
+from repro.kernel.page_table import (
+    PTE_PRESENT,
+    LeafCursor,
+    RadixPageTable,
+    TablePlacementPolicy,
+    pte_frame,
+)
 from repro.kernel.vma import VMA
 from repro.mem.physmem import PhysicalMemory
 
@@ -92,11 +98,16 @@ class VM:
     # Guest-physical <-> host-physical
     # ------------------------------------------------------------------ #
 
-    def ensure_backed(self, gfn: int) -> int:
-        """Host frame backing guest frame ``gfn``; faults one in if needed."""
-        translated = self.ept.translate(gfn << PAGE_SHIFT)
-        if translated is not None:
-            return translated[0] >> PAGE_SHIFT
+    def ensure_backed(self, gfn: int, ept: Optional[LeafCursor] = None) -> int:
+        """Host frame backing guest frame ``gfn``; faults one in if needed.
+
+        ``ept`` is an optional cursor over :attr:`ept` for callers that
+        resolve many nearby frames in a row.
+        """
+        found = (ept or self.ept).lookup(gfn << PAGE_SHIFT)
+        if found is not None:
+            _, pte, size = found
+            return pte_frame(pte) + (gfn & ((size.bytes >> PAGE_SHIFT) - 1))
         self.exits.ept_violations += 1
         hfn = self.hypervisor.host_memory.allocator.alloc_pages(0, movable=True)
         self.ept.map(gfn << PAGE_SHIFT, hfn, PageSize.SIZE_4K)
@@ -112,28 +123,43 @@ class VM:
         """Eagerly back a guest-physical range (pre-touch at VM setup).
 
         With ``page_size == SIZE_2M`` the host backs the range with 2 MB EPT
-        leaves — host THP for guest memory.
+        leaves — host THP for guest memory — except in 2 MB regions that
+        already hold 4 KB EPT leaves, and at unaligned ends. Guest frames
+        backed already keep their host frames.
         """
-        gpa = gpa_start
         end = gpa_start + nbytes
+        huge = PageSize.SIZE_2M.bytes
+        if page_size != PageSize.SIZE_2M:
+            self._back_run(gpa_start, end, PageSize.SIZE_4K)
+            return
+        gpa = min(end, align_up(gpa_start, huge))
+        self._back_run(gpa_start, gpa, PageSize.SIZE_4K)
+        while gpa + huge <= end:
+            # 4 KB leaves where the EPT has a last-level table already
+            size = PageSize.SIZE_2M if self.ept.table_frame(gpa, 1) is None \
+                else PageSize.SIZE_4K
+            self._back_run(gpa, gpa + huge, size)
+            gpa += huge
+        self._back_run(gpa, end, PageSize.SIZE_4K)
+
+    def _back_run(self, start: int, end: int, page_size: PageSize) -> None:
+        """Back the unbacked ``page_size`` pages of [start, end)."""
+        if end <= start:
+            return
         host_alloc = self.hypervisor.host_memory.allocator
-        while gpa < end:
-            if page_size == PageSize.SIZE_2M and gpa % page_size.bytes == 0 \
-                    and gpa + page_size.bytes <= end \
-                    and self.ept.table_frame(gpa, 1) is None:
-                if self.ept.lookup(gpa) is None:
-                    hfn = host_alloc.alloc_pages(9, movable=True)
-                    self.ept.map(gpa, hfn, PageSize.SIZE_2M)
-                    gfn = gpa >> PAGE_SHIFT
-                    for i in range(512):
-                        self._reverse[hfn + i] = gfn + i
-                gpa += page_size.bytes
-            else:
-                if self.ept.lookup(gpa) is None:
-                    hfn = host_alloc.alloc_pages(0, movable=True)
-                    self.ept.map(gpa, hfn, PageSize.SIZE_4K)
-                    self._reverse[hfn] = gpa >> PAGE_SHIFT
-                gpa += PAGE_SIZE
+        order = 9 if page_size == PageSize.SIZE_2M else 0
+
+        def host_frame(gpa: int, old: int) -> Optional[int]:
+            if old & PTE_PRESENT:
+                return None
+            hfn = host_alloc.alloc_pages(order, movable=True)
+            gfn = gpa >> PAGE_SHIFT
+            for i in range(1 << order):
+                self._reverse[hfn + i] = gfn + i
+            return hfn
+
+        self.ept.map_run(start, -(-(end - start) // page_size.bytes),
+                         page_size, host_frame)
 
     # dmtlint-domain: return=gpa -- takes host frames, returns the base gPA
     def map_host_frames(self, host_frame: int, npages: int) -> int:

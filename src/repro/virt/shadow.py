@@ -14,11 +14,21 @@ table of Figure 3 by composing the two hypervisors' tables.
 
 from __future__ import annotations
 
+from typing import Iterator, List, Optional, Tuple
 
-from repro.arch import PAGE_SHIFT, PAGE_SIZE, PageSize
-from repro.kernel.page_table import RadixPageTable
+from repro.arch import PAGE_SHIFT, PageSize
+from repro.kernel.page_table import (
+    PTE_HUGE,
+    PTE_PRESENT,
+    LeafCursor,
+    RadixPageTable,
+    pte_frame,
+)
 from repro.kernel.process import Process
 from repro.virt.hypervisor import VM
+
+#: A run of 4 KB leaves stays inside one 2 MB span.
+_SPAN_SHIFT = int(PageSize.SIZE_2M)
 
 
 class ShadowPager:
@@ -54,46 +64,37 @@ class ShadowPager:
 
         Returns the number of shadow entries installed. A real hypervisor
         does this incrementally on each trapped write; rebuilding before
-        simulation gives an identical sPT for the walker.
+        simulation gives an identical sPT for the walker. One pass over
+        the guest table's leaves, written one sPT leaf table at a time.
         """
         installed = 0
-        guest_pt = self.guest_process.page_table
-        for base_va, size in sorted(guest_pt._mapped_pages.items()):
-            installed += self._shadow_one(base_va, size)
+        ept = self.vm.ept.cursor()
+        for va, size, gfns in leaf_runs(self.guest_process.page_table):
+            if size != PageSize.SIZE_4K:
+                # Huge guest page: shadow it hugely only if the host
+                # backing is a matching aligned huge EPT leaf; otherwise
+                # fracture into 4 KB.
+                gfn, frames = gfns[0], size.bytes >> PAGE_SHIFT
+                ept_leaf = ept.lookup(gfn << PAGE_SHIFT)
+                if ept_leaf is None or ept_leaf[2] != size or gfn % frames:
+                    size, gfns = PageSize.SIZE_4K, range(gfn, gfn + frames)
+            installed += self._install_run(va, size, gfns, ept)
         return installed
 
-    def _shadow_one(self, va: int, size: PageSize) -> int:
-        translated = self.guest_process.page_table.translate(va)
-        if translated is None:
-            return 0
-        gpa = translated[0]
-        if size == PageSize.SIZE_4K:
-            hpa = self.vm.gpa_to_hpa(gpa)
-            return int(self._install(va, hpa, PageSize.SIZE_4K))
-        # Huge guest page: shadow it hugely only if the host backing is a
-        # matching aligned huge EPT leaf; otherwise fracture into 4 KB.
-        ept_leaf = self.vm.ept.lookup(gpa)
-        if (
-            ept_leaf is not None
-            and ept_leaf[2] == size
-            and gpa % size.bytes == 0
-        ):
-            return int(self._install(va, self.vm.gpa_to_hpa(gpa), size))
-        count = 0
-        for offset in range(0, size.bytes, PAGE_SIZE):
-            hpa = self.vm.gpa_to_hpa(gpa + offset)
-            count += int(self._install(va + offset, hpa, PageSize.SIZE_4K))
-        return count
+    def _install_run(self, start: int, size: PageSize, gfns,
+                     ept: LeafCursor) -> int:
+        """Shadow the guest frames ``gfns`` mapped from ``start`` with
+        ``size`` pages; entries already correct are left alone."""
+        shift = int(size)
 
-    def _install(self, va: int, hpa: int, size: PageSize) -> bool:
-        """Install one shadow entry; returns False if already correct."""
-        existing = self.spt.lookup(va)
-        if existing is not None:
-            if existing[2] == size and (existing[1] >> PAGE_SHIFT) == hpa >> PAGE_SHIFT:
-                return False
-            self.spt.unmap(va)
-        self.spt.map(va, hpa >> PAGE_SHIFT, size)
-        return True
+        def host_frame(va: int, old: int) -> Optional[int]:
+            hfn = self.vm.ensure_backed(gfns[(va - start) >> shift], ept)
+            if old & PTE_PRESENT and pte_frame(old) == hfn \
+                    and bool(old & PTE_HUGE) == (size != PageSize.SIZE_4K):
+                return None
+            return hfn
+
+        return self.spt.map_run(start, len(gfns), size, host_frame)
 
 
 class NestedShadowPager:
@@ -125,15 +126,52 @@ class NestedShadowPager:
         self.l2_vm.ept.write_hook = self._prior_hook
 
     def sync(self) -> int:
+        """Install an L2PA -> L0PA entry for every 4 KB of L2's backing.
+
+        Each EPT leaf of L2 is fractured to 4 KB: L1->L0 backing is
+        rarely contiguous at 2 MB. Returns the entries installed.
+        """
         installed = 0
-        for gpa_base, size in sorted(self.l2_vm.ept._mapped_pages.items()):
-            l1pa = self.l2_vm.ept.translate(gpa_base)
-            if l1pa is None:
-                continue
-            # fracture to 4 KB: L1->L0 backing is rarely contiguous at 2 MB
-            for offset in range(0, size.bytes, PAGE_SIZE):
-                l0pa = self.l1_vm.gpa_to_hpa(l1pa[0] + offset)
-                if self.spt.lookup(gpa_base + offset) is None:
-                    self.spt.map(gpa_base + offset, l0pa >> PAGE_SHIFT, PageSize.SIZE_4K)
-                    installed += 1
+        l1_ept = self.l1_vm.ept.cursor()
+        for gpa, size, l1fns in leaf_runs(self.l2_vm.ept):
+            if size != PageSize.SIZE_4K:
+                l1fns = range(l1fns[0], l1fns[0] + (size.bytes >> PAGE_SHIFT))
+            installed += self._install_run(gpa, l1fns, l1_ept)
         return installed
+
+    def _install_run(self, start: int, l1fns, l1_ept: LeafCursor) -> int:
+        """Shadow the L1 frames ``l1fns`` backing L2 from ``start`` with
+        4 KB entries; entries present already are left alone."""
+        def l0_frame(l2pa: int, old: int) -> Optional[int]:
+            l0fn = self.l1_vm.ensure_backed(
+                l1fns[(l2pa - start) >> PAGE_SHIFT], l1_ept)
+            return None if old & PTE_PRESENT else l0fn
+
+        return self.spt.map_run(start, len(l1fns), PageSize.SIZE_4K, l0_frame)
+
+
+def leaf_runs(table: RadixPageTable) -> Iterator[Tuple[int, PageSize, List[int]]]:
+    """``table``'s leaves as ``(va, size, frames)`` runs, by ascending va.
+
+    A run is one huge page, or consecutive 4 KB pages inside one 2 MB
+    span (one last-level table of a shadow table built from them), so a
+    run never holds more than 512 frames.
+    """
+    start = None
+    frames: List[int] = []
+    for va, pte, size in table.leaves():
+        if size != PageSize.SIZE_4K:
+            if frames:
+                yield start, PageSize.SIZE_4K, frames
+                frames = []
+            yield va, size, [pte_frame(pte)]
+            continue
+        if frames and (va != start + (len(frames) << PAGE_SHIFT)
+                       or va >> _SPAN_SHIFT != start >> _SPAN_SHIFT):
+            yield start, PageSize.SIZE_4K, frames
+            frames = []
+        if not frames:
+            start = va
+        frames.append(pte_frame(pte))
+    if frames:
+        yield start, PageSize.SIZE_4K, frames

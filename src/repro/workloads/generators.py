@@ -16,7 +16,7 @@ chunk-by-chunk through :class:`~repro.workloads.base.SiteStream`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Callable, Dict, Iterator, List
 
 import numpy as np
 
@@ -254,77 +254,112 @@ def _memcached_layout(scale: int) -> List[VMASpec]:
     return specs
 
 
+def _redis(scale: int) -> Workload:
+    return Workload(
+        name="Redis",
+        description="In-memory KV store, 512M 256B records, 100% reads",
+        vma_specs=_redis_layout(scale),
+        chunk_fn=_redis_chunks,
+        paper_working_set_gb=155,
+        paper_total_vmas=182, paper_cov99=6, paper_clusters=6,
+    )
+
+
+def _memcached(scale: int) -> Workload:
+    return Workload(
+        name="Memcached",
+        description="In-memory KV store, 100M 1KB records, 100% reads",
+        vma_specs=_memcached_layout(scale),
+        chunk_fn=_memcached_chunks,
+        paper_working_set_gb=95,
+        paper_total_vmas=1065, paper_cov99=778, paper_clusters=2,
+    )
+
+
+def _gups(scale: int) -> Workload:
+    return Workload(
+        name="GUPS",
+        description="Random memory updates over a 128 GB table",
+        vma_specs=_simple_layout(128 * (_GB // scale), 103, seed=1),
+        chunk_fn=_gups_chunks,
+        paper_working_set_gb=128,
+        paper_total_vmas=103, paper_cov99=1, paper_clusters=1,
+    )
+
+
+def _btree(scale: int) -> Workload:
+    gb = _GB // scale
+    return Workload(
+        name="BTree",
+        description="Index lookups, 1.5B keys",
+        vma_specs=_simple_layout(125 * gb, 108, seed=2)
+        + [VMASpec(1 * gb, gap_before=16 * _MB, name="btree-meta", hot=True)],
+        chunk_fn=_btree_chunks,
+        paper_working_set_gb=125,
+        paper_total_vmas=109, paper_cov99=2, paper_clusters=2,
+        trace_len_fn=_quads,
+    )
+
+
+def _canneal(scale: int) -> Workload:
+    gb = _GB // scale
+    return Workload(
+        name="Canneal",
+        description="Simulated annealing over 100M netlist elements",
+        vma_specs=_simple_layout(61 * gb, 115, seed=3)
+        + [VMASpec(1 * gb, gap_before=16 * _MB, name="canneal-meta", hot=True)],
+        chunk_fn=_canneal_chunks,
+        paper_working_set_gb=62,
+        paper_total_vmas=116, paper_cov99=2, paper_clusters=2,
+        trace_len_fn=_pairs,
+    )
+
+
+def _xsbench(scale: int) -> Workload:
+    return Workload(
+        name="XSBench",
+        description="Monte Carlo neutron transport cross-section lookups",
+        vma_specs=_simple_layout(84 * (_GB // scale), 111, seed=4),
+        chunk_fn=_xsbench_chunks,
+        paper_working_set_gb=84,
+        paper_total_vmas=111, paper_cov99=1, paper_clusters=1,
+        trace_len_fn=_quads,
+    )
+
+
+def _graph500(scale: int) -> Workload:
+    return Workload(
+        name="Graph500",
+        description="BFS on a scale-27 power-law graph",
+        vma_specs=_simple_layout(123 * (_GB // scale), 105, seed=5),
+        chunk_fn=_graph500_chunks,
+        paper_working_set_gb=123,
+        paper_total_vmas=105, paper_cov99=1, paper_clusters=1,
+    )
+
+
+#: Workload name -> builder, in catalogue order. Each layout draws from
+#: its own seeded RNG, so building one workload alone gives the same
+#: layout as building all seven.
+_BUILDERS: Dict[str, Callable[[int], Workload]] = {
+    "Redis": _redis,
+    "Memcached": _memcached,
+    "GUPS": _gups,
+    "BTree": _btree,
+    "Canneal": _canneal,
+    "XSBench": _xsbench,
+    "Graph500": _graph500,
+}
+
+
 def catalogue(scale: int = DEFAULT_SCALE) -> Dict[str, Workload]:
     """All seven evaluation workloads, scaled by ``scale``."""
-    gb = _GB // scale
-    workloads = [
-        Workload(
-            name="Redis",
-            description="In-memory KV store, 512M 256B records, 100% reads",
-            vma_specs=_redis_layout(scale),
-            chunk_fn=_redis_chunks,
-            paper_working_set_gb=155,
-            paper_total_vmas=182, paper_cov99=6, paper_clusters=6,
-        ),
-        Workload(
-            name="Memcached",
-            description="In-memory KV store, 100M 1KB records, 100% reads",
-            vma_specs=_memcached_layout(scale),
-            chunk_fn=_memcached_chunks,
-            paper_working_set_gb=95,
-            paper_total_vmas=1065, paper_cov99=778, paper_clusters=2,
-        ),
-        Workload(
-            name="GUPS",
-            description="Random memory updates over a 128 GB table",
-            vma_specs=_simple_layout(128 * gb, 103, seed=1),
-            chunk_fn=_gups_chunks,
-            paper_working_set_gb=128,
-            paper_total_vmas=103, paper_cov99=1, paper_clusters=1,
-        ),
-        Workload(
-            name="BTree",
-            description="Index lookups, 1.5B keys",
-            vma_specs=_simple_layout(125 * gb, 108, seed=2)
-            + [VMASpec(1 * gb, gap_before=16 * _MB, name="btree-meta", hot=True)],
-            chunk_fn=_btree_chunks,
-            paper_working_set_gb=125,
-            paper_total_vmas=109, paper_cov99=2, paper_clusters=2,
-            trace_len_fn=_quads,
-        ),
-        Workload(
-            name="Canneal",
-            description="Simulated annealing over 100M netlist elements",
-            vma_specs=_simple_layout(61 * gb, 115, seed=3)
-            + [VMASpec(1 * gb, gap_before=16 * _MB, name="canneal-meta", hot=True)],
-            chunk_fn=_canneal_chunks,
-            paper_working_set_gb=62,
-            paper_total_vmas=116, paper_cov99=2, paper_clusters=2,
-            trace_len_fn=_pairs,
-        ),
-        Workload(
-            name="XSBench",
-            description="Monte Carlo neutron transport cross-section lookups",
-            vma_specs=_simple_layout(84 * gb, 111, seed=4),
-            chunk_fn=_xsbench_chunks,
-            paper_working_set_gb=84,
-            paper_total_vmas=111, paper_cov99=1, paper_clusters=1,
-            trace_len_fn=_quads,
-        ),
-        Workload(
-            name="Graph500",
-            description="BFS on a scale-27 power-law graph",
-            vma_specs=_simple_layout(123 * gb, 105, seed=5),
-            chunk_fn=_graph500_chunks,
-            paper_working_set_gb=123,
-            paper_total_vmas=105, paper_cov99=1, paper_clusters=1,
-        ),
-    ]
-    return {wl.name: wl for wl in workloads}
+    return {name: build(scale) for name, build in _BUILDERS.items()}
 
 
 def get(name: str, scale: int = DEFAULT_SCALE) -> Workload:
-    workloads = catalogue(scale)
-    if name not in workloads:
-        raise KeyError(f"unknown workload {name!r}; have {sorted(workloads)}")
-    return workloads[name]
+    """The named workload alone, scaled by ``scale``."""
+    build = _BUILDERS.get(name)
+    if build is None:
+        raise KeyError(f"unknown workload {name!r}; have {sorted(_BUILDERS)}")
+    return build(scale)

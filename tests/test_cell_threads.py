@@ -80,8 +80,9 @@ def _ecpt_state(ecpt):
 
 def _shared_state(sim):
     """What one machine's cells share: allocator fill, register files,
-    page-table and shadow-table entry counts, ECPT tables, and VM exit
-    counters."""
+    page-table and shadow-table entry and PTE-write counts (the nested
+    sPT among them), ECPT tables, and VM exit counters."""
+    sim.build()
     if sim.env_name == "native":
         vms = []
         memories = [sim.kernel.memory]
@@ -108,6 +109,7 @@ def _shared_state(sim):
                         for which in RegisterSet])
                       for regs in files],
         "mapped_pages": [table.mapped_pages for table in tables],
+        "pte_writes": [table.stats.pte_writes for table in tables],
         "ecpt": [_ecpt_state(ecpt) for ecpt in ecpts],
         "exits": [dataclasses.astuple(vm.exits) for vm in vms],
     }

@@ -29,6 +29,13 @@ class TestCatalogue:
         with pytest.raises(KeyError):
             get("Postgres")
 
+    @pytest.mark.parametrize("scale", [SCALE, 4096])
+    def test_get_builds_the_catalogue_workload(self, scale):
+        """``get`` builds one workload; each layout has its own RNG, so
+        the layout is the one the full catalogue builds."""
+        for name, workload in catalogue(scale).items():
+            assert get(name, scale) == workload, name
+
     def test_table1_vma_characteristics(self):
         """The synthetic layouts reproduce Table 1's three statistics."""
         for name, wl in catalogue(1024).items():
