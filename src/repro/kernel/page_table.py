@@ -15,7 +15,7 @@ tables inside TEAs (§4.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.arch import (
     PAGE_SHIFT,
@@ -39,9 +39,13 @@ PTE_FLAGS_MASK = (1 << PAGE_SHIFT) - 1
 #: Page size of a leaf entry, by the radix level it sits at.
 _LEAF_SIZES = {1: PageSize.SIZE_4K, 2: PageSize.SIZE_2M, 3: PageSize.SIZE_1G}
 
-#: ``frame_for(va, old)`` of :meth:`RadixPageTable.map_run`: the frame
-#: to map at ``va`` given the entry ``old`` that maps it now, or None.
-FrameFor = Callable[[int, int], Optional[int]]
+#: log2 of the 4 KB pages one last-level table maps.
+_LEAF_SPAN_SHIFT = level_shift(2) - PAGE_SHIFT
+
+#: ``frames_for(first_va, olds)`` of :meth:`RadixPageTable.map_run`: the
+#: frames to map at the pages from ``first_va`` given the entries ``olds``
+#: that map them now, None for a page to leave alone.
+FramesFor = Callable[[int, List[int]], List[Optional[int]]]
 
 
 def pte_frame(pte: int) -> int:
@@ -228,62 +232,130 @@ class RadixPageTable:
 
     # dmtlint-domain: va=any -- EPTs and shadow tables map gPAs in bulk too
     def map_run(self, va: int, count: int, page_size: PageSize,
-                frame_for: FrameFor,
+                frames_for: FramesFor,
                 flags: int = PTE_PRESENT | PTE_WRITE) -> int:
         """Map ``count`` consecutive ``page_size`` pages from ``va``.
 
-        Descends from the root once per leaf table instead of once per
-        page. ``frame_for(page_va, old)`` is called for each page in
-        ascending order, with ``old`` the entry that maps the page now
-        (its slot, or the huge entry above that covers it; 0 when none
-        does), and returns the frame to map there or None to leave the
-        page alone. It runs before the leaf table the page opens is
-        created, so a caller that allocates the data frame inside it
-        gets the frame order of calling :meth:`map` page by page. A
-        present entry given a new frame is unmapped first, as
-        ``unmap`` + ``map`` would. Each written PTE takes the same
-        sanitizer check, write hook and ``pte_writes`` count as
-        :meth:`map`. Returns the number of pages written.
+        Works one leaf table at a time: it descends from the root once
+        per table, and ``frames_for(first_va, olds)`` is called once for
+        the pages of the run inside that table, by ascending va. ``olds``
+        holds the entry that maps each page now (its slot, or the huge
+        entry above that covers it; 0 when none does). The callback
+        returns the frame to map at each page, None to leave a page
+        alone. It may return fewer frames than ``olds`` (at least one):
+        the rest of the table's pages then come in a next call, after
+        these are written. While the leaf table a page needs does not
+        exist, pages are asked for one at a time; the table is created
+        once a page is given a frame, and the rest of its span comes in
+        a second call. So a caller that allocates data frames in the
+        callback gets the frame order of calling :meth:`map` page by
+        page: data frame, then the table, then the next frames. A
+        present entry given a new frame is unmapped first, as ``unmap``
+        + ``map`` would. The PTEs of a call are written with one bulk
+        memory write, and each takes the same sanitizer check, write
+        hook, ``pte_writes`` count and mapping entry as :meth:`map`, in
+        ascending order. Returns the number of pages written.
         """
         leaf_level = page_size.leaf_level
         step = page_size.bytes
-        huge_frames = step >> PAGE_SHIFT
         if page_size != PageSize.SIZE_4K:
             flags |= PTE_HUGE
         index_shift = level_shift(leaf_level)
-        span_shift = level_shift(leaf_level + 1)
-        index_mask = (1 << span_shift - index_shift) - 1
-        read_word = self.memory.read_word
-        span = table = None
-        above = 0
-        written = 0
+        span = 1 << level_shift(leaf_level + 1) - index_shift
         page = va & ~(step - 1)
-        for _ in range(count):
-            if page >> span_shift != span:
-                span = page >> span_shift
-                table, above = self._leaf_table(page, leaf_level)
-            slot = None if table is None else frame_to_addr(table) \
-                + ((page >> index_shift) & index_mask) * PTE_SIZE
-            old = above if slot is None else read_word(slot)
-            pfn = frame_for(page, old)
-            if pfn is not None:
-                if huge_frames > 1 and pfn % huge_frames:
-                    raise ValueError("huge-page frame must be size aligned")
-                if old & PTE_PRESENT:
+        left = count
+        written = 0
+        fresh = None  # a table the last step created: empty past that page
+        while left > 0:
+            index = (page >> index_shift) & (span - 1)
+            table, above = self._leaf_table(page, leaf_level)
+            if table is None:
+                # a page that would open the table is asked for alone
+                olds = [above]
+            elif table == fresh:
+                olds = [0] * min(span - index, left)
+            else:
+                olds = self.memory.read_words(
+                    frame_to_addr(table) + index * PTE_SIZE,
+                    min(span - index, left))
+            fresh = None
+            frames = frames_for(page, olds)[:len(olds)]
+            if not frames:
+                raise ValueError(f"frames_for gave no frame at {page:#x}")
+            if table is None and frames[0] is not None:
+                if above & PTE_PRESENT:
                     self.unmap(page)
-                    above = 0
-                if slot is None:
-                    slot = self._descend(page, leaf_level, create=True,
-                                         page_size=page_size)
-                    table = slot >> PAGE_SHIFT
-                if sanitizer.active():
-                    sanitizer.check_pte_target(page, pfn, page_size,
-                                               self.memory.total_frames)
-                self._write_pte(slot, make_pte(pfn, flags))
-                self._mapped_pages[page] = page_size
-                written += 1
-            page += step
+                olds = [0]
+                table = fresh = self._descend(
+                    page, leaf_level, create=True,
+                    page_size=page_size) >> PAGE_SHIFT
+            if table is not None:
+                written += self._write_leaves(table, index, page, page_size,
+                                              olds, frames, flags)
+            page += len(frames) * step
+            left -= len(frames)
         return written
+
+    def _write_leaves(self, table: int, index: int, va: int,
+                      page_size: PageSize, olds: List[int],
+                      frames: List[Optional[int]], flags: int) -> int:
+        """Write ``frames`` into the leaf table ``table`` from its entry
+        ``index`` (the entry of ``va``), skipping None. A present entry
+        given a frame is unmapped right before its page is written.
+        Returns the number of PTEs written."""
+        written = 0
+        lo = 0
+        if any(olds):
+            for hi, (old, pfn) in enumerate(zip(olds, frames)):
+                if old & PTE_PRESENT and pfn is not None:
+                    written += self._store(table, index, va, page_size,
+                                           frames, lo, hi, flags)
+                    self.unmap(va + hi * page_size.bytes)
+                    lo = hi
+        return written + self._store(table, index, va, page_size, frames,
+                                     lo, len(frames), flags)
+
+    def _store(self, table: int, index: int, va: int, page_size: PageSize,
+               frames: List[Optional[int]], lo: int, hi: int,
+               flags: int) -> int:
+        """Write ``frames[lo:hi]`` (see :meth:`_write_leaves`) with one
+        bulk memory write. A frame failing its check raises once the
+        pages before it are written, as :meth:`map` page by page would."""
+        step = page_size.bytes
+        huge_frames = step >> PAGE_SHIFT
+        check = sanitizer.active()
+        passed = hi
+        try:
+            if check or huge_frames > 1:
+                for passed in range(lo, hi):
+                    pfn = frames[passed]
+                    if pfn is None:
+                        continue
+                    if pfn % huge_frames:
+                        raise ValueError("huge-page frame must be size aligned")
+                    if check:
+                        sanitizer.check_pte_target(va + passed * step, pfn,
+                                                   page_size,
+                                                   self.memory.total_frames)
+                passed = hi
+        finally:
+            values = [None if pfn is None else pfn << PAGE_SHIFT | flags
+                      for pfn in frames[lo:passed]]
+            addr = frame_to_addr(table) + (index + lo) * PTE_SIZE
+            self.memory.write_words(addr, values)
+            first = va + lo * step
+            if None in values:
+                pages = [first + i * step
+                         for i, value in enumerate(values) if value is not None]
+            else:
+                pages = range(first, first + len(values) * step, step)
+            self.stats.pte_writes += len(pages)
+            if self.write_hook is not None:
+                for i, value in enumerate(values):
+                    if value is not None:
+                        self.write_hook(addr + i * PTE_SIZE, value)
+            self._mapped_pages.update(dict.fromkeys(pages, page_size))
+        return len(pages)
 
     def unmap(self, va: int, page_size: Optional[PageSize] = None) -> Optional[int]:
         """Clear the leaf PTE for ``va``; returns the frame it mapped."""
@@ -312,28 +384,70 @@ class RadixPageTable:
             frame = pte_frame(pte)
         return None
 
-    def cursor(self) -> "LeafCursor":
-        """A :meth:`lookup` for runs of nearby addresses (:class:`LeafCursor`)."""
-        return LeafCursor(self)
+    # dmtlint-domain: va=any -- resolves guest frames through an EPT too
+    def leaf_frames(self, vpns: Sequence[int]) -> List[Optional[int]]:
+        """The 4 KB frame each page number of ``vpns`` maps to, None
+        where it is unmapped.
+
+        Descends and reads the last-level table once per run of page
+        numbers inside it (a huge leaf counts as one table), where a
+        :meth:`lookup` per page descends from the root each time.
+        """
+        frames: List[Optional[int]] = []
+        shift, mask = _LEAF_SPAN_SHIFT, (1 << _LEAF_SPAN_SHIFT) - 1
+        span = None
+        entries: List[int] = []
+        huge = None
+        for vpn in vpns:
+            if vpn >> shift != span:
+                span = vpn >> shift
+                table, above = self._leaf_table(vpn << PAGE_SHIFT, 1)
+                entries = [] if table is None else self.memory.read_page(table)
+                huge = None
+                if above & PTE_PRESENT:
+                    size = self.lookup(vpn << PAGE_SHIFT)[2]
+                    huge = pte_frame(above) + ((span << shift)
+                                               & (size.bytes >> PAGE_SHIFT) - 1)
+            if entries:
+                pte = entries[vpn & mask]
+                frames.append(pte >> PAGE_SHIFT if pte & PTE_PRESENT else None)
+            else:
+                frames.append(None if huge is None else huge + (vpn & mask))
+        return frames
 
     def leaves(self) -> Iterator[Tuple[int, int, PageSize]]:
         """Every leaf mapping as ``(va, pte, page size)``, by ascending va.
 
-        A depth-first walk that reads each table page once, where a
+        Reads each table page once (:meth:`leaf_tables`), where a
         :meth:`lookup` per mapped page descends from the root each time.
         """
-        return self._leaves_below(self.root_frame, self.levels, 0)
+        for va, size, ptes in self.leaf_tables():
+            step = size.bytes
+            for index, pte in enumerate(ptes):
+                if pte & PTE_PRESENT:
+                    yield va + index * step, pte, size
 
-    def _leaves_below(self, frame: int, level: int,
-                      base: int) -> Iterator[Tuple[int, int, PageSize]]:
+    def leaf_tables(self) -> Iterator[Tuple[int, PageSize, List[int]]]:
+        """The leaf entries as ``(va, page size, ptes)``, by ascending va:
+        the 512 entries of each last-level table (0 where unmapped), or
+        one huge leaf ``[pte]``. A depth-first walk reading each table
+        page once."""
+        return self._tables_below(self.root_frame, self.levels, 0)
+
+    def _tables_below(self, frame: int, level: int,
+                      base: int) -> Iterator[Tuple[int, PageSize, List[int]]]:
+        ptes = self.memory.read_page(frame)
+        if level == 1:
+            yield base, PageSize.SIZE_4K, ptes
+            return
         shift = level_shift(level)
-        for index, pte in enumerate(self.memory.read_page(frame)):
+        for index, pte in enumerate(ptes):
             if pte & PTE_PRESENT:
                 va = base | index << shift
-                if level == 1 or pte & PTE_HUGE:
-                    yield va, pte, _LEAF_SIZES[level]
+                if pte & PTE_HUGE:
+                    yield va, _LEAF_SIZES[level], [pte]
                 else:
-                    yield from self._leaves_below(pte_frame(pte), level - 1,
+                    yield from self._tables_below(pte_frame(pte), level - 1,
                                                   va)
 
     def translate(self, va: int) -> Optional[Tuple[int, PageSize]]:
@@ -424,37 +538,3 @@ class RadixPageTable:
         self.memory.allocator.free_pages(self.root_frame)
         self._mapped_pages.clear()
 
-
-class LeafCursor:
-    """:meth:`RadixPageTable.lookup` for a run of nearby addresses.
-
-    Remembers the table holding the last leaf it found and reads from it
-    directly while addresses stay inside that table's span, so a mostly
-    ascending sequence descends from the root about once per leaf table.
-    Valid while no table of the page table is relocated or freed.
-    """
-
-    def __init__(self, table: RadixPageTable):
-        self.table = table
-        #: (level, index shift, span key) of the remembered table
-        self._span: Optional[Tuple[int, int, int]] = None
-        self._frame = 0
-
-    def lookup(self, va: int) -> Optional[Tuple[int, int, PageSize]]:
-        """Same result as ``table.lookup(va)``."""
-        span = self._span
-        if span is not None and va >> span[1] == span[2]:
-            level = span[0]
-            addr = self.table._entry_addr(self._frame, va, level)
-            pte = self.table.memory.read_word(addr)
-            if not pte & PTE_PRESENT:
-                return None
-            if level == 1 or pte & PTE_HUGE:
-                return addr, pte, _LEAF_SIZES[level]
-        found = self.table.lookup(va)
-        if found is not None:
-            addr, _, size = found
-            shift = level_shift(size.leaf_level + 1)
-            self._span = (size.leaf_level, shift, va >> shift)
-            self._frame = addr >> PAGE_SHIFT
-        return found

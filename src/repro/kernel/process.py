@@ -8,7 +8,7 @@ paper's data-intensive workloads allocate memory at initialization time
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import List, Optional
 
 from repro.arch import PAGE_SIZE, PageSize, align_down, align_up
 from repro.kernel.page_table import (
@@ -85,41 +85,49 @@ class Process:
         mapped += self._map_huge_run(head, (tail - head) // huge)
         return mapped + self._map_base_run(tail, end)
 
-    def _base_frame(self, va: int, old: int) -> Optional[int]:
-        """``map_run`` frame source: a fresh frame for an unmapped page."""
-        if old & PTE_PRESENT:
-            return None
-        return self.memory.allocator.alloc_pages(0, movable=True)
+    def _base_frames(self, va: int, olds: List[int]) -> List[Optional[int]]:
+        """``map_run`` frame source: a fresh frame per unmapped page."""
+        alloc = self.memory.allocator.alloc_pages
+        return [None if old & PTE_PRESENT else alloc(0, movable=True)
+                for old in olds]
 
     def _map_base_run(self, start: int, end: int) -> int:
         """Map [start, end) with 4 KB pages; counts every page in it."""
         count = (end - start) // PAGE_SIZE
         if count > 0:
             self.page_table.map_run(start, count, PageSize.SIZE_4K,
-                                    self._base_frame)
+                                    self._base_frames)
         return max(count, 0)
 
     def _map_huge_run(self, start: int, count: int) -> int:
         """Map ``count`` 2 MB pages from ``start``; returns 512 per page
         newly backed. A huge page the allocator cannot supply falls back
-        to 512 base pages on the spot, as Linux THP does under pressure."""
+        to 512 base pages, as Linux THP does under pressure."""
         mapped = 0
 
-        def huge_frame(va: int, old: int) -> Optional[int]:
+        def huge_frames(va: int, olds: List[int]) -> List[Optional[int]]:
             nonlocal mapped
-            if old & PTE_PRESENT:
-                return None
-            mapped += 512
-            try:
-                return self.memory.allocator.alloc_pages(_HUGE_ORDER,
-                                                         movable=True)
-            except OutOfMemoryError:
-                self._map_base_run(va, va + PageSize.SIZE_2M.bytes)
-                return None
+            frames: List[Optional[int]] = []
+            for old in olds:
+                if old & PTE_PRESENT:
+                    frames.append(None)
+                    continue
+                try:
+                    frames.append(self.memory.allocator.alloc_pages(
+                        _HUGE_ORDER, movable=True))
+                except OutOfMemoryError:
+                    if frames:
+                        # the fallback opens the next call, once the
+                        # pages before it are written
+                        return frames
+                    self._map_base_run(va, va + PageSize.SIZE_2M.bytes)
+                    frames.append(None)
+                mapped += 512
+            return frames
 
         if count > 0:
             self.page_table.map_run(start, count, PageSize.SIZE_2M,
-                                    huge_frame)
+                                    huge_frames)
         return mapped
 
     def touch(self, va: int, write: bool = False) -> int:

@@ -79,9 +79,8 @@ class SharingManager:
         for vma in parent.addr_space.vmas():
             child.mmap(vma.size, addr=vma.start, name=vma.name,
                        writable=vma.writable, file_backed=vma.file_backed)
-        parent_slots = parent.page_table.cursor()
         for base_va, pte, size in parent.page_table.leaves():
-            slot = parent_slots.lookup(base_va)[0]
+            slot = parent.page_table.lookup(base_va)[0]
             frame = pte_frame(pte)
             # write-protect the parent's PTE and mirror it in the child
             if pte & PTE_WRITE:

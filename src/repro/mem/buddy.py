@@ -17,6 +17,7 @@ Frames are integers (frame numbers). Physical byte addresses are
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set
 
@@ -93,6 +94,55 @@ class BuddyAllocator:
                 self.stats.allocations += 1
                 return frame
         raise OutOfMemoryError(f"no free block of order {order}")
+
+    def alloc_run(self, count: int, movable: bool = True) -> List[int]:
+        """The frames of ``count`` successive ``alloc_pages(0, movable)``.
+
+        Leaves the allocator exactly as those calls would: the same free
+        lists in the same order, ``_allocated`` in allocation order, the
+        same movable set and stats. The calls first drain the order-0
+        list oldest first; after that each takes the oldest block of the
+        lowest non-empty order and hands it out frame by frame, so a
+        block is cut once and its unused tail goes back as the blocks
+        the splits would have left. When memory runs out the frames
+        handed out so far stay allocated and OutOfMemoryError is raised,
+        as the failing call would.
+        """
+        if count < 0:
+            raise ValueError("count must not be negative")
+        frames: List[int] = []
+        try:
+            singles = self.free_lists[0]
+            if count >= len(singles):
+                frames.extend(singles)
+                singles.clear()
+            else:
+                frames.extend(itertools.islice(singles, count))
+                for frame in frames:
+                    del singles[frame]
+            while len(frames) < count:
+                order = next((order for order in range(1, MAX_ORDER)
+                              if self.free_lists[order]), None)
+                if order is None:
+                    raise OutOfMemoryError("no free block of order 0")
+                blocks = self.free_lists[order]
+                block = next(iter(blocks))
+                del blocks[block]
+                used = min(count - len(frames), 1 << order)
+                frames.extend(range(block, block + used))
+                # the tail the splits leave: one block per lower order,
+                # each as large as the alignment of its offset allows
+                offset = used
+                while offset < 1 << order:
+                    size = offset & -offset
+                    self.free_lists[size.bit_length() - 1][block + offset] = None
+                    offset += size
+        finally:
+            self._allocated.update(dict.fromkeys(frames, 0))
+            if movable:
+                self._movable.update(frames)
+            self.stats.allocations += len(frames)
+        return frames
 
     def free_pages(self, frame: int, order: Optional[int] = None) -> None:
         """Free a previously allocated block, coalescing with its buddy."""

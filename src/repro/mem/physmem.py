@@ -8,7 +8,7 @@ radix walkers read real PTE values from real physical addresses.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence
 
 from repro.arch import PAGE_SHIFT, PAGE_SIZE, PTE_SIZE
 from repro.mem.buddy import BuddyAllocator
@@ -49,17 +49,37 @@ class PhysicalMemory:
         else:
             self._words.pop(addr // PTE_SIZE, None)
 
+    def read_words(self, addr: int, count: int) -> List[int]:
+        """``count`` consecutive words from ``addr`` (0 where none was
+        written)."""
+        if addr % PTE_SIZE:
+            raise ValueError(f"unaligned word read at {addr:#x}")
+        words = self._words
+        base = addr // PTE_SIZE
+        return [words.get(word, 0) for word in range(base, base + count)]
+
+    def write_words(self, addr: int, values: Sequence[Optional[int]]) -> None:
+        """Write ``values`` to consecutive words from ``addr``, as
+        :meth:`write_word` would one by one; None leaves a word alone."""
+        if addr % PTE_SIZE:
+            raise ValueError(f"unaligned word write at {addr:#x}")
+        base = addr // PTE_SIZE
+        if all(values):  # no None and no zero to pop
+            self._words.update(zip(range(base, base + len(values)), values))
+            return
+        for word, value in enumerate(values, base):
+            if value is not None:
+                self.write_word(word * PTE_SIZE, value)
+
     def read_page(self, frame: int) -> List[int]:
         """The page's words in order (0 where none was written)."""
-        words = self._words
-        base = frame_to_addr(frame) // PTE_SIZE
-        return [words.get(word, 0)
-                for word in range(base, base + PAGE_SIZE // PTE_SIZE)]
+        return self.read_words(frame_to_addr(frame), PAGE_SIZE // PTE_SIZE)
 
     def clear_page(self, frame: int) -> None:
         base = frame_to_addr(frame) // PTE_SIZE
-        for word in range(PAGE_SIZE // PTE_SIZE):
-            self._words.pop(base + word, None)
+        words = self._words
+        for word in words.keys() & range(base, base + PAGE_SIZE // PTE_SIZE):
+            del words[word]
 
     def copy_page(self, src_frame: int, dst_frame: int) -> None:
         src = frame_to_addr(src_frame) // PTE_SIZE

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis import sanitizer
 from repro.arch import PAGE_SHIFT, PAGE_SIZE, PageSize, align_up
 from repro.kernel.kernel import Kernel
 from repro.kernel.page_table import (
     PTE_PRESENT,
-    LeafCursor,
     RadixPageTable,
     TablePlacementPolicy,
     pte_frame,
@@ -98,13 +97,9 @@ class VM:
     # Guest-physical <-> host-physical
     # ------------------------------------------------------------------ #
 
-    def ensure_backed(self, gfn: int, ept: Optional[LeafCursor] = None) -> int:
-        """Host frame backing guest frame ``gfn``; faults one in if needed.
-
-        ``ept`` is an optional cursor over :attr:`ept` for callers that
-        resolve many nearby frames in a row.
-        """
-        found = (ept or self.ept).lookup(gfn << PAGE_SHIFT)
+    def ensure_backed(self, gfn: int) -> int:
+        """Host frame backing guest frame ``gfn``; faults one in if needed."""
+        found = self.ept.lookup(gfn << PAGE_SHIFT)
         if found is not None:
             _, pte, size = found
             return pte_frame(pte) + (gfn & ((size.bytes >> PAGE_SHIFT) - 1))
@@ -113,6 +108,24 @@ class VM:
         self.ept.map(gfn << PAGE_SHIFT, hfn, PageSize.SIZE_4K)
         self._reverse[hfn] = gfn
         return hfn
+
+    def backed_frames(self, gfns: Sequence[int]) -> List[int]:
+        """Host frames backing the leading guest frames of ``gfns``.
+
+        The first frame is faulted in through :meth:`ensure_backed` if
+        it is unbacked; the list then runs up to the next unbacked
+        frame, which is left for the caller's next call. A caller that
+        writes each list before asking for the next thus sees every
+        fault happen after the writes for the frames before it, as a
+        per-frame loop would. Reads each EPT last-level table once per
+        run of frames inside it.
+        """
+        hfns = self.ept.leaf_frames(gfns)
+        if hfns[0] is None:
+            hfns[0] = self.ensure_backed(gfns[0])
+        if None in hfns:
+            del hfns[hfns.index(None):]
+        return hfns
 
     def gpa_to_hpa(self, gpa: int) -> int:
         hfn = self.ensure_backed(gpa >> PAGE_SHIFT)
@@ -147,19 +160,29 @@ class VM:
         if end <= start:
             return
         host_alloc = self.hypervisor.host_memory.allocator
-        order = 9 if page_size == PageSize.SIZE_2M else 0
+        per = page_size.bytes >> PAGE_SHIFT
 
-        def host_frame(gpa: int, old: int) -> Optional[int]:
-            if old & PTE_PRESENT:
-                return None
-            hfn = host_alloc.alloc_pages(order, movable=True)
+        def host_frames(gpa: int, olds: List[int]) -> List[Optional[int]]:
             gfn = gpa >> PAGE_SHIFT
-            for i in range(1 << order):
-                self._reverse[hfn + i] = gfn + i
-            return hfn
+            unbacked = [i for i, old in enumerate(olds)
+                        if not old & PTE_PRESENT]
+            if per == 1:
+                hfns = host_alloc.alloc_run(len(unbacked), movable=True)
+                self._reverse.update(zip(hfns, [gfn + i for i in unbacked]))
+            else:
+                hfns = [host_alloc.alloc_pages(9, movable=True)
+                        for _ in unbacked]
+                for i, hfn in zip(unbacked, hfns):
+                    self._reverse.update(zip(range(hfn, hfn + per),
+                                             range(gfn + i * per,
+                                                   gfn + (i + 1) * per)))
+            frames: List[Optional[int]] = [None] * len(olds)
+            for i, hfn in zip(unbacked, hfns):
+                frames[i] = hfn
+            return frames
 
         self.ept.map_run(start, -(-(end - start) // page_size.bytes),
-                         page_size, host_frame)
+                         page_size, host_frames)
 
     # dmtlint-domain: return=gpa -- takes host frames, returns the base gPA
     def map_host_frames(self, host_frame: int, npages: int) -> int:

@@ -14,21 +14,17 @@ table of Figure 3 by composing the two hypervisors' tables.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.arch import PAGE_SHIFT, PageSize
 from repro.kernel.page_table import (
     PTE_HUGE,
     PTE_PRESENT,
-    LeafCursor,
     RadixPageTable,
     pte_frame,
 )
 from repro.kernel.process import Process
 from repro.virt.hypervisor import VM
-
-#: A run of 4 KB leaves stays inside one 2 MB span.
-_SPAN_SHIFT = int(PageSize.SIZE_2M)
 
 
 class ShadowPager:
@@ -68,33 +64,33 @@ class ShadowPager:
         the guest table's leaves, written one sPT leaf table at a time.
         """
         installed = 0
-        ept = self.vm.ept.cursor()
         for va, size, gfns in leaf_runs(self.guest_process.page_table):
             if size != PageSize.SIZE_4K:
                 # Huge guest page: shadow it hugely only if the host
                 # backing is a matching aligned huge EPT leaf; otherwise
                 # fracture into 4 KB.
                 gfn, frames = gfns[0], size.bytes >> PAGE_SHIFT
-                ept_leaf = ept.lookup(gfn << PAGE_SHIFT)
+                ept_leaf = self.vm.ept.lookup(gfn << PAGE_SHIFT)
                 if ept_leaf is None or ept_leaf[2] != size or gfn % frames:
                     size, gfns = PageSize.SIZE_4K, range(gfn, gfn + frames)
-            installed += self._install_run(va, size, gfns, ept)
+            installed += self._install_run(va, size, gfns)
         return installed
 
-    def _install_run(self, start: int, size: PageSize, gfns,
-                     ept: LeafCursor) -> int:
+    def _install_run(self, start: int, size: PageSize,
+                     gfns: Sequence[int]) -> int:
         """Shadow the guest frames ``gfns`` mapped from ``start`` with
         ``size`` pages; entries already correct are left alone."""
         shift = int(size)
+        huge = size != PageSize.SIZE_4K
 
-        def host_frame(va: int, old: int) -> Optional[int]:
-            hfn = self.vm.ensure_backed(gfns[(va - start) >> shift], ept)
-            if old & PTE_PRESENT and pte_frame(old) == hfn \
-                    and bool(old & PTE_HUGE) == (size != PageSize.SIZE_4K):
-                return None
-            return hfn
+        def host_frames(va: int, olds: List[int]) -> List[Optional[int]]:
+            first = (va - start) >> shift
+            hfns = self.vm.backed_frames(gfns[first:first + len(olds)])
+            return [None if old & PTE_PRESENT and pte_frame(old) == hfn
+                    and bool(old & PTE_HUGE) == huge else hfn
+                    for old, hfn in zip(olds, hfns)]
 
-        return self.spt.map_run(start, len(gfns), size, host_frame)
+        return self.spt.map_run(start, len(gfns), size, host_frames)
 
 
 class NestedShadowPager:
@@ -132,46 +128,42 @@ class NestedShadowPager:
         rarely contiguous at 2 MB. Returns the entries installed.
         """
         installed = 0
-        l1_ept = self.l1_vm.ept.cursor()
         for gpa, size, l1fns in leaf_runs(self.l2_vm.ept):
             if size != PageSize.SIZE_4K:
                 l1fns = range(l1fns[0], l1fns[0] + (size.bytes >> PAGE_SHIFT))
-            installed += self._install_run(gpa, l1fns, l1_ept)
+            installed += self._install_run(gpa, l1fns)
         return installed
 
-    def _install_run(self, start: int, l1fns, l1_ept: LeafCursor) -> int:
+    def _install_run(self, start: int, l1fns: Sequence[int]) -> int:
         """Shadow the L1 frames ``l1fns`` backing L2 from ``start`` with
         4 KB entries; entries present already are left alone."""
-        def l0_frame(l2pa: int, old: int) -> Optional[int]:
-            l0fn = self.l1_vm.ensure_backed(
-                l1fns[(l2pa - start) >> PAGE_SHIFT], l1_ept)
-            return None if old & PTE_PRESENT else l0fn
+        def l0_frames(l2pa: int, olds: List[int]) -> List[Optional[int]]:
+            first = (l2pa - start) >> PAGE_SHIFT
+            l0fns = self.l1_vm.backed_frames(l1fns[first:first + len(olds)])
+            return [None if old & PTE_PRESENT else l0fn
+                    for old, l0fn in zip(olds, l0fns)]
 
-        return self.spt.map_run(start, len(l1fns), PageSize.SIZE_4K, l0_frame)
+        return self.spt.map_run(start, len(l1fns), PageSize.SIZE_4K,
+                                l0_frames)
 
 
 def leaf_runs(table: RadixPageTable) -> Iterator[Tuple[int, PageSize, List[int]]]:
     """``table``'s leaves as ``(va, size, frames)`` runs, by ascending va.
 
-    A run is one huge page, or consecutive 4 KB pages inside one 2 MB
-    span (one last-level table of a shadow table built from them), so a
-    run never holds more than 512 frames.
+    A run is one huge page, or consecutive 4 KB pages inside one
+    last-level table (one 2 MB span, so one last-level table of a
+    shadow table built from them): a run never holds more than 512
+    frames.
     """
-    start = None
-    frames: List[int] = []
-    for va, pte, size in table.leaves():
+    for va, size, ptes in table.leaf_tables():
         if size != PageSize.SIZE_4K:
-            if frames:
-                yield start, PageSize.SIZE_4K, frames
-                frames = []
-            yield va, size, [pte_frame(pte)]
+            yield va, size, [pte_frame(ptes[0])]
             continue
-        if frames and (va != start + (len(frames) << PAGE_SHIFT)
-                       or va >> _SPAN_SHIFT != start >> _SPAN_SHIFT):
-            yield start, PageSize.SIZE_4K, frames
-            frames = []
-        if not frames:
-            start = va
-        frames.append(pte_frame(pte))
-    if frames:
-        yield start, PageSize.SIZE_4K, frames
+        frames = [pte_frame(pte) if pte & PTE_PRESENT else None
+                  for pte in ptes]
+        start = 0
+        for index, frame in enumerate(frames + [None]):
+            if frame is None:
+                if index > start:
+                    yield va + (start << PAGE_SHIFT), size, frames[start:index]
+                start = index + 1

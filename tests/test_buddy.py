@@ -199,3 +199,108 @@ class TestProperties:
         for base, npages in blocks:
             buddy.free_contig(base, npages)
         assert buddy.free_frames == TOTAL
+
+
+# --------------------------------------------------------------------- #
+# alloc_run: a run of order-0 allocations in one call
+# --------------------------------------------------------------------- #
+
+def _state(buddy):
+    """Everything an allocation changes, with dict orders kept."""
+    return ([list(blocks) for blocks in buddy.free_lists],
+            list(buddy._allocated.items()), set(buddy._movable),
+            vars(buddy.stats).copy())
+
+
+@st.composite
+def fragmenting_history(draw):
+    """Random alloc_pages / free_pages / alloc_contig steps: each is
+    ("page", order, movable), ("contig", npages) or ("free", pick)."""
+    step = st.one_of(
+        st.tuples(st.just("page"), st.integers(0, 6), st.booleans()),
+        st.tuples(st.just("contig"), st.integers(1, 90)),
+        st.tuples(st.just("free"), st.integers(0, 1 << 16)),
+    )
+    return draw(st.lists(step, max_size=40))
+
+
+def _replay(history, total):
+    """A fresh allocator with ``history`` applied (failed steps skipped)."""
+    buddy = BuddyAllocator(total)
+    live = []
+    for action in history:
+        try:
+            if action[0] == "page":
+                live.append(buddy.alloc_pages(action[1], movable=action[2]))
+            elif action[0] == "contig":
+                live.append((buddy.alloc_contig(action[1]), action[1]))
+            elif live:
+                block = live.pop(action[1] % len(live))
+                if isinstance(block, tuple):
+                    buddy.free_contig(*block)
+                else:
+                    buddy.free_pages(block)
+        except OutOfMemoryError:
+            pass
+    return buddy
+
+
+def _sequential(buddy, count, movable):
+    """``count`` alloc_pages(0) calls: (frames, failed)."""
+    frames = []
+    for _ in range(count):
+        try:
+            frames.append(buddy.alloc_pages(0, movable=movable))
+        except OutOfMemoryError:
+            return frames, True
+    return frames, False
+
+
+class TestAllocRun:
+    @given(fragmenting_history(), st.integers(0, 700), st.booleans(),
+           st.sampled_from([512, 1000, TOTAL]))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_sequential_order0_allocations(self, history, count,
+                                                  movable, total):
+        expected_buddy = _replay(history, total)
+        buddy = _replay(history, total)
+        expected, failed = _sequential(expected_buddy, count, movable)
+        if failed:
+            with pytest.raises(OutOfMemoryError):
+                buddy.alloc_run(count, movable=movable)
+        else:
+            assert buddy.alloc_run(count, movable=movable) == expected
+        assert _state(buddy) == _state(expected_buddy)
+
+    def test_drains_order0_list_then_splits_partway(self):
+        history = [("page", 0, True)] * 5 + [("free", 0), ("free", 2)] \
+            + [("page", 3, False)]
+        buddy = _replay(history, TOTAL)
+        reference = _replay(history, TOTAL)
+        assert buddy.free_lists[0], "the history leaves order-0 blocks"
+        # drains the order-0 list, then cuts a high-order block partway
+        count = len(buddy.free_lists[0]) + sum(
+            1 << order for order in range(1, 4)
+            if buddy.free_lists[order]) + 5
+        frames = buddy.alloc_run(count)
+        assert frames == _sequential(reference, count, True)[0]
+        assert frames[-5:] == list(range(16, 21))  # an order-4 block, cut
+        assert _state(buddy) == _state(reference)
+
+    def test_oom_keeps_the_frames_before_the_failing_call(self):
+        buddy = BuddyAllocator(64)
+        reference = BuddyAllocator(64)
+        for allocator in (buddy, reference):
+            allocator.alloc_contig(40)
+        with pytest.raises(OutOfMemoryError):
+            buddy.alloc_run(30, movable=False)
+        frames, failed = _sequential(reference, 30, movable=False)
+        assert failed and len(frames) == 24
+        assert _state(buddy) == _state(reference)
+
+    def test_zero_and_negative_counts(self, buddy):
+        before = _state(buddy)
+        assert buddy.alloc_run(0) == []
+        assert _state(buddy) == before
+        with pytest.raises(ValueError):
+            buddy.alloc_run(-1)

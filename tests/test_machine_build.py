@@ -23,6 +23,7 @@ import pytest
 from repro.analysis import sanitizer
 from repro.arch import PAGE_SHIFT, PAGE_SIZE, PageSize
 from repro.kernel import kernel as kernel_module
+from repro.kernel.kernel import Kernel
 from repro.kernel.page_table import PTE_PRESENT, RadixPageTable, pte_frame
 from repro.kernel.process import Process
 from repro.mem.buddy import OutOfMemoryError
@@ -31,7 +32,7 @@ from repro.sim.machine import ENVIRONMENTS, SimConfig
 from repro.sim.sweep import run_sweep
 from repro.translation.ecpt import ElasticCuckooPageTables
 from repro.translation.fpt import FlattenedPageTable
-from repro.virt.hypervisor import VM
+from repro.virt.hypervisor import VM, Hypervisor
 from repro.virt.shadow import NestedShadowPager, ShadowPager
 
 MB = 1 << 20
@@ -224,9 +225,18 @@ def _machine_state(sim):
     }
 
 
-@pytest.mark.parametrize("workload", ["GUPS", "Memcached"])
-@pytest.mark.parametrize("thp", [False, True], ids=["4KB", "THP"])
-@pytest.mark.parametrize("env", sorted(ENVIRONMENTS))
+#: (env, thp, workload): every environment at 4 KB and THP for GUPS and
+#: Memcached, plus the other machines the Figure 17 grid builds.
+BUILDS = [(env, thp, workload) for env in sorted(ENVIRONMENTS)
+          for thp in (False, True) for workload in ("GUPS", "Memcached")] \
+    + [("nested", False, workload) for workload in ("Redis", "BTree",
+                                                     "Canneal")]
+
+
+@pytest.mark.parametrize(
+    "env,thp,workload", BUILDS,
+    ids=[f"{env}-{'THP' if thp else '4KB'}-{workload}"
+         for env, thp, workload in BUILDS])
 def test_bulk_build_equals_per_page_build(env, thp, workload, monkeypatch):
     config = SimConfig(scale=4096, nrefs=500, thp=thp)
     bulk = _machine_state(ENVIRONMENTS[env](workload, config))
@@ -258,6 +268,65 @@ def test_populate_equals_per_page_populate(thp, page_size):
     assert run(Process.populate) == run(_oracle_populate)
 
 
+def test_huge_populate_out_of_2mb_blocks_equals_per_page_populate():
+    """The allocator runs out of 2 MB blocks partway through a huge run:
+    the pages after that fall back to 4 KB pages one by one."""
+    def run(populate):
+        memory = PhysicalMemory(16 * MB)
+        allocator = memory.allocator
+        proc = Process(memory, thp_enabled=True)
+        # order-8 blocks whose buddies stay allocated: 4 KB frames are
+        # plentiful, 2 MB blocks are not
+        halves = []
+        while allocator.free_lists[8] or allocator.free_lists[9] \
+                or allocator.free_lists[10]:
+            halves.append(allocator.alloc_pages(8, movable=False))
+        for half in halves[4::2]:
+            allocator.free_pages(half)
+        for half in halves[:4]:  # two 2 MB blocks
+            allocator.free_pages(half)
+        assert len(allocator.free_lists[9]) == 2
+        vma = proc.mmap(10 * MB, addr=32 * MB)
+        counts = [populate(proc, vma, PageSize.SIZE_2M)]
+        return counts, _memory_state(memory), _table_state(proc.page_table)
+
+    counts, state, table = run(Process.populate)
+    assert (counts, state, table) == run(_oracle_populate)
+    sizes = [size for _, size in table["mappings"]]
+    assert sizes.count(PageSize.SIZE_2M) == 2
+    assert sizes.count(PageSize.SIZE_4K) == 3 * 512
+
+
+@pytest.mark.parametrize("thp", [False, True], ids=["4KB", "THP"])
+@pytest.mark.parametrize("nested", [False, True], ids=["shadow", "nested"])
+def test_sync_faulting_in_backing_equals_per_page_sync(nested, thp):
+    """A sync over partly backed memory faults the rest in: each fault
+    lands between the sPT writes of the pages around it, as the
+    per-page sync did, and counts one exit."""
+    def run(sync):
+        host = Kernel(memory_bytes=64 * MB)
+        vm = Hypervisor(host).create_vm(16 * MB, thp_enabled=thp)
+        if nested:
+            l2_vm = Hypervisor(vm.guest_kernel).create_vm(8 * MB)
+            l2_vm.back_range(0, 3 * MB)
+            pager = NestedShadowPager(vm, l2_vm)
+        else:
+            proc = vm.guest_kernel.create_process("guest")
+            proc.mmap(5 * MB, addr=6 * MB + 3 * PAGE_SIZE, populate=True)
+            pager = ShadowPager(vm, proc)
+        for gfn in range(0, 2048, 3):  # every third frame backed already
+            vm.ensure_backed(gfn)
+        installed = [sync(pager), sync(pager)]
+        return (installed, _memory_state(host.memory),
+                _table_state(pager.spt), list(vm._reverse.items()),
+                dataclasses.astuple(vm.exits))
+
+    oracle = _oracle_nested_sync if nested else _oracle_shadow_sync
+    bulk = run(NestedShadowPager.sync if nested else ShadowPager.sync)
+    assert bulk == run(oracle)
+    assert bulk[-1][0] > 1000  # it did fault frames in
+
+
 # --------------------------------------------------------------------- #
 # map_run / leaves units
 # --------------------------------------------------------------------- #
@@ -287,14 +356,13 @@ def test_map_run_skips_present_pages_and_crosses_leaf_tables():
     frames = iter(range(1000, 2000))
     calls = []
 
-    def frame_for(va, old):
-        calls.append((va, old & PTE_PRESENT))
-        return None if old & PTE_PRESENT else next(frames)
+    def frames_for(va, olds):
+        calls.append((va, [old & PTE_PRESENT for old in olds]))
+        return [None if old & PTE_PRESENT else next(frames) for old in olds]
 
-    assert pt.map_run(start, 6, PageSize.SIZE_4K, frame_for) == 5
-    assert [va for va, _ in calls] == [start + i * PAGE_SIZE
-                                       for i in range(6)]
-    assert [present for _, present in calls] == [0, 1, 0, 0, 0, 0]
+    assert pt.map_run(start, 6, PageSize.SIZE_4K, frames_for) == 5
+    assert calls == [(start, [0, 1, 0]), (2 * MB, [0]),
+                     (2 * MB + PAGE_SIZE, [0, 0])]
     assert pt.translate(start + PAGE_SIZE)[0] == 99 << PAGE_SHIFT
     assert pt.translate(start + 5 * PAGE_SIZE)[0] == 1004 << PAGE_SHIFT
 
@@ -312,8 +380,75 @@ def test_map_run_allocates_the_data_frame_before_its_leaf_table():
 
     memory.allocator.alloc_pages = alloc
     pt.map_run(0, 2, PageSize.SIZE_4K,
-               lambda va, old: memory.allocator.alloc_pages(0, True))
+               lambda va, olds: [memory.allocator.alloc_pages(0, True)
+                                 for _ in olds])
     assert order == ["data", "table", "table", "table", "data"]
+
+
+def test_map_run_calls_frames_for_once_per_leaf_table():
+    """The callback contract: one call per leaf table the run crosses,
+    two for a table the run opens (the opening page alone, its data
+    frame before the table), present pages skipped, a declined opening
+    page followed by the next page alone, and a short answer continued
+    in a next call."""
+    memory = PhysicalMemory((1 << 14) * PAGE_SIZE)
+    pt = RadixPageTable(memory)
+    pt.map(2 * MB - 2 * PAGE_SIZE, 7)  # the first table exists
+    events = []
+    real = memory.allocator.alloc_pages
+
+    def alloc(order=0, movable=True):
+        events.append("data" if movable else "table")
+        return real(order, movable=movable)
+
+    memory.allocator.alloc_pages = alloc
+    calls = []
+
+    def frames_for(va, olds):
+        calls.append((va, len(olds)))
+        events.append(va)
+        if va == 4 * MB:
+            return [None]
+        if va == 4 * MB + 2 * PAGE_SIZE:
+            olds = olds[:10]
+        return [None if old & PTE_PRESENT else alloc() for old in olds]
+
+    start = 2 * MB - 3 * PAGE_SIZE
+    written = pt.map_run(start, 3 + 512 + 300, PageSize.SIZE_4K, frames_for)
+    page = PAGE_SIZE
+    assert calls == [(start, 3),
+                     (2 * MB, 1), (2 * MB + page, 511),
+                     (4 * MB, 1), (4 * MB + page, 1), (4 * MB + 2 * page, 298),
+                     (4 * MB + 12 * page, 288)]
+    assert written == 2 + 512 + 299
+    assert events[events.index(2 * MB):][:4] == [2 * MB, "data", "table",
+                                                 2 * MB + page]
+    assert events[events.index(4 * MB):][:5] == [4 * MB, 4 * MB + page,
+                                                 "data", "table",
+                                                 4 * MB + 2 * page]
+    assert pt.translate(2 * MB - 2 * page)[0] == 7 << PAGE_SHIFT
+    assert pt.lookup(4 * MB) is None
+    assert pt.mapped_pages == 1 + written
+
+
+def test_leaf_frames_agree_with_lookup():
+    pt = _table()
+    pt.map_run(0, 700, PageSize.SIZE_4K,
+               lambda va, olds: [None if (va >> PAGE_SHIFT) + i == 5 else
+                                 (va >> PAGE_SHIFT) + 3000 + i
+                                 for i in range(len(olds))])
+    pt.map(8 * MB, 1024, PageSize.SIZE_2M)
+    vpns = [3, 4, 5, 6, 600, 2, 699, 700, 2048 + 7, 2048 + 511, 4096, 5]
+
+    def expected(vpn):
+        found = pt.lookup(vpn << PAGE_SHIFT)
+        if found is None:
+            return None
+        _, pte, size = found
+        return pte_frame(pte) + (vpn & (size.bytes >> PAGE_SHIFT) - 1)
+
+    assert pt.leaf_frames(vpns) == [expected(vpn) for vpn in vpns]
+    assert pt.leaf_frames(vpns)[2] is None
 
 
 def test_sanitizer_catches_a_planted_frame_in_a_bulk_build(monkeypatch):
@@ -340,14 +475,28 @@ def test_sanitizer_catches_a_planted_frame_in_a_bulk_build(monkeypatch):
     assert proc.page_table.mapped_pages == 2
 
 
-def test_leaf_cursor_agrees_with_lookup():
-    pt = _table()
-    pt.map_run(0, 700, PageSize.SIZE_4K, lambda va, old: va >> PAGE_SHIFT)
-    pt.map(8 * MB, 1024, PageSize.SIZE_2M)
-    cursor = pt.cursor()
-    for va in list(range(0, 800 * PAGE_SIZE, 3 * PAGE_SIZE)) \
-            + [8 * MB + 5 * PAGE_SIZE, 9 * MB, 64 * MB, 4 * PAGE_SIZE]:
-        assert cursor.lookup(va) == pt.lookup(va), hex(va)
+def test_sanitizer_catches_a_planted_frame_in_back_range(monkeypatch):
+    """A 4 KB ``VM.back_range`` whose host allocator hands out one frame
+    past the end of memory raises inside ``map_run`` with the sanitizer
+    on, once the pages before it are backed."""
+    host = Kernel(memory_bytes=64 * MB)
+    vm = Hypervisor(host).create_vm(16 * MB)
+    allocator = host.memory.allocator
+    real = allocator.alloc_run
+
+    def planted(count, movable=True):
+        frames = real(count, movable=movable)
+        if len(frames) > 2:
+            frames[2] = host.memory.total_frames
+        return frames
+
+    monkeypatch.setattr(allocator, "alloc_run", planted)
+    with sanitizer.enabled():
+        with pytest.raises(sanitizer.SanitizerError) as raised:
+            vm.back_range(0, MB)
+    assert any(entry.name == "map_run" for entry in raised.traceback)
+    # the opening page alone, then two of the rest of its table
+    assert vm.backed_pages() == 3
 
 
 # --------------------------------------------------------------------- #
