@@ -86,10 +86,11 @@ class Process:
         return mapped + self._map_base_run(tail, end)
 
     def _base_frames(self, va: int, olds: List[int]) -> List[Optional[int]]:
-        """``map_run`` frame source: a fresh frame per unmapped page."""
-        alloc = self.memory.allocator.alloc_pages
-        return [None if old & PTE_PRESENT else alloc(0, movable=True)
-                for old in olds]
+        """``map_run`` frame source: a fresh frame per unmapped page,
+        taken in one ``alloc_run``."""
+        frames = iter(self.memory.allocator.alloc_run(
+            sum(not old & PTE_PRESENT for old in olds), movable=True))
+        return [None if old & PTE_PRESENT else next(frames) for old in olds]
 
     def _map_base_run(self, start: int, end: int) -> int:
         """Map [start, end) with 4 KB pages; counts every page in it."""

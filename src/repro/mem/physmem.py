@@ -14,6 +14,10 @@ from repro.arch import PAGE_SHIFT, PAGE_SIZE, PTE_SIZE
 from repro.mem.buddy import BuddyAllocator
 
 
+#: 8-byte words in a 64-byte cache line.
+_LINE_WORDS = 64 // PTE_SIZE
+
+
 def frame_to_addr(frame: int) -> int:
     return frame << PAGE_SHIFT
 
@@ -64,12 +68,43 @@ class PhysicalMemory:
         if addr % PTE_SIZE:
             raise ValueError(f"unaligned word write at {addr:#x}")
         base = addr // PTE_SIZE
+        words = self._words
         if all(values):  # no None and no zero to pop
-            self._words.update(zip(range(base, base + len(values)), values))
+            words.update(zip(range(base, base + len(values)), values))
             return
         for word, value in enumerate(values, base):
+            if value:
+                words[word] = value
+            elif value is not None:
+                words.pop(word, None)
+
+    def take_line(self, addr: int) -> Dict[int, int]:
+        """Clear the 64-byte line at ``addr``; returns its nonzero words
+        as ``{offset: value}`` in word order. The same as reading each
+        word in turn and writing 0 over it if it was nonzero."""
+        if addr % PTE_SIZE:
+            raise ValueError(f"unaligned word read at {addr:#x}")
+        words = self._words
+        base = addr // PTE_SIZE
+        taken = {}
+        for offset in range(_LINE_WORDS):
+            value = words.pop(base + offset, None)
             if value is not None:
-                self.write_word(word * PTE_SIZE, value)
+                taken[offset] = value
+        return taken
+
+    def put_line(self, addr: int, values: Dict[int, int]) -> None:
+        """Write ``{offset: value}`` to the words from ``addr`` in the
+        dict's order, as :meth:`write_word` would one by one."""
+        if addr % PTE_SIZE:
+            raise ValueError(f"unaligned word write at {addr:#x}")
+        words = self._words
+        base = addr // PTE_SIZE
+        for offset, value in values.items():
+            if value:
+                words[base + offset] = value
+            else:
+                words.pop(base + offset, None)
 
     def read_page(self, frame: int) -> List[int]:
         """The page's words in order (0 where none was written)."""

@@ -53,7 +53,7 @@ which is the order the scalar loop would have touched them.
 from __future__ import annotations
 
 import gc
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -690,48 +690,77 @@ def _build_ecpt_nested_plans(spec: BatchSpec, uniq_vpns: List[int],
     determined statically except the host CWC predictions, which ride
     in the opcode-4 entries. Only the *host* CWC is consulted (the
     scalar walker never touches the guest one).
+
+    A host probe depends only on the probed gPA's page, and the mirrors
+    are read-only, so each page's probe-step op, background ops and
+    host translation are planned once per call and shared by every
+    walk that probes it.
     """
     from repro.translation.ecpt import HASH_CYCLES
 
     guest = spec.ecpt
     host = spec.host_ecpt
+    guest_tables = [(int(size), size.bytes - 1, table)
+                    for size, table in guest.tables.items()]
+    offset_mask = PAGE_SIZE - 1
+    critical_ops: Dict[int, tuple] = {}    # gPA page -> "h-ecpt" op 4
+    data_ops: Dict[int, tuple] = {}        # gPA page -> "hd-ecpt" op 4
+    background_ops: Dict[int, tuple] = {}  # gPA page -> (2, addr) ops
+    host_pages: Dict[int, Optional[int]] = {}  # gPA page -> hPA of page
+
+    def host_pa(gpa: int) -> Optional[int]:
+        page = gpa >> PAGE_SHIFT
+        if page not in host_pages:
+            hit = host.translate(page << PAGE_SHIFT)
+            host_pages[page] = hit[0] if hit is not None else None
+        base = host_pages[page]
+        return None if base is None else base + (gpa & offset_mask)
+
     plans = {}
     for vpn in uniq_vpns:
         gva = vpn << PAGE_SHIFT
         ops = []
-        guest_hit = guest.translate(gva)
-        g_hit_addr = None
-        if guest_hit is not None:
-            for size, table in guest.tables.items():
-                found = table.lookup(gva >> int(size))
-                if found is not None:
-                    g_hit_addr = found[0]
-                    break
+        g_hit_line = None
+        for shift, mask, table in guest_tables:
+            found = table.lookup_way(gva >> shift)
+            if found is not None:
+                g_hit_line = found[0] >> 6
+                gpa = (pte_frame(found[1]) << PAGE_SHIFT) + (gva & mask)
+                break
         resolved = []
         for g_addr, _g_size, _g_vpn in guest.candidate_probes(gva):
-            critical = g_hit_addr is not None \
-                and (g_addr >> 6) == (g_hit_addr >> 6)
-            if critical:
-                ops.append(_plan_ecpt_probe_step(host, g_addr, "h-ecpt",
-                                                 collect))
+            page = g_addr >> PAGE_SHIFT
+            if g_addr >> 6 == g_hit_line:
+                op = critical_ops.get(page)
+                if op is None:
+                    op = critical_ops[page] = _plan_ecpt_probe_step(
+                        host, g_addr, "h-ecpt", collect)
+                ops.append(op)
             else:
-                for addr, _size, _hvpn in host.candidate_probes(g_addr):
-                    ops.append((2, addr))
-            h = host.translate(g_addr)
-            if h is not None:
-                resolved.append((g_addr, h[0]))
-        if guest_hit is None:
+                background = background_ops.get(page)
+                if background is None:
+                    background = background_ops[page] = tuple(
+                        (2, addr) for addr, _size, _hvpn
+                        in host.candidate_probes(g_addr))
+                ops.extend(background)
+            h_addr = host_pa(g_addr)
+            if h_addr is not None:
+                resolved.append((g_addr, h_addr))
+        if g_hit_line is None:
             plans[vpn] = (2 * HASH_CYCLES, tuple(ops))
             continue
-        gpa, _size = guest_hit
         for g_addr, h_addr in resolved:
-            if g_hit_addr is not None \
-                    and (g_addr >> 6) == (g_hit_addr >> 6):
+            if g_addr >> 6 == g_hit_line:
                 ops.append((1, h_addr, "g-ecpt" if collect else None))
             else:
                 ops.append((2, h_addr))
         ops.append((0, HASH_CYCLES))
-        ops.append(_plan_ecpt_probe_step(host, gpa, "hd-ecpt", collect))
+        page = gpa >> PAGE_SHIFT
+        op = data_ops.get(page)
+        if op is None:
+            op = data_ops[page] = _plan_ecpt_probe_step(host, gpa, "hd-ecpt",
+                                                        collect)
+        ops.append(op)
         plans[vpn] = (2 * HASH_CYCLES, tuple(ops))
     return plans
 

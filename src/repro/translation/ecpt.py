@@ -21,7 +21,7 @@ pvDMT's two direct references avoid (§3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +65,14 @@ class CuckooTable:
     Buckets are 64-byte lines holding the PTEs of one 8-page VPN group;
     the group tag is modeled alongside (architecturally it is embedded in
     spare PTE bits, so tag + PTE cost a single line fetch).
+
+    Two host-side indexes keep the operations hash-table fast without
+    changing the layout: ``_where`` maps each resident group to its
+    ``(way, bucket)``, derived from ``_tags`` (the authority) and kept in
+    step by every placement, eviction, removal and resize; ``_buckets``
+    memoises each group's bucket in every way for the current table
+    size (``_mix`` stays the definition) and is dropped when the table
+    grows.
     """
 
     MAX_KICKS = 32
@@ -82,9 +90,16 @@ class CuckooTable:
         self.nbuckets = initial_buckets
         self.groups = 0
         self.resizes = 0
+        self._seeds = tuple(_WAY_SEEDS[way % len(_WAY_SEEDS)] + way
+                            for way in range(ways))
         self._way_frames: List[int] = []
+        self._way_bases: List[int] = []
         # tags[way][bucket] = group id + 1 (0 = empty); mirrors tag bits
         self._tags: List[Dict[int, int]] = []
+        # group -> (way, bucket) of every resident group
+        self._where: Dict[int, Tuple[int, int]] = {}
+        # group -> its bucket in each way at the current nbuckets
+        self._buckets: Dict[int, Tuple[int, ...]] = {}
         self._allocate_ways()
 
     # ------------------------------------------------------------------ #
@@ -99,17 +114,25 @@ class CuckooTable:
             self.memory.allocator.alloc_contig(self._way_pages(), movable=False)
             for _ in range(self.ways)
         ]
+        self._way_bases = [frame << PAGE_SHIFT for frame in self._way_frames]
         self._tags = [{} for _ in range(self.ways)]
+        self._where = {}
 
     def _free_ways(self, frames: List[int], pages: int) -> None:
         for frame in frames:
             self.memory.allocator.free_contig(frame, pages)
 
     def _bucket_addr(self, way: int, bucket: int) -> int:
-        return (self._way_frames[way] << PAGE_SHIFT) + bucket * _LINE_BYTES
+        return self._way_bases[way] + bucket * _LINE_BYTES
 
-    def _bucket_of(self, group: int, way: int) -> int:
-        return _mix(group, _WAY_SEEDS[way % len(_WAY_SEEDS)] + way) % self.nbuckets
+    def _buckets_of(self, group: int) -> Tuple[int, ...]:
+        """The group's bucket in each way, hashed once per table size."""
+        buckets = self._buckets.get(group)
+        if buckets is None:
+            nbuckets = self.nbuckets
+            buckets = self._buckets[group] = tuple(
+                _mix(group, seed) % nbuckets for seed in self._seeds)
+        return buckets
 
     # ------------------------------------------------------------------ #
     # Hash-table operations
@@ -117,20 +140,19 @@ class CuckooTable:
 
     def candidate_addrs(self, vpn: int) -> List[int]:
         """Line addresses probed in parallel for ``vpn`` (one per way)."""
-        group = vpn >> 3
-        slot = vpn & 7
-        return [
-            self._bucket_addr(way, self._bucket_of(group, way)) + slot * 8
-            for way in range(self.ways)
-        ]
+        offset = (vpn & 7) * 8
+        return [base + bucket * _LINE_BYTES + offset
+                for base, bucket in zip(self._way_bases,
+                                        self._buckets_of(vpn >> 3))]
 
-    def _slot_hit(self, way: int, vpn: int) -> Optional[int]:
-        """Address of vpn's PTE word if this way holds its group."""
-        group = vpn >> 3
-        bucket = self._bucket_of(group, way)
-        if self._tags[way].get(bucket) != group + 1:
+    def _slot_hit(self, vpn: int) -> Optional[Tuple[int, int]]:
+        """(address of vpn's PTE word, way) if its group is resident."""
+        found = self._where.get(vpn >> 3)
+        if found is None:
             return None
-        return self._bucket_addr(way, bucket) + (vpn & 7) * 8
+        way, bucket = found
+        return (self._way_bases[way] + bucket * _LINE_BYTES
+                + (vpn & 7) * 8, way)
 
     def lookup(self, vpn: int) -> Optional[Tuple[int, int]]:
         """(PTE word address, PTE) if present."""
@@ -139,23 +161,48 @@ class CuckooTable:
 
     def lookup_way(self, vpn: int) -> Optional[Tuple[int, int, int]]:
         """(PTE word address, PTE, way) if present."""
-        for way in range(self.ways):
-            addr = self._slot_hit(way, vpn)
-            if addr is not None:
-                pte = self.memory.read_word(addr)
-                if pte & PTE_PRESENT:
-                    return addr, pte, way
+        hit = self._slot_hit(vpn)
+        if hit is not None:
+            pte = self.memory.read_word(hit[0])
+            if pte & PTE_PRESENT:
+                return hit[0], pte, hit[1]
         return None
 
     def insert(self, vpn: int, pte: int) -> None:
-        group = vpn >> 3
-        # already-resident group: update in place
-        for way in range(self.ways):
-            addr = self._slot_hit(way, vpn)
-            if addr is not None:
-                self.memory.write_word(addr, pte)
-                return
-        pending = self._insert_group(group, {vpn & 7: pte})
+        hit = self._slot_hit(vpn)
+        if hit is not None:
+            # already-resident group: update in place
+            self.memory.write_word(hit[0], pte)
+            return
+        self._place(vpn >> 3, {vpn & 7: pte})
+
+    def insert_run(self, vpn: int, ptes: Sequence[int]) -> int:
+        """``insert(vpn + i, pte)`` for every nonzero ``ptes[i]``, in
+        order; returns how many. Leaves the table and memory as those
+        calls would, word order included: only a group's first page is
+        placed by cuckoo insertion, the rest of its pages in the run are
+        written to its line at once."""
+        count = 0
+        index = 0
+        while index < len(ptes):
+            end = index + 8 - ((vpn + index) & 7)
+            slots = {(vpn + i) & 7: pte
+                     for i, pte in enumerate(ptes[index:end], index) if pte}
+            if slots:
+                count += len(slots)
+                group = (vpn + index) >> 3
+                if group not in self._where:
+                    first = next(iter(slots))
+                    self._place(group, {first: slots.pop(first)})
+                way, bucket = self._where[group]
+                self.memory.put_line(self._bucket_addr(way, bucket), slots)
+            index = end
+        return count
+
+    def _place(self, group: int, slots: Dict[int, int]) -> None:
+        """Insert a group that is not resident, growing the table if the
+        kick chain fails."""
+        pending = self._insert_group(group, slots)
         if pending is not None:
             self._resize(pending)
 
@@ -166,64 +213,53 @@ class CuckooTable:
         when the kick chain exceeds MAX_KICKS (the caller must resize and
         re-place it — losing it would drop live translations).
         """
+        memory = self.memory
+        where = self._where
         way = 0
         for _ in range(self.MAX_KICKS):
-            bucket = self._bucket_of(group, way)
-            tag = self._tags[way].get(bucket, 0)
+            bucket = self._buckets_of(group)[way]
+            tags = self._tags[way]
+            tag = tags.get(bucket, 0)
             base = self._bucket_addr(way, bucket)
             if tag == 0:
-                self._tags[way][bucket] = group + 1
-                for slot, pte in slots.items():
-                    self.memory.write_word(base + slot * 8, pte)
+                tags[bucket] = group + 1
+                where[group] = (way, bucket)
+                memory.put_line(base, slots)
                 self.groups += 1
                 return None
             if tag == group + 1:
-                for slot, pte in slots.items():
-                    self.memory.write_word(base + slot * 8, pte)
+                memory.put_line(base, slots)
                 return None
             # evict the resident group and take its bucket
             victim_group = tag - 1
-            victim_slots = {}
-            for slot in range(_GROUP_PAGES):
-                value = self.memory.read_word(base + slot * 8)
-                if value:
-                    victim_slots[slot] = value
-                    self.memory.write_word(base + slot * 8, 0)
-            self._tags[way][bucket] = group + 1
-            for slot, pte in slots.items():
-                self.memory.write_word(base + slot * 8, pte)
+            victim_slots = memory.take_line(base)
+            del where[victim_group]
+            tags[bucket] = group + 1
+            where[group] = (way, bucket)
+            memory.put_line(base, slots)
             group, slots = victim_group, victim_slots
             way = (way + 1) % self.ways
         return (group, slots)
 
     def remove(self, vpn: int) -> bool:
-        for way in range(self.ways):
-            addr = self._slot_hit(way, vpn)
-            if addr is not None and self.memory.read_word(addr):
-                self.memory.write_word(addr, 0)
-                group = vpn >> 3
-                bucket = self._bucket_of(group, way)
-                base = self._bucket_addr(way, bucket)
-                if not any(self.memory.read_word(base + s * 8)
-                           for s in range(_GROUP_PAGES)):
-                    self._tags[way].pop(bucket, None)
-                    self.groups -= 1
-                return True
-        return False
+        hit = self._slot_hit(vpn)
+        if hit is None or not self.memory.read_word(hit[0]):
+            return False
+        self.memory.write_word(hit[0], 0)
+        group = vpn >> 3
+        way, bucket = self._where[group]
+        if not any(self.memory.read_words(self._bucket_addr(way, bucket),
+                                          _GROUP_PAGES)):
+            del self._tags[way][bucket]
+            del self._where[group]
+            self.groups -= 1
+        return True
 
     def _collect_live(self) -> List[Tuple[int, Dict[int, int]]]:
-        live: List[Tuple[int, Dict[int, int]]] = []
-        for way, tags in enumerate(self._tags):
-            for bucket, tag in tags.items():
-                base = self._bucket_addr(way, bucket)
-                slots = {}
-                for slot in range(_GROUP_PAGES):
-                    value = self.memory.read_word(base + slot * 8)
-                    if value:
-                        slots[slot] = value
-                        self.memory.write_word(base + slot * 8, 0)
-                live.append((tag - 1, slots))
-        return live
+        take_line = self.memory.take_line
+        return [(tag - 1, take_line(self._bucket_addr(way, bucket)))
+                for way, tags in enumerate(self._tags)
+                for bucket, tag in tags.items()]
 
     def _resize(self, extra: Optional[Tuple[int, Dict[int, int]]] = None) -> None:
         """Elastic growth: double the buckets and rehash (the 'E' in ECPT).
@@ -238,6 +274,7 @@ class CuckooTable:
             old_pages = self._way_pages()
             live = self._collect_live() + pending
             self.nbuckets *= 2
+            self._buckets = {}
             self._allocate_ways()
             self._free_ways(old_frames, old_pages)
             self.groups = 0
@@ -376,16 +413,16 @@ class ElasticCuckooPageTables:
                 probes.append((addr, size, vpn))
         return probes
 
-    def probe_hit(self, va: int) -> Optional[Tuple[int, PageSize]]:
-        """(PA, page size) if any probe hits (used by the walkers)."""
-        return self.translate(va)
-
     def load_from_radix(self, page_table) -> int:
-        """Mirror an existing radix page table's leaf mappings."""
+        """Mirror an existing radix page table's leaf mappings, one leaf
+        table at a time; the same tables and memory as :meth:`map` per
+        page in va order."""
         count = 0
-        for va, pte, size in page_table.leaves():
-            self.map(va, pte_frame(pte), size)
-            count += 1
+        for va, size, ptes in page_table.leaf_tables():
+            count += self.tables[size].insert_run(
+                va >> int(size),
+                [make_pte(pte_frame(pte)) if pte & PTE_PRESENT else 0
+                 for pte in ptes])
         return count
 
     def total_bytes(self) -> int:

@@ -143,12 +143,25 @@ class FlattenedPageTable:
         return None
 
     def load_from_radix(self, page_table) -> int:
-        """Mirror a radix page table's 4 KB and 2 MB leaf mappings."""
+        """Mirror a radix page table's 4 KB and 2 MB leaf mappings, one
+        leaf table at a time; the same memory as :meth:`map` per page in
+        va order. A 4 KB leaf table's 512 entries are consecutive in one
+        flat leaf, so they go there in one write."""
         count = 0
-        for va, pte, size in page_table.leaves():
-            if size != PageSize.SIZE_1G:
-                self.map(va, pte_frame(pte), size)
+        for va, size, ptes in page_table.leaf_tables():
+            if size == PageSize.SIZE_2M:
+                self.map(va, pte_frame(ptes[0]), size)
                 count += 1
+            elif size == PageSize.SIZE_4K:
+                values = [(pte_frame(pte) << PAGE_SHIFT) | PTE_PRESENT | 0x2
+                          if pte & PTE_PRESENT else None for pte in ptes]
+                mapped = len(values) - values.count(None)
+                if mapped:
+                    leaf = self._leaf_for(va, create=True)
+                    self.memory.write_words(self.leaf_entry_addr(leaf, va),
+                                            values)
+                    self.mapped += mapped
+                    count += mapped
         return count
 
     def table_bytes(self) -> int:

@@ -7,6 +7,7 @@ from repro.arch import PAGE_SIZE, PageSize
 from repro.hw.config import xeon_gold_6138
 from repro.kernel.kernel import Kernel
 from repro.kernel.page_table import make_pte, pte_frame
+from repro.kernel.process import Process
 from repro.mem.physmem import PhysicalMemory
 from repro.translation.base import MemorySubsystem
 from repro.translation.ecpt import (
@@ -14,6 +15,7 @@ from repro.translation.ecpt import (
     ECPTNativeWalker,
     ECPTNestedWalker,
     ElasticCuckooPageTables,
+    _mix,
 )
 from repro.virt.hypervisor import Hypervisor
 
@@ -90,6 +92,96 @@ class TestCuckooTable:
             table.insert(vpn, make_pte(frame & ((1 << 40) - 1)))
         for vpn, frame in mapping.items():
             assert pte_frame(table.lookup(vpn)[1]) == frame & ((1 << 40) - 1)
+
+
+def _check_indexes(table):
+    """The location index is what ``_tags`` implies; the bucket memo
+    holds what ``_mix`` gives at the current table size."""
+    implied = {tag - 1: (way, bucket)
+               for way, tags in enumerate(table._tags)
+               for bucket, tag in tags.items()}
+    assert table._where == implied
+    assert table.groups == len(implied)
+    for group, buckets in table._buckets.items():
+        assert buckets == tuple(_mix(group, seed) % table.nbuckets
+                                for seed in table._seeds)
+
+
+_HISTORY = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(0, 191),
+                  st.integers(1, 1 << 30)),
+        st.tuples(st.just("remove"), st.integers(0, 191), st.just(0))),
+    min_size=1, max_size=80)
+
+
+class TestLocationIndex:
+    @given(_HISTORY)
+    @settings(max_examples=60, deadline=None)
+    def test_index_follows_tags_through_kicks_and_resizes(self, history):
+        """Random insert / update-in-place / remove histories on a tiny
+        table (12 buckets over 24 groups, so kick chains, resizes and
+        removals that empty a group happen): after every step the
+        location index equals what the tags imply and lookups agree
+        with a dict model."""
+        table = CuckooTable(PhysicalMemory(64 * MB), PageSize.SIZE_4K,
+                            initial_buckets=4)
+        model = {}
+        touched = set()
+        for op, vpn, frame in history:
+            touched.add(vpn)
+            if op == "insert":
+                table.insert(vpn, make_pte(frame))
+                model[vpn] = make_pte(frame)
+            else:
+                assert table.remove(vpn) == (vpn in model)
+                model.pop(vpn, None)
+            _check_indexes(table)
+            for probe in touched:
+                found = table.lookup(probe)
+                assert (found[1] if found else None) == model.get(probe)
+
+    def test_bulk_load_equals_per_page_map_across_a_resize(self):
+        """``load_from_radix`` inserts a leaf table at a time; it must
+        leave memory word for word (in order) and the tables as the
+        per-page ``map`` loop does, with resizes during the load, holes
+        at a group's first page, and 2 MB pages beside 4 KB ones."""
+        def build(load):
+            memory = PhysicalMemory(64 * MB)
+            proc = Process(memory, thp_enabled=True)
+            # a 4 KB head, one 2 MB page, then a 4 KB tail
+            start = BASE + 2 * MB - 24 * PAGE_SIZE
+            proc.mmap(3 * MB + 40 * PAGE_SIZE, addr=start, populate=True)
+            for page in (0, 8, 9, 17, 536, 537, *range(600, 608)):
+                proc.munmap(start + page * PAGE_SIZE, PAGE_SIZE)
+            ecpt = ElasticCuckooPageTables(memory, initial_buckets=4)
+            count = load(ecpt, proc.page_table)
+            return count, ecpt, memory
+
+        def per_page(ecpt, page_table):
+            count = 0
+            for va, pte, size in page_table.leaves():
+                ecpt.map(va, pte_frame(pte), size)
+                count += 1
+            return count
+
+        bulk_count, bulk, bulk_memory = build(
+            ElasticCuckooPageTables.load_from_radix)
+        ref_count, ref, ref_memory = build(per_page)
+        assert bulk_count == ref_count
+        assert bulk.tables[PageSize.SIZE_4K].resizes >= 2
+        assert list(bulk_memory._words.items()) == \
+            list(ref_memory._words.items())
+        assert [list(blocks) for blocks in bulk_memory.allocator.free_lists] \
+            == [list(blocks) for blocks in ref_memory.allocator.free_lists]
+        for size, table in bulk.tables.items():
+            other = ref.tables[size]
+            assert (table.nbuckets, table.groups, table.resizes,
+                    table._way_frames) == (other.nbuckets, other.groups,
+                                           other.resizes, other._way_frames)
+            assert [list(tags.items()) for tags in table._tags] == \
+                [list(tags.items()) for tags in other._tags]
+            _check_indexes(table)
 
 
 class TestECPTSet:

@@ -453,21 +453,21 @@ def test_leaf_frames_agree_with_lookup():
 
 def test_sanitizer_catches_a_planted_frame_in_a_bulk_build(monkeypatch):
     """A populate whose allocator hands out one frame past the end of
-    memory raises inside ``map_run`` with the sanitizer on."""
+    memory as its third data frame raises inside ``map_run`` with the
+    sanitizer on."""
     memory = PhysicalMemory(64 * MB)
     proc = Process(memory)
-    real = memory.allocator.alloc_pages
-    calls = [0]
+    real = memory.allocator.alloc_run
+    handed = [0]
 
-    def planted(order=0, movable=True):
-        frame = real(order, movable=movable)
-        if movable:
-            calls[0] += 1
-            if calls[0] == 3:
-                return memory.total_frames
-        return frame
+    def planted(count, movable=True):
+        frames = real(count, movable=movable)
+        if handed[0] < 3 <= handed[0] + len(frames):
+            frames[2 - handed[0]] = memory.total_frames
+        handed[0] += len(frames)
+        return frames
 
-    monkeypatch.setattr(memory.allocator, "alloc_pages", planted)
+    monkeypatch.setattr(memory.allocator, "alloc_run", planted)
     with sanitizer.enabled():
         with pytest.raises(sanitizer.SanitizerError) as raised:
             proc.mmap(MB, addr=16 * MB, populate=True)
