@@ -3,7 +3,7 @@
 
 Not a paper figure — this bench guards the constant-memory streaming
 pipeline (DESIGN.md §13). It runs one stage 0→1 pass (workload trace
-generation overlapped with TLB filtering, chunk by chunk) and records
+generation and TLB filtering, chunk by chunk on one thread) and records
 throughput plus the process's peak resident set size into
 ``BENCH_stage1_stream.json`` at the repo root, which ``python -m repro
 regress`` compares against the archived baseline.
@@ -41,7 +41,7 @@ RESULTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 def run_bench(workload: str, scale: int, nrefs: int, seed: int,
               chunk: int) -> dict:
-    """One streamed stage 0→1 pass; returns the result record."""
+    """One stage 0→1 pass; returns the result record."""
     config = SimConfig(scale=scale, nrefs=nrefs, seed=seed,
                        stream_chunk=chunk)
     start = time.perf_counter()
@@ -54,7 +54,6 @@ def run_bench(workload: str, scale: int, nrefs: int, seed: int,
         "nrefs": nrefs,
         "seed": seed,
         "chunk": chunk,
-        "streamed": sim.stage1_streamed,
         "total_refs": sim.tlb.total_refs,
         "miss_count": sim.tlb.miss_count,
         "stage1_seconds": seconds,

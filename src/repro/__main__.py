@@ -340,11 +340,10 @@ def main(argv=None) -> int:
                               "when the design supports it (default)")
     simopts.add_argument("--stream-chunk", type=int, default=None,
                          metavar="REFS",
-                         help="stream stage 0->1 in chunks of this many "
-                              "references (constant memory, bit-identical "
-                              "results); 0 forces the monolithic path; "
-                              "default: auto-stream above "
-                              "8M references")
+                         help="stage 0->1 chunk size in references; stage "
+                              "1 always streams chunk by chunk (constant "
+                              "memory, bit-identical results for any "
+                              "positive size; default: 1048576)")
     simopts.add_argument("--sanitize", action="store_true",
                          help="enable the runtime translation sanitizer "
                               "(invariant checks on TEAs, PTEs, TLB/PWC "

@@ -53,6 +53,15 @@ class DMTRegister:
     present: bool = True
     gtea_id: Optional[int] = None   # pvDMT: index into the gTEA table
 
+    def __post_init__(self):
+        # The VMA's byte bounds (Figure 7), computed once: ``covers`` runs
+        # for every register of a set on every lookup. Plain attributes,
+        # not fields, so equality, ``repr`` and the encoding are unchanged.
+        shift = int(self.page_size)
+        object.__setattr__(self, "vma_base", self.vma_base_vpn << shift)
+        object.__setattr__(self, "vma_end",
+                           (self.vma_base_vpn + self.vma_size_pages) << shift)
+
     # ------------------------------------------------------------------ #
     # Encoding (Figure 13)
     # ------------------------------------------------------------------ #
@@ -91,14 +100,6 @@ class DMTRegister:
     # ------------------------------------------------------------------ #
     # Translation arithmetic (Figure 7)
     # ------------------------------------------------------------------ #
-
-    @property
-    def vma_base(self) -> int:
-        return self.vma_base_vpn << int(self.page_size)
-
-    @property
-    def vma_end(self) -> int:
-        return (self.vma_base_vpn + self.vma_size_pages) << int(self.page_size)
 
     def covers(self, va: int) -> bool:
         return self.vma_base <= va < self.vma_end

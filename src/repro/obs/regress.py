@@ -18,14 +18,19 @@ and exits non-zero when a metric regressed past its tolerance:
   A baseline cell that is missing or turned into an error cell is a
   regression.
 
-On a clean run a dated record is appended to ``BENCH_trajectory.json``
-so the performance history accumulates run over run (DESIGN.md §9).
+On a clean run a dated record, stamped with the checkout's commit and
+the kernel backend, is appended to ``BENCH_trajectory.json`` so the
+performance history accumulates run over run (DESIGN.md §9). A record
+equal to the last one in everything but its date — the same commit and
+the same numbers, a stale bench file rather than a new measurement — is
+skipped with a note instead.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import subprocess
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -201,13 +206,30 @@ def compare_sweep(current: Dict, baseline: Dict,
     return out
 
 
+def _head_commit() -> Optional[str]:
+    """``git rev-parse HEAD`` of the working directory, or None outside
+    a checkout (or without git)."""
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"],
+                              capture_output=True, text=True, check=False)
+    except OSError:
+        return None
+    if done.returncode != 0:
+        return None
+    return done.stdout.strip() or None
+
+
 def trajectory_record(bench: Optional[Dict], sweep: Optional[Dict],
                       regressions: List[Regression],
                       tolerance: float,
                       stream: Optional[Dict] = None) -> Dict:
     """The dated history entry appended to ``BENCH_trajectory.json``."""
+    from repro.sim.kernels import BACKEND
+
     record: Dict[str, object] = {
         "date": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "commit": _head_commit(),
+        "kernel_backend": BACKEND,
         "status": "regressed" if regressions else "clean",
         "tolerance": tolerance,
         "regressions": [regression.render() for regression in regressions],
@@ -254,16 +276,30 @@ def trajectory_record(bench: Optional[Dict], sweep: Optional[Dict],
     return record
 
 
-def append_trajectory(path: str, record: Dict) -> Dict:
-    """Append ``record`` to the trajectory store, creating it if needed."""
+def append_trajectory(path: str, record: Dict,
+                      out: Callable[[str], None] = print) -> Dict:
+    """Append ``record`` to the trajectory store, creating it if needed.
+
+    A record equal to the last one except for its date (same commit,
+    same measured numbers) is a stale copy, not a measurement: it is
+    skipped with a note and the store is left as it is.
+    """
     if os.path.exists(path):
         document = load_document(path)
     else:
         document = {"records": []}
-    document["records"].append(record)
+    records = document["records"]
+    undated = {key: value for key, value in record.items() if key != "date"}
+    if records and undated == {key: value for key, value
+                               in records[-1].items() if key != "date"}:
+        out(f"trajectory: skipped a record equal to the last one in "
+            f"{path} (commit {record.get('commit')}, same numbers)")
+        return document
+    records.append(record)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2)
         handle.write("\n")
+    out(f"appended record #{len(records)} to {path}")
     return document
 
 
@@ -328,7 +364,5 @@ def run_gate(bench_path: Optional[str] = DEFAULT_BENCH,
     if trajectory_path:
         record = trajectory_record(bench, current_sweep, regressions,
                                    tolerance, stream=stream)
-        document = append_trajectory(trajectory_path, record)
-        out(f"appended record #{len(document['records'])} to "
-            f"{trajectory_path}")
+        append_trajectory(trajectory_path, record, out=out)
     return 0

@@ -12,34 +12,33 @@ change the bytes of the artifact must be in the key; the digest is then
 stable across interpreter invocations, ``PYTHONHASHSEED`` values, and
 machines (``tests/test_artifacts.py`` pins this with a subprocess).
 
-Each monolithic artifact is two files in the cache directory,
-``<digest>.npy`` (the array, ``allow_pickle=False`` both ways) and
-``<digest>.json`` (the key material echoed back, plus caller metadata
-such as the original compute time). Writes go to a per-process temp
-name and ``os.replace`` into place, so concurrent sweep workers sharing
-one directory either see a complete artifact or none. Loads verify the
-sidecar against the requested stage/key/schema; a mismatch (digest
-collision, stale schema) or an unreadable payload (corruption, torn
-write) **evicts** the entry and reports a miss, so the caller simply
-recomputes and re-stores.
-
-**Segmented artifacts** (the streaming pipeline, DESIGN.md §13) spread
-one array across ``<digest>.seg<k>.npy`` chunk files plus a JSON
-manifest in the same ``<digest>.json`` slot, listing each segment's
-file, row count and SHA-256. Segments land before the manifest, so a
-reader never sees a manifest pointing at absent segments; a writer that
-dies mid-stream leaves only orphan segment files that the next writer
-overwrites. Reads verify each segment digest as it is consumed; a
-corrupt segment evicts the *whole* entry — manifest and every segment —
-because a partially-valid chunk sequence is useless. ``open_segments``
-is the constant-memory path (one verified, memmap-backed segment at a
-time); ``load_array`` on a segmented entry assembles the segments into
-one preallocated array (transient footprint: result + one segment).
+Every array entry is **segmented** (the one array format, DESIGN.md
+§10/§13): one array spread across ``<digest>.seg<k>.npy`` chunk files
+(``allow_pickle=False`` both ways) plus a JSON manifest in the
+``<digest>.json`` slot, listing each segment's file, row count and
+SHA-256 next to the key material echoed back and caller metadata (such
+as the original compute time). Each file goes to a per-process temp
+name and ``os.replace`` into place, segments before the manifest, so
+concurrent sweep workers sharing one directory either see a complete
+entry or none; a writer that dies mid-stream leaves only orphan segment
+files that the next writer overwrites. Loads verify the manifest
+against the requested stage/key/schema and each segment digest as it is
+consumed; a mismatch (digest collision, stale schema), an unreadable
+file (corruption, torn write) or a corrupt segment **evicts** the
+*whole* entry — manifest and every segment, because a partially-valid
+chunk sequence is useless — and reports a miss, so the caller simply
+recomputes and re-stores. A sidecar without ``segmented`` is a
+monolithic ``<digest>.npy`` entry from an older layout: it is evicted
+the same way. ``open_segments`` is the constant-memory path (one
+verified, memmap-backed segment at a time); ``load_array`` returns a
+one-segment entry as that segment's memmap and assembles longer ones
+into one preallocated array (transient footprint: result + one
+segment).
 
 **Result entries** (the stage-2 result cache, DESIGN.md §15) are pure
 JSON payloads — a replayed cell's WalkStats, step breakdown, and
 walker/memsys end-state counters — stored in the ``<digest>.json``
-slot alone (no ``.npy``). The sidecar records a SHA-256 over the
+slot alone (no segments). The sidecar records a SHA-256 over the
 payload's canonical JSON; ``load_result`` recomputes it on every read
 and evicts on mismatch, so a torn or hand-edited payload is recomputed
 rather than served. Writes are atomic exactly like array entries.
@@ -109,12 +108,15 @@ class SegmentReader:
 
     Yields one array per segment (memmap-backed when ``mmap=True``), in
     manifest order. A segment whose bytes no longer match its recorded
-    SHA-256 raises :class:`CorruptSegment` after evicting the whole
-    entry — manifest plus every segment — through the owning cache.
+    SHA-256 raises :class:`CorruptSegment`, after evicting the whole
+    entry — manifest plus every segment — through the owning ``cache``
+    when there is one.
     """
 
-    def __init__(self, cache: "ArtifactCache", key_digest: str,
-                 manifest: Dict, mmap: bool = True):
+    def __init__(self, root: str, key_digest: str, manifest: Dict,
+                 mmap: bool = True,
+                 cache: Optional["ArtifactCache"] = None):
+        self._root = root
         self._cache = cache
         self._digest = key_digest
         self._segments: List[Dict] = manifest.get("segments", [])
@@ -127,13 +129,12 @@ class SegmentReader:
 
     @property
     def payload_bytes(self) -> int:
-        return sum(os.path.getsize(os.path.join(self._cache.root,
-                                                seg["file"]))
+        return sum(os.path.getsize(os.path.join(self._root, seg["file"]))
                    for seg in self._segments)
 
     def __iter__(self) -> Iterator[np.ndarray]:
         for seg in self._segments:
-            path = os.path.join(self._cache.root, seg["file"])
+            path = os.path.join(self._root, seg["file"])
             try:
                 if _file_sha256(path) != seg["sha256"]:
                     raise ValueError("segment digest mismatch")
@@ -142,7 +143,8 @@ class SegmentReader:
                 if len(array) != int(seg["rows"]):
                     raise ValueError("segment row count mismatch")
             except (OSError, ValueError, EOFError) as exc:
-                self._cache.evict(self._digest)
+                if self._cache is not None:
+                    self._cache.evict(self._digest)
                 raise CorruptSegment(
                     f"segment {seg.get('file')} of {self._digest[:12]} "
                     f"is corrupt: {exc}") from exc
@@ -168,18 +170,23 @@ class SegmentReader:
 
 
 class SegmentWriter:
-    """Append-only writer for one segmented artifact.
+    """Append-only writer for one segmented artifact under ``root``.
 
     ``append`` lands each chunk as ``<digest>.seg<k>.npy`` (temp name +
     ``os.replace``); ``commit`` writes the manifest last, atomically —
     only then does the entry exist for readers. ``abort`` removes the
-    segments written so far. Two workers racing on the same digest
-    write identical content for identical keys, so lost races are
-    harmless, exactly as for monolithic entries.
+    segments of an uncommitted entry. Two workers racing on the same
+    digest write identical content for identical keys, so lost races
+    are harmless. ``cache`` is the owning :class:`ArtifactCache`, which
+    counts the bytes a commit writes; a writer without one (the
+    stage-1 spill into a temporary directory) records nothing and is
+    read back uncommitted.
     """
 
-    def __init__(self, cache: "ArtifactCache", stage: str, key,
-                 meta: Optional[Dict] = None):
+    def __init__(self, root: str, stage: str, key,
+                 meta: Optional[Dict] = None,
+                 cache: Optional["ArtifactCache"] = None):
+        self._root = root
         self._cache = cache
         self._stage = stage
         self._key = key
@@ -194,7 +201,7 @@ class SegmentWriter:
             raise RuntimeError("segment writer already committed")
         array = np.asarray(array)
         name = f"{self.key_digest}.seg{len(self._segments)}.npy"
-        path = os.path.join(self._cache.root, name)
+        path = os.path.join(self._root, name)
         tmp = path + f".tmp{os.getpid()}"
         try:
             with open(tmp, "wb") as handle:
@@ -220,12 +227,10 @@ class SegmentWriter:
             "total_rows": int(sum(s["rows"] for s in self._segments)),
             "segments": self._segments, "meta": meta,
         }
-        meta_path = os.path.join(self._cache.root,
-                                 self.key_digest + ".json")
+        meta_path = os.path.join(self._root, self.key_digest + ".json")
         tmp = meta_path + f".tmp{os.getpid()}"
         with obs_trace.span("artifact.store", stage=self._stage,
-                            digest=self.key_digest[:12],
-                            segmented=True) as sp:
+                            digest=self.key_digest[:12]) as sp:
             try:
                 with open(tmp, "w", encoding="utf-8") as handle:
                     json.dump(manifest, handle, sort_keys=True)
@@ -237,7 +242,8 @@ class SegmentWriter:
                     os.remove(tmp)
                 except OSError:
                     pass
-            self._cache.record_write(self._bytes)
+            if self._cache is not None:
+                self._cache.record_write(self._bytes)
             if sp is not None:
                 sp["bytes"] = self._bytes
                 sp["segments"] = len(self._segments)
@@ -245,26 +251,27 @@ class SegmentWriter:
         return self.key_digest
 
     def abort(self) -> None:
-        """Remove the segments written so far (no manifest was written)."""
+        """Remove the segments written so far; a no-op once committed
+        (the entry is then the readers', and eviction removes it)."""
+        if self._committed:
+            return
         for seg in self._segments:
             try:
-                os.remove(os.path.join(self._cache.root, seg["file"]))
+                os.remove(os.path.join(self._root, seg["file"]))
             except OSError:
                 pass
         self._segments = []
 
     def reader(self, mmap: bool = True) -> SegmentReader:
-        """A reader over the just-committed entry.
+        """A reader over the segments written so far.
 
-        Built directly from this writer's manifest rather than through
-        :meth:`ArtifactCache.open_segments`, so re-reading what we just
-        wrote does not inflate the cache's hit counters.
+        Built directly from this writer's segment list rather than
+        through :meth:`ArtifactCache.open_segments`, so re-reading what
+        we just wrote does not inflate the cache's hit counters.
         """
-        if not self._committed:
-            raise RuntimeError("segment writer not committed yet")
         manifest = {"segments": self._segments, "meta": self._meta}
-        return SegmentReader(self._cache, self.key_digest, manifest,
-                             mmap=mmap)
+        return SegmentReader(self._root, self.key_digest, manifest,
+                             mmap=mmap, cache=self._cache)
 
 
 class ArtifactCache:
@@ -319,17 +326,18 @@ class ArtifactCache:
     def record_write(self, nbytes: int) -> None:
         self._bytes_written.inc(nbytes)
 
-    def _paths(self, key_digest: str) -> Tuple[str, str]:
-        return (os.path.join(self.root, key_digest + ".npy"),
-                os.path.join(self.root, key_digest + ".json"))
+    def _meta_path(self, key_digest: str) -> str:
+        return os.path.join(self.root, key_digest + ".json")
 
     def evict(self, key_digest: str) -> None:
-        """Drop an entry — payload, sidecar, and *all* of its segments
-        (missing files are fine — a concurrent worker may have evicted
-        or replaced it first). A segmented entry with one corrupt
-        segment is useless as a whole, so eviction is all-or-nothing."""
+        """Drop an entry — sidecar and *all* of its segments, plus the
+        ``<digest>.npy`` payload an older monolithic layout kept (missing
+        files are fine — a concurrent worker may have evicted or
+        replaced it first). A segmented entry with one corrupt segment
+        is useless as a whole, so eviction is all-or-nothing."""
         self._evictions.inc()
-        paths = list(self._paths(key_digest))
+        paths = [self._meta_path(key_digest),
+                 os.path.join(self.root, key_digest + ".npy")]
         segment_files = glob.glob(
             os.path.join(glob.escape(self.root), key_digest + ".seg*"))
         if segment_files:
@@ -345,7 +353,7 @@ class ArtifactCache:
                        key_digest: str) -> Optional[Dict]:
         """The validated sidecar/manifest, or None (entry evicted on
         mismatch, left alone when simply absent)."""
-        _npy_path, meta_path = self._paths(key_digest)
+        meta_path = self._meta_path(key_digest)
         try:
             with open(meta_path, encoding="utf-8") as handle:
                 sidecar = json.load(handle)
@@ -361,30 +369,40 @@ class ArtifactCache:
             return None
         return sidecar
 
+    def _read_segmented(self, stage: str, key,
+                        key_digest: str) -> Optional[Dict]:
+        """The validated manifest of an array entry, or None. A sidecar
+        that is not segmented (a monolithic entry from an older layout)
+        is evicted, so the caller recomputes and re-stores it."""
+        manifest = self._read_manifest(stage, key, key_digest)
+        if manifest is not None and not manifest.get("segmented"):
+            self.evict(key_digest)
+            return None
+        return manifest
+
     def segment_writer(self, stage: str, key,
                        meta: Optional[Dict] = None) -> SegmentWriter:
         """A writer that streams ``(stage, key)`` to disk chunk-by-chunk."""
-        return SegmentWriter(self, stage, key, meta=meta)
+        return SegmentWriter(self.root, stage, key, meta=meta, cache=self)
 
     def open_segments(self, stage: str, key,
                       mmap: bool = True) -> Optional[SegmentReader]:
         """A verified segment iterator for ``(stage, key)``, or None.
 
         The constant-memory read path: segments are verified and
-        yielded one at a time. Only segmented entries qualify; a
-        monolithic entry under the same key reports None (use
-        :meth:`load_array`). Iteration may raise
+        yielded one at a time. Iteration may raise
         :class:`CorruptSegment`, after evicting the whole entry.
         """
         key_digest = digest(stage, key)
-        manifest = self._read_manifest(stage, key, key_digest)
-        if manifest is None or not manifest.get("segmented"):
+        manifest = self._read_segmented(stage, key, key_digest)
+        if manifest is None:
             self._misses.inc()
             self._seg_misses.inc()
             return None
         self._hits.inc()
         self._seg_hits.inc()
-        return SegmentReader(self, key_digest, manifest, mmap=mmap)
+        return SegmentReader(self.root, key_digest, manifest, mmap=mmap,
+                             cache=self)
 
     def load_array(self, stage: str, key,
                    mmap: bool = False) -> Optional[Tuple[np.ndarray, Dict]]:
@@ -392,61 +410,52 @@ class ArtifactCache:
 
         None covers both a plain miss and a corrupt/mismatched entry
         (which is evicted on the way out) — the caller's response is
-        the same: compute and :meth:`store_array`.
+        the same: compute and store through :meth:`segment_writer`.
 
-        With ``mmap=True`` a monolithic payload comes back as a
-        read-only ``np.memmap`` over the cache file instead of a heap
+        With ``mmap=True`` a one-segment entry comes back as that
+        verified segment's read-only ``np.memmap`` instead of a heap
         copy: sweep workers sharing one cache directory then share the
         trace and miss-stream pages through the OS page cache
         (zero-copy transfer), and ``bytes_read`` counts the mapped
-        extent, not bytes actually faulted in. A segmented entry is
-        *assembled* into one heap array either way (the segments are
-        mmapped while copying); use :meth:`open_segments` to consume it
-        without materializing.
+        extent, not bytes actually faulted in. An entry of several
+        segments is *assembled* into one heap array either way (the
+        segments are mmapped while copying); use :meth:`open_segments`
+        to consume it without materializing.
         """
         key_digest = digest(stage, key)
-        npy_path, meta_path = self._paths(key_digest)
         with obs_trace.span("artifact.load", stage=stage,
                             digest=key_digest[:12]) as sp:
-            sidecar = self._read_manifest(stage, key, key_digest)
-            segmented = bool(sidecar and sidecar.get("segmented"))
-            try:
-                if sidecar is None:
-                    raise ValueError("no valid sidecar")
-                if segmented:
-                    reader = SegmentReader(self, key_digest, sidecar,
-                                           mmap=True)
-                    nbytes = reader.payload_bytes
-                    array = reader.concatenated()
-                    nbytes += os.path.getsize(meta_path)
-                else:
-                    array = np.load(npy_path, allow_pickle=False,
-                                    mmap_mode="r" if mmap else None)
-                    nbytes = (os.path.getsize(npy_path)
-                              + os.path.getsize(meta_path))
-            except (OSError, ValueError, EOFError, CorruptSegment) as exc:
-                # missing entry, torn write, corrupt payload or segment,
-                # stale schema, or a digest collision: treat all as a
-                # miss (CorruptSegment already evicted the whole entry)
-                if not isinstance(exc, CorruptSegment) and (
-                        os.path.exists(npy_path)
-                        or os.path.exists(meta_path)):
+            manifest = self._read_segmented(stage, key, key_digest)
+            array = None
+            if manifest is not None:
+                reader = SegmentReader(self.root, key_digest, manifest,
+                                       mmap=True, cache=self)
+                try:
+                    if mmap and len(reader) == 1:
+                        array = next(iter(reader))
+                    else:
+                        array = reader.concatenated()
+                    nbytes = (reader.payload_bytes
+                              + os.path.getsize(self._meta_path(key_digest)))
+                except CorruptSegment:
+                    array = None        # the reader evicted the entry
+                except OSError:
+                    # a concurrent worker evicted or replaced the entry
                     self.evict(key_digest)
+                    array = None
+            if array is None:
                 self._misses.inc()
-                if segmented:
-                    self._seg_misses.inc()
+                self._seg_misses.inc()
                 if sp is not None:
                     sp["hit"] = False
                 return None
             self._hits.inc()
-            if segmented:
-                self._seg_hits.inc()
+            self._seg_hits.inc()
             self._bytes_read.inc(nbytes)
             if sp is not None:
                 sp["hit"] = True
                 sp["bytes"] = nbytes
-                sp["segmented"] = segmented
-            return array, sidecar.get("meta", {})
+            return array, manifest.get("meta", {})
 
     def load_result(self, stage: str, key) -> Optional[Dict]:
         """The stored JSON result payload for ``(stage, key)``, or None.
@@ -458,7 +467,7 @@ class ArtifactCache:
         the array-entry contract, applied to JSON payloads.
         """
         key_digest = digest(stage, key)
-        _npy_path, meta_path = self._paths(key_digest)
+        meta_path = self._meta_path(key_digest)
         with obs_trace.span("artifact.load", stage=stage,
                             digest=key_digest[:12], result=True) as sp:
             sidecar = self._read_manifest(stage, key, key_digest)
@@ -497,7 +506,7 @@ class ArtifactCache:
         a JSON round trip. Atomic: temp name + ``os.replace``.
         """
         key_digest = digest(stage, key)
-        _npy_path, meta_path = self._paths(key_digest)
+        meta_path = self._meta_path(key_digest)
         body = json.dumps(payload, sort_keys=True,
                           separators=(",", ":"), ensure_ascii=True)
         sidecar = {
@@ -521,45 +530,6 @@ class ArtifactCache:
                     os.remove(tmp)
                 except OSError:
                     pass
-            self._bytes_written.inc(nbytes)
-            if sp is not None:
-                sp["bytes"] = nbytes
-        return key_digest
-
-    def store_array(self, stage: str, key, array: np.ndarray,
-                    meta: Optional[Dict] = None) -> str:
-        """Persist ``array`` (plus caller ``meta``) under ``(stage, key)``.
-
-        Returns the digest. The payload lands before the sidecar and
-        both move into place with ``os.replace``, so a reader never
-        sees a sidecar whose payload is absent or half-written; a lost
-        race with another writer of the same digest is harmless (both
-        wrote identical content for identical keys).
-        """
-        key_digest = digest(stage, key)
-        npy_path, meta_path = self._paths(key_digest)
-        sidecar = {"schema": SCHEMA_VERSION, "stage": stage,
-                   "key": _canonical(key), "meta": dict(meta or {})}
-        with obs_trace.span("artifact.store", stage=stage,
-                            digest=key_digest[:12]) as sp:
-            suffix = f".tmp{os.getpid()}"
-            tmp_npy, tmp_meta = npy_path + suffix, meta_path + suffix
-            try:
-                with open(tmp_npy, "wb") as handle:
-                    np.save(handle, np.asarray(array), allow_pickle=False)
-                with open(tmp_meta, "w", encoding="utf-8") as handle:
-                    json.dump(sidecar, handle, sort_keys=True)
-                    handle.write("\n")
-                nbytes = (os.path.getsize(tmp_npy)
-                          + os.path.getsize(tmp_meta))
-                os.replace(tmp_npy, npy_path)
-                os.replace(tmp_meta, meta_path)
-            finally:
-                for tmp in (tmp_npy, tmp_meta):
-                    try:
-                        os.remove(tmp)
-                    except OSError:
-                        pass
             self._bytes_written.inc(nbytes)
             if sp is not None:
                 sp["bytes"] = nbytes

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
-import queue
 import tempfile
 import threading
 import time
@@ -37,7 +35,8 @@ from repro.core.paravirt import PvDMTHost, PvTEAAllocator
 from repro.core.registers import REGISTERS_PER_SET, RegisterSet
 from repro.hw.config import MachineConfig, xeon_gold_6138
 from repro.kernel.kernel import Kernel
-from repro.sim import kernels, tlb_vec
+from repro.sim import kernels
+from repro.sim.artifacts import SegmentWriter
 from repro.sim.simulator import (
     Stage1Cache,
     TLBFilterResult,
@@ -45,7 +44,7 @@ from repro.sim.simulator import (
     make_size_lookup,
     replay_walks,
     tlb_accept_rates,
-    tlb_filter,
+    tlb_filter_stream,
 )
 from repro.translation.agile import AgilePagingWalker
 from repro.translation.asap import ASAPNativeWalker, ASAPNestedWalker
@@ -79,13 +78,8 @@ from repro.workloads import generators
 
 _MB = 1 << 20
 
-#: Auto-streaming threshold: monolithic stage 0→1 below this many
-#: references (the arrays are small enough that streaming only adds
-#: overhead), the constant-memory streaming pipeline at or above it.
-STREAM_NREFS_THRESHOLD = 8_000_000
-
-#: Trace references per streamed chunk when ``stream_chunk`` is left on
-#: auto: 1 Mi refs = 8 MB per in-flight chunk.
+#: Trace references per stage 0→1 chunk when ``stream_chunk`` is None:
+#: 1 Mi refs = 8 MB per chunk.
 DEFAULT_STREAM_CHUNK = 1 << 20
 
 #: Version of what a stage-2 result-cache entry means. Version 2: cells
@@ -139,13 +133,11 @@ class SimConfig:
     #: Enable the runtime translation sanitizer
     #: (:mod:`repro.analysis.sanitizer`) for this run.
     sanitize: bool = False
-    #: Stage-0→1 streaming chunk size in references. ``None`` (default)
-    #: picks automatically: stream at :data:`DEFAULT_STREAM_CHUNK` when
-    #: ``nrefs`` reaches :data:`STREAM_NREFS_THRESHOLD` (vec engine
-    #: only), monolithic below it. A positive value forces streaming at
-    #: that chunk size; ``0`` forces the monolithic path. Streaming is
-    #: bit-identical to monolithic (DESIGN.md §13), so the knob trades
-    #: memory against per-chunk overhead, never results.
+    #: Stage-0→1 chunk size in references: ``None`` (default) means
+    #: :data:`DEFAULT_STREAM_CHUNK`, a positive value that many. Stage 1
+    #: always streams chunk by chunk, and the miss stream is
+    #: bit-identical for every chunk size (DESIGN.md §13), so the knob
+    #: trades memory against per-chunk overhead, never results.
     stream_chunk: Optional[int] = None
 
     def __post_init__(self):
@@ -172,14 +164,10 @@ class SimConfig:
             )
         if self.walk_engine == "native" and not kernels.HAVE_NUMBA:
             raise ValueError(kernels.NATIVE_REQUIRES_NUMBA)
-        if self.stream_chunk is not None and self.stream_chunk < 0:
+        if self.stream_chunk is not None and self.stream_chunk <= 0:
             raise ValueError(
-                f"stream_chunk={self.stream_chunk} must be None, 0 (off), "
-                f"or a positive chunk size")
-        if self.stream_chunk and self.engine != "vec":
-            raise ValueError(
-                "stream_chunk requires engine='vec': the scalar stage-1 "
-                "oracle has no chunk-carrying state machine")
+                f"stream_chunk={self.stream_chunk} must be None (the "
+                f"default chunk) or a positive chunk size")
         if self.scale < 1:
             raise ValueError(f"scale={self.scale} must be >= 1")
         if self.nrefs < 1:
@@ -205,16 +193,6 @@ class SimConfig:
                     f"{cache.name}: line size {cache.line_bytes} must be a "
                     f"power of two"
                 )
-
-    def resolved_stream_chunk(self) -> Optional[int]:
-        """The streaming chunk size in effect, or None for monolithic."""
-        if self.stream_chunk == 0:
-            return None
-        if self.stream_chunk:
-            return self.stream_chunk
-        if self.nrefs >= STREAM_NREFS_THRESHOLD and self.engine == "vec":
-            return DEFAULT_STREAM_CHUNK
-        return None
 
     def small(self, nrefs: int = 8_000, scale: int = 4096) -> "SimConfig":
         """A reduced copy for fast tests.
@@ -326,10 +304,6 @@ class _SimulationBase:
         #: Where stage 1 came from: "computed", "memo" (in-process
         #: reuse), or "disk" (cross-run artifact cache).
         self.stage1_source = "computed"
-        #: Whether this config resolves stage 0→1 to the streaming
-        #: pipeline (a pure function of the config, so cold and warm
-        #: runs of the same config report the same value).
-        self.stage1_streamed = config.resolved_stream_chunk() is not None
         #: Guards the one-shot :meth:`build` and :meth:`_prepare_shared`
         #: (cells may run on several threads); ``built`` and
         #: ``_shared_ready`` flip once each has run.
@@ -561,22 +535,6 @@ class _SimulationBase:
         return [self.workload.name, cfg.scale, cfg.nrefs, cfg.seed,
                 cfg.thp, cfg.levels]
 
-    def _generate_trace(self, layout):
-        """The stage-0 address trace, via the artifact cache when attached."""
-        artifacts = self._stage1.artifacts if self._stage1 is not None \
-            else None
-        if artifacts is None:
-            return self.workload.generate_trace(layout, self.config.nrefs,
-                                                self.config.seed)
-        key = self._trace_key()
-        loaded = artifacts.load_array("trace", key, mmap=True)
-        if loaded is not None:
-            return loaded[0]
-        trace = self.workload.generate_trace(layout, self.config.nrefs,
-                                             self.config.seed)
-        artifacts.store_array("trace", key, trace, {})
-        return trace
-
     def _accept_rates(self):
         """TLB acceptance rates for the scaled working set, or None."""
         if not self.config.scale_mmu_caches:
@@ -587,174 +545,117 @@ class _SimulationBase:
             return tlb_accept_rates(self.config.machine, ws, paper_ws)
         return None
 
-    def _stream_stage1(self, process, layout, chunk: int) -> TLBFilterResult:
-        """Constant-memory stage 0→1: filter the trace as chunks arrive.
+    def _generated_chunks(self):
+        """The stage-0 trace, drawn chunk by chunk, each draw in a
+        ``workloads.generate_trace`` span."""
+        cfg = self.config
+        pieces = self.workload.generate_trace_chunks(
+            self.layout, cfg.nrefs, cfg.seed,
+            cfg.stream_chunk or DEFAULT_STREAM_CHUNK)
+        remaining = self.workload.trace_length(cfg.nrefs)
+        while remaining > 0:
+            with obs_trace.span("workloads.generate_trace",
+                                workload=self.workload.name) as sp:
+                piece = next(pieces, None)
+                if sp is not None and piece is not None:
+                    sp["refs"] = len(piece)
+            if piece is None:
+                return
+            remaining -= len(piece)
+            yield piece
 
-        A producer thread generates trace chunk *k+1* while the main
-        thread TLB-filters chunk *k* — the generator is NumPy-bound and
-        releases the GIL, so the two overlap. Miss segments spill to
-        disk as they are produced (segmented artifact under the stage-1
-        key when a cache is attached, a temporary directory otherwise)
-        and are assembled at the end into one preallocated array, so
-        peak memory is the miss stream plus a few in-flight chunks —
-        never the trace. Bit-identical to the monolithic path: the
-        chunked generators honour the RNG contract and
-        :class:`~repro.sim.tlb_vec.TLBFilterStream` carries TLB/LRU
-        state across chunk boundaries (DESIGN.md §13).
+    def _stream_stage1(self, start: float) -> TLBFilterResult:
+        """Stage 0→1 in constant memory: filter the trace chunk by chunk.
+
+        One loop on this thread. Each chunk comes from the stored trace
+        segments or from the workload's chunked generator; with an
+        artifact cache attached a generated chunk is appended to the
+        trace's segment writer. The chunk goes through the stage-1
+        filter (either engine carries its TLB state across chunks), and
+        its misses are appended to a segment writer: under the stage-1
+        key with a cache, in a temporary directory without one. The
+        miss stream is assembled at the end into one preallocated
+        array, so peak memory is the miss stream plus one segment —
+        never the trace. Bit-identical for every chunk size (DESIGN.md
+        §13). ``start`` is when the build began; the committed entry
+        records the seconds since.
         """
         cfg = self.config
         artifacts = self._stage1.artifacts if self._stage1 is not None \
             else None
         total_refs = self.workload.trace_length(cfg.nrefs)
-        filt = tlb_vec.TLBFilterStream(
-            cfg.machine, make_size_lookup(process.page_table),
-            accept_rates=self._accept_rates())
+        filt = tlb_filter_stream(
+            cfg.machine, make_size_lookup(self.process.page_table),
+            accept_rates=self._accept_rates(), engine=cfg.engine)
 
-        # Trace segments: reuse a segmented stage-0 artifact when one is
-        # on disk; otherwise generate, spilling segments for next time.
-        trace_reader = trace_writer = None
+        # Trace segments: reuse a stored stage-0 entry when there is
+        # one; otherwise generate, storing segments for next time.
+        pieces = trace_writer = spill = None
         if artifacts is not None:
-            trace_reader = artifacts.open_segments("trace",
-                                                   self._trace_key())
-            if trace_reader is None:
-                trace_writer = artifacts.segment_writer(
-                    "trace", self._trace_key())
-
-        stop = threading.Event()
-        done = object()
-        feed: "queue.Queue" = queue.Queue(maxsize=2)
-
-        def enqueue(item) -> bool:
-            """Bounded put that gives up once the consumer has failed."""
-            while not stop.is_set():
-                try:
-                    feed.put(item, timeout=0.1)
-                    return True
-                except queue.Full:
-                    continue
-            return False
-
-        def produce() -> None:
-            try:
-                if trace_reader is not None:
-                    pieces = iter(trace_reader)
-                else:
-                    pieces = self.workload.generate_trace_chunks(
-                        layout, cfg.nrefs, cfg.seed, chunk)
-                for piece in pieces:
-                    if trace_writer is not None:
-                        trace_writer.append(piece)
-                    if not enqueue(piece):
-                        return          # consumer failed; bail out
-                enqueue(done)
-            except BaseException as exc:  # propagate into the consumer
-                enqueue(exc)
-
-        refs_counter = metrics.counter("stage1.stream.refs")
-        producer = threading.Thread(target=produce, name="stage0-producer",
-                                    daemon=True)
-        start = time.perf_counter()
-        spill_dir = None
-        miss_writer = None
-        if artifacts is not None:
+            pieces = artifacts.open_segments("trace", self._trace_key())
+            if pieces is None:
+                trace_writer = artifacts.segment_writer("trace",
+                                                        self._trace_key())
             miss_writer = artifacts.segment_writer(
                 "stage1", list(self._stage1_key()))
         else:
-            spill_dir = tempfile.TemporaryDirectory(prefix="repro-stage1-")
-        spill_files = []
+            spill = tempfile.TemporaryDirectory(prefix="repro-stage1-")
+            miss_writer = SegmentWriter(spill.name, "stage1",
+                                        list(self._stage1_key()))
+        if pieces is None:
+            pieces = self._generated_chunks()
+
+        refs_counter = metrics.counter("stage1.stream.refs")
+        stream_start = time.perf_counter()
         try:
-            producer.start()
-            index = 0
-            while True:
-                item = feed.get()
-                if item is done:
-                    break
-                if isinstance(item, BaseException):
-                    raise item
-                with obs_trace.span("stage1.stream_chunk", index=index,
-                                    refs=len(item)) as sp:
-                    segment = filt.feed(item)
+            for piece in pieces:
+                if trace_writer is not None:
+                    trace_writer.append(piece)
+                with obs_trace.span("stage1.tlb_filter", engine=cfg.engine,
+                                    refs=len(piece)) as sp:
+                    segment = filt.feed(piece)
                     if sp is not None:
                         sp["misses"] = int(segment.size)
-                refs_counter.inc(len(item))
+                refs_counter.inc(len(piece))
                 if segment.size:
-                    if miss_writer is not None:
-                        miss_writer.append(segment)
-                    else:
-                        path = os.path.join(spill_dir.name,
-                                            f"miss{len(spill_files)}.npy")
-                        np.save(path, segment, allow_pickle=False)
-                        spill_files.append((path, int(segment.size)))
-                index += 1
+                    miss_writer.append(segment)
+            if filt.total_refs != total_refs:
+                raise RuntimeError(
+                    f"streamed {filt.total_refs} refs, expected {total_refs}")
+            seconds = time.perf_counter() - stream_start
+            if seconds > 0:
+                metrics.gauge("stage1.stream.refs_per_sec").set(
+                    filt.total_refs / seconds)
+            metrics.gauge("stage1.stream.peak_rss_kb").set(
+                obs_trace.peak_rss_kb())
+            if trace_writer is not None:
+                trace_writer.commit()
+            if artifacts is not None:
+                miss_writer.commit({"total_refs": total_refs,
+                                    "seconds": time.perf_counter() - start})
+            # the result array plus one segment at a time, read onto the
+            # heap: on the 10^7-reference stream bench that measured a
+            # lower peak RSS than mapping each segment
+            misses = miss_writer.reader(mmap=False).concatenated()
         except BaseException:
-            stop.set()
-            producer.join()
-            if miss_writer is not None:
-                miss_writer.abort()
+            miss_writer.abort()
             if trace_writer is not None:
                 trace_writer.abort()
-            if spill_dir is not None:
-                spill_dir.cleanup()
             raise
-        producer.join()
-        seconds = time.perf_counter() - start
-        if seconds > 0:
-            metrics.gauge("stage1.stream.refs_per_sec").set(
-                filt.total_refs / seconds)
-        metrics.gauge("stage1.stream.peak_rss_kb").set(
-            obs_trace.peak_rss_kb())
-
-        if filt.total_refs != total_refs:
-            if miss_writer is not None:
-                miss_writer.abort()
-            if trace_writer is not None:
-                trace_writer.abort()
-            if spill_dir is not None:
-                spill_dir.cleanup()
-            raise RuntimeError(
-                f"streamed {filt.total_refs} refs, expected {total_refs}")
-        if trace_writer is not None:
-            trace_writer.commit()
-
-        # Assemble the miss stream from the spilled segments: the result
-        # array plus one memmapped segment at a time.
-        misses = np.empty(filt.total_misses, dtype=np.int64)
-        pos = 0
-        if miss_writer is not None:
-            miss_writer.commit({"total_refs": total_refs,
-                                "seconds": seconds})
-            self._stage1.mark_persisted()
-            segments = iter(miss_writer.reader())
-        else:
-            segments = (np.load(path, mmap_mode="r")
-                        for path, _rows in spill_files)
-        for segment in segments:
-            misses[pos:pos + len(segment)] = segment
-            pos += len(segment)
-        if spill_dir is not None:
-            spill_dir.cleanup()
+        finally:
+            if spill is not None:
+                spill.cleanup()
         return TLBFilterResult(misses, total_refs)
 
     def _trace_and_filter(self) -> TLBFilterResult:
-        stream_chunk = self.config.resolved_stream_chunk()
-
         def build() -> TLBFilterResult:
             with obs_trace.span("stage1", workload=self.workload.name,
-                                thp=self.config.thp,
-                                streamed=stream_chunk is not None) as sp:
+                                thp=self.config.thp) as sp:
+                start = time.perf_counter()
                 # Stage 1 reads the installed layout and page sizes, so
                 # a miss builds the machine, inside this span.
                 self.build()
-                if stream_chunk is not None:
-                    result = self._stream_stage1(self.process, self.layout,
-                                                 stream_chunk)
-                else:
-                    trace = self._generate_trace(self.layout)
-                    result = tlb_filter(
-                        trace, self.config.machine,
-                        make_size_lookup(self.process.page_table),
-                        accept_rates=self._accept_rates(),
-                        engine=self.config.engine)
+                result = self._stream_stage1(start)
                 if sp is not None:
                     sp["refs"] = result.total_refs
                     sp["misses"] = result.miss_count

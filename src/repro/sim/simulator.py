@@ -135,6 +135,66 @@ def tlb_accept_rates(machine: MachineConfig, ws_bytes: int,
     return rates
 
 
+class ScalarTLBFilterStream:
+    """Reference oracle: the original per-reference scalar TLB model,
+    fed the trace chunk by chunk.
+
+    One :class:`~repro.hw.tlb.TLBHierarchy` lives across ``feed`` calls,
+    so chunk boundaries are invisible to it — the same contract, and
+    the same ``feed`` / ``total_refs`` / ``total_misses`` surface, as
+    :class:`~repro.sim.tlb_vec.TLBFilterStream`.
+    """
+
+    def __init__(self, machine: MachineConfig, size_lookup: SizeLookup,
+                 asid: int = 1,
+                 accept_rates: Optional[Dict[PageSize, float]] = None):
+        self._tlbs = TLBHierarchy.from_machine(machine, accept_rates)
+        self._size_lookup = size_lookup
+        self._asid = asid
+        self.total_refs = 0
+        self.total_misses = 0
+
+    def feed(self, trace: np.ndarray) -> np.ndarray:
+        """Filter one trace chunk; returns its miss-stream segment."""
+        misses: List[int] = []
+        lookup = self._tlbs.lookup
+        fill = self._tlbs.fill
+        size_lookup = self._size_lookup
+        asid = self._asid
+        for va in np.asarray(trace, dtype=np.int64).tolist():
+            size = size_lookup(va)
+            if not lookup(asid, va, size):
+                misses.append(va)
+                fill(asid, va, size)
+        self.total_refs += len(trace)
+        self.total_misses += len(misses)
+        return np.asarray(misses, dtype=np.int64)
+
+
+def tlb_filter_stream(
+    machine: MachineConfig,
+    size_lookup: SizeLookup,
+    asid: int = 1,
+    accept_rates: Optional[Dict[PageSize, float]] = None,
+    engine: str = "vec",
+):
+    """A fresh chunk-carrying stage-1 filter for ``engine``.
+
+    ``engine="vec"`` is the batched :class:`~repro.sim.tlb_vec.
+    TLBFilterStream`, ``engine="scalar"`` the dict-backed
+    :class:`ScalarTLBFilterStream` oracle; both emit the same miss
+    stream bit for bit, for any chunking of the trace.
+    """
+    if engine == "vec":
+        return tlb_vec.TLBFilterStream(machine, size_lookup, asid=asid,
+                                       accept_rates=accept_rates)
+    if engine == "scalar":
+        return ScalarTLBFilterStream(machine, size_lookup, asid=asid,
+                                     accept_rates=accept_rates)
+    raise ValueError(f"unknown stage-1 engine {engine!r} "
+                     "(expected 'vec' or 'scalar')")
+
+
 def tlb_filter_scalar(
     trace: np.ndarray,
     machine: MachineConfig,
@@ -142,17 +202,10 @@ def tlb_filter_scalar(
     asid: int = 1,
     accept_rates: Optional[Dict[PageSize, float]] = None,
 ) -> TLBFilterResult:
-    """Reference oracle: the original per-reference scalar TLB model."""
-    tlbs = TLBHierarchy.from_machine(machine, accept_rates)
-    misses: List[int] = []
-    lookup = tlbs.lookup
-    fill = tlbs.fill
-    for va in trace.tolist():
-        size = size_lookup(va)
-        if not lookup(asid, va, size):
-            misses.append(va)
-            fill(asid, va, size)
-    return TLBFilterResult(np.asarray(misses, dtype=np.int64), len(trace))
+    """Reference oracle: one feed of a fresh :class:`ScalarTLBFilterStream`."""
+    stream = ScalarTLBFilterStream(machine, size_lookup, asid=asid,
+                                   accept_rates=accept_rates)
+    return TLBFilterResult(stream.feed(trace), len(trace))
 
 
 def tlb_filter(
@@ -163,25 +216,18 @@ def tlb_filter(
     accept_rates: Optional[Dict[PageSize, float]] = None,
     engine: str = "vec",
 ) -> TLBFilterResult:
-    """Run stage 1: return the TLB-miss address stream.
+    """Run stage 1 on a whole trace: return the TLB-miss address stream.
 
+    The one-shot wrapper: one feed of a fresh :func:`tlb_filter_stream`.
     ``engine="vec"`` (default) uses the batched NumPy engine;
     ``engine="scalar"`` runs the dict-backed oracle. Both emit the same
     miss stream bit for bit.
     """
+    stream = tlb_filter_stream(machine, size_lookup, asid=asid,
+                               accept_rates=accept_rates, engine=engine)
     with obs_trace.span("stage1.tlb_filter", engine=engine,
                         refs=len(trace)) as sp:
-        if engine == "vec":
-            misses = tlb_vec.filter_misses(trace, machine, size_lookup,
-                                           asid=asid,
-                                           accept_rates=accept_rates)
-            result = TLBFilterResult(misses, len(trace))
-        elif engine == "scalar":
-            result = tlb_filter_scalar(trace, machine, size_lookup,
-                                       asid=asid, accept_rates=accept_rates)
-        else:
-            raise ValueError(f"unknown stage-1 engine {engine!r} "
-                             "(expected 'vec' or 'scalar')")
+        result = TLBFilterResult(stream.feed(trace), len(trace))
         if sp is not None:
             sp["misses"] = result.miss_count
         return result
@@ -352,9 +398,11 @@ class Stage1Cache:
     With an :class:`~repro.sim.artifacts.ArtifactCache` attached the
     memo extends across processes and runs: a key absent from the
     in-memory dict is looked up on disk (stage ``"stage1"``, keyed by
-    the same signature) before being recomputed, and fresh computations
-    are persisted for the next run. The lookup order is memory, disk,
-    build.
+    the same signature) before being recomputed. The lookup order is
+    memory, disk, build. Persisting is the build's job: the streaming
+    pipeline writes the miss stream's segments under the same key as
+    they are produced and commits the entry with its ``total_refs``
+    and ``seconds`` (DESIGN.md §13).
 
     ``fetch`` records telemetry: ``last_seconds`` is the stage-1 wall
     time of the entry served (the original compute time when reused)
@@ -371,11 +419,6 @@ class Stage1Cache:
         self.last_seconds = 0.0
         self.last_reused = False
         self.last_source = "none"
-        #: Set by a build that already persisted its own entry (the
-        #: streaming pipeline commits a *segmented* stage-1 artifact as
-        #: it spills miss segments); suppresses the monolithic
-        #: ``store_array`` that would otherwise replace that manifest.
-        self.last_persisted = False
 
     @property
     def computed(self) -> int:
@@ -411,7 +454,6 @@ class Stage1Cache:
                 self.last_source = "disk"
                 return result
         start = time.perf_counter()
-        self.last_persisted = False
         result = build()
         seconds = time.perf_counter() - start
         self._entries[key] = (result, seconds)
@@ -419,15 +461,7 @@ class Stage1Cache:
         self.last_seconds = seconds
         self.last_reused = False
         self.last_source = "computed"
-        if self.artifacts is not None and not self.last_persisted:
-            self.artifacts.store_array(
-                "stage1", list(key), result.miss_vas,
-                {"total_refs": result.total_refs, "seconds": seconds})
         return result
-
-    def mark_persisted(self) -> None:
-        """Tell the in-flight ``fetch`` its build already hit the disk."""
-        self.last_persisted = True
 
 
 def geomean(values: Sequence[float]) -> float:

@@ -315,7 +315,6 @@ def _cell_record(sim, env: str, workload: str, thp: bool, design: str,
         "stage1_seconds": sim.stage1_seconds,
         "stage1_reused": sim.stage1_reused,
         "stage1_source": sim.stage1_source,
-        "stage1_streamed": sim.stage1_streamed,
         "walk_engine": stats.engine,
         "stage2_fallback_reason": stats.fallback_reason,
         "stage2_source": sim.stage2_source(design),

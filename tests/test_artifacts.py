@@ -25,6 +25,13 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 KEY = ["GUPS", 4096, 3000, 0, False, 4]
 
 
+def _store(cache, stage, key, array, meta=None):
+    """Store ``array`` as a one-segment entry; returns its digest."""
+    writer = cache.segment_writer(stage, key, meta=meta)
+    writer.append(array)
+    return writer.commit()
+
+
 def test_digest_is_deterministic_and_key_sensitive():
     assert digest("stage1", KEY) == digest("stage1", list(KEY))
     assert digest("stage1", KEY) != digest("trace", KEY)
@@ -54,7 +61,7 @@ def test_digest_stable_across_interpreter_runs():
 def test_store_load_round_trip(tmp_path):
     cache = ArtifactCache(str(tmp_path))
     array = np.arange(64, dtype=np.int64) * 7
-    cache.store_array("stage1", KEY, array, {"total_refs": 3000})
+    _store(cache, "stage1", KEY, array, {"total_refs": 3000})
     loaded = cache.load_array("stage1", KEY)
     assert loaded is not None
     out, meta = loaded
@@ -72,23 +79,22 @@ def test_missing_entry_is_a_miss(tmp_path):
 def test_corrupt_payload_evicts_then_recomputes(tmp_path):
     cache = ArtifactCache(str(tmp_path))
     array = np.arange(32, dtype=np.int64)
-    key_digest = cache.store_array("stage1", KEY, array)
-    npy_path = os.path.join(str(tmp_path), key_digest + ".npy")
+    key_digest = _store(cache, "stage1", KEY, array)
+    npy_path = os.path.join(str(tmp_path), key_digest + ".seg0.npy")
     with open(npy_path, "wb") as handle:
         handle.write(b"\x93NUMPY garbage")  # torn write / bit rot
     assert cache.load_array("stage1", KEY) is None
     assert cache.evictions == 1
     assert not os.path.exists(npy_path)
     # the caller's recovery path: recompute, store, load again
-    cache.store_array("stage1", KEY, array)
+    _store(cache, "stage1", KEY, array)
     loaded = cache.load_array("stage1", KEY)
     assert loaded is not None and np.array_equal(loaded[0], array)
 
 
 def test_truncated_sidecar_evicts(tmp_path):
     cache = ArtifactCache(str(tmp_path))
-    key_digest = cache.store_array("trace", KEY,
-                                   np.arange(8, dtype=np.int64))
+    key_digest = _store(cache, "trace", KEY, np.arange(8, dtype=np.int64))
     meta_path = os.path.join(str(tmp_path), key_digest + ".json")
     with open(meta_path, "w", encoding="utf-8") as handle:
         handle.write('{"schema": 1, "stage"')
@@ -100,8 +106,7 @@ def test_mismatched_sidecar_evicts(tmp_path):
     """A sidecar that answers to the digest but not the key (digest
     scheme change, collision) must be evicted, not served."""
     cache = ArtifactCache(str(tmp_path))
-    key_digest = cache.store_array("stage1", KEY,
-                                   np.arange(8, dtype=np.int64))
+    key_digest = _store(cache, "stage1", KEY, np.arange(8, dtype=np.int64))
     meta_path = os.path.join(str(tmp_path), key_digest + ".json")
     with open(meta_path, encoding="utf-8") as handle:
         sidecar = json.load(handle)
@@ -119,7 +124,7 @@ def _worker_round_trips(args):
     array = np.arange(256, dtype=np.int64)  # same key -> same content
     served = 0
     for _ in range(rounds):
-        cache.store_array("stage1", KEY, array, {"total_refs": 3000})
+        _store(cache, "stage1", KEY, array, {"total_refs": 3000})
         loaded = cache.load_array("stage1", KEY)
         if loaded is not None:
             assert np.array_equal(loaded[0], array), worker_id
@@ -222,13 +227,57 @@ def test_corrupt_segment_raises_mid_iteration(tmp_path):
     assert cache.seg_evictions == 1
 
 
+def _write_legacy_entry(root, stage, key, array, meta):
+    """A monolithic ``<digest>.npy`` + sidecar entry, as the cache wrote
+    array entries before every array entry became segmented."""
+    key_digest = digest(stage, key)
+    np.save(os.path.join(root, key_digest + ".npy"), array,
+            allow_pickle=False)
+    sidecar = {"schema": 1, "stage": stage, "key": json.loads(
+        json.dumps(key)), "meta": meta}
+    with open(os.path.join(root, key_digest + ".json"), "w",
+              encoding="utf-8") as handle:
+        json.dump(sidecar, handle, sort_keys=True)
+    return key_digest
+
+
 def test_open_segments_on_monolithic_entry_is_a_seg_miss(tmp_path):
-    cache = ArtifactCache(str(tmp_path))
-    cache.store_array("stage1", KEY, np.arange(8, dtype=np.int64))
+    """A pre-segmented entry left by an older run is evicted — both of
+    its files — and recomputed, never served."""
+    from repro.sim.machine import NativeSimulation, SimConfig
+
+    root = str(tmp_path)
+    cache = ArtifactCache(root)
+    legacy = _write_legacy_entry(root, "stage1", KEY,
+                                 np.arange(8, dtype=np.int64), {})
     assert cache.open_segments("stage1", KEY) is None
-    assert cache.seg_misses == 1
-    # but the monolithic load still works
-    assert cache.load_array("stage1", KEY) is not None
+    assert cache.seg_misses == 1 and cache.evictions == 1
+    assert not [name for name in os.listdir(root)
+                if name.startswith(legacy)]
+    _write_legacy_entry(root, "stage1", KEY, np.arange(8, dtype=np.int64),
+                        {})
+    assert cache.load_array("stage1", KEY) is None
+    assert cache.evictions == 2
+
+    # machine level: a stale stage-1 entry under the real key holds the
+    # wrong miss stream; the run recomputes it instead of serving it
+    config = SimConfig(scale=4096, nrefs=3000)
+    fresh = NativeSimulation("GUPS", config)
+    key = list(fresh._stage1_key())
+    legacy = _write_legacy_entry(root, "stage1", key,
+                                 np.arange(8, dtype=np.int64),
+                                 {"total_refs": 3000})
+    sim = NativeSimulation("GUPS", config,
+                           stage1=Stage1Cache(artifacts=ArtifactCache(root)))
+    assert sim.stage1_source == "computed"
+    assert np.array_equal(np.asarray(sim.tlb.miss_vas),
+                          np.asarray(fresh.tlb.miss_vas))
+    assert not os.path.exists(os.path.join(root, legacy + ".npy"))
+    warm = NativeSimulation("GUPS", config,
+                            stage1=Stage1Cache(artifacts=ArtifactCache(root)))
+    assert warm.stage1_source == "disk"
+    assert np.array_equal(np.asarray(warm.tlb.miss_vas),
+                          np.asarray(fresh.tlb.miss_vas))
 
 
 def test_stage1_cache_round_trips_through_disk(tmp_path):
@@ -237,7 +286,10 @@ def test_stage1_cache_round_trips_through_disk(tmp_path):
     built = []
 
     def build():
+        # a build persists its own entry, as the streaming pipeline does
         built.append(1)
+        _store(cold.artifacts, "stage1", list(KEY), miss_vas,
+               {"total_refs": 3000, "seconds": 0.25})
         return TLBFilterResult(miss_vas, 3000)
 
     key = tuple(KEY)
@@ -254,7 +306,7 @@ def test_stage1_cache_round_trips_through_disk(tmp_path):
     assert warm.last_source == "disk" and warm.last_reused
     assert served.total_refs == 3000
     assert np.array_equal(served.miss_vas, miss_vas)
-    assert warm.last_seconds == pytest.approx(cold.last_seconds)
+    assert warm.last_seconds == pytest.approx(0.25)
 
 
 def test_stage1_cache_without_artifacts_never_touches_disk(tmp_path):

@@ -428,9 +428,10 @@ def test_subset_sweep_from_full_grid_cache_equals_cold_subset(tmp_path):
 def test_warm_run_miss_stream_is_memmapped(tmp_path):
     """The warm path must mmap cached traces/miss streams, not copy.
 
-    ``Stage1Cache.fetch`` and ``_generate_trace`` both load with
-    ``mmap=True``; this pins that so a plain ``np.load`` regression
-    (whole-array copy per warm run) can't sneak back in.
+    ``Stage1Cache.fetch`` loads the stage-1 entry with ``mmap=True``,
+    and a one-segment entry comes back as that segment's memmap; this
+    pins that so a plain ``np.load`` regression (whole-array copy per
+    warm run) can't sneak back in.
     """
     _sim(tmp_path).run("vanilla")  # populate the artifact cache
     warm = _sim(tmp_path)

@@ -199,7 +199,9 @@ def test_memmap_miss_stream_identical_across_workers(tmp_path):
     cache = ArtifactCache(root)
     rng = np.random.default_rng(23)
     miss_vas = rng.integers(0, 1 << 47, 20000).astype(np.int64)
-    cache.store_array("stage1", ["memmap-test"], miss_vas, {})
+    writer = cache.segment_writer("stage1", ["memmap-test"])
+    writer.append(miss_vas)
+    writer.commit()
     expected = hashlib.sha256(miss_vas.tobytes()).hexdigest()
 
     digests = []

@@ -12,6 +12,7 @@ sweep runner (span wall times agreeing with cell telemetry).
 
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -21,6 +22,8 @@ from repro.hw.tlb import TLB
 from repro.obs import metrics, regress, trace
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.sweep import run_group, run_sweep
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # --------------------------------------------------------------------- #
@@ -307,10 +310,50 @@ class TestRegressGate:
             pytest.approx(20_000.0)
         assert record["sweep"]["cells"] == 1
         store = str(tmp_path / "BENCH_trajectory.json")
-        regress.append_trajectory(store, record)
-        document = regress.append_trajectory(store, record)
+        regress.append_trajectory(store, record, out=lambda line: None)
+        faster = regress.trajectory_record(_bench_doc(1.1), _sweep_doc(), [],
+                                           0.15)
+        document = regress.append_trajectory(store, faster,
+                                             out=lambda line: None)
         assert len(document["records"]) == 2
         assert regress.load_document(store)["records"][0]["status"] == "clean"
+
+    def test_trajectory_record_is_stamped(self, tmp_path, monkeypatch):
+        from repro.sim.kernels import BACKEND
+
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=REPO_ROOT,
+                              capture_output=True, text=True)
+        monkeypatch.chdir(REPO_ROOT)
+        record = regress.trajectory_record(_bench_doc(), None, [], 0.15)
+        assert record["kernel_backend"] == BACKEND
+        assert record["commit"] == (head.stdout.strip()
+                                    if head.returncode == 0 else None)
+        # outside a checkout there is no commit to stamp
+        monkeypatch.chdir(tmp_path)
+        assert regress.trajectory_record(
+            _bench_doc(), None, [], 0.15)["commit"] is None
+
+    def test_append_trajectory_skips_a_stale_copy(self, tmp_path):
+        store = str(tmp_path / "BENCH_trajectory.json")
+        record = regress.trajectory_record(_bench_doc(), None, [], 0.15)
+        record["commit"] = "c0ffee"
+        lines = []
+        regress.append_trajectory(store, record, out=lines.append)
+        # same commit, same numbers, later date: a stale copy, skipped
+        again = dict(record, date="2099-01-01T00:00:00+0000")
+        document = regress.append_trajectory(store, again, out=lines.append)
+        assert len(document["records"]) == 1
+        assert len(regress.load_document(store)["records"]) == 1
+        assert "skipped" in lines[-1]
+        # a new commit with the same numbers is a fresh measurement
+        regress.append_trajectory(store, dict(again, commit="beef"),
+                                  out=lines.append)
+        # so is the same commit with other numbers
+        regress.append_trajectory(
+            store, dict(again, commit="beef",
+                        bench_walks_per_second={"vanilla": 1.0}),
+            out=lines.append)
+        assert len(regress.load_document(store)["records"]) == 3
 
     def _write(self, path, document):
         with open(path, "w", encoding="utf-8") as handle:

@@ -80,6 +80,27 @@ class TestTranslationArithmetic:
         with pytest.raises(ValueError):
             register.pte_addr(0x102 << 12)
 
+    @given(
+        st.integers(0, (1 << 36) - 1),
+        st.integers(1, (1 << 24) - 1),
+        st.sampled_from(list(PageSize)),
+        st.booleans(),
+        st.integers(-2, 2),
+    )
+    @settings(max_examples=200)
+    def test_covers_matches_figure7_property(self, vpn, size, psize,
+                                             at_end, nudge):
+        """A decoded register covers exactly the VAs whose VPN offset
+        inside the VMA (Figure 7, step 1) lies in ``[0, size)``."""
+        decoded = DMTRegister.decode(
+            DMTRegister(vpn, 0x100, size, psize).encode())
+        shift = int(psize)
+        va = ((vpn + size if at_end else vpn) << shift) + nudge
+        offset = (va >> shift) - decoded.vma_base_vpn
+        assert decoded.covers(va) == (0 <= offset < decoded.vma_size_pages)
+        if decoded.covers(va):
+            assert decoded.pte_addr(va) == (0x100 << PAGE_SHIFT) + offset * 8
+
 
 class TestRegisterFile:
     def test_three_sets_of_sixteen(self):

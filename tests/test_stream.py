@@ -4,8 +4,10 @@ Contract under test (DESIGN.md §13): for every workload, seed, and
 chunk size — dividing or not — the concatenated chunk stream equals the
 monolithic trace draw for draw; the streamed TLB filter emits the same
 miss stream and reaches the same TLB/credit end state as the one-shot
-filter; and the machine-level streaming path is byte-identical to the
-monolithic path, cold or warm, with or without an artifact cache.
+filter; and the machine's stage 0→1 pipeline — the only one — is
+byte-identical to the one-shot oracle ``tlb_filter(generate_trace())``
+on either stage-1 engine, cold or warm, with or without an artifact
+cache.
 """
 
 import dataclasses
@@ -18,13 +20,8 @@ from repro.hw.config import xeon_gold_6138
 from repro.kernel.kernel import Kernel
 from repro.sim import tlb_vec
 from repro.sim.artifacts import ArtifactCache
-from repro.sim.machine import (
-    DEFAULT_STREAM_CHUNK,
-    STREAM_NREFS_THRESHOLD,
-    NativeSimulation,
-    SimConfig,
-)
-from repro.sim.simulator import Stage1Cache, make_size_lookup
+from repro.sim.machine import NativeSimulation, SimConfig
+from repro.sim.simulator import Stage1Cache, make_size_lookup, tlb_filter
 from repro.workloads import catalogue, get
 
 MB = 1 << 20
@@ -121,54 +118,50 @@ def test_stream_filter_empty_chunk_is_noop():
 
 
 # --------------------------------------------------------------------- #
-# Machine level: streaming == monolithic, cold and warm
+# Machine level: the streamed pipeline == the one-shot oracle
 # --------------------------------------------------------------------- #
 
 BASE = SimConfig(scale=2048, nrefs=40_000, seed=3)
 
 
-def test_resolved_stream_chunk_policy():
-    assert BASE.resolved_stream_chunk() is None  # below threshold
-    forced = dataclasses.replace(BASE, stream_chunk=9000)
-    assert forced.resolved_stream_chunk() == 9000
-    off = dataclasses.replace(BASE, nrefs=STREAM_NREFS_THRESHOLD,
-                              stream_chunk=0)
-    assert off.resolved_stream_chunk() is None   # 0 forces monolithic
-    auto = dataclasses.replace(BASE, nrefs=STREAM_NREFS_THRESHOLD)
-    assert auto.resolved_stream_chunk() == DEFAULT_STREAM_CHUNK
-    scalar = dataclasses.replace(BASE, nrefs=STREAM_NREFS_THRESHOLD,
-                                 engine="scalar")
-    assert scalar.resolved_stream_chunk() is None  # vec-only auto
+def test_stream_chunk_rejects_non_positive():
+    for chunk in (0, -1):
+        with pytest.raises(ValueError):
+            SimConfig(stream_chunk=chunk)
+    # a chunk size is valid on either stage-1 engine
+    SimConfig(stream_chunk=1000, engine="scalar")
 
 
-def test_stream_chunk_rejects_scalar_engine():
-    with pytest.raises(ValueError):
-        SimConfig(stream_chunk=1000, engine="scalar")
-    with pytest.raises(ValueError):
-        SimConfig(stream_chunk=-1)
+def _one_shot(sim):
+    """The one-shot oracle on the simulation's own built machine."""
+    cfg = sim.config
+    trace = sim.workload.generate_trace(sim.layout, cfg.nrefs, cfg.seed)
+    return tlb_filter(trace, cfg.machine,
+                      make_size_lookup(sim.process.page_table),
+                      accept_rates=sim._accept_rates(), engine=cfg.engine)
 
 
+@pytest.mark.parametrize("engine", ["vec", "scalar"])
 @pytest.mark.parametrize("name", ["GUPS", "Redis", "BTree"])
-def test_machine_streaming_matches_monolithic(name):
-    mono = NativeSimulation(name, dataclasses.replace(BASE, stream_chunk=0))
-    stream = NativeSimulation(name,
-                              dataclasses.replace(BASE, stream_chunk=7001))
-    assert mono.stage1_streamed is False
-    assert stream.stage1_streamed is True
-    assert stream.tlb.total_refs == mono.tlb.total_refs
-    assert np.array_equal(np.asarray(stream.tlb.miss_vas),
-                          np.asarray(mono.tlb.miss_vas)), name
+def test_machine_streaming_matches_one_shot(name, engine):
+    """7001 divides no trace length here: chunks straddle every layout."""
+    sim = NativeSimulation(name, dataclasses.replace(
+        BASE, stream_chunk=7001, engine=engine))
+    oracle = _one_shot(sim)
+    assert sim.tlb.total_refs == oracle.total_refs
+    assert np.array_equal(np.asarray(sim.tlb.miss_vas),
+                          oracle.miss_vas), (name, engine)
 
 
-def test_machine_streaming_matches_monolithic_1m_gups():
-    """The issue's 10^6-reference acceptance check."""
-    cfg = SimConfig(scale=1024, nrefs=1_000_000, seed=0)
-    mono = NativeSimulation("GUPS", dataclasses.replace(cfg, stream_chunk=0))
-    stream = NativeSimulation(
-        "GUPS", dataclasses.replace(cfg, stream_chunk=1 << 17))
-    assert np.array_equal(np.asarray(stream.tlb.miss_vas),
-                          np.asarray(mono.tlb.miss_vas))
-    assert stream.tlb.total_refs == mono.tlb.total_refs == 1_000_000
+@pytest.mark.parametrize("engine", ["vec", "scalar"])
+def test_machine_streaming_matches_one_shot_1m_gups(engine):
+    """10^6 references in 143 chunks, against the one-shot oracle."""
+    cfg = SimConfig(scale=1024, nrefs=1_000_000, seed=0, engine=engine,
+                    stream_chunk=7001)
+    sim = NativeSimulation("GUPS", cfg)
+    oracle = _one_shot(sim)
+    assert np.array_equal(np.asarray(sim.tlb.miss_vas), oracle.miss_vas)
+    assert sim.tlb.total_refs == oracle.total_refs == 1_000_000
 
 
 def test_streaming_persists_segmented_artifacts(tmp_path):
@@ -187,12 +180,13 @@ def test_streaming_persists_segmented_artifacts(tmp_path):
     assert np.array_equal(np.asarray(warm.tlb.miss_vas),
                           np.asarray(cold.tlb.miss_vas))
 
-    # a monolithic run against the same cache reads the segmented entry
-    mono = NativeSimulation(
-        "Redis", dataclasses.replace(cfg, stream_chunk=0),
+    # the chunk size is not part of the key: a run at the default
+    # chunk reads the same entry
+    default = NativeSimulation(
+        "Redis", dataclasses.replace(cfg, stream_chunk=None),
         stage1=Stage1Cache(artifacts=ArtifactCache(str(tmp_path))))
-    assert mono.stage1_source == "disk"
-    assert np.array_equal(np.asarray(mono.tlb.miss_vas),
+    assert default.stage1_source == "disk"
+    assert np.array_equal(np.asarray(default.tlb.miss_vas),
                           np.asarray(cold.tlb.miss_vas))
 
 
@@ -245,7 +239,6 @@ def test_stream_bench_budget_gate(tmp_path):
         document = json.load(handle)
     record = document["stream"]
     assert document["meta"]["bench"] == "stage1_stream"
-    assert record["streamed"] is True
     assert record["total_refs"] == 200000
     assert record["refs_per_sec"] > 0 and record["peak_rss_kb"] > 0
 
@@ -253,12 +246,3 @@ def test_stream_bench_budget_gate(tmp_path):
                            env=env, capture_output=True, text=True)
     assert tight.returncode == 1
     assert "exceeds" in tight.stderr
-
-
-def test_streaming_cell_field_is_deterministic():
-    """``stage1_streamed`` must depend only on the config (the CI
-    regress gate compares it between cold and warm sweep runs)."""
-    cfg = dataclasses.replace(BASE, stream_chunk=9000)
-    runs = [NativeSimulation("GUPS", cfg).stage1_streamed
-            for _ in range(2)]
-    assert runs == [True, True]
