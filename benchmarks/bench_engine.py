@@ -46,6 +46,7 @@ from repro.sim.simulator import (
     replay_walks,
     tlb_accept_rates,
     tlb_filter,
+    tlb_filter_scalar,
 )
 from repro.sim.sweep import build_sim, run_cells, run_sweep
 from repro.sim import NativeSimulation, SimConfig
@@ -104,12 +105,12 @@ def test_stage1_vectorized_speedup(benchmark):
     sim, trace, accept, machine = _stage1_inputs()
     page_table = sim.process.page_table
 
-    scalar_seconds, scalar_result = _best_of(3, lambda: tlb_filter(
+    scalar_seconds, scalar_result = _best_of(3, lambda: tlb_filter_scalar(
         trace, machine, make_size_lookup(page_table),
-        accept_rates=accept, engine="scalar"))
+        accept_rates=accept))
     vec_seconds, vec_result = _best_of(3, lambda: tlb_filter(
         trace, machine, make_size_lookup(page_table),
-        accept_rates=accept, engine="vec"))
+        accept_rates=accept))
     speedup = scalar_seconds / vec_seconds
 
     print(banner(f"Stage-1 engine: GUPS native, nrefs={NREFS}"))

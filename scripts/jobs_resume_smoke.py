@@ -15,8 +15,9 @@ same grid as a durable job in a subprocess and injects a failure:
 
 Either way the final document's cells must be identical to the
 reference run's for every (env, workload, design, thp) key, modulo the
-wall-time/pid/RSS telemetry in ``VOLATILE_CELL_KEYS``. Exits non-zero
-on any violation.
+wall-time/pid/RSS telemetry in ``VOLATILE_CELL_KEYS``, and
+``python -m repro jobs status`` on the finished job must exit 0 and
+report it ``done``. Exits non-zero on any violation.
 
 Usage::
 
@@ -171,6 +172,13 @@ def main() -> int:
     if final != reference:
         raise SystemExit("resumed document diverged from the "
                          "uninterrupted reference run")
+    status = subprocess.run([sys.executable, "-m", "repro", "jobs", "status",
+                             job_dir], env=env, capture_output=True,
+                            text=True)
+    print(status.stdout, end="")
+    if status.returncode != 0 or "[done]" not in status.stdout:
+        raise SystemExit(f"jobs status exited {status.returncode} without "
+                         f"reporting the job done: {status.stderr}")
     print(f"OK: {len(final)} cells identical to the reference run")
     return 0
 

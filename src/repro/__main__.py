@@ -1,5 +1,8 @@
 """Command-line interface: run one simulation, a sweep, or a figure.
 
+``run`` is a one-group sweep: every grid goes through
+:func:`~repro.sim.sweep.run_sweep`.
+
 Examples::
 
     python -m repro list
@@ -11,12 +14,10 @@ Examples::
     python -m repro sweep --env native,virt --pages both --out sweep.json
     python -m repro sweep --env native --trace trace.jsonl
     python -m repro sweep --env native --artifact-cache /tmp/repro-cache
-    python -m repro sweep --env native --resume jobs/grid-a
-    python -m repro jobs submit --env native --workers 4
-    python -m repro jobs status .repro-jobs/<job_id>
-    python -m repro jobs tail .repro-jobs/<job_id> --follow
-    python -m repro jobs resume .repro-jobs/<job_id>
-    python -m repro jobs cancel .repro-jobs/<job_id>
+    python -m repro sweep --env native --resume jobs/grid-a --timeout 600
+    python -m repro jobs status jobs/grid-a
+    python -m repro jobs tail jobs/grid-a --follow
+    python -m repro jobs cancel jobs/grid-a
     python -m repro run --workload GUPS --env virt --artifact-cache cache/
     python -m repro regress --sweep sweep.json
     python -m repro table1
@@ -31,9 +32,8 @@ import sys
 
 from repro.analysis.report import format_table
 from repro.analysis.vma_stats import vma_stats
-from repro.obs import trace as obs_trace
-from repro.sim import ENVIRONMENTS, SimConfig
-from repro.sim.perfmodel import model_from_stats
+from repro.sim import ENVIRONMENTS
+from repro.sim.perfmodel import apply_model
 from repro.workloads import catalogue
 
 _ENV_TO_CALIBRATION = {"native": "native", "virt": "virt_npt",
@@ -56,79 +56,62 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    env_cls = ENVIRONMENTS[args.env]
-    config = SimConfig(scale=args.scale, nrefs=args.nrefs, seed=args.seed,
-                       thp=args.thp, levels=args.levels,
-                       register_count=args.register_count,
-                       engine=args.engine, walk_engine=args.walk_engine,
-                       sanitize=args.sanitize,
-                       stream_chunk=args.stream_chunk)
-    stage1 = None
-    if args.artifact_cache and not args.no_artifact_cache:
-        from repro.sim.artifacts import ArtifactCache
-        from repro.sim.simulator import Stage1Cache
+    """One workload in one environment: a one-group sweep, rendered."""
+    from repro.sim.sweep import run_sweep
 
-        stage1 = Stage1Cache(artifacts=ArtifactCache(args.artifact_cache))
-    if args.trace:
-        obs_trace.enable(args.trace)
+    requested = [d for d in args.designs.split(",") if d] or \
+        list(ENVIRONMENTS[args.env].designs)
+    # the walk and app speedups are relative to vanilla
+    designs = requested if "vanilla" in requested \
+        else requested + ["vanilla"]
     try:
-        print(f"building {args.env} machine for {args.workload} "
-              f"(scale 1/{args.scale}, {args.nrefs} refs, "
-              f"{'THP' if args.thp else '4KB'}) ...")
-        sim = env_cls(args.workload, config, stage1=stage1)
-        source = f", stage 1 from {sim.stage1_source}" if stage1 else ""
-        print(f"TLB miss rate {sim.tlb.miss_rate:.1%} "
-              f"({sim.tlb.miss_count} walks{source})\n")
-
-        designs = (args.designs.split(",") if args.designs
-                   else list(env_cls.designs))
-        unknown = set(designs) - set(env_cls.designs)
-        if unknown:
-            print(f"unknown design(s) for {args.env}: {sorted(unknown)}",
-                  file=sys.stderr)
-            return 2
-
+        document = run_sweep(
+            envs=[args.env], workloads=[args.workload], designs=designs,
+            thp_modes=(args.thp,), workers=1, trace_path=args.trace,
+            artifact_dir=None if args.no_artifact_cache
+            else args.artifact_cache,
+            cell_threads=args.cell_threads, **_config_kwargs(args))
+    except KeyError as error:
+        print(f"error: {error.args[0] if error.args else error}",
+              file=sys.stderr)
+        return 2
+    errors = [cell for cell in document["cells"] if "error" in cell]
+    for cell in errors:
+        print(f"error: {cell['design'] or cell['env']}: {cell['error']}",
+              file=sys.stderr)
+    if errors:
+        return 1
+    cells = {cell["design"]: cell for cell in document["cells"]}
+    vanilla = cells["vanilla"]
+    source = (f", stage 1 from {vanilla['stage1_source']}"
+              if document["meta"]["artifact_cache"] else "")
+    print(f"{args.env} machine for {args.workload} (scale 1/{args.scale}, "
+          f"{args.nrefs} refs, {'THP' if args.thp else '4KB'}): "
+          f"TLB miss rate {vanilla['tlb_miss_rate']:.1%} "
+          f"({vanilla['miss_count']} walks{source})\n")
+    rows = []
+    for design in requested:
+        cell = cells[design]
         try:
-            from repro.sim.sweep import effective_split, run_cells
-
-            _, threads, _ = effective_split(1, 1, args.cell_threads)
-            stats = {}
-            for design, result, _ in run_cells(sim, designs, threads):
-                if isinstance(result, Exception):
-                    raise result
-                stats[design] = result
-            vanilla = stats.get("vanilla") or sim.run("vanilla")
-        except ValueError as error:
-            # e.g. --walk-engine vec forced onto a design with no batched
-            # path; restrict --designs or use auto/scalar.
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        rows = []
-        for design, st in stats.items():
-            row = [design, st.mean_latency,
-                   (vanilla.mean_latency / st.mean_latency
-                    if st.mean_latency else 0),
-                   f"{st.fallback_rate:.2%}"]
-            try:
-                model = model_from_stats(args.workload,
-                                         _ENV_TO_CALIBRATION[args.env],
-                                         vanilla, st, thp=args.thp)
-                row.append(model.app_speedup)
-            except (KeyError, ValueError):
-                # no calibration profile for the pair, or a degenerate
-                # zero-overhead baseline — the table still prints.
-                row.append("-")
-            rows.append(row)
-        print(format_table(
-            ["design", "cycles/walk", "walk speedup", "fallback",
-             "app speedup"],
-            rows,
-        ))
-        if args.trace:
-            print(f"trace spans appended to {args.trace}")
-    finally:
-        if args.trace:
-            obs_trace.disable()
+            # both cells replay the same miss stream, so their mean
+            # latencies are in the ratio of their overhead totals
+            app = apply_model(args.workload, _ENV_TO_CALIBRATION[args.env],
+                              design, vanilla["mean_latency"],
+                              cell["mean_latency"], thp=args.thp).app_speedup
+        except (KeyError, ValueError):
+            # no calibration profile for the pair, or a degenerate
+            # zero-overhead baseline — the table still prints.
+            app = "-"
+        rows.append([design, cell["mean_latency"],
+                     cell["walk_speedup"] or "-",
+                     f"{cell['fallback_rate']:.2%}", app])
+    print(format_table(
+        ["design", "cycles/walk", "walk speedup", "fallback",
+         "app speedup"],
+        rows,
+    ))
+    if args.trace:
+        print(f"trace spans appended to {args.trace}")
     return 0
 
 
@@ -146,7 +129,7 @@ def _grid_args(args: argparse.Namespace):
 
 
 def _config_kwargs(args: argparse.Namespace) -> dict:
-    """The SimConfig kwargs shared by sweep and jobs submit."""
+    """The SimConfig kwargs shared by run and sweep."""
     return dict(scale=args.scale, nrefs=args.nrefs, seed=args.seed,
                 levels=args.levels, register_count=args.register_count,
                 walk_engine=args.walk_engine, sanitize=args.sanitize,
@@ -205,7 +188,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             thp_modes=thp_modes, workers=args.workers,
             out_path=args.out, progress=print, trace_path=args.trace,
             artifact_dir=artifact_dir, resume_dir=args.resume,
-            cell_threads=args.cell_threads,
+            cell_threads=args.cell_threads, shard_timeout=args.timeout,
+            max_retries=args.max_retries,
             **_config_kwargs(args),
         )
     except KeyError as error:
@@ -219,24 +203,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_jobs(args: argparse.Namespace) -> int:
     from repro.sim import jobs
 
-    if args.jobs_command == "submit":
-        envs, workloads, designs, thp_modes, artifact_dir = _grid_args(args)
-        try:
-            spec = jobs.JobSpec.build(envs=envs, workloads=workloads,
-                                      designs=designs, thp_modes=thp_modes,
-                                      **_config_kwargs(args))
-        except KeyError as error:
-            print(f"error: {error.args[0] if error.args else error}",
-                  file=sys.stderr)
-            return 2
-        job_dir, document = jobs.submit(
-            spec, base_dir=args.dir, job_dir=args.job_dir,
-            workers=args.workers, shard_timeout=args.timeout,
-            max_retries=args.max_retries, out_path=args.out,
-            progress=print, trace_path=args.trace,
-            artifact_dir=artifact_dir, cell_threads=args.cell_threads)
-        print(f"job {spec.job_id} journaled under {job_dir}")
-        return _print_sweep_summary(document, args, artifact_dir)
     if args.jobs_command == "status":
         info = jobs.status(args.job_dir)
         print(jobs.format_status(info))
@@ -247,22 +213,6 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
         except KeyboardInterrupt:
             pass
         return 0
-    if args.jobs_command == "resume":
-        try:
-            document = jobs.resume(
-                args.job_dir, workers=args.workers,
-                shard_timeout=args.timeout, max_retries=args.max_retries,
-                out_path=args.out, progress=print, trace_path=args.trace,
-                cell_threads=args.cell_threads,
-                artifact_dir=None if args.no_artifact_cache
-                else (args.artifact_cache or ".repro-artifacts"))
-        except FileNotFoundError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        job = document["meta"]["job"]
-        print(f"job {job['job_id']}: {job['resumed_groups']} group(s) "
-              f"from journal, {job['retried_shards']} retried shard(s)")
-        return 1 if document["meta"].get("partial") else 0
     if args.jobs_command == "cancel":
         if jobs.cancel(args.job_dir):
             print(f"cancel requested for {args.job_dir}")
@@ -359,6 +309,11 @@ def main(argv=None) -> int:
                               "default: off)")
     simopts.add_argument("--no-artifact-cache", action="store_true",
                          help="disable the on-disk artifact cache")
+    simopts.add_argument("--cell-threads", type=int, default=1,
+                         help="replay threads per worker process: each "
+                              "group's (env, design) cells fan out over "
+                              "nogil native kernels (1 without numba; "
+                              "default: 1)")
 
     run = sub.add_parser("run", parents=[common, simopts],
                          help="simulate one workload/environment")
@@ -368,36 +323,20 @@ def main(argv=None) -> int:
                      help="comma-separated subset (default: all)")
     run.add_argument("--thp", action="store_true",
                      help="transparent huge pages in every layer")
-    run.add_argument("--engine", choices=("vec", "scalar"), default="vec",
-                     help="stage-1 TLB-filter engine (scalar = reference "
-                          "oracle)")
-    run.add_argument("--cell-threads", type=int, default=1,
-                     help="replay this many designs on concurrent threads "
-                          "(nogil native kernels; 1 without numba; "
-                          "default: 1)")
 
-    gridopts = argparse.ArgumentParser(add_help=False)
-    gridopts.add_argument("--env", default="native",
-                          help="comma-separated environments "
-                               "(default: native)")
-    gridopts.add_argument("--workloads", default="",
-                          help="comma-separated subset (default: all seven)")
-    gridopts.add_argument("--designs", default="",
-                          help="comma-separated subset "
-                               "(default: all per env)")
-    gridopts.add_argument("--pages", choices=("4k", "thp", "both"),
-                          default="4k",
-                          help="page-size modes to sweep (default: 4k)")
-    gridopts.add_argument("--workers", type=int, default=None,
-                          help="worker processes (default: all cores)")
-    gridopts.add_argument("--cell-threads", type=int, default=1,
-                          help="replay threads per worker process: each "
-                               "group's (env, design) cells fan out over "
-                               "nogil native kernels (1 without numba; "
-                               "default: 1)")
-
-    sweep = sub.add_parser("sweep", parents=[common, simopts, gridopts],
+    sweep = sub.add_parser("sweep", parents=[common, simopts],
                            help="run the workload×design grid in parallel")
+    sweep.add_argument("--env", default="native",
+                       help="comma-separated environments (default: native)")
+    sweep.add_argument("--workloads", default="",
+                       help="comma-separated subset (default: all seven)")
+    sweep.add_argument("--designs", default="",
+                       help="comma-separated subset (default: all per env)")
+    sweep.add_argument("--pages", choices=("4k", "thp", "both"),
+                       default="4k",
+                       help="page-size modes to sweep (default: 4k)")
+    sweep.add_argument("--workers", type=int, default=None,
+                       help="worker processes (default: all cores)")
     sweep.add_argument("--out", default="sweep_results.json",
                        help="JSON result store (default: sweep_results.json)")
     sweep.add_argument("--resume", default=None, metavar="DIR",
@@ -406,31 +345,18 @@ def main(argv=None) -> int:
                             "an interrupted sweep restarts from the "
                             "journal, re-running only missing groups "
                             "(a fresh DIR starts a new job)")
-
-    jobopts = argparse.ArgumentParser(add_help=False)
-    jobopts.add_argument("--timeout", type=float, default=None,
-                         metavar="SECONDS",
-                         help="per-shard timeout; a shard past it is "
-                              "retried on a fresh pool (default: none)")
-    jobopts.add_argument("--max-retries", type=int, default=2,
-                         help="re-runs of a shard after worker-death/"
-                              "timeout failures (default: 2)")
-    jobopts.add_argument("--out", default=None,
-                         help="also write the assembled sweep JSON here")
+    sweep.add_argument("--timeout", type=float, default=None,
+                       metavar="SECONDS",
+                       help="per-group timeout; a group past it is "
+                            "retried on a fresh pool (default: none)")
+    sweep.add_argument("--max-retries", type=int, default=2,
+                       help="re-runs of a group after worker-death/"
+                            "timeout failures (default: 2)")
 
     jobs_parser = sub.add_parser(
-        "jobs", help="resumable sharded sweep jobs (submit/status/tail/"
-                     "resume/cancel)")
+        "jobs", help="inspect or cancel a sweep journaled by "
+                     "`sweep --resume DIR` (status/tail/cancel)")
     jobs_sub = jobs_parser.add_subparsers(dest="jobs_command", required=True)
-    jobs_submit = jobs_sub.add_parser(
-        "submit", parents=[common, simopts, gridopts, jobopts],
-        help="journal a sweep grid as a job and run it to completion")
-    jobs_submit.add_argument("--dir", default=".repro-jobs",
-                             help="base directory; the job lands in "
-                                  "<dir>/<job_id> (default: .repro-jobs)")
-    jobs_submit.add_argument("--job-dir", default=None,
-                             help="explicit job directory (overrides "
-                                  "--dir/<job_id>)")
     jobs_status = jobs_sub.add_parser("status",
                                       help="summarize a job's journal")
     jobs_status.add_argument("job_dir")
@@ -442,17 +368,6 @@ def main(argv=None) -> int:
                            help="journal records to print (default 20)")
     jobs_tail.add_argument("--follow", action="store_true",
                            help="keep streaming until the job ends")
-    jobs_resume = jobs_sub.add_parser(
-        "resume", parents=[jobopts],
-        help="re-run the missing shards of an interrupted job")
-    jobs_resume.add_argument("job_dir")
-    jobs_resume.add_argument("--workers", type=int, default=None)
-    jobs_resume.add_argument("--cell-threads", type=int, default=1,
-                             help="replay threads per worker process "
-                                  "(default: 1)")
-    jobs_resume.add_argument("--trace", default=None, metavar="PATH")
-    jobs_resume.add_argument("--artifact-cache", default=None, metavar="DIR")
-    jobs_resume.add_argument("--no-artifact-cache", action="store_true")
     jobs_cancel = jobs_sub.add_parser(
         "cancel", help="ask the running scheduler to drain and stop")
     jobs_cancel.add_argument("job_dir")

@@ -12,10 +12,11 @@ JSONL journal under the job directory
 pool with per-shard timeouts and bounded, backed-off retries of
 worker-death failures; killing the scheduler at any instant loses at
 most the shards in flight, and a resume replays the journal and
-re-runs only what is missing. The client surface
+re-runs only what is missing. ``python -m repro sweep --resume <dir>``
+(:func:`~repro.sim.sweep.run_sweep` with ``resume_dir``) starts a job
+or resumes the one journaled in the directory; the client surface
 (:mod:`~repro.sim.jobs.client`) backs ``python -m repro jobs
-submit|status|tail|resume|cancel`` and ``python -m repro sweep
---resume <dir>``.
+status|tail|cancel``.
 
 A resumed sweep reuses the same :class:`~repro.sim.artifacts
 .ArtifactCache`/:class:`~repro.sim.simulator.Stage1Cache` plumbing as
@@ -26,17 +27,15 @@ wall-time/pid/RSS telemetry (``scheduler.VOLATILE_CELL_KEYS``).
 
 from __future__ import annotations
 
-from repro.sim.jobs.client import (DEFAULT_JOBS_DIR, cancel, format_status,
-                                   job_dir_for, load_job, resume, status,
-                                   submit, tail)
+from repro.sim.jobs.client import (cancel, format_status, load_job, status,
+                                   tail)
 from repro.sim.jobs.journal import Journal, read_journal
 from repro.sim.jobs.scheduler import (VOLATILE_CELL_KEYS, JobScheduler,
                                       stable_cells)
 from repro.sim.jobs.spec import JobSpec, Shard
 
 __all__ = [
-    "DEFAULT_JOBS_DIR", "JobScheduler", "JobSpec", "Journal", "Shard",
-    "VOLATILE_CELL_KEYS", "cancel", "format_status", "job_dir_for",
-    "load_job", "read_journal", "resume", "stable_cells", "status",
-    "submit", "tail",
+    "JobScheduler", "JobSpec", "Journal", "Shard", "VOLATILE_CELL_KEYS",
+    "cancel", "format_status", "load_job", "read_journal", "stable_cells",
+    "status", "tail",
 ]

@@ -1,9 +1,10 @@
-"""Client surface for sweep jobs: submit, status, tail, resume, cancel.
+"""Client surface for sweep jobs: status, tail, cancel.
 
-Everything here is a thin wrapper over the journal and the scheduler —
-``python -m repro jobs ...`` and ``python -m repro sweep --resume`` are
-both clients of the same machinery, and anything else (dashboards,
-parameter search, CI) can be too by importing these functions.
+A job is started and resumed by one call, ``run_sweep(resume_dir=DIR)``
+(``python -m repro sweep --resume DIR``). Everything here reads or
+signals a job's journal — ``python -m repro jobs status|tail|cancel``
+are its CLI, and anything else (dashboards, CI) can use these functions
+too.
 """
 
 from __future__ import annotations
@@ -14,16 +15,7 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.jobs import journal as jn
-from repro.sim.jobs.scheduler import JobScheduler
 from repro.sim.jobs.spec import JobSpec
-
-#: Default base directory for ``jobs submit`` (one subdir per job_id).
-DEFAULT_JOBS_DIR = ".repro-jobs"
-
-
-def job_dir_for(spec: JobSpec, base_dir: str = DEFAULT_JOBS_DIR) -> str:
-    """The content-addressed directory of ``spec`` under ``base_dir``."""
-    return os.path.join(base_dir, spec.job_id)
 
 
 def load_job(job_dir: str) -> Tuple[Optional[JobSpec], List[Dict], bool]:
@@ -36,36 +28,6 @@ def load_job(job_dir: str) -> Tuple[Optional[JobSpec], List[Dict], bool]:
     header = jn.job_record(records)
     spec = JobSpec.from_canonical(header["spec"]) if header else None
     return spec, records, torn
-
-
-def submit(spec: JobSpec, base_dir: str = DEFAULT_JOBS_DIR,
-           job_dir: Optional[str] = None, **scheduler_kwargs) -> Tuple[
-               str, Dict]:
-    """Create (or re-attach to) the job for ``spec`` and run it.
-
-    The job directory defaults to ``base_dir/<job_id>``, so submitting
-    the same grid twice resumes the first submission instead of
-    duplicating work. Returns ``(job_dir, document)``.
-    """
-    target = job_dir or job_dir_for(spec, base_dir)
-    scheduler = JobScheduler(spec, target, **scheduler_kwargs)
-    return target, scheduler.run()
-
-
-def resume(job_dir: str, **scheduler_kwargs) -> Dict:
-    """Resume the job journaled under ``job_dir``.
-
-    The grid comes from the journal's ``job`` record — not from CLI
-    flags — so a resume can never silently run a different sweep.
-    Raises :class:`FileNotFoundError` when the directory holds no
-    usable journal.
-    """
-    spec, _, _ = load_job(job_dir)
-    if spec is None:
-        raise FileNotFoundError(
-            f"no job journal under {job_dir!r}; submit the job first")
-    scheduler = JobScheduler(spec, job_dir, **scheduler_kwargs)
-    return scheduler.run()
 
 
 def cancel(job_dir: str) -> bool:

@@ -1,13 +1,14 @@
 """The shard scheduler: the one sweep executor (DESIGN.md §6, §14).
 
-Every sweep runs through one :class:`JobScheduler` — a plain
-:func:`~repro.sim.sweep.run_sweep` as well as ``--resume`` and
-``repro jobs``. With a job directory, ``run()`` replays its journal,
-serves already-completed shards from it (counted in the
-``sweep.resumed_groups`` metric) and journals every shard it completes;
-with ``job_dir=None`` it keeps no journal: no files, no fsync, no cancel
-polling and no ``job`` key in the document's meta. Either way it fans
-the missing shards over a worker pool in *rounds*:
+Every sweep runs through one :class:`JobScheduler`, by way of
+:func:`~repro.sim.sweep.run_sweep`: ``repro run`` (a one-group sweep),
+``repro sweep`` and ``repro sweep --resume``. With a job directory,
+``run()`` replays its journal, serves already-completed shards from it
+(counted in the ``sweep.resumed_groups`` metric) and journals every
+shard it completes; with ``job_dir=None`` it keeps no journal: no
+files, no fsync, no cancel polling and no ``job`` key in the document's
+meta. Either way it fans the missing shards over a worker pool in
+*rounds*:
 
 * when the missing shards fit one worker (``workers`` <= 1 or a single
   shard) every round runs inline, in this process; otherwise every
@@ -72,7 +73,7 @@ MAX_BACKOFF_SECONDS = 30.0
 #: RSS, cache provenance) — what resume-identity checks must ignore.
 VOLATILE_CELL_KEYS = (
     "replay_seconds", "walks_per_second", "build_seconds",
-    "stage1_seconds", "stage1_reused", "stage1_source",
+    "stage1_seconds", "stage1_source",
     "stage2_source", "group_seconds",
     "peak_rss_kb", "worker_pid",
 )
@@ -92,7 +93,7 @@ class JobScheduler:
     def __init__(self, spec: JobSpec, job_dir: Optional[str], *,
                  workers: Optional[int] = None,
                  shard_timeout: Optional[float] = None,
-                 max_retries: int = DEFAULT_MAX_RETRIES,
+                 max_retries: Optional[int] = None,
                  backoff: float = DEFAULT_BACKOFF,
                  out_path: Optional[str] = None,
                  trace_path: Optional[str] = None,
@@ -105,7 +106,8 @@ class JobScheduler:
         self.workers = workers if workers is not None \
             else (os.cpu_count() or 1)
         self.shard_timeout = shard_timeout
-        self.max_retries = max_retries
+        self.max_retries = DEFAULT_MAX_RETRIES if max_retries is None \
+            else max_retries
         self.backoff = backoff
         self.out_path = out_path
         self.trace_path = trace_path

@@ -35,7 +35,7 @@ from repro.core.paravirt import PvDMTHost, PvTEAAllocator
 from repro.core.registers import REGISTERS_PER_SET, RegisterSet
 from repro.hw.config import MachineConfig, xeon_gold_6138
 from repro.kernel.kernel import Kernel
-from repro.sim import kernels
+from repro.sim import kernels, tlb_vec
 from repro.sim.artifacts import SegmentWriter
 from repro.sim.simulator import (
     Stage1Cache,
@@ -44,7 +44,6 @@ from repro.sim.simulator import (
     make_size_lookup,
     replay_walks,
     tlb_accept_rates,
-    tlb_filter_stream,
 )
 from repro.translation.agile import AgilePagingWalker
 from repro.translation.asap import ASAPNativeWalker, ASAPNestedWalker
@@ -117,10 +116,6 @@ class SimConfig:
     #: this, the fixed-reach MMU caches cover the entire scaled-down
     #: working set and every design collapses to one memory reference.
     scale_mmu_caches: bool = True
-    #: Stage-1 TLB-filter engine: "vec" (batched NumPy, default) or
-    #: "scalar" (the dict-backed reference oracle). Both are
-    #: bit-identical; the oracle exists for equivalence testing.
-    engine: str = "vec"
     #: Stage-2 replay engine: "auto" (native kernels when the compiled
     #: backend and the design support them, else batched
     #: :mod:`repro.sim.walk_vec` when supported, scalar otherwise — the
@@ -152,10 +147,6 @@ class SimConfig:
         if self.levels not in (4, 5):
             raise ValueError(
                 f"levels={self.levels}: x86-64 radix trees are 4- or 5-level"
-            )
-        if self.engine not in ("vec", "scalar"):
-            raise ValueError(
-                f"engine={self.engine!r}: expected 'vec' or 'scalar'"
             )
         if self.walk_engine not in ("auto", "native", "vec", "scalar"):
             raise ValueError(
@@ -300,7 +291,6 @@ class _SimulationBase:
         self._stage1 = stage1
         #: Stage-1 telemetry, set by :meth:`_trace_and_filter`.
         self.stage1_seconds = 0.0
-        self.stage1_reused = False
         #: Where stage 1 came from: "computed", "memo" (in-process
         #: reuse), or "disk" (cross-run artifact cache).
         self.stage1_source = "computed"
@@ -446,12 +436,12 @@ class _SimulationBase:
     def _stage2_key(self, design: str, collect_steps: bool) -> list:
         """Stage-2 result-cache key: everything a replayed cell depends on.
 
-        The miss-stream digest subsumes the stage-1 knobs (engine,
-        stream_chunk — both bit-identical by contract and pinned by
-        test); ``walk_engine`` is deliberately absent because the fast
-        stage-2 engines are bit-identical on supported designs, so
-        cells cached by one serve the other (the ``scalar`` oracle
-        bypasses the cache, :meth:`_result_artifacts`). The cost-model
+        The miss-stream digest subsumes the stage-1 knob stream_chunk
+        (bit-identical by contract and pinned by test); ``walk_engine``
+        is deliberately absent because the fast stage-2 engines are
+        bit-identical on supported designs, so cells cached by one
+        serve the other (the ``scalar`` oracle bypasses the cache,
+        :meth:`_result_artifacts`). The cost-model
         version constant invalidates every cached cell when calibrated
         latencies change, and :data:`STAGE2_KEY_VERSION` when the
         meaning of a cell does.
@@ -521,7 +511,7 @@ class _SimulationBase:
         """
         cfg = self.config
         return (self.workload.name, cfg.scale, cfg.nrefs, cfg.seed,
-                cfg.thp, cfg.levels, cfg.engine, cfg.scale_mmu_caches)
+                cfg.thp, cfg.levels, cfg.scale_mmu_caches)
 
     def _trace_key(self) -> list:
         """Stage-0 artifact key: everything the address trace depends on.
@@ -571,7 +561,7 @@ class _SimulationBase:
         segments or from the workload's chunked generator; with an
         artifact cache attached a generated chunk is appended to the
         trace's segment writer. The chunk goes through the stage-1
-        filter (either engine carries its TLB state across chunks), and
+        filter (which carries its TLB state across chunks), and
         its misses are appended to a segment writer: under the stage-1
         key with a cache, in a temporary directory without one. The
         miss stream is assembled at the end into one preallocated
@@ -584,9 +574,9 @@ class _SimulationBase:
         artifacts = self._stage1.artifacts if self._stage1 is not None \
             else None
         total_refs = self.workload.trace_length(cfg.nrefs)
-        filt = tlb_filter_stream(
+        filt = tlb_vec.TLBFilterStream(
             cfg.machine, make_size_lookup(self.process.page_table),
-            accept_rates=self._accept_rates(), engine=cfg.engine)
+            accept_rates=self._accept_rates())
 
         # Trace segments: reuse a stored stage-0 entry when there is
         # one; otherwise generate, storing segments for next time.
@@ -611,7 +601,7 @@ class _SimulationBase:
             for piece in pieces:
                 if trace_writer is not None:
                     trace_writer.append(piece)
-                with obs_trace.span("stage1.tlb_filter", engine=cfg.engine,
+                with obs_trace.span("stage1.tlb_filter",
                                     refs=len(piece)) as sp:
                     segment = filt.feed(piece)
                     if sp is not None:
@@ -665,12 +655,10 @@ class _SimulationBase:
             start = time.perf_counter()
             result = build()
             self.stage1_seconds = time.perf_counter() - start
-            self.stage1_reused = False
             self.stage1_source = "computed"
             return result
         result = self._stage1.fetch(self._stage1_key(), build)
         self.stage1_seconds = self._stage1.last_seconds
-        self.stage1_reused = self._stage1.last_reused
         self.stage1_source = self._stage1.last_source
         return result
 

@@ -72,8 +72,7 @@ class MultiProcessSimulation:
                                             self.config.seed)
             misses = tlb_filter(trace, self.config.machine,
                                 make_size_lookup(process.page_table),
-                                asid=process.asid,
-                                engine=self.config.engine).miss_vas
+                                asid=process.asid).miss_vas
             self.processes.append(process)
             # plain ints: the interleaver re-slices these streams per
             # quantum and the walkers expect native integers

@@ -7,12 +7,12 @@ stream through each translation design's walker, so designs are compared
 on identical inputs — the structure of the paper's DynamoRIO methodology
 (§5) at simulation scale.
 
-Stage 1 has two engines. The default, :mod:`repro.sim.tlb_vec`, batches
-the per-reference work with NumPy and runs a chunked state machine over
-flat set/way arrays; the scalar :class:`~repro.hw.tlb.TLBHierarchy` path
-is kept as the reference oracle (``engine="scalar"``). The two are
-bit-identical by construction and by test
-(``tests/test_tlb_vec.py``).
+Stage 1 runs on :mod:`repro.sim.tlb_vec`, which batches the
+per-reference work with NumPy and runs a chunked state machine over
+flat set/way arrays. The scalar :class:`~repro.hw.tlb.TLBHierarchy`
+path is kept as the reference oracle (:class:`ScalarTLBFilterStream`,
+:func:`tlb_filter_scalar`) that tests compare against; the two are
+bit-identical by construction and by test (``tests/test_tlb_vec.py``).
 
 Stage 2 mirrors that structure: :func:`replay_walks` is the scalar
 oracle and dispatcher, and :mod:`repro.sim.walk_vec` is the batched
@@ -171,30 +171,6 @@ class ScalarTLBFilterStream:
         return np.asarray(misses, dtype=np.int64)
 
 
-def tlb_filter_stream(
-    machine: MachineConfig,
-    size_lookup: SizeLookup,
-    asid: int = 1,
-    accept_rates: Optional[Dict[PageSize, float]] = None,
-    engine: str = "vec",
-):
-    """A fresh chunk-carrying stage-1 filter for ``engine``.
-
-    ``engine="vec"`` is the batched :class:`~repro.sim.tlb_vec.
-    TLBFilterStream`, ``engine="scalar"`` the dict-backed
-    :class:`ScalarTLBFilterStream` oracle; both emit the same miss
-    stream bit for bit, for any chunking of the trace.
-    """
-    if engine == "vec":
-        return tlb_vec.TLBFilterStream(machine, size_lookup, asid=asid,
-                                       accept_rates=accept_rates)
-    if engine == "scalar":
-        return ScalarTLBFilterStream(machine, size_lookup, asid=asid,
-                                     accept_rates=accept_rates)
-    raise ValueError(f"unknown stage-1 engine {engine!r} "
-                     "(expected 'vec' or 'scalar')")
-
-
 def tlb_filter_scalar(
     trace: np.ndarray,
     machine: MachineConfig,
@@ -214,19 +190,16 @@ def tlb_filter(
     size_lookup: SizeLookup,
     asid: int = 1,
     accept_rates: Optional[Dict[PageSize, float]] = None,
-    engine: str = "vec",
 ) -> TLBFilterResult:
     """Run stage 1 on a whole trace: return the TLB-miss address stream.
 
-    The one-shot wrapper: one feed of a fresh :func:`tlb_filter_stream`.
-    ``engine="vec"`` (default) uses the batched NumPy engine;
-    ``engine="scalar"`` runs the dict-backed oracle. Both emit the same
-    miss stream bit for bit.
+    The one-shot wrapper: one feed of a fresh
+    :class:`~repro.sim.tlb_vec.TLBFilterStream`, bit-identical to
+    :func:`tlb_filter_scalar`.
     """
-    stream = tlb_filter_stream(machine, size_lookup, asid=asid,
-                               accept_rates=accept_rates, engine=engine)
-    with obs_trace.span("stage1.tlb_filter", engine=engine,
-                        refs=len(trace)) as sp:
+    stream = tlb_vec.TLBFilterStream(machine, size_lookup, asid=asid,
+                                     accept_rates=accept_rates)
+    with obs_trace.span("stage1.tlb_filter", refs=len(trace)) as sp:
         result = TLBFilterResult(stream.feed(trace), len(trace))
         if sp is not None:
             sp["misses"] = result.miss_count
@@ -386,7 +359,7 @@ class Stage1Cache:
     """Sweep-wide stage-1 memo: trace + TLB-miss stream, computed once.
 
     Grid cells that share a stage-1 input signature — workload, scale,
-    trace length, seed, THP mode, tree depth, filter engine — produce
+    trace length, seed, THP mode, tree depth, MMU-cache scaling — produce
     the same miss stream regardless of environment: the workload layout
     and trace are deterministic in the process address space, and the
     TLB filter sees only virtual addresses and page sizes
@@ -406,8 +379,8 @@ class Stage1Cache:
 
     ``fetch`` records telemetry: ``last_seconds`` is the stage-1 wall
     time of the entry served (the original compute time when reused)
-    and ``last_reused`` whether it avoided a recompute; ``last_source``
-    distinguishes ``"memo"`` / ``"disk"`` / ``"computed"``.
+    and ``last_source`` where it came from: ``"memo"`` / ``"disk"`` /
+    ``"computed"``.
     """
 
     def __init__(self, artifacts=None):
@@ -417,7 +390,6 @@ class Stage1Cache:
         self._computed = metrics.counter("stage1.computed")
         self._reused = metrics.counter("stage1.reused")
         self.last_seconds = 0.0
-        self.last_reused = False
         self.last_source = "none"
 
     @property
@@ -434,7 +406,6 @@ class Stage1Cache:
         if entry is not None:
             self._reused.inc()
             self.last_seconds = entry[1]
-            self.last_reused = True
             self.last_source = "memo"
             return entry[0]
         if self.artifacts is not None:
@@ -450,7 +421,6 @@ class Stage1Cache:
                 self._entries[key] = (result, seconds)
                 self._reused.inc()
                 self.last_seconds = seconds
-                self.last_reused = True
                 self.last_source = "disk"
                 return result
         start = time.perf_counter()
@@ -459,7 +429,6 @@ class Stage1Cache:
         self._entries[key] = (result, seconds)
         self._computed.inc()
         self.last_seconds = seconds
-        self.last_reused = False
         self.last_source = "computed"
         return result
 

@@ -214,8 +214,7 @@ def run_group(task: GroupTask) -> List[Dict]:
 
     The group shares one :class:`Stage1Cache`, so the trace and TLB-miss
     stream are computed by the first environment and reused by the rest
-    (each cell's ``stage1_reused``/``stage1_source`` telemetry records
-    which); with an artifact directory in the task, the cache also
+    (each cell's ``stage1_source`` telemetry records which); with an artifact directory in the task, the cache also
     persists stage 0/1 to disk and reuses results across runs. Returns one
     telemetry dict per grid cell; a design that raises yields an error
     cell while the group's other designs still complete (a failed
@@ -313,7 +312,6 @@ def _cell_record(sim, env: str, workload: str, thp: bool, design: str,
         "total_refs": sim.tlb.total_refs,
         "tlb_miss_rate": sim.tlb.miss_rate,
         "stage1_seconds": sim.stage1_seconds,
-        "stage1_reused": sim.stage1_reused,
         "stage1_source": sim.stage1_source,
         "walk_engine": stats.engine,
         "stage2_fallback_reason": stats.fallback_reason,
@@ -365,6 +363,8 @@ def run_sweep(envs: Sequence[str] = ("native",),
               artifact_dir: Optional[str] = None,
               resume_dir: Optional[str] = None,
               cell_threads: Optional[int] = None,
+              shard_timeout: Optional[float] = None,
+              max_retries: Optional[int] = None,
               **config_kwargs) -> Dict:
     """Run the grid, fanning groups across ``workers`` processes.
 
@@ -392,7 +392,8 @@ def run_sweep(envs: Sequence[str] = ("native",),
     are journaled under that directory as they finish, and an
     interrupted sweep restarts from the journal re-running only missing
     groups. A directory that already holds a journal runs *its* grid,
-    not this call's.
+    not this call's. ``shard_timeout`` and ``max_retries`` go to the
+    scheduler (``None`` keeps its defaults: no timeout, 2 retries).
 
     ``cell_threads`` adds the second parallelism level: each group's
     worker replays its independent (env, design) cells on that many
@@ -422,7 +423,9 @@ def run_sweep(envs: Sequence[str] = ("native",),
                              out_path=out_path, progress=progress,
                              trace_path=trace_path,
                              artifact_dir=artifact_dir,
-                             cell_threads=cell_threads).run()
+                             cell_threads=cell_threads,
+                             shard_timeout=shard_timeout,
+                             max_retries=max_retries).run()
 
 
 def summarize(document: Dict) -> List[List]:

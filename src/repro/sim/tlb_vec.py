@@ -5,7 +5,7 @@ reference at a time through dict-backed set-associative TLBs — correct,
 but every reference pays for a size-lookup call, tuple-key hashing and
 several method dispatches. This module is the batched replacement:
 
-1. **Vectorized precompute** (NumPy, per fed chunk): page-size
+1. **Vectorized precompute** (NumPy, per inner chunk): page-size
    classification via one lookup per unique 2 MB unit, per-page-size VPN
    arrays (an elementwise shift by the per-reference page-size shift),
    L1/STLB set indices, and packed integer tags that stand in for the
@@ -41,7 +41,7 @@ from repro.arch import PageSize
 from repro.hw.config import MachineConfig
 
 #: References processed per inner-loop chunk; bounds the transient
-#: Python-list footprint to a few hundred KB regardless of trace length.
+#: NumPy arrays and Python lists to a few MB regardless of trace length.
 DEFAULT_CHUNK = 1 << 16
 
 #: Compact code for each page-size shift: 4 KB -> 0, 2 MB -> 1, 1 GB -> 2.
@@ -133,12 +133,27 @@ class TLBFilterStream:
         return (self.l1_state, self.stlb_state, self.credit)
 
     def feed(self, trace: np.ndarray) -> np.ndarray:
-        """Filter one trace chunk; returns its miss-stream segment."""
-        trace = np.ascontiguousarray(trace, dtype=np.int64)
-        if trace.size == 0:
-            return np.empty(0, dtype=np.int64)
+        """Filter one trace chunk; returns its miss-stream segment.
 
-        # ---- vectorized precompute (this chunk) --------------------- #
+        The chunk is filtered ``chunk`` references at a time, so the
+        NumPy temporaries and the Python miss list of one step stay that
+        size however long the fed chunk is; each step's misses land in
+        one int64 buffer with a slot per reference.
+        """
+        trace = np.ascontiguousarray(trace, dtype=np.int64)
+        misses = np.empty(trace.size, dtype=np.int64)
+        count = 0
+        for start in range(0, trace.size, self._chunk):
+            step = self._filter(trace[start:start + self._chunk])
+            misses[count:count + step.size] = step
+            count += step.size
+        self.total_refs += int(trace.size)
+        self.total_misses += count
+        return misses[:count].copy()
+
+    def _filter(self, trace: np.ndarray) -> np.ndarray:
+        """Run the state machine over one inner chunk of references."""
+        # ---- vectorized precompute (this inner chunk) --------------- #
         shifts = classify_trace(trace, self._size_lookup)
         vpn = trace >> shifts                       # per-page-size VPNs
         codes = (shifts - 12) // 9                  # 12/21/30 -> 0/1/2
@@ -152,100 +167,93 @@ class TLBFilterStream:
         stlb_assoc = self._stlb_assoc
         rates = self.rates
         credit = self.credit
-        chunk = self._chunk
 
         misses = []
         append_miss = misses.append
-        for start in range(0, trace.size, chunk):
-            stop = min(start + chunk, trace.size)
-            rows = zip(trace[start:stop].tolist(), tags[start:stop].tolist(),
-                       l1_idx[start:stop].tolist(),
-                       stlb_idx[start:stop].tolist(),
-                       codes[start:stop].tolist())
-            if rates is None:
-                for va, tag, s1, s2, _code in rows:
-                    ways = l1_state[s1]
-                    if tag in ways:                      # L1 hit: touch LRU
-                        if ways[-1] != tag:
-                            ways.remove(tag)
-                            ways.append(tag)
-                        continue
-                    sways = stlb_state[s2]
-                    if tag in sways:                     # STLB hit: refill L1
-                        if sways[-1] != tag:
-                            sways.remove(tag)
-                            sways.append(tag)
-                        if len(ways) >= l1_assoc:
-                            del ways[0]
+        rows = zip(trace.tolist(), tags.tolist(), l1_idx.tolist(),
+                   stlb_idx.tolist(), codes.tolist())
+        if rates is None:
+            for va, tag, s1, s2, _code in rows:
+                ways = l1_state[s1]
+                if tag in ways:                      # L1 hit: touch LRU
+                    if ways[-1] != tag:
+                        ways.remove(tag)
                         ways.append(tag)
-                        continue
-                    append_miss(va)                      # full miss: fill both
-                    if len(sways) >= stlb_assoc:
-                        del sways[0]
-                    sways.append(tag)
+                    continue
+                sways = stlb_state[s2]
+                if tag in sways:                     # STLB hit: refill L1
+                    if sways[-1] != tag:
+                        sways.remove(tag)
+                        sways.append(tag)
                     if len(ways) >= l1_assoc:
                         del ways[0]
                     ways.append(tag)
-            else:
-                for va, tag, s1, s2, code in rows:
-                    ways = l1_state[s1]
-                    if tag in ways:
-                        # L1 hit: touch, then run the credit counter. A
-                        # rejected hit counts as a miss and refills the STLB
-                        # (the fill's L1 install is an order no-op: the tag
-                        # is already MRU).
-                        if ways[-1] != tag:
-                            ways.remove(tag)
-                            ways.append(tag)
-                        rate = rates[code]
-                        if rate >= 1.0:
-                            continue
-                        acc = credit[code] + rate
-                        if acc >= 1.0:
-                            credit[code] = acc - 1.0
-                            continue
-                        credit[code] = acc
-                        append_miss(va)
-                        sways = stlb_state[s2]
-                        if tag in sways:
-                            if sways[-1] != tag:
-                                sways.remove(tag)
-                                sways.append(tag)
-                        else:
-                            if len(sways) >= stlb_assoc:
-                                del sways[0]
-                            sways.append(tag)
+                    continue
+                append_miss(va)                      # full miss: fill both
+                if len(sways) >= stlb_assoc:
+                    del sways[0]
+                sways.append(tag)
+                if len(ways) >= l1_assoc:
+                    del ways[0]
+                ways.append(tag)
+        else:
+            for va, tag, s1, s2, code in rows:
+                ways = l1_state[s1]
+                if tag in ways:
+                    # L1 hit: touch, then run the credit counter. A
+                    # rejected hit counts as a miss and refills the STLB
+                    # (the fill's L1 install is an order no-op: the tag
+                    # is already MRU).
+                    if ways[-1] != tag:
+                        ways.remove(tag)
+                        ways.append(tag)
+                    rate = rates[code]
+                    if rate >= 1.0:
                         continue
+                    acc = credit[code] + rate
+                    if acc >= 1.0:
+                        credit[code] = acc - 1.0
+                        continue
+                    credit[code] = acc
+                    append_miss(va)
                     sways = stlb_state[s2]
                     if tag in sways:
-                        # STLB hit: touch STLB, refill L1, then thin. On a
-                        # rejected hit the fill re-installs both levels, but
-                        # the tag is already MRU in each — no state change.
                         if sways[-1] != tag:
                             sways.remove(tag)
                             sways.append(tag)
-                        if len(ways) >= l1_assoc:
-                            del ways[0]
-                        ways.append(tag)
-                        rate = rates[code]
-                        if rate >= 1.0:
-                            continue
-                        acc = credit[code] + rate
-                        if acc >= 1.0:
-                            credit[code] = acc - 1.0
-                            continue
-                        credit[code] = acc
-                        append_miss(va)
-                        continue
-                    append_miss(va)
-                    if len(sways) >= stlb_assoc:
-                        del sways[0]
-                    sways.append(tag)
+                    else:
+                        if len(sways) >= stlb_assoc:
+                            del sways[0]
+                        sways.append(tag)
+                    continue
+                sways = stlb_state[s2]
+                if tag in sways:
+                    # STLB hit: touch STLB, refill L1, then thin. On a
+                    # rejected hit the fill re-installs both levels, but
+                    # the tag is already MRU in each — no state change.
+                    if sways[-1] != tag:
+                        sways.remove(tag)
+                        sways.append(tag)
                     if len(ways) >= l1_assoc:
                         del ways[0]
                     ways.append(tag)
-        self.total_refs += int(trace.size)
-        self.total_misses += len(misses)
+                    rate = rates[code]
+                    if rate >= 1.0:
+                        continue
+                    acc = credit[code] + rate
+                    if acc >= 1.0:
+                        credit[code] = acc - 1.0
+                        continue
+                    credit[code] = acc
+                    append_miss(va)
+                    continue
+                append_miss(va)
+                if len(sways) >= stlb_assoc:
+                    del sways[0]
+                sways.append(tag)
+                if len(ways) >= l1_assoc:
+                    del ways[0]
+                ways.append(tag)
         return np.asarray(misses, dtype=np.int64)
 
 

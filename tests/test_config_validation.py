@@ -31,7 +31,7 @@ def test_register_count_in_range_accepted(count):
 @pytest.mark.parametrize("kwargs,match", [
     ({"levels": 3}, "levels"),
     ({"levels": 6}, "levels"),
-    ({"engine": "turbo"}, "engine"),
+    ({"walk_engine": "turbo"}, "engine"),
     ({"scale": 0}, "scale"),
     ({"nrefs": 0}, "nrefs"),
     ({"warmup_fraction": 1.0}, "warmup_fraction"),

@@ -228,7 +228,7 @@ class TestKillResumeIdentity:
         journaled = len(jn.completed_shards(jn.read_journal(path)[0]))
         assert journaled == (max(k - 1, 0) if torn else k)
 
-        document = jobs.resume(job_dir, workers=1)
+        document = run_sweep(resume_dir=job_dir, workers=1)
         assert jobs.stable_cells(document["cells"]) == reference
         assert document["meta"]["job"]["resumed_groups"] == journaled
         assert document["meta"]["metrics"]["sweep.resumed_groups"] == \
@@ -243,7 +243,7 @@ class TestKillResumeIdentity:
         spec = small_spec()
         JobScheduler(spec, job_dir, workers=1).run()
         with metrics.scoped():
-            document = jobs.resume(job_dir, workers=1)
+            document = run_sweep(resume_dir=job_dir, workers=1)
         assert document["meta"]["job"]["resumed_groups"] == 3
         assert jobs.stable_cells(document["cells"]) == reference
 
@@ -344,7 +344,7 @@ class TestSchedulerFailures:
         assert jn.is_cancelled(records)
 
         os.remove(jn.cancel_path(job_dir))
-        final = jobs.resume(job_dir, workers=1)
+        final = run_sweep(resume_dir=job_dir, workers=1)
         assert jobs.stable_cells(final["cells"]) == reference
 
 
@@ -353,18 +353,6 @@ class TestSchedulerFailures:
 # --------------------------------------------------------------------- #
 
 class TestClient:
-    def test_submit_is_content_addressed_and_idempotent(self, tmp_path):
-        base = str(tmp_path / "jobs")
-        spec = small_spec(workloads=["GUPS"])
-        job_dir, document = jobs.submit(spec, base_dir=base, workers=1)
-        assert job_dir == os.path.join(base, spec.job_id)
-        assert not document["meta"].get("partial")
-        with metrics.scoped():
-            job_dir2, document2 = jobs.submit(spec, base_dir=base,
-                                              workers=1)
-        assert job_dir2 == job_dir
-        assert document2["meta"]["job"]["resumed_groups"] == 1
-
     def test_status_and_tail_on_live_journal(self, tmp_path):
         job_dir = str(tmp_path / "job")
         scheduler = JobScheduler(small_spec(), job_dir, workers=1,
@@ -382,29 +370,44 @@ class TestClient:
         jobs.tail(job_dir, count=100, emit=lines.append)
         assert any(line.startswith("shard ") for line in lines)
 
-    def test_resume_without_journal_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="no job journal"):
-            jobs.resume(str(tmp_path / "empty"))
-
     def test_cancel_of_finished_job_reports_false(self, tmp_path):
         job_dir = str(tmp_path / "job")
-        jobs.submit(small_spec(workloads=["GUPS"]), job_dir=job_dir,
-                    workers=1)
+        run_sweep(envs=["native"], workloads=["GUPS"],
+                  designs=["vanilla", "dmt"], resume_dir=job_dir, workers=1,
+                  **CONFIG)
         assert jobs.cancel(job_dir) is False
 
     def test_cli_jobs_round_trip(self, tmp_path, capsys):
         from repro.__main__ import main
 
         job_dir = str(tmp_path / "cli-job")
-        args = ["--workloads", "GUPS", "--designs", "vanilla,dmt",
-                "--scale", "4096", "--nrefs", "2000", "--workers", "1",
-                "--no-artifact-cache"]
-        assert main(["jobs", "submit", "--job-dir", job_dir] + args) == 0
+        out_path = str(tmp_path / "doc.json")
+        args = ["--workers", "1", "--no-artifact-cache", "--out", out_path,
+                "--timeout", "600", "--max-retries", "1"]
+        assert main(["sweep", "--resume", job_dir, "--workloads", "GUPS",
+                     "--designs", "vanilla,dmt", "--scale", "4096",
+                     "--nrefs", "2000"] + args) == 0
         assert main(["jobs", "status", job_dir]) == 0
         out = capsys.readouterr().out
         assert "[done]" in out
-        assert main(["jobs", "resume", job_dir, "--workers", "1",
-                     "--no-artifact-cache"]) == 0
+        # a second run of the finished job serves its one group from the
+        # journal, whatever grid flags it is given
+        assert main(["sweep", "--resume", job_dir] + args) == 0
+        with open(out_path, encoding="utf-8") as handle:
+            document = json.load(handle)
+        assert document["meta"]["job"]["resumed_groups"] == 1
+        assert len(document["cells"]) == 2
+
+    def test_jobs_cli_keeps_only_the_journal_verbs(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit):
+            main(["jobs", "--help"])
+        out = capsys.readouterr().out
+        assert "{status,tail,cancel}" in out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["jobs", "submit"])
+        assert exit_info.value.code == 2
 
     def test_cli_sweep_resume(self, tmp_path, capsys):
         from repro.__main__ import main

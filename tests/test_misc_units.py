@@ -151,9 +151,43 @@ class TestCLI:
         code = main(["run", "--workload", "GUPS", "--env", "native",
                      "--designs", "vanilla,dmt", "--nrefs", "1500",
                      "--scale", "8192", "--levels", "5",
-                     "--register-count", "8", "--engine", "scalar"])
+                     "--register-count", "8"])
         assert code == 0
         assert "walk speedup" in capsys.readouterr().out
+
+    def test_run_fails_on_an_error_cell(self, capsys):
+        """vec refuses sanitized replays, so every cell is an error cell:
+        run prints each error and exits 1 (CI's sanitized run steps rely
+        on a failing cell failing the command)."""
+        from repro.__main__ import main
+        from repro.analysis import sanitizer
+        try:
+            code = main(["run", "--workload", "GUPS", "--env", "native",
+                         "--designs", "vanilla,dmt", "--nrefs", "1500",
+                         "--scale", "8192", "--sanitize", "--walk-engine",
+                         "vec"])
+        finally:
+            sanitizer.reset()  # --sanitize turned the global checks on
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("sanitizer active") == 2
+
+    def test_run_trace_records_sweep_and_replay_spans(self, capsys,
+                                                      tmp_path):
+        import json
+
+        from repro.__main__ import main
+        trace = tmp_path / "run.jsonl"
+        code = main(["run", "--workload", "GUPS", "--env", "native",
+                     "--designs", "dmt", "--nrefs", "1500",
+                     "--scale", "8192", "--trace", str(trace)])
+        assert code == 0
+        names = [json.loads(line)["name"]
+                 for line in trace.read_text().splitlines()]
+        assert names.count("sweep.run_group") == 1
+        assert names.count("stage2.replay") == 2  # dmt and vanilla
+        out = capsys.readouterr().out
+        assert "dmt" in out and f"trace spans appended to {trace}" in out
 
     def test_sweep_command_writes_cell_telemetry(self, capsys, tmp_path):
         import json

@@ -5,9 +5,10 @@ chunk size — dividing or not — the concatenated chunk stream equals the
 monolithic trace draw for draw; the streamed TLB filter emits the same
 miss stream and reaches the same TLB/credit end state as the one-shot
 filter; and the machine's stage 0→1 pipeline — the only one — is
-byte-identical to the one-shot oracle ``tlb_filter(generate_trace())``
-on either stage-1 engine, cold or warm, with or without an artifact
-cache.
+byte-identical to both one-shot oracles, the scalar reference
+``tlb_filter_scalar(generate_trace())`` and the vectorised
+``tlb_filter(generate_trace())``, cold or warm, with or without an
+artifact cache.
 """
 
 import dataclasses
@@ -21,7 +22,8 @@ from repro.kernel.kernel import Kernel
 from repro.sim import tlb_vec
 from repro.sim.artifacts import ArtifactCache
 from repro.sim.machine import NativeSimulation, SimConfig
-from repro.sim.simulator import Stage1Cache, make_size_lookup, tlb_filter
+from repro.sim.simulator import (Stage1Cache, make_size_lookup, tlb_filter,
+                                  tlb_filter_scalar)
 from repro.workloads import catalogue, get
 
 MB = 1 << 20
@@ -128,40 +130,40 @@ def test_stream_chunk_rejects_non_positive():
     for chunk in (0, -1):
         with pytest.raises(ValueError):
             SimConfig(stream_chunk=chunk)
-    # a chunk size is valid on either stage-1 engine
-    SimConfig(stream_chunk=1000, engine="scalar")
 
 
-def _one_shot(sim):
-    """The one-shot oracle on the simulation's own built machine."""
+ORACLES = {"scalar": tlb_filter_scalar, "vec": tlb_filter}
+
+
+def _one_shot(sim, oracle):
+    """A one-shot oracle on the simulation's own built machine: the scalar
+    reference filter, or the vectorised filter fed the whole trace at once."""
     cfg = sim.config
     trace = sim.workload.generate_trace(sim.layout, cfg.nrefs, cfg.seed)
-    return tlb_filter(trace, cfg.machine,
-                      make_size_lookup(sim.process.page_table),
-                      accept_rates=sim._accept_rates(), engine=cfg.engine)
+    return ORACLES[oracle](trace, cfg.machine,
+                           make_size_lookup(sim.process.page_table),
+                           accept_rates=sim._accept_rates())
 
 
-@pytest.mark.parametrize("engine", ["vec", "scalar"])
+@pytest.mark.parametrize("oracle", ["vec", "scalar"])
 @pytest.mark.parametrize("name", ["GUPS", "Redis", "BTree"])
-def test_machine_streaming_matches_one_shot(name, engine):
+def test_machine_streaming_matches_one_shot(name, oracle):
     """7001 divides no trace length here: chunks straddle every layout."""
-    sim = NativeSimulation(name, dataclasses.replace(
-        BASE, stream_chunk=7001, engine=engine))
-    oracle = _one_shot(sim)
-    assert sim.tlb.total_refs == oracle.total_refs
+    sim = NativeSimulation(name, dataclasses.replace(BASE, stream_chunk=7001))
+    expected = _one_shot(sim, oracle)
+    assert sim.tlb.total_refs == expected.total_refs
     assert np.array_equal(np.asarray(sim.tlb.miss_vas),
-                          oracle.miss_vas), (name, engine)
+                          expected.miss_vas), (name, oracle)
 
 
-@pytest.mark.parametrize("engine", ["vec", "scalar"])
-def test_machine_streaming_matches_one_shot_1m_gups(engine):
+@pytest.mark.parametrize("oracle", ["vec", "scalar"])
+def test_machine_streaming_matches_one_shot_1m_gups(oracle):
     """10^6 references in 143 chunks, against the one-shot oracle."""
-    cfg = SimConfig(scale=1024, nrefs=1_000_000, seed=0, engine=engine,
-                    stream_chunk=7001)
+    cfg = SimConfig(scale=1024, nrefs=1_000_000, seed=0, stream_chunk=7001)
     sim = NativeSimulation("GUPS", cfg)
-    oracle = _one_shot(sim)
-    assert np.array_equal(np.asarray(sim.tlb.miss_vas), oracle.miss_vas)
-    assert sim.tlb.total_refs == oracle.total_refs == 1_000_000
+    expected = _one_shot(sim, oracle)
+    assert np.array_equal(np.asarray(sim.tlb.miss_vas), expected.miss_vas)
+    assert sim.tlb.total_refs == expected.total_refs == 1_000_000
 
 
 def test_streaming_persists_segmented_artifacts(tmp_path):

@@ -55,7 +55,7 @@ def test_miss_stream_bit_identical(workload, thp):
                                    make_size_lookup(page_table),
                                    accept_rates=accept)
         vec = tlb_filter(trace, machine, make_size_lookup(page_table),
-                         accept_rates=accept, engine="vec")
+                         accept_rates=accept)
         label = (workload, thp, "thinned" if accept else "raw")
         assert vec.miss_vas.dtype == np.int64
         assert vec.total_refs == scalar.total_refs == NREFS
@@ -68,12 +68,6 @@ class TestEngineUnits:
         result = tlb_filter(np.empty(0, dtype=np.int64), machine,
                             lambda va: PageSize.SIZE_4K)
         assert result.miss_count == 0 and result.total_refs == 0
-
-    def test_unknown_engine_rejected(self):
-        machine = xeon_gold_6138()
-        with pytest.raises(ValueError):
-            tlb_filter(np.zeros(1, dtype=np.int64), machine,
-                       lambda va: PageSize.SIZE_4K, engine="quantum")
 
     def test_asid_keys_distinguish_processes(self):
         """Two ASIDs touching the same VPNs must not alias in the TLB."""

@@ -347,8 +347,8 @@ def test_stage1_cache_shares_miss_stream_across_environments():
     sims = [ENVIRONMENTS[env]("GUPS", config, stage1=cache)
             for env in ("native", "virt", "nested")]
     assert cache.computed == 1 and cache.reused == 2
-    assert sims[0].stage1_reused is False
-    assert all(sim.stage1_reused for sim in sims[1:])
+    assert [sim.stage1_source for sim in sims] == [
+        "computed", "memo", "memo"]
     for sim in sims[1:]:
         assert np.array_equal(sims[0].tlb.miss_vas, sim.tlb.miss_vas)
         assert sim.stage1_seconds == sims[0].stage1_seconds > 0.0
@@ -360,7 +360,6 @@ def test_run_group_reports_stage1_reuse_telemetry(tmp_path):
             dict(scale=4096, nrefs=3000), None, artifact_dir, 1)
     cells = run_group(task)
     assert [cell["env"] for cell in cells] == ["native", "virt"]
-    assert [cell["stage1_reused"] for cell in cells] == [False, True]
     assert [cell["stage1_source"] for cell in cells] == ["computed", "memo"]
     assert cells[0]["stage1_seconds"] == cells[1]["stage1_seconds"] > 0.0
     assert all(cell["walk_engine"] == AUTO_ENGINE for cell in cells)
