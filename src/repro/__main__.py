@@ -71,7 +71,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             artifact_dir=None if args.no_artifact_cache
             else args.artifact_cache,
             cell_threads=args.cell_threads, **_config_kwargs(args))
-    except KeyError as error:
+    except (KeyError, ValueError) as error:
+        # unknown design, or a config SimConfig rejects
         print(f"error: {error.args[0] if error.args else error}",
               file=sys.stderr)
         return 2
@@ -192,8 +193,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             max_retries=args.max_retries,
             **_config_kwargs(args),
         )
-    except KeyError as error:
-        # unknown design: no swept environment provides it
+    except (KeyError, ValueError) as error:
+        # unknown design (no swept environment provides it), a config
+        # SimConfig rejects, or a --resume directory of another grid
         print(f"error: {error.args[0] if error.args else error}",
               file=sys.stderr)
         return 2

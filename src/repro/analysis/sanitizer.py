@@ -38,6 +38,7 @@ habits both work).
 
 from __future__ import annotations
 
+import threading
 import weakref
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
@@ -68,6 +69,12 @@ class SanitizerError(AssertionError):
 
 
 _ACTIVE = False
+
+#: :func:`enabled` scopes in progress (they nest and may overlap across
+#: threads) and whether the sanitizer was on before the first of them.
+_scope_lock = threading.Lock()
+_scope_depth = 0
+_scope_found_active = False
 
 #: Live TLB hierarchies / page-walk caches to probe for coherence.
 _tlbs: List["weakref.ref"] = []
@@ -103,14 +110,26 @@ def active() -> bool:
 
 @contextmanager
 def enabled():
-    """Run a block with the sanitizer on, restoring prior state after."""
-    was = _ACTIVE
-    enable()
+    """Run a block with the sanitizer on, restoring prior state after.
+
+    Scopes nest and may overlap across threads (the cells of one
+    sanitized machine can replay concurrently): the first scope in
+    turns the checks on, and the last one out restores what the first
+    found, resetting the registrations if the sanitizer was off.
+    """
+    global _scope_depth, _scope_found_active
+    with _scope_lock:
+        if _scope_depth == 0:
+            _scope_found_active = _ACTIVE
+            enable()
+        _scope_depth += 1
     try:
         yield
     finally:
-        if not was:
-            reset()
+        with _scope_lock:
+            _scope_depth -= 1
+            if _scope_depth == 0 and not _scope_found_active:
+                reset()
 
 
 # --------------------------------------------------------------------- #

@@ -122,17 +122,21 @@ def ops_chunk(vpns, pidx, lo, hi, base_cycles, op_start, op_count, ops,
 
     Oracle: ``walk_vec._make_ops_runner``'s interpreter over the scalar
     ``WalkRecorder`` episode semantics — opcode 0 charge (closes the
-    open group), 1 sequential fetch, 2 background probe, 3 grouped
-    fetch (episode costs its slowest member), 4 ECPT probe step with
-    the live cuckoo-walk-cache prediction replayed via
-    :func:`~repro.sim.kernels.primitives.cwc_get`/``cwc_put``.
+    open group), 1 sequential fetch, 2 probe run, 3 grouped fetch
+    (episode costs its slowest member), 4 ECPT probe step with the live
+    cuckoo-walk-cache prediction replayed via
+    :func:`~repro.sim.kernels.primitives.cwc_get`/``cwc_put``. The
+    folded probes that can only miss (opcodes 2 and 4's ``g``) add to
+    the L1/L2/LLC miss and memory-access counters once per range.
 
-    Op rows are ``[code, a, b, c, d, e, f]``: fetch/probe ``a`` = addr;
+    Op rows are ``[code, a, b, c, d, e, f, g]``: fetch ``a`` = addr;
     grouped ``a`` = gid, ``b`` = addr; charge ``a`` = cycles; probe
     step ``a`` = has_hit, ``b`` = packed CWC key, ``c`` = true way,
-    ``d`` = hit addr, ``e``/``f`` = candidate start/count into
-    ``cand_addr``/``cand_crit``.
+    ``d`` = hit addr; probe runs and probe steps ``e``/``f`` = live
+    candidate start/count into ``cand_addr``/``cand_crit`` and ``g`` =
+    dead probe count.
     """
+    dead = 0
     for i in range(lo, hi):
         p = pidx[i]
         cycles = base_cycles[p]
@@ -149,7 +153,9 @@ def ops_chunk(vpns, pidx, lo, hi, base_cycles, op_start, op_count, ops,
                 cycles += cache_access(cs, ops[o, 1])
                 nrefs += 1
             elif code == 2:
-                cache_probe(cs, ops[o, 1])
+                for t in range(ops[o, 5], ops[o, 5] + ops[o, 6]):
+                    cache_probe(cs, cand_addr[t])
+                dead += ops[o, 7]
             elif code == 3:
                 gid = ops[o, 1]
                 if gid != open_gid:
@@ -172,19 +178,19 @@ def ops_chunk(vpns, pidx, lo, hi, base_cycles, op_start, op_count, ops,
                             gmax = 0
                         cycles += cache_access(cs, ops[o, 4])
                         nrefs += 1
-                    else:
-                        # mispredict: install the true way, fan out
-                        cwc_put(ws, ops[o, 2], ops[o, 3])
-                        for t in range(ops[o, 5], ops[o, 5] + ops[o, 6]):
-                            if cand_crit[t] != 0:
-                                if open_gid >= 0:
-                                    cycles += gmax
-                                    open_gid = -1
-                                    gmax = 0
-                                cycles += cache_access(cs, cand_addr[t])
-                                nrefs += 1
-                            else:
-                                cache_probe(cs, cand_addr[t])
+                        continue
+                    # mispredict: install the true way, fan out
+                    cwc_put(ws, ops[o, 2], ops[o, 3])
+                    for t in range(ops[o, 5], ops[o, 5] + ops[o, 6]):
+                        if cand_crit[t] != 0:
+                            if open_gid >= 0:
+                                cycles += gmax
+                                open_gid = -1
+                                gmax = 0
+                            cycles += cache_access(cs, cand_addr[t])
+                            nrefs += 1
+                        else:
+                            cache_probe(cs, cand_addr[t])
                 else:
                     # full miss: probe every candidate, completion waits
                     # for the slowest (grouped first-candidate fetch)
@@ -199,6 +205,7 @@ def ops_chunk(vpns, pidx, lo, hi, base_cycles, op_start, op_count, ops,
                     if latency > gmax:
                         gmax = latency
                     nrefs += 1
+                dead += ops[o, 7]
             else:  # code == 0: charge
                 if open_gid >= 0:
                     cycles += gmax
@@ -209,6 +216,11 @@ def ops_chunk(vpns, pidx, lo, hi, base_cycles, op_start, op_count, ops,
             cycles += gmax
         out[0] += cycles
         out[1] += nrefs
+    cc = cs[7]
+    cc[3] += dead
+    cc[4] += dead
+    cc[5] += dead
+    cc[6] += dead
 
 
 @jit

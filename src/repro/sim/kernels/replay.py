@@ -292,10 +292,16 @@ def _flatten_ops(plans, uniq_ordered):
         op_count.append(len(ops))
         for op in ops:
             code = op[0]
-            if code == 3:
-                rows.append((3, op[1], op[2], 0, 0, 0, 0))
+            if code == 2:
+                _c, addrs, dead = op
+                rows.append((2, 0, 0, 0, 0, len(cand_addr), len(addrs),
+                             dead))
+                cand_addr.extend(addrs)
+                cand_crit.extend([0] * len(addrs))
+            elif code == 3:
+                rows.append((3, op[1], op[2], 0, 0, 0, 0, 0))
             elif code == 4:
-                _c, has_hit, ckey, hit_way, hit_addr, _tag, cands = op
+                _c, has_hit, ckey, hit_way, hit_addr, _tag, cands, dead = op
                 cstart = len(cand_addr)
                 for addr, _t, crit in cands:
                     cand_addr.append(addr)
@@ -303,12 +309,12 @@ def _flatten_ops(plans, uniq_ordered):
                 if has_hit:
                     enc = (ckey[1] << 6) | ckey[0]
                     rows.append((4, 1, enc, hit_way, hit_addr, cstart,
-                                 len(cands)))
+                                 len(cands), dead))
                 else:
-                    rows.append((4, 0, 0, -1, 0, cstart, len(cands)))
-            else:  # 0 charge / 1 fetch / 2 probe: one operand
-                rows.append((code, op[1], 0, 0, 0, 0, 0))
-    ops_arr = _ia(rows).reshape(-1, 7)
+                    rows.append((4, 0, 0, -1, 0, cstart, len(cands), dead))
+            else:  # 0 charge / 1 fetch: one operand
+                rows.append((code, op[1], 0, 0, 0, 0, 0, 0))
+    ops_arr = _ia(rows).reshape(-1, 8)
     return (_ia(base_cycles), _ia(op_start), _ia(op_count), ops_arr,
             _ia(cand_addr), _ia(cand_crit))
 
@@ -519,18 +525,13 @@ def replay_walks_native(
 
         elif kind in ("ecpt-native", "ecpt-nested", "fpt-native",
                       "fpt-nested"):
-            if kind == "ecpt-native":
-                plans = walk_vec._build_ecpt_native_plans(
-                    spec, uniq_ordered, False)
-            elif kind == "ecpt-nested":
-                plans = walk_vec._build_ecpt_nested_plans(
-                    spec, uniq_ordered, False)
-            elif kind == "fpt-native":
-                plans = walk_vec._build_fpt_native_plans(
-                    spec, uniq_ordered, False)
-            else:
-                plans = walk_vec._build_fpt_nested_plans(
-                    spec, uniq_ordered, False)
+            planner = {
+                "ecpt-native": walk_vec._build_ecpt_native_plans,
+                "ecpt-nested": walk_vec._build_ecpt_nested_plans,
+                "fpt-native": walk_vec._build_fpt_native_plans,
+                "fpt-nested": walk_vec._build_fpt_nested_plans,
+            }[kind]
+            plans = planner(spec, uniq_ordered, False, memsys.caches)
             (base_cycles, op_start, op_count, ops_arr, cand_addr,
              cand_crit) = _flatten_ops(plans, uniq_ordered)
             ws, ws_fin = _cwc_state(spec.cwc)

@@ -19,6 +19,7 @@ import hashlib
 import tempfile
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -125,8 +126,9 @@ class SimConfig:
     #: oracle, never served from the stage-2 result cache). All paths
     #: are bit-identical on supported designs.
     walk_engine: str = "auto"
-    #: Enable the runtime translation sanitizer
-    #: (:mod:`repro.analysis.sanitizer`) for this run.
+    #: Run the machine build, the shared set-up and each replay with the
+    #: runtime translation sanitizer (:mod:`repro.analysis.sanitizer`)
+    #: on; it is back in its prior state after each.
     sanitize: bool = False
     #: Stage-0→1 chunk size in references: ``None`` (default) means
     #: :data:`DEFAULT_STREAM_CHUNK`, a positive value that many. Stage 1
@@ -277,8 +279,6 @@ class _SimulationBase:
                  stage1: Optional[Stage1Cache] = None):
         config = config or SimConfig()
         self.config = config
-        if config.sanitize:
-            sanitizer.enable()
         self.workload = generators.get(workload_name, config.scale)
         self._stats_cache: Dict[str, WalkStats] = {}
         #: Per-cell stage-2 provenance ("computed" or "disk"), keyed
@@ -314,10 +314,16 @@ class _SimulationBase:
         """
         if self.built:
             return
-        with self._shared_lock:
+        with self._sanitized(), self._shared_lock:
             if not self.built:
                 self._build()
                 self.built = True
+
+    def _sanitized(self):
+        """The runtime sanitizer on around this simulation's work when
+        its config asks for it (:func:`sanitizer.enabled` restores the
+        prior state afterwards), else a no-op context."""
+        return sanitizer.enabled() if self.config.sanitize else nullcontext()
 
     def _build(self) -> None:
         raise NotImplementedError
@@ -332,7 +338,7 @@ class _SimulationBase:
         if self._shared_ready:
             return
         self.build()
-        with self._shared_lock:
+        with self._sanitized(), self._shared_lock:
             if not self._shared_ready:
                 self._prepare_shared()
                 self._shared_ready = True
@@ -391,9 +397,10 @@ class _SimulationBase:
         stats = self._fetch_stage2(design, collect_steps)
         if stats is not None:
             return stats
-        with obs_trace.span("stage2.replay", env=self.env_name,
-                            workload=self.workload.name, design=design,
-                            thp=self.config.thp) as sp:
+        with self._sanitized(), obs_trace.span(
+                "stage2.replay", env=self.env_name,
+                workload=self.workload.name, design=design,
+                thp=self.config.thp) as sp:
             walker = self.walker(design)
             stats = replay_walks(
                 walker,

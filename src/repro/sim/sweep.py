@@ -224,7 +224,22 @@ def run_group(task: GroupTask) -> List[Dict]:
 
     Each machine's cells run through :func:`run_cells` on the task's
     ``cell_threads`` threads — bit-identical to sequential replay.
+
+    Automatic cyclic GC stays off for the whole group: what a group
+    allocates lives until its machine goes, and the one full collection
+    after each built machine frees that machine's reference cycles.
     """
+    gc_was_enabled = gc.isenabled()
+    if gc_was_enabled:
+        gc.disable()
+    try:
+        return _run_group(task)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run_group(task: GroupTask) -> List[Dict]:
     envs, workload, thp, designs, config_kwargs, trace_path, \
         artifact_dir, cell_threads = task
     if trace_path:

@@ -33,10 +33,12 @@ probing with the live Cuckoo Walk Cache replayed in scalar order), FPT
 nested data leaf, split per walk at the guest-leaf boundary), and ASAP
 (static prefetch address plans wrapped around the inner radix runner,
 with the completion-max cost model). ECPT and FPT plans compile to a
-small per-VPN op program (fetch / background probe / parallel group /
+small per-VPN op program (fetch / probe run / parallel group /
 CWC-predicted probe step) replayed by one interpreter that reproduces
 ``WalkRecorder`` group episodes and the scalar step collapsing
-bit-for-bit; ``tests/test_walk_vec.py`` pins parity for every design.
+bit-for-bit; background probes of lines no level can hold during the
+replay are folded into miss counts at plan time (:class:`_ProbeFold`).
+``tests/test_walk_vec.py`` pins parity for every design.
 
 :func:`unsupported_reason` names why a walker cannot batch (sanitized
 run, missing spec, non-standard hierarchy); ``engine="auto"`` callers
@@ -624,17 +626,106 @@ def _build_dmt_plans(spec: BatchSpec, uniq_vpns: List[int], collect: bool):
     return plans, fallback_vpns
 
 
+class _ProbeFold:
+    """Folds an ECPT/FPT plan build's probes that can only miss into counts.
+
+    A background probe (``CacheHierarchy.probe``) installs nothing, so
+    the only lines a replay can find resident are those some level holds
+    when it starts and those its own accesses install. A probe of a line
+    outside both sets misses every level whatever the replay history
+    did: all it does is add 1 to the L1, L2 and LLC miss counters and to
+    ``memory_accesses``, and it touches no LRU order. The planners
+    append every address an access op can fetch to :attr:`fetched` and
+    create their probe ops through :meth:`probes` and :meth:`step`; after
+    the last VPN, :meth:`fold` drops each op's dead addresses and stores
+    how many it dropped. That runs once per op object, and the memoised
+    per-page ops are shared by every plan that probes the page.
+    """
+
+    def __init__(self, caches):
+        self._caches = caches
+        #: Addresses an access op of this build can fetch (and install).
+        self.fetched: List[int] = []
+        self._ops: List[list] = []
+
+    def probes(self, addrs) -> list:
+        """A probe-run op ``[2, addrs, dead]`` for :meth:`fold` to fold."""
+        op = [2, tuple(addrs), 0]
+        self._ops.append(op)
+        return op
+
+    def step(self, has_hit: bool, ckey, hit_way, hit_addr, hit_tag,
+             cand_addrs, cand_tags, crit: int) -> list:
+        """An opcode-4 op ``[4, ..., cands, dead]``; :meth:`fold` turns
+        its live candidates into ``(addr, tag, is crit)`` tuples."""
+        op = [4, has_hit, ckey, hit_way, hit_addr, hit_tag,
+              (cand_addrs, cand_tags, crit), 0]
+        self._ops.append(op)
+        return op
+
+    def fold(self) -> None:
+        """Keep each op's live probes in order; count the dead ones.
+
+        Every op keeps its probed items at ``op[-2]`` and the dead count
+        at ``op[-1]``. The live set is kept per line size, because cache
+        levels may differ in line size.
+        """
+        live: Dict[int, set] = {}
+        for level in self._caches.levels:
+            view = level.batch_view()
+            lines = live.get(view.line_shift)
+            if lines is None:
+                shift = view.line_shift
+                lines = live[shift] = {addr >> shift
+                                       for addr in self.fetched}
+            for ways in view.sets.values():
+                lines.update(ways)
+        (shift, lines), *others = live.items()
+
+        def live_of(addrs) -> List[int]:
+            """Indices of the live addresses (one call per op)."""
+            return [index for index, addr in enumerate(addrs)
+                    if addr >> shift in lines
+                    or others and any(addr >> other in other_lines
+                                      for other, other_lines in others)]
+
+        for op in self._ops:
+            if op[0] == 2:
+                addrs = op[1]
+                kept = tuple(addrs[index] for index in live_of(addrs))
+            else:
+                addrs, tags, crit = op[6]
+                kept = tuple((addrs[index], tags[index], index == crit)
+                             for index in live_of(addrs))
+            op[-2] = kept
+            op[-1] = len(addrs) - len(kept)
+
+
+def _cand_tags(ecpt, tag: str, collect: bool) -> tuple:
+    """Step tags of :meth:`candidate_array`'s columns (None unless
+    collecting)."""
+    sizes = ecpt.probe_sizes()
+    if not collect:
+        return (None,) * len(sizes)
+    return tuple(f"{tag}-{size.name}" for size in sizes)
+
+
 # dmtlint-domain: va=any -- plans probes for guest (gVA) and host (gPA) ECPTs
-def _plan_ecpt_probe_step(ecpt, va: int, tag: str, collect: bool):
+def _plan_ecpt_probe_step(ecpt, va: int, cand_addrs, cand_tags, tag: str,
+                          collect: bool, fold: _ProbeFold) -> list:
     """One ECPT probe step compiled to a CWC-probe op (opcode 4).
 
-    The static part — which (size, way) hits, the candidate addresses,
-    and which candidate shares the hitting line — is resolved at plan
-    time with pure reads (``lookup_way``/``candidate_probes`` touch only
-    ``PhysicalMemory``). The Cuckoo Walk Cache prediction is *dynamic*
-    (it depends on replay history), so the op carries the CWC key and
-    the true way and the interpreter replays ``CuckooWalkCache.get`` /
-    ``put`` against the live entry dict at run time.
+    The static part — which (size, way) hits, the candidate addresses
+    (``cand_addrs``, a :meth:`candidate_array` row for ``va``), and
+    which candidate shares the hitting line — is resolved at plan time
+    with pure reads (``lookup_way`` touches only ``PhysicalMemory``).
+    The Cuckoo Walk Cache prediction is *dynamic* (it depends on replay
+    history), so the op carries the CWC key and the true way and the
+    interpreter replays ``CuckooWalkCache.get`` / ``put`` against the
+    live entry dict at run time. ``fold`` learns the addresses the op
+    can fetch — the hit, the critical candidate (the first one on the
+    hit's line), or on a full miss the first candidate — and later
+    folds its losing candidates.
     """
     hit_addr = None
     hit_size = None
@@ -645,142 +736,179 @@ def _plan_ecpt_probe_step(ecpt, va: int, tag: str, collect: bool):
             hit_addr, _, hit_way = found
             hit_size = size
             break
+    crit = -1
     if hit_addr is not None:
         has_hit = True
         ckey = (int(hit_size), (va >> int(hit_size)) >> 3)
         hit_tag = f"{tag}-{hit_size.name}" if collect else None
+        fold.fetched.append(hit_addr)
         hit_line = hit_addr >> 6
+        for index, addr in enumerate(cand_addrs):
+            if addr >> 6 == hit_line:
+                crit = index
+                fold.fetched.append(addr)
+                break
     else:
         has_hit = False
         ckey = hit_tag = None
-        hit_line = None
-    cands = []
-    matched = False
-    for addr, probe_size, _vpn in ecpt.candidate_probes(va):
-        crit = (hit_line is not None and addr >> 6 == hit_line
-                and not matched)
-        if crit:
-            matched = True
-        cands.append((addr,
-                      f"{tag}-{probe_size.name}" if collect else None,
-                      crit))
-    return (4, has_hit, ckey, hit_way, hit_addr, hit_tag, tuple(cands))
+        fold.fetched.append(cand_addrs[0])
+    return fold.step(has_hit, ckey, hit_way, hit_addr, hit_tag, cand_addrs,
+                     cand_tags, crit)
 
 
 def _build_ecpt_native_plans(spec: BatchSpec, uniq_vpns: List[int],
-                             collect: bool):
+                             collect: bool, caches):
     """Native ECPT: hash charge + one probe step per walk."""
     from repro.translation.ecpt import HASH_CYCLES
 
     ecpt = spec.ecpt
-    return {vpn: (HASH_CYCLES,
-                  (_plan_ecpt_probe_step(ecpt, vpn << PAGE_SHIFT, "ecpt",
-                                         collect),))
-            for vpn in uniq_vpns}
+    fold = _ProbeFold(caches)
+    cand_rows = ecpt.candidate_array(
+        np.asarray(uniq_vpns, dtype=np.int64) << PAGE_SHIFT).tolist()
+    cand_tags = _cand_tags(ecpt, "ecpt", collect)
+    plans = {vpn: (HASH_CYCLES,
+                   (_plan_ecpt_probe_step(ecpt, vpn << PAGE_SHIFT, row,
+                                          cand_tags, "ecpt", collect,
+                                          fold),))
+             for vpn, row in zip(uniq_vpns, cand_rows)}
+    fold.fold()
+    return plans
 
 
 def _build_ecpt_nested_plans(spec: BatchSpec, uniq_vpns: List[int],
-                             collect: bool):
+                             collect: bool, caches):
     """Nested ECPT: the three sequential steps compiled to one op list.
 
     Step 1 host-resolves every guest candidate (a full probe step when
-    the candidate shares the guest hit's line, background probes
-    otherwise), step 2 fetches the resolved guest candidates, step 3
-    host-resolves the data page after a fresh hash charge — all
-    determined statically except the host CWC predictions, which ride
-    in the opcode-4 entries. Only the *host* CWC is consulted (the
-    scalar walker never touches the guest one).
+    the candidate shares the guest hit's line, a probe run otherwise),
+    step 2 fetches the resolved guest candidates, step 3 host-resolves
+    the data page after a fresh hash charge — all determined statically
+    except the host CWC predictions, which ride in the opcode-4 entries.
+    Only the *host* CWC is consulted (the scalar walker never touches
+    the guest one).
 
     A host probe depends only on the probed gPA's page, and the mirrors
-    are read-only, so each page's probe-step op, background ops and
-    host translation are planned once per call and shared by every
-    walk that probes it.
+    are read-only, so each page's probe-step op, probe run and host
+    translation are planned once per call and shared by every walk that
+    probes it. The guest candidates of every VPN, and the host
+    candidates of every probed gPA page, are hashed up front as arrays.
     """
     from repro.translation.ecpt import HASH_CYCLES
 
     guest = spec.ecpt
     host = spec.host_ecpt
+    fold = _ProbeFold(caches)
+    fetched = fold.fetched
     guest_tables = [(int(size), size.bytes - 1, table)
                     for size, table in guest.tables.items()]
     offset_mask = PAGE_SIZE - 1
-    critical_ops: Dict[int, tuple] = {}    # gPA page -> "h-ecpt" op 4
-    data_ops: Dict[int, tuple] = {}        # gPA page -> "hd-ecpt" op 4
-    background_ops: Dict[int, tuple] = {}  # gPA page -> (2, addr) ops
-    host_pages: Dict[int, Optional[int]] = {}  # gPA page -> hPA of page
-
-    def host_pa(gpa: int) -> Optional[int]:
-        page = gpa >> PAGE_SHIFT
-        if page not in host_pages:
-            hit = host.translate(page << PAGE_SHIFT)
-            host_pages[page] = hit[0] if hit is not None else None
-        base = host_pages[page]
-        return None if base is None else base + (gpa & offset_mask)
-
-    plans = {}
+    critical_ops: Dict[int, list] = {}     # gPA page -> "h-ecpt" op 4
+    data_ops: Dict[int, list] = {}         # gPA page -> "hd-ecpt" op 4
+    background_ops: Dict[int, list] = {}   # gPA page -> probe run
+    # The guest hits come first: their data pages are probed gPA pages.
+    hits = []
+    data_pages = []
     for vpn in uniq_vpns:
         gva = vpn << PAGE_SHIFT
-        ops = []
-        g_hit_line = None
+        hit = None
         for shift, mask, table in guest_tables:
             found = table.lookup_way(gva >> shift)
             if found is not None:
-                g_hit_line = found[0] >> 6
                 gpa = (pte_frame(found[1]) << PAGE_SHIFT) + (gva & mask)
+                hit = (found[0] >> 6, gpa)
+                data_pages.append(gpa >> PAGE_SHIFT)
                 break
+        hits.append(hit)
+    guest_cands = guest.candidate_array(
+        np.asarray(uniq_vpns, dtype=np.int64) << PAGE_SHIFT)
+    pages = np.unique(np.concatenate((
+        guest_cands.ravel() >> PAGE_SHIFT,
+        np.asarray(data_pages, dtype=np.int64))))
+    host_rows = host.candidate_array(pages << PAGE_SHIFT)
+    host_pages: Dict[int, Optional[int]] = {}  # gPA page -> hPA of page
+    for page in pages.tolist():
+        found = host.translate(page << PAGE_SHIFT)
+        host_pages[page] = found[0] if found is not None else None
+
+    def host_cands(page: int) -> List[int]:
+        # read once per memoised op, so the rows stay one array
+        return host_rows[np.searchsorted(pages, page)].tolist()
+
+    h_tags = _cand_tags(host, "h-ecpt", collect)
+    hd_tags = _cand_tags(host, "hd-ecpt", collect)
+    g_tag = "g-ecpt" if collect else None
+
+    plans = {}
+    for vpn, g_cands, hit in zip(uniq_vpns, guest_cands, hits):
+        ops = []
+        g_hit_line = hit[0] if hit is not None else None
         resolved = []
-        for g_addr, _g_size, _g_vpn in guest.candidate_probes(gva):
+        for g_addr in g_cands.tolist():
             page = g_addr >> PAGE_SHIFT
             if g_addr >> 6 == g_hit_line:
                 op = critical_ops.get(page)
                 if op is None:
                     op = critical_ops[page] = _plan_ecpt_probe_step(
-                        host, g_addr, "h-ecpt", collect)
-                ops.append(op)
+                        host, g_addr, host_cands(page), h_tags, "h-ecpt",
+                        collect, fold)
             else:
-                background = background_ops.get(page)
-                if background is None:
-                    background = background_ops[page] = tuple(
-                        (2, addr) for addr, _size, _hvpn
-                        in host.candidate_probes(g_addr))
-                ops.extend(background)
-            h_addr = host_pa(g_addr)
-            if h_addr is not None:
-                resolved.append((g_addr, h_addr))
-        if g_hit_line is None:
+                op = background_ops.get(page)
+                if op is None:
+                    op = background_ops[page] = fold.probes(
+                        host_cands(page))
+            ops.append(op)
+            base = host_pages[page]
+            if base is not None:
+                resolved.append((g_addr, base + (g_addr & offset_mask)))
+        if hit is None:
             plans[vpn] = (2 * HASH_CYCLES, tuple(ops))
             continue
+        run = []
         for g_addr, h_addr in resolved:
             if g_addr >> 6 == g_hit_line:
-                ops.append((1, h_addr, "g-ecpt" if collect else None))
+                if run:
+                    ops.append(fold.probes(run))
+                    run = []
+                ops.append((1, h_addr, g_tag))
+                fetched.append(h_addr)
             else:
-                ops.append((2, h_addr))
+                run.append(h_addr)
+        if run:
+            ops.append(fold.probes(run))
         ops.append((0, HASH_CYCLES))
+        gpa = hit[1]
         page = gpa >> PAGE_SHIFT
         op = data_ops.get(page)
         if op is None:
-            op = data_ops[page] = _plan_ecpt_probe_step(host, gpa, "hd-ecpt",
-                                                        collect)
+            op = data_ops[page] = _plan_ecpt_probe_step(
+                host, gpa, host_cands(page), hd_tags, "hd-ecpt", collect,
+                fold)
         ops.append(op)
         plans[vpn] = (2 * HASH_CYCLES, tuple(ops))
+    fold.fold()
     return plans
 
 
 def _build_fpt_native_plans(spec: BatchSpec, uniq_vpns: List[int],
-                            collect: bool):
+                            collect: bool, caches):
     """Native FPT: fully static two-reference plans (root + leaf slots).
 
     The winning leaf slot is identified at plan time exactly like the
     scalar ``_leaf_probe`` (last matching probe wins); the winner — or,
     with no winner, every slot — becomes a grouped fetch, the losers
-    background probes.
+    probe runs (folded like ECPT's, :class:`_ProbeFold`).
     """
     fpt = spec.fpt
+    fold = _ProbeFold(caches)
+    fetched = fold.fetched
     read = fpt.memory.read_word
     probe_huge = spec.probe_huge
     plans = {}
     for vpn in uniq_vpns:
         va = vpn << PAGE_SHIFT
-        ops = [(1, fpt.root_entry_addr(va), "F-root" if collect else None)]
+        root = fpt.root_entry_addr(va)
+        ops = [(1, root, "F-root" if collect else None)]
+        fetched.append(root)
         leaf = fpt._leaves.get(fpt.upper_index(va))
         if leaf is not None:
             probes = [(fpt.leaf_entry_addr(leaf, va), PageSize.SIZE_4K)]
@@ -799,14 +927,16 @@ def _build_fpt_native_plans(spec: BatchSpec, uniq_vpns: List[int],
                 if hit_addr is None or addr == hit_addr:
                     ops.append((3, 1, addr,
                                 f"F-leaf-{size.name}" if collect else None))
+                    fetched.append(addr)
                 else:
-                    ops.append((2, addr))
+                    ops.append(fold.probes((addr,)))
         plans[vpn] = (0, tuple(ops))
+    fold.fold()
     return plans
 
 
 def _build_fpt_nested_plans(spec: BatchSpec, uniq_vpns: List[int],
-                            collect: bool):
+                            collect: bool, caches):
     """Virtualized FPT: eight-reference plans, both dimensions flattened.
 
     Each host resolution gets a fresh per-walk group id (2, 3, ...);
@@ -820,10 +950,13 @@ def _build_fpt_nested_plans(spec: BatchSpec, uniq_vpns: List[int],
     probe_huge = spec.probe_huge
     gread = guest.memory.read_word
     hread = host.memory.read_word
+    fold = _ProbeFold(caches)
+    fetched = fold.fetched
 
     def plan_host_resolve(gpa, dim, ops, gid_box):
-        ops.append((1, host.root_entry_addr(gpa),
-                    f"h{dim}-root" if collect else None))
+        root = host.root_entry_addr(gpa)
+        ops.append((1, root, f"h{dim}-root" if collect else None))
+        fetched.append(root)
         leaf = host._leaves.get(host.upper_index(gpa))
         if leaf is None:
             return None
@@ -847,8 +980,9 @@ def _build_fpt_nested_plans(spec: BatchSpec, uniq_vpns: List[int],
             if hit_addr is None or addr == hit_addr:
                 ops.append((3, gid, addr,
                             f"h{dim}-leaf" if collect else None))
+                fetched.append(addr)
             else:
-                ops.append((2, addr))
+                ops.append(fold.probes((addr,)))
         return hpa
 
     plans = {}
@@ -862,6 +996,7 @@ def _build_fpt_nested_plans(spec: BatchSpec, uniq_vpns: List[int],
             plans[vpn] = (0, tuple(ops))
             continue
         ops.append((1, root_hpa, "gF-root" if collect else None))
+        fetched.append(root_hpa)
         leaf = guest._leaves.get(guest.upper_index(gva))
         if leaf is None:
             plans[vpn] = (0, tuple(ops))
@@ -888,6 +1023,7 @@ def _build_fpt_nested_plans(spec: BatchSpec, uniq_vpns: List[int],
                 continue
             ops.append((3, 1, entry_hpa,
                         f"gF-leaf-{probe_size.name}" if collect else None))
+            fetched.append(entry_hpa)
             if valid:
                 gpa = (pte_frame(pte) << PAGE_SHIFT) \
                     + (gva & (probe_size.bytes - 1))
@@ -896,6 +1032,7 @@ def _build_fpt_nested_plans(spec: BatchSpec, uniq_vpns: List[int],
             continue
         plan_host_resolve(gpa, "d", ops, gid_box)
         plans[vpn] = (0, tuple(ops))
+    fold.fold()
     return plans
 
 
@@ -1492,8 +1629,7 @@ def _make_dmt_runner(spec: BatchSpec, memsys: MemorySubsystem,
     return run
 
 
-def _make_ops_runner(plans, access: Callable[[int], int],
-                     probe: Callable[[int], None], cwc,
+def _make_ops_runner(plans, access: Callable[[int], int], access_ctx, cwc,
                      finalizers: List[Callable[[], None]]):
     """The op-program interpreter shared by the ECPT and FPT runners.
 
@@ -1504,16 +1640,25 @@ def _make_ops_runner(plans, access: Callable[[int], int],
       folded into ``base_cycles`` — safe only there, because a charge
       closes an open group episode).
     - ``(1, addr, tag)`` — sequential ``fetch``.
-    - ``(2, addr)``  — background ``CacheHierarchy.probe``.
+    - ``[2, addrs, dead]`` — a probe run: background
+      ``CacheHierarchy.probe`` of each live address in order, plus
+      ``dead`` probes that can only miss (:class:`_ProbeFold`).
     - ``(3, gid, addr, tag)`` — ``fetch_grouped``: parallel group
       member, the episode costs its slowest member.
-    - ``(4, ...)``   — an ECPT probe step (see
+    - ``[4, ..., cands, dead]`` — an ECPT probe step (see
       :func:`_plan_ecpt_probe_step`): replay the CWC prediction against
       the live entry dict, then either the single predicted fetch, the
-      mispredict fan-out (critical fetch + losing probes, plus the CWC
-      update), or the full-miss fan-out whose completion is a grouped
-      fetch of the first candidate (group id 0 — the scalar walker's
-      ``id(rec) & 0xFFFF`` symbol, constant within a walk).
+      mispredict fan-out (critical fetch + live losing probes, plus the
+      CWC update), or the full-miss fan-out whose completion is a
+      grouped fetch of the first candidate (group id 0 — the scalar
+      walker's ``id(rec) & 0xFFFF`` symbol, constant within a walk).
+      Both fan-outs also issue the ``dead`` folded probes.
+
+    Probes go through :func:`_make_probe` over ``access_ctx``, and a
+    walk's dead probes are added to the L1, L2 and LLC miss counters
+    and to the memory-access counter of ``access_ctx`` — exactly what
+    probing each of them would have counted, since it misses every
+    level and touches nothing.
 
     Group episodes replicate ``WalkRecorder`` exactly: a grouped fetch
     with a new gid closes the previous episode (adding its max), fetches
@@ -1522,6 +1667,8 @@ def _make_ops_runner(plans, access: Callable[[int], int],
     the scalar collapsing — one entry per *first* ref of each gid per
     walk, sequential fetches always recorded.
     """
+    probe = _make_probe(access_ctx)
+    counters = access_ctx[2]
     if cwc is not None:
         centries = cwc._entries
         ccap = cwc.capacity
@@ -1541,6 +1688,7 @@ def _make_ops_runner(plans, access: Callable[[int], int],
         base, ops = plans[vpn]
         cycles = base
         nrefs = 0
+        dead = 0
         open_gid = -1
         gmax = 0
         seen = set() if steps is not None else None
@@ -1557,7 +1705,9 @@ def _make_ops_runner(plans, access: Callable[[int], int],
                 if steps is not None:
                     steps.append((op[2], latency))
             elif code == 2:
-                probe(op[1])
+                for addr in op[1]:
+                    probe(addr)
+                dead += op[2]
             elif code == 3:
                 gid = op[1]
                 if gid != open_gid:
@@ -1573,7 +1723,8 @@ def _make_ops_runner(plans, access: Callable[[int], int],
                     seen.add(gid)
                     steps.append((op[3], latency))
             elif code == 4:
-                _c, has_hit, ckey, hit_way, hit_addr, hit_tag, cands = op
+                _c, has_hit, ckey, hit_way, hit_addr, hit_tag, cands, \
+                    dead_cands = op
                 if has_hit:
                     predicted = centries.pop(ckey, None)
                     if predicted is None:
@@ -1614,7 +1765,8 @@ def _make_ops_runner(plans, access: Callable[[int], int],
                             probe(addr)
                 else:
                     # full miss: probe every candidate, completion waits
-                    # for the slowest (the grouped first-candidate fetch)
+                    # for the slowest (the grouped first-candidate fetch,
+                    # always live, so still first)
                     for addr, _tag, _crit in cands:
                         probe(addr)
                     addr, tag, _crit = cands[0]
@@ -1630,6 +1782,7 @@ def _make_ops_runner(plans, access: Callable[[int], int],
                     if steps is not None and 0 not in seen:
                         seen.add(0)
                         steps.append((tag, latency))
+                dead += dead_cands
             else:  # code == 0: charge
                 if open_gid >= 0:
                     cycles += gmax
@@ -1638,6 +1791,11 @@ def _make_ops_runner(plans, access: Callable[[int], int],
                 cycles += op[1]
         if open_gid >= 0:
             cycles += gmax
+        if dead:
+            counters[3] += dead
+            counters[4] += dead
+            counters[5] += dead
+            counters[6] += dead
         return cycles, nrefs, False
 
     return run
@@ -1649,11 +1807,12 @@ def _make_ecpt_runner(spec: BatchSpec, memsys: MemorySubsystem,
                       finalizers: List[Callable[[], None]]):
     """ECPT (native or nested): plans + the live-CWC op interpreter."""
     if spec.kind == "ecpt-native":
-        plans = _build_ecpt_native_plans(spec, uniq_vpns, collect)
+        plans = _build_ecpt_native_plans(spec, uniq_vpns, collect,
+                                         memsys.caches)
     else:
-        plans = _build_ecpt_nested_plans(spec, uniq_vpns, collect)
-    return _make_ops_runner(plans, access, _make_probe(access_ctx),
-                            spec.cwc, finalizers)
+        plans = _build_ecpt_nested_plans(spec, uniq_vpns, collect,
+                                         memsys.caches)
+    return _make_ops_runner(plans, access, access_ctx, spec.cwc, finalizers)
 
 
 def _make_fpt_runner(spec: BatchSpec, memsys: MemorySubsystem,
@@ -1662,11 +1821,12 @@ def _make_fpt_runner(spec: BatchSpec, memsys: MemorySubsystem,
                      finalizers: List[Callable[[], None]]):
     """FPT (native or nested): fully static plans, no prediction state."""
     if spec.kind == "fpt-native":
-        plans = _build_fpt_native_plans(spec, uniq_vpns, collect)
+        plans = _build_fpt_native_plans(spec, uniq_vpns, collect,
+                                        memsys.caches)
     else:
-        plans = _build_fpt_nested_plans(spec, uniq_vpns, collect)
-    return _make_ops_runner(plans, access, _make_probe(access_ctx), None,
-                            finalizers)
+        plans = _build_fpt_nested_plans(spec, uniq_vpns, collect,
+                                        memsys.caches)
+    return _make_ops_runner(plans, access, access_ctx, None, finalizers)
 
 
 def _make_agile_runner(spec: BatchSpec, memsys: MemorySubsystem,

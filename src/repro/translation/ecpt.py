@@ -59,6 +59,19 @@ def _mix(value: int, seed: int) -> int:
     return x
 
 
+def _mix_array(values: np.ndarray, seed: int) -> np.ndarray:
+    """:func:`_mix` over a ``uint64`` array in one pass.
+
+    ``uint64`` arithmetic wraps modulo 2**64, which is exactly the mask
+    ``_mix`` applies; tests pin the two equal.
+    """
+    x = (values * np.uint64(2) + np.uint64(1)) * np.uint64(seed)
+    x ^= x >> np.uint64(31)
+    x *= np.uint64(0xD6E8FEB86659FD93)
+    x ^= x >> np.uint64(27)
+    return x
+
+
 class CuckooTable:
     """One elastic d-ary cuckoo hash table (one page size).
 
@@ -144,6 +157,20 @@ class CuckooTable:
         return [base + bucket * _LINE_BYTES + offset
                 for base, bucket in zip(self._way_bases,
                                         self._buckets_of(vpn >> 3))]
+
+    def candidate_addr_array(self, vpns: np.ndarray) -> np.ndarray:
+        """:meth:`candidate_addrs` for every VPN of an int64 array at
+        once: an ``int64[len(vpns), ways]`` array, hashed with
+        :func:`_mix_array` at the current table size."""
+        groups = (vpns >> 3).astype(np.uint64)
+        offsets = (vpns & 7) * 8
+        nbuckets = np.uint64(self.nbuckets)
+        addrs = np.empty((len(vpns), self.ways), dtype=np.int64)
+        for way, (base, seed) in enumerate(zip(self._way_bases,
+                                               self._seeds)):
+            buckets = (_mix_array(groups, seed) % nbuckets).astype(np.int64)
+            addrs[:, way] = base + buckets * _LINE_BYTES + offsets
+        return addrs
 
     def _slot_hit(self, vpn: int) -> Optional[Tuple[int, int]]:
         """(address of vpn's PTE word, way) if its group is resident."""
@@ -412,6 +439,20 @@ class ElasticCuckooPageTables:
             for addr in table.candidate_addrs(vpn):
                 probes.append((addr, size, vpn))
         return probes
+
+    # dmtlint-domain: va=any -- the host ECPT hashes gPAs into the same ways
+    def candidate_array(self, vas: np.ndarray) -> np.ndarray:
+        """:meth:`candidate_probes`' addresses for every address of an
+        int64 array: ``int64[len(vas), sizes * ways]``, columns in
+        :meth:`candidate_probes` order (:meth:`probe_sizes` names each
+        column's page size)."""
+        return np.hstack([table.candidate_addr_array(vas >> int(size))
+                          for size, table in self.tables.items()])
+
+    def probe_sizes(self) -> Tuple[PageSize, ...]:
+        """The page size of each :meth:`candidate_array` column."""
+        return tuple(size for size, table in self.tables.items()
+                     for _ in range(table.ways))
 
     def load_from_radix(self, page_table) -> int:
         """Mirror an existing radix page table's leaf mappings, one leaf

@@ -1,5 +1,6 @@
 """Tests for the Elastic Cuckoo Page Tables substrate and walkers."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,9 @@ from repro.translation.ecpt import (
     ECPTNativeWalker,
     ECPTNestedWalker,
     ElasticCuckooPageTables,
+    _WAY_SEEDS,
     _mix,
+    _mix_array,
 )
 from repro.virt.hypervisor import Hypervisor
 
@@ -182,6 +185,58 @@ class TestLocationIndex:
             assert [list(tags.items()) for tags in table._tags] == \
                 [list(tags.items()) for tags in other._tags]
             _check_indexes(table)
+
+
+#: Groups at the edges: 0, a line's worth, and around 2**45 (the group
+#: of a 48-bit VPN's top page).
+_EDGE_GROUPS = [0, 1, 7, 8, (1 << 45) - 1, 1 << 45, (1 << 45) + 1]
+
+
+class TestArrayHash:
+    """The replay planners hash ECPT candidates as ``uint64`` arrays;
+    ``_mix`` and ``candidate_addrs`` stay the definition."""
+
+    @given(st.lists(st.integers(0, (1 << 46) - 1), max_size=64),
+           st.sampled_from(_WAY_SEEDS + (_WAY_SEEDS[0] + 3,)))
+    @settings(max_examples=40, deadline=None)
+    def test_mix_array_equals_mix(self, groups, seed):
+        values = _EDGE_GROUPS + groups
+        got = _mix_array(np.array(values, dtype=np.uint64), seed)
+        assert got.tolist() == [_mix(value, seed) for value in values]
+
+    @pytest.mark.parametrize("nbuckets", [4, 96, 128, 1 << 14])
+    def test_candidate_addr_array_equals_candidate_addrs(self, memory,
+                                                         nbuckets):
+        table = CuckooTable(memory, PageSize.SIZE_4K,
+                            initial_buckets=nbuckets)
+        rng = np.random.default_rng(nbuckets)
+        vpns = [group * 8 + offset for group in _EDGE_GROUPS
+                for offset in (0, 7)]
+        vpns += rng.integers(0, 1 << 48, 200).tolist()
+        rows = table.candidate_addr_array(np.array(vpns, dtype=np.int64))
+        assert rows.tolist() == [table.candidate_addrs(vpn) for vpn in vpns]
+
+    def test_candidate_array_follows_a_resize(self, memory):
+        """Every size table's columns, in ``candidate_probes`` order,
+        before and after the 4 KB table grows."""
+        ecpt = ElasticCuckooPageTables(memory, initial_buckets=4)
+        vas = [BASE + page * PAGE_SIZE for page in range(0, 4096, 37)]
+        vas += [(1 << 48) - PAGE_SIZE, 0]
+
+        def check():
+            rows = ecpt.candidate_array(np.array(vas, dtype=np.int64))
+            for va, row in zip(vas, rows.tolist()):
+                probes = ecpt.candidate_probes(va)
+                assert row == [addr for addr, _size, _vpn in probes]
+                assert list(ecpt.probe_sizes()) == \
+                    [size for _addr, size, _vpn in probes]
+            return rows
+
+        before = check()
+        for page in range(0, 2048, 8):
+            ecpt.map(BASE + page * PAGE_SIZE, page + 1, PageSize.SIZE_4K)
+        assert ecpt.tables[PageSize.SIZE_4K].resizes > 0
+        assert not np.array_equal(check(), before)
 
 
 class TestECPTSet:

@@ -168,14 +168,12 @@ def test_cwc_primitives_match_oracle():
 
 def test_replay_walks_native_rejects_unsupported():
     from repro.analysis import sanitizer
-    try:
-        config = SimConfig(scale=4096, nrefs=500, seed=0, sanitize=True)
-        sim = ENVIRONMENTS["native"]("GUPS", config)
+    config = SimConfig(scale=4096, nrefs=500, seed=0, sanitize=True)
+    sim = ENVIRONMENTS["native"]("GUPS", config)
+    with sanitizer.enabled():
         with pytest.raises(ValueError, match="sanitizer"):
             replay_walks_native(sim.walker("vanilla"),
                                 sim.tlb.miss_vas[:32])
-    finally:
-        sanitizer.reset()
 
 
 _WORKER = """

@@ -146,6 +146,25 @@ class TestCLI:
                      "--scale", "8192"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("flags", [["--walk-engine", "native"],
+                                       ["--stream-chunk", "0"]])
+    def test_bad_config_flag_exits_2_with_one_error_line(
+            self, capsys, tmp_path, command, flags):
+        """A config SimConfig rejects ends like an unknown design: one
+        ``error:`` line and exit 2, not a traceback."""
+        from repro.__main__ import main
+        from repro.sim.kernels import HAVE_NUMBA
+        if flags[0] == "--walk-engine" and HAVE_NUMBA:
+            pytest.skip("the native engine runs when numba is installed")
+        grid = (["--workload", "GUPS"] if command == "run" else
+                ["--workloads", "GUPS", "--out", str(tmp_path / "s.json")])
+        code = main([command, *grid, "--nrefs", "1000", "--scale", "8192",
+                     "--no-artifact-cache", *flags])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_run_exposes_levels_and_register_count(self, capsys):
         from repro.__main__ import main
         code = main(["run", "--workload", "GUPS", "--env", "native",
@@ -160,17 +179,32 @@ class TestCLI:
         run prints each error and exits 1 (CI's sanitized run steps rely
         on a failing cell failing the command)."""
         from repro.__main__ import main
-        from repro.analysis import sanitizer
-        try:
-            code = main(["run", "--workload", "GUPS", "--env", "native",
-                         "--designs", "vanilla,dmt", "--nrefs", "1500",
-                         "--scale", "8192", "--sanitize", "--walk-engine",
-                         "vec"])
-        finally:
-            sanitizer.reset()  # --sanitize turned the global checks on
+        code = main(["run", "--workload", "GUPS", "--env", "native",
+                     "--designs", "vanilla,dmt", "--nrefs", "1500",
+                     "--scale", "8192", "--sanitize", "--walk-engine",
+                     "vec"])
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("sanitizer active") == 2
+
+    def test_sanitized_run_leaves_the_sanitizer_off(self, capsys):
+        """``--sanitize`` turns the process-wide checks on only around
+        the sanitized simulation's work: a plain simulation after an
+        in-process sanitized run is not sanitized."""
+        from repro.__main__ import main
+        from repro.analysis import sanitizer
+        from repro.sim.machine import ENVIRONMENTS, SimConfig
+        from repro.sim.walk_vec import supports
+
+        code = main(["run", "--workload", "GUPS", "--env", "virt",
+                     "--designs", "vanilla,pvdmt", "--nrefs", "1500",
+                     "--scale", "8192", "--sanitize"])
+        assert code == 0, capsys.readouterr().err
+        assert not sanitizer.active()
+        sim = ENVIRONMENTS["native"]("GUPS", SimConfig(scale=8192,
+                                                        nrefs=1500))
+        assert supports(sim.walker("vanilla"))
+        assert not sanitizer.active()
 
     def test_run_trace_records_sweep_and_replay_spans(self, capsys,
                                                       tmp_path):

@@ -196,6 +196,59 @@ def test_vec_replay_matches_scalar_oracle(env, design, thp, seed, engine,
     assert stats.walks > 0 and stats.ref_count > 0
 
 
+#: The op-program designs whose planners fold probes that can only miss.
+FOLD_CASES = [(env, design, thp) for env in ("native", "virt")
+              for design in ("ecpt", "fpt") for thp in (False, True)]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("env,design,thp", FOLD_CASES)
+def test_warm_walker_replays_match_scalar(env, design, thp, engine,
+                                          machines):
+    """Replays on warm walkers: the miss stream's first half, then its
+    second half, on one scalar/batched walker pair.
+
+    The ECPT/FPT planners drop a background probe of a line that is
+    neither resident at replay start nor installed by one of the
+    replay's own accesses. Before the second replay the caches hold
+    lines the first half installed, and some of them are probed but
+    never fetched by the second half, so a live set built from the
+    plans alone would count those hits as misses."""
+    sim = machines(env, _config(thp=thp))
+    walker_scalar, walker_vec, miss_vas = _walker_pair(sim, design)
+    half = len(miss_vas) // 2
+    replay = replay_walks_native if engine == "native" else replay_walks_vec
+    for part in (miss_vas[:half], miss_vas[half:]):
+        stats_scalar = replay_walks(walker_scalar, part, engine="scalar")
+        assert replay(walker_vec, part) == stats_scalar
+    assert _walker_counters(walker_scalar) == _walker_counters(walker_vec)
+    assert _memsys_state(walker_scalar) == _memsys_state(walker_vec)
+    assert _design_state(walker_scalar) == _design_state(walker_vec)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("env", ["native", "virt"])
+def test_probe_fold_keeps_a_live_set_per_line_size(env, engine, machines):
+    """With 64 B L1, 128 B L2 and 256 B LLC lines a probe is live when
+    its line at *any* level may be resident there; a live set kept at
+    one line size would fold probes that hit the wider outer lines."""
+    base = xeon_gold_6138()
+    machine = replace(base, l2=replace(base.l2, line_bytes=128),
+                      llc=replace(base.llc, line_bytes=256))
+    config = replace(_config(), machine=machine)
+    walker_scalar, walker_vec, miss_vas = _walker_pair(
+        machines(env, config), "ecpt")
+    assert [level.batch_view().line_shift
+            for level in walker_vec.memsys.caches.levels] == [6, 7, 8]
+    half = len(miss_vas) // 2
+    replay = replay_walks_native if engine == "native" else replay_walks_vec
+    for part in (miss_vas[:half], miss_vas[half:]):
+        stats_scalar = replay_walks(walker_scalar, part, engine="scalar")
+        assert replay(walker_vec, part) == stats_scalar
+    assert _memsys_state(walker_scalar) == _memsys_state(walker_vec)
+    assert _design_state(walker_scalar) == _design_state(walker_vec)
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("env,design,which", DMT_CASES)
 def test_vec_replay_matches_scalar_on_dmt_fallbacks(env, design, which,
@@ -252,9 +305,9 @@ def test_auto_engine_falls_back_to_scalar():
     from repro.analysis import sanitizer
     from repro.sim.walk_vec import unsupported_reason
 
-    try:
-        config = replace(_config(), sanitize=True)
-        sim = ENVIRONMENTS["native"]("GUPS", config)
+    config = replace(_config(), sanitize=True)
+    sim = ENVIRONMENTS["native"]("GUPS", config)
+    with sanitizer.enabled():
         walker = sim.walker("vanilla")
         assert not supports(walker)
         reason = unsupported_reason(walker)
@@ -265,8 +318,7 @@ def test_auto_engine_falls_back_to_scalar():
         with pytest.raises(ValueError, match="sanitizer"):
             replay_walks(sim.walker("vanilla"), sim.tlb.miss_vas[:64],
                          engine="vec")
-    finally:
-        sanitizer.reset()
+    assert not sanitizer.active()
 
 
 def test_auto_engine_prefers_native_when_compiled(machines):
