@@ -70,6 +70,23 @@ RESULTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             os.pardir, "BENCH_engine.json")
 
 
+def _merge_results(sections: dict) -> None:
+    """Write ``sections`` into ``BENCH_engine.json``, keeping the
+    sections another bench of this file wrote there (a fresh document
+    with a default ``meta`` when there is none yet)."""
+    try:
+        with open(RESULTS_PATH, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except (OSError, ValueError):
+        document = {"meta": {"workload": "GUPS", "scale": SCALE,
+                             "nrefs": NREFS,
+                             "kernel_backend": KERNEL_BACKEND}}
+    document.update(sections)
+    with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2)
+        handle.write("\n")
+
+
 def test_kernel_backend_expected():
     """Fail fast when the CI leg's pinned kernel backend didn't load."""
     if not EXPECT_BACKEND:
@@ -246,15 +263,13 @@ def test_stage2_vectorized_speedup(benchmark):
           f"new planners: {new_speedups}; "
           f"stage 1 computed {stage1.computed}x, reused {stage1.reused}x")
 
-    with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
-        json.dump({
-            "meta": {"workload": "GUPS", "scale": SCALE,
-                     "nrefs": NREFS, "min_speedup": MIN_SPEEDUP,
-                     "rounds": ROUNDS,
-                     "kernel_backend": KERNEL_BACKEND},
-            "stage2": results,
-        }, handle, indent=2)
-        handle.write("\n")
+    _merge_results({
+        "meta": {"workload": "GUPS", "scale": SCALE,
+                 "nrefs": NREFS, "min_speedup": MIN_SPEEDUP,
+                 "rounds": ROUNDS,
+                 "kernel_backend": KERNEL_BACKEND},
+        "stage2": results,
+    })
 
     assert stage1.computed == 1, \
         "every machine build past the first must reuse the stage-1 memo"
@@ -333,16 +348,7 @@ def test_group_cell_thread_scaling():
           f"(floor {floor if floor else 'none — GIL-bound backend'}, "
           f"{len(stats[1])} cells, best of {rounds})")
 
-    # Merge into the document test_stage2_vectorized_speedup wrote (or
-    # start a fresh one when this bench runs alone).
-    try:
-        with open(RESULTS_PATH, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, ValueError):
-        document = {"meta": {"workload": "GUPS", "scale": SCALE,
-                             "nrefs": NREFS,
-                             "kernel_backend": KERNEL_BACKEND}}
-    document["group"] = {
+    _merge_results({"group": {
         "workload": "GUPS",
         "cells": len(stats[1]),
         "cell_threads": CELL_THREADS,
@@ -351,10 +357,7 @@ def test_group_cell_thread_scaling():
         "speedup": speedup,
         "floor": floor,
         "kernel_backend": KERNEL_BACKEND,
-    }
-    with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
+    }})
 
     if floor:
         assert speedup >= floor, \

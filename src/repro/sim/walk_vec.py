@@ -944,6 +944,13 @@ def _build_fpt_nested_plans(spec: BatchSpec, uniq_vpns: List[int],
     walker's distinct-group bookkeeping (absolute ids differ from the
     scalar ``_group_seq`` values, but group ids only need to be distinct
     within a walk — they never leave the recorder).
+
+    A host resolution depends only on the resolved gPA's page and its
+    dimension (which names its step tags), and the mirrors are
+    read-only, so each (page, dimension) is planned once per call
+    without group ids: its root fetch, leaf fetches, shared probe runs
+    and translated page base. A walk stamps its group id on the leaf
+    fetches at use.
     """
     guest = spec.fpt
     host = spec.host_fpt
@@ -952,46 +959,66 @@ def _build_fpt_nested_plans(spec: BatchSpec, uniq_vpns: List[int],
     hread = host.memory.read_word
     fold = _ProbeFold(caches)
     fetched = fold.fetched
+    offset_mask = PAGE_SIZE - 1
+    resolutions: Dict[Tuple[int, str], tuple] = {}
 
-    def plan_host_resolve(gpa, dim, ops, gid_box):
+    def plan_host_resolve(page: int, dim: str) -> tuple:
+        """``(root op, steps, hPA of the page)``: steps are None without
+        a host leaf, else each probed leaf entry as a group-free
+        ``(addr, tag)`` fetch or a probe-run op."""
+        gpa = page << PAGE_SHIFT
         root = host.root_entry_addr(gpa)
-        ops.append((1, root, f"h{dim}-root" if collect else None))
         fetched.append(root)
+        root_op = (1, root, f"h{dim}-root" if collect else None)
         leaf = host._leaves.get(host.upper_index(gpa))
         if leaf is None:
-            return None
-        gid_box[0] += 1
-        gid = gid_box[0]
+            return root_op, None, None
         probes = [(host.leaf_entry_addr(leaf, gpa), PageSize.SIZE_4K)]
         if probe_huge:
             huge = host._huge_for(gpa, create=False)
             if huge is not None:
                 probes.append((host.huge_entry_addr(huge, gpa),
                                PageSize.SIZE_2M))
-        hpa = None
+        base = None
         hit_addr = None
         for addr, size in probes:
             pte = hread(addr)
             if pte & PTE_PRESENT and \
                     bool(pte & PTE_HUGE) == (size != PageSize.SIZE_4K):
-                hpa = (pte_frame(pte) << PAGE_SHIFT) + (gpa & (size.bytes - 1))
+                base = (pte_frame(pte) << PAGE_SHIFT) + (gpa & (size.bytes - 1))
                 hit_addr = addr
+        tag = f"h{dim}-leaf" if collect else None
+        steps = []
         for addr, _size in probes:
             if hit_addr is None or addr == hit_addr:
-                ops.append((3, gid, addr,
-                            f"h{dim}-leaf" if collect else None))
+                steps.append((addr, tag))
                 fetched.append(addr)
             else:
-                ops.append(fold.probes((addr,)))
-        return hpa
+                steps.append(fold.probes((addr,)))
+        return root_op, tuple(steps), base
+
+    def host_resolve(gpa, dim, ops, gid_box):
+        key = (gpa >> PAGE_SHIFT, dim)
+        plan = resolutions.get(key)
+        if plan is None:
+            plan = resolutions[key] = plan_host_resolve(*key)
+        root_op, steps, base = plan
+        ops.append(root_op)
+        if steps is None:
+            return None
+        gid_box[0] += 1
+        gid = gid_box[0]
+        ops += [(3, gid) + step if type(step) is tuple else step
+                for step in steps]
+        return None if base is None else base + (gpa & offset_mask)
 
     plans = {}
     for vpn in uniq_vpns:
         gva = vpn << PAGE_SHIFT
         ops = []
         gid_box = [1]
-        root_hpa = plan_host_resolve(guest.root_entry_addr(gva), "g1",
-                                     ops, gid_box)
+        root_hpa = host_resolve(guest.root_entry_addr(gva), "g1", ops,
+                                gid_box)
         if root_hpa is None:
             plans[vpn] = (0, tuple(ops))
             continue
@@ -1018,7 +1045,7 @@ def _build_fpt_nested_plans(spec: BatchSpec, uniq_vpns: List[int],
         for probe_size, entry_gpa, pte, valid in slots:
             if any_valid and not valid:
                 continue
-            entry_hpa = plan_host_resolve(entry_gpa, "g2", ops, gid_box)
+            entry_hpa = host_resolve(entry_gpa, "g2", ops, gid_box)
             if entry_hpa is None:
                 continue
             ops.append((3, 1, entry_hpa,
@@ -1030,7 +1057,7 @@ def _build_fpt_nested_plans(spec: BatchSpec, uniq_vpns: List[int],
         if gpa is None:
             plans[vpn] = (0, tuple(ops))
             continue
-        plan_host_resolve(gpa, "d", ops, gid_box)
+        host_resolve(gpa, "d", ops, gid_box)
         plans[vpn] = (0, tuple(ops))
     fold.fold()
     return plans

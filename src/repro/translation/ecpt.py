@@ -206,9 +206,8 @@ class CuckooTable:
     def insert_run(self, vpn: int, ptes: Sequence[int]) -> int:
         """``insert(vpn + i, pte)`` for every nonzero ``ptes[i]``, in
         order; returns how many. Leaves the table and memory as those
-        calls would, word order included: only a group's first page is
-        placed by cuckoo insertion, the rest of its pages in the run are
-        written to its line at once."""
+        calls would: a group that is not resident is placed with all of
+        its pages in the run at once."""
         count = 0
         index = 0
         while index < len(ptes):
@@ -218,11 +217,11 @@ class CuckooTable:
             if slots:
                 count += len(slots)
                 group = (vpn + index) >> 3
-                if group not in self._where:
-                    first = next(iter(slots))
-                    self._place(group, {first: slots.pop(first)})
-                way, bucket = self._where[group]
-                self.memory.put_line(self._bucket_addr(way, bucket), slots)
+                found = self._where.get(group)
+                if found is None:
+                    self._place(group, slots)
+                else:
+                    self.memory.put_line(self._bucket_addr(*found), slots)
             index = end
         return count
 

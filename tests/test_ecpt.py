@@ -146,7 +146,7 @@ class TestLocationIndex:
 
     def test_bulk_load_equals_per_page_map_across_a_resize(self):
         """``load_from_radix`` inserts a leaf table at a time; it must
-        leave memory word for word (in order) and the tables as the
+        leave memory page for page (in order) and the tables as the
         per-page ``map`` loop does, with resizes during the load, holes
         at a group's first page, and 2 MB pages beside 4 KB ones."""
         def build(load):
@@ -173,8 +173,10 @@ class TestLocationIndex:
         ref_count, ref, ref_memory = build(per_page)
         assert bulk_count == ref_count
         assert bulk.tables[PageSize.SIZE_4K].resizes >= 2
-        assert list(bulk_memory._words.items()) == \
-            list(ref_memory._words.items())
+        assert [(frame, page.tobytes())
+                for frame, page in bulk_memory._pages.items()] == \
+            [(frame, page.tobytes())
+             for frame, page in ref_memory._pages.items()]
         assert [list(blocks) for blocks in bulk_memory.allocator.free_lists] \
             == [list(blocks) for blocks in ref_memory.allocator.free_lists]
         for size, table in bulk.tables.items():

@@ -177,7 +177,8 @@ ORACLE = [
 def _memory_state(memory):
     allocator = memory.allocator
     return {
-        "words": list(memory._words.items()),
+        "pages": [(frame, page.tobytes())
+                  for frame, page in memory._pages.items()],
         "free_lists": [list(blocks) for blocks in allocator.free_lists],
         "allocated": list(allocator._allocated.items()),
         "movable": sorted(allocator._movable),
