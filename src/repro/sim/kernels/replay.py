@@ -174,10 +174,9 @@ def _cwc_state(cwc):
 # Plan flattening (vec planners -> int64 arrays)
 # --------------------------------------------------------------------- #
 
-def _flatten_radix_native(page_table, top_level, n_offsets, uniq_ordered,
-                          cache_views):
-    slots, columns = walk_vec._build_radix_native_columns(
-        page_table, top_level, n_offsets, uniq_ordered, cache_views)
+def _flatten_radix_native(plan, uniq_ordered):
+    """Flatten a :func:`walk_vec._build_radix_native_columns` plan."""
+    slots, columns = plan[:2]
     n = len(uniq_ordered)
     row_base = np.empty(n, dtype=np.int64)
     chain_len = np.empty(n, dtype=np.int64)
@@ -454,8 +453,9 @@ def replay_walks_native(
                 ps, ps_fin = _pwc_state(pwc)
                 finishers.append(ps_fin)
                 row_base, chain_len, cols = _flatten_radix_native(
-                    spec.page_table, pwc.top_level, int(ps[2].shape[0]),
-                    uniq_ordered, cache_views)
+                    walk_vec._build_radix_native_columns(
+                        spec.page_table, pwc.top_level, int(ps[2].shape[0]),
+                        uniq_ordered, cache_views), uniq_ordered)
 
                 def run_range(lo, hi, out):
                     radix_native_chunk(vpns, pidx, lo, hi, row_base,
@@ -486,8 +486,10 @@ def replay_walks_native(
                 ps, ps_fin = _pwc_state(pwc)
                 finishers.append(ps_fin)
                 fb_row_base, fb_chain_len, fb_cols = _flatten_radix_native(
-                    fb_spec.page_table, pwc.top_level,
-                    int(ps[2].shape[0]), fallback_vpns, cache_views)
+                    walk_vec._build_radix_native_columns(
+                        fb_spec.page_table, pwc.top_level,
+                        int(ps[2].shape[0]), fallback_vpns, cache_views),
+                    fallback_vpns)
 
                 def run_range(lo, hi, out):
                     dmt_native_chunk(vpns, pidx, lo, hi, dplan, gaddrs,
@@ -559,25 +561,16 @@ def replay_walks_native(
                             pwc_latency, chain_top, top_level, out)
 
         elif kind in ("asap-native", "asap-nested"):
-            from repro.translation.asap import PREFETCH_LEVELS
-
-            inner_spec = spec.inner.batch_spec()
+            inner_spec, plan, pf_plans = walk_vec._plan_asap(
+                spec, memsys, uniq_ordered, cache_views, False)
+            pf_start, pf_count, pf_addr = _flatten_prefetch(
+                pf_plans, uniq_ordered)
             if kind == "asap-native":
                 chain_hop = 0
-                pf_plans = {
-                    vpn: tuple(step.pte_addr
-                               for step in spec.page_table.walk_steps(
-                                   vpn << PAGE_SHIFT)
-                               if step.level in PREFETCH_LEVELS)
-                    for vpn in uniq_ordered}
-                pwc = memsys.pwc
-                ps, ps_fin = _pwc_state(pwc)
+                ps, ps_fin = _pwc_state(memsys.pwc)
                 finishers.append(ps_fin)
                 row_base, chain_len, cols = _flatten_radix_native(
-                    inner_spec.page_table, pwc.top_level,
-                    int(ps[2].shape[0]), uniq_ordered, cache_views)
-                pf_start, pf_count, pf_addr = _flatten_prefetch(
-                    pf_plans, uniq_ordered)
+                    plan, uniq_ordered)
 
                 def run_range(lo, hi, out):
                     asap_native_chunk(vpns, pidx, lo, hi, pf_start,
@@ -586,39 +579,18 @@ def replay_walks_native(
                                       pwc_latency, chain_hop, out)
             else:
                 chain_hop = walker.CHAIN_HOP_CYCLES
-                guest_pt = spec.guest_pt
-                gpa_to_hpa = spec.vm.gpa_to_hpa
-                ept = spec.vm.ept
-                pf_plans = {}
-
-                def prefetcher(gva):
-                    addrs = []
-                    for step in guest_pt.walk_steps(gva):
-                        if step.level not in PREFETCH_LEVELS:
-                            continue
-                        addrs.append(gpa_to_hpa(step.pte_addr))
-                        for ept_step in ept.walk_steps(step.pte_addr):
-                            if ept_step.level in PREFETCH_LEVELS:
-                                addrs.append(ept_step.pte_addr)
-                    return tuple(addrs)
-
-                pwc = memsys.guest_pwc
-                ps, ps_fin = _pwc_state(pwc)
+                ps, ps_fin = _pwc_state(memsys.guest_pwc)
                 ns, ns_fin = _npwc_state(memsys.nested_pwc)
                 finishers.extend((ps_fin, ns_fin))
-                plans = walk_vec._build_radix_nested_plans(
-                    inner_spec.guest_pt, inner_spec.vm, pwc.top_level,
-                    int(ps[2].shape[0]), uniq_ordered, False,
-                    prefetcher=prefetcher, prefetch_out=pf_plans)
-                plan, haddrs = _flatten_radix_nested(plans, uniq_ordered)
-                pf_start, pf_count, pf_addr = _flatten_prefetch(
-                    pf_plans, uniq_ordered)
+                nested_plan, haddrs = _flatten_radix_nested(plan,
+                                                            uniq_ordered)
 
                 def run_range(lo, hi, out):
                     asap_nested_chunk(vpns, pidx, lo, hi, pf_start,
-                                      pf_count, pf_addr, plan, haddrs,
-                                      ps, ns, cs, pwc_latency, chain_hop,
-                                      out)
+                                      pf_count, pf_addr, nested_plan,
+                                      haddrs, ps, ns, cs, pwc_latency,
+                                      chain_hop, out)
+            del plan, pf_plans   # flattened: only the arrays live on
 
             inner = spec.inner
 

@@ -70,6 +70,7 @@ from repro.arch import (
     level_index,
 )
 from repro.kernel.page_table import PTE_HUGE, PTE_PRESENT, pte_frame
+from repro.translation.asap import PREFETCH_LEVELS
 from repro.translation.base import BatchSpec, MemorySubsystem, Walker
 
 #: Misses processed per chunk; bounds the transient Python-list
@@ -170,6 +171,11 @@ def _spec_reason(spec: Optional[BatchSpec],
         if kind == "asap-nested" and (spec.guest_pt is None
                                       or spec.vm is None):
             return "asap-nested spec lacks a guest page table or VM"
+        if kind == "asap-nested" and not spec.vm.fully_backed():
+            # the plan takes prefetch host addresses from the walk plan,
+            # so lazy EPT faults would come in another order than the
+            # scalar walker's
+            return "asap-nested plans need a fully backed VM"
         inner_spec = spec.inner.batch_spec()
         expected = "radix-native" if kind == "asap-native" else "radix-nested"
         if inner_spec is None or inner_spec.kind != expected:
@@ -366,7 +372,8 @@ def _make_pwc_probe(view) -> Tuple[Callable[[int], int], Callable[[], None]]:
 # --------------------------------------------------------------------- #
 
 def _build_radix_native_columns(page_table, top_level: int, n_offsets: int,
-                                uniq_vpns: List[int], views):
+                                uniq_vpns: List[int], views,
+                                prefetch_levels: Tuple[int, ...] = ()):
     """Column-major native walk chains over a static radix table.
 
     All per-step quantities a replayed walk needs are precomputed with
@@ -379,8 +386,11 @@ def _build_radix_native_columns(page_table, top_level: int, n_offsets: int,
     distinct table node via a ``(level, prefix)`` memo, so the
     level-major traversal order cannot diverge from the scalar walk.
 
-    Returns ``(slots, columns)``: ``slots[vpn] = (row_base, chain_len)``
-    and ``columns = (line/idx per level ..., fill_key, fill_val)``.
+    Returns ``(slots, columns, prefetch)``: ``slots[vpn] = (row_base,
+    chain_len)``, ``columns = (line/idx per level ..., fill_key,
+    fill_val)``, and ``prefetch[vpn]``, the addresses of the walk's
+    steps at ``prefetch_levels`` in walk order (ASAP's prefetch; None
+    when no levels are asked for).
     """
     read = page_table.memory.read_word
     root = page_table.root_frame
@@ -405,6 +415,9 @@ def _build_radix_native_columns(page_table, top_level: int, n_offsets: int,
         idx_mats.append(idx_mat)
     fkey_mat = np.full((n, top_level), -1, dtype=np.int64)
     fval_mat = np.zeros((n, top_level), dtype=np.int64)
+    pf_levels = [level for level in range(top_level, 0, -1)
+                 if level in prefetch_levels]
+    pf_mat = np.full((n, len(pf_levels)), -1, dtype=np.int64)
 
     nodes: dict = {}
     active = np.arange(n)
@@ -419,6 +432,8 @@ def _build_radix_native_columns(page_table, top_level: int, n_offsets: int,
         for (line_shift, num_sets), idx_mat in idx_cache.items():
             idx_mat[active, depth] = (addr >> line_shift) % num_sets
         lengths[active] = depth + 1
+        if level in pf_levels:
+            pf_mat[active, pf_levels.index(level)] = addr
         if level == 1:
             break
         prefix = sub >> shift
@@ -467,13 +482,16 @@ def _build_radix_native_columns(page_table, top_level: int, n_offsets: int,
 
     columns = tuple(flatten(mat)
                     for pair in zip(line_mats, idx_mats) for mat in pair)
+    prefetch = None
+    if pf_levels:
+        prefetch = {vpn: tuple(addr for addr in row if addr >= 0)
+                    for vpn, row in zip(uniq_vpns, pf_mat.tolist())}
     return slots, columns + (fkey_mat.ravel().tolist(),
-                             fval_mat.ravel().tolist())
+                             fval_mat.ravel().tolist()), prefetch
 
 
 def _build_radix_nested_plans(guest_pt, vm, top_level: int, n_offsets: int,
-                              uniq_vpns: List[int], collect: bool,
-                              prefetcher=None, prefetch_out=None):
+                              uniq_vpns: List[int], collect: bool):
     """Per-VPN 2D walk chains: guest dimension + memoized host chains.
 
     A plan is ``(entries, data)``. Each guest-level entry is
@@ -487,12 +505,6 @@ def _build_radix_nested_plans(guest_pt, vm, top_level: int, n_offsets: int,
     ``vm.gpa_to_hpa`` before ``ept.walk_steps`` in first-touch order,
     which reproduces the scalar loop's lazy EPT backfill / shadow-table
     extension sequence exactly (allocation order determines addresses).
-
-    ``prefetcher`` (ASAP) is called per VPN *before* its chain is
-    planned, storing its address tuple in ``prefetch_out[vpn]``: the
-    scalar ASAP walker issues the prefetch — with its own lazy
-    ``gpa_to_hpa`` first-touches — before each walk's resolves, so the
-    planning pass must interleave the two in the same per-VPN order.
     """
     gread = guest_pt.memory.read_word
     root_gpa = guest_pt.root_frame << PAGE_SHIFT
@@ -514,8 +526,6 @@ def _build_radix_nested_plans(guest_pt, vm, top_level: int, n_offsets: int,
     nodes = {}
     plans = {}
     for vpn in uniq_vpns:
-        if prefetcher is not None:
-            prefetch_out[vpn] = prefetcher(vpn << PAGE_SHIFT)
         entries = []
         data = None
         table_gpa = root_gpa
@@ -1138,8 +1148,7 @@ def _make_radix_runner(spec: BatchSpec, memsys: MemorySubsystem,
                        uniq_vpns: List[int], access: Callable[[int], int],
                        access_ctx, collect: bool,
                        finalizers: List[Callable[[], None]],
-                       credit_walkers: Tuple = (),
-                       prefetcher=None, prefetch_out=None):
+                       credit_walkers: Tuple = (), plan=None):
     """Build plans + the per-miss radix walk function for ``spec``.
 
     Returns ``(run, run_many)``. ``run(vpn, steps)`` executes one walk:
@@ -1157,6 +1166,8 @@ def _make_radix_runner(spec: BatchSpec, memsys: MemorySubsystem,
     ``credit_walkers`` names walkers whose walks/cycles counters must
     mirror these walks (the DMT fallback path: the scalar loop records
     each fallback walk on the fallback walker before the DMT walker).
+    ``plan`` is the spec's walk plan when the caller built it already
+    (ASAP, :func:`_plan_asap`).
     """
     pwc = memsys.guest_pwc if spec.kind == "radix-nested" else memsys.pwc
     view = pwc.batch_view()
@@ -1170,9 +1181,11 @@ def _make_radix_runner(spec: BatchSpec, memsys: MemorySubsystem,
     if spec.kind == "radix-native":
         (v1, v2, v3), mem_latency, counters = access_ctx
         top_level = view.top_level
-        slots, columns = _build_radix_native_columns(
-            spec.page_table, top_level, len(tables), uniq_vpns,
-            (v1, v2, v3))
+        if plan is None:
+            plan = _build_radix_native_columns(
+                spec.page_table, top_level, len(tables), uniq_vpns,
+                (v1, v2, v3))
+        slots, columns = plan[:2]
         line1, idx1, line2, idx2, line3, idx3, fkeys, fvals = columns
         tag_by_step = tuple(
             f"L{top_level - depth}" for depth in range(top_level))
@@ -1490,10 +1503,9 @@ def _make_radix_runner(spec: BatchSpec, memsys: MemorySubsystem,
                 return total_cycles, refs
 
     else:  # radix-nested
-        plans = _build_radix_nested_plans(
+        plans = plan if plan is not None else _build_radix_nested_plans(
             spec.guest_pt, spec.vm, view.top_level, len(tables),
-            uniq_vpns, collect, prefetcher=prefetcher,
-            prefetch_out=prefetch_out)
+            uniq_vpns, collect)
         nview = memsys.nested_pwc.batch_view()
         ntable = nview.table
         ncapacity = nview.capacity
@@ -1963,6 +1975,58 @@ def _make_agile_runner(spec: BatchSpec, memsys: MemorySubsystem,
     return run
 
 
+def _plan_asap(spec: BatchSpec, memsys: MemorySubsystem,
+               uniq_vpns: List[int], views, collect: bool):
+    """Plan an ASAP replay (both engines): ``(inner_spec, plan,
+    prefetch)``, the inner radix walker's spec and walk plan, and each
+    unique VPN's prefetch addresses, read off that plan.
+
+    Native ASAP prefetches the walk's L2/L1 PTE addresses: the rows of
+    :func:`_build_radix_native_columns` at :data:`PREFETCH_LEVELS`.
+    Nested ASAP prefetches each guest L2/L1 entry's host address
+    (``gpte_hpa``) followed by the L2/L1 steps of that entry's memoised
+    host chain — what the scalar walker's ``gpa_to_hpa`` and EPT
+    ``walk_steps`` give on a fully backed VM (:func:`unsupported_reason`
+    refuses any other; machine builds back the whole guest-physical
+    space before any walker exists). ``views`` are the cache-level
+    views the native columns index.
+    """
+    inner_spec = spec.inner.batch_spec()
+    if spec.kind == "asap-native":
+        pwc = memsys.pwc
+        slots, columns, prefetch = _build_radix_native_columns(
+            inner_spec.page_table, pwc.top_level,
+            len(pwc.batch_view().tables), uniq_vpns, views, PREFETCH_LEVELS)
+        return inner_spec, (slots, columns), prefetch
+    pwc = memsys.guest_pwc
+    top_level = pwc.top_level
+    plans = _build_radix_nested_plans(
+        inner_spec.guest_pt, inner_spec.vm, top_level,
+        len(pwc.batch_view().tables), uniq_vpns, collect)
+    host_levels = inner_spec.vm.ept.levels
+    guest_depths = [depth for depth in range(top_level)
+                    if top_level - depth in PREFETCH_LEVELS]
+    host_depths = [depth for depth in range(host_levels)
+                   if host_levels - depth in PREFETCH_LEVELS]
+    host_prefetch: Dict[int, Tuple[int, ...]] = {}   # per guest frame
+    prefetch = {}
+    for vpn in uniq_vpns:
+        entries = plans[vpn][0]
+        addrs: List[int] = []
+        for depth in guest_depths:
+            if depth >= len(entries):
+                break
+            gfn, _hfn, hsteps, gpte_hpa = entries[depth][:4]
+            steps = host_prefetch.get(gfn)
+            if steps is None:
+                steps = host_prefetch[gfn] = tuple(
+                    hsteps[k] for k in host_depths if k < len(hsteps))
+            addrs.append(gpte_hpa)
+            addrs += steps
+        prefetch[vpn] = tuple(addrs)
+    return inner_spec, plans, prefetch
+
+
 def _make_asap_runner(walker: Walker, spec: BatchSpec,
                       memsys: MemorySubsystem, uniq_vpns: List[int],
                       access: Callable[[int], int], access_ctx,
@@ -1970,53 +2034,20 @@ def _make_asap_runner(walker: Walker, spec: BatchSpec,
                       finalizers: List[Callable[[], None]]):
     """ASAP (native or nested): prefetch cost model over the radix plan.
 
-    The prefetch addresses are static per VPN (native: the L2/L1 PTE
-    addresses; nested: the guest L2/L1 entries' host addresses plus
-    their EPT leaf entries). Nested prefetch *planning* performs the
-    scalar walker's lazy ``gpa_to_hpa`` first-touches, so it runs
-    interleaved with the inner radix-nested planner via its
-    ``prefetcher`` hook — before each VPN's chain resolves, the order
-    the scalar walk would touch them. At run time the prefetch accesses
-    go through the shared hierarchy (installing lines) before the inner
-    walk replays; the walk costs ``max(prefetch completion, inner)``
-    while refs and step tags come from the inner walk alone, and the
-    inner walker's own walks/cycles counters mirror the inner replays.
+    The prefetch addresses are static per VPN and come with the inner
+    radix plan from :func:`_plan_asap`. At run time the prefetch
+    accesses go through the shared hierarchy (installing lines) before
+    the inner walk replays; the walk costs ``max(prefetch completion,
+    inner)`` while refs and step tags come from the inner walk alone,
+    and the inner walker's own walks/cycles counters mirror the inner
+    replays.
     """
-    from repro.translation.asap import PREFETCH_LEVELS
-
-    inner_spec = spec.inner.batch_spec()
-    if spec.kind == "asap-native":
-        chain_hop = 0
-        pf_plans = {
-            vpn: tuple(step.pte_addr
-                       for step in spec.page_table.walk_steps(
-                           vpn << PAGE_SHIFT)
-                       if step.level in PREFETCH_LEVELS)
-            for vpn in uniq_vpns}
-        inner_run, _ = _make_radix_runner(
-            inner_spec, memsys, uniq_vpns, access, access_ctx, collect,
-            finalizers)
-    else:
-        chain_hop = walker.CHAIN_HOP_CYCLES
-        guest_pt = spec.guest_pt
-        gpa_to_hpa = spec.vm.gpa_to_hpa
-        ept = spec.vm.ept
-        pf_plans: dict = {}
-
-        def prefetcher(gva: int):
-            addrs = []
-            for step in guest_pt.walk_steps(gva):
-                if step.level not in PREFETCH_LEVELS:
-                    continue
-                addrs.append(gpa_to_hpa(step.pte_addr))  # lazy first-touch
-                for ept_step in ept.walk_steps(step.pte_addr):
-                    if ept_step.level in PREFETCH_LEVELS:
-                        addrs.append(ept_step.pte_addr)
-            return tuple(addrs)
-
-        inner_run, _ = _make_radix_runner(
-            inner_spec, memsys, uniq_vpns, access, access_ctx, collect,
-            finalizers, prefetcher=prefetcher, prefetch_out=pf_plans)
+    inner_spec, plan, pf_plans = _plan_asap(spec, memsys, uniq_vpns,
+                                            access_ctx[0], collect)
+    chain_hop = walker.CHAIN_HOP_CYCLES if spec.kind == "asap-nested" else 0
+    inner_run, _ = _make_radix_runner(
+        inner_spec, memsys, uniq_vpns, access, access_ctx, collect,
+        finalizers, plan=plan)
 
     inner = spec.inner
     acc = [0, 0, 0]  # inner walks, inner cycles, prefetches issued

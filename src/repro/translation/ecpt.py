@@ -20,8 +20,10 @@ pvDMT's two direct references avoid (§3.1).
 
 from __future__ import annotations
 
+from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -44,6 +46,8 @@ _GROUP_PAGES = 8          # consecutive VPNs per bucket line
 _LINE_BYTES = 64
 
 _WAY_SEEDS = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+_ZERO_LINE = bytes(_LINE_BYTES)
 
 
 def _mix(value: int, seed: int) -> int:
@@ -72,6 +76,113 @@ def _mix_array(values: np.ndarray, seed: int) -> np.ndarray:
     return x
 
 
+class _LineBuffer:
+    """Bucket lines held on the host for one mutating table operation.
+
+    A cuckoo insertion moves whole lines: it kicks a resident group out
+    of its bucket, writes the new group there and carries the victim
+    on, and a resize collects every live line and places it again.
+    Instead of a ``take_line``/``put_line`` pair in
+    :class:`PhysicalMemory` per kick, the buffer keeps each line the
+    operation touches as ``lines[address]``, its eight PTE words in an
+    ``array('Q')``. A line enters on its first use, read through from
+    memory with ``take_line`` (which leaves it zero there), and
+    :meth:`flush` writes every line back once, at the operation's end.
+
+    A memory page is created on its frame's first nonzero write and
+    dropped by ``clear_page``, and the order of the pages is state. So
+    the buffer also logs ``created``, the frames its writes gave a
+    nonzero word, in first-write order, and ``dropped``, the way frames
+    freed by resizes. After :meth:`flush` memory holds, page for page
+    and in order, what writing every line through at once would have
+    left, with freed way frames cleared. An untagged bucket's line is
+    zero in memory (way frames are cleared when freed), so placing a
+    group into one needs no read, and writing a whole line back
+    changes only its buffered words; every line of a way is zero in
+    memory by the time a resize frees it (its live lines were taken),
+    so a frame freed and reused within one operation reads through as
+    empty.
+    """
+
+    def __init__(self, memory: PhysicalMemory):
+        self.memory = memory
+        self.lines: Dict[int, array] = {}
+        self.created: Dict[int, None] = {}
+        self.dropped: Set[int] = set()
+
+    def take(self, addr: int) -> array:
+        """The line's words, leaving the line out of the buffer (and
+        zero in memory)."""
+        line = self.lines.pop(addr, None)
+        if line is None:
+            line = array("Q", _ZERO_LINE)
+            for offset, value in self.memory.take_line(addr).items():
+                line[offset] = value
+        return line
+
+    def put(self, addr: int, line: array) -> None:
+        """Make ``line`` the line at ``addr``."""
+        self.lines[addr] = line
+        frame = addr >> PAGE_SHIFT
+        if frame not in self.created and any(line):
+            self.created[frame] = None
+
+    def merge(self, addr: int, line: array) -> None:
+        """Write the nonzero words of ``line`` over the line at
+        ``addr``."""
+        current = self.lines.get(addr)
+        if current is None:
+            current = self.lines[addr] = self.take(addr)
+        for offset, value in enumerate(line):
+            if value:
+                current[offset] = value
+        frame = addr >> PAGE_SHIFT
+        if frame not in self.created and any(line):
+            self.created[frame] = None
+
+    def drop(self, frame: int, pages: int) -> None:
+        """The way frames ``frame .. frame + pages - 1`` were freed."""
+        for dead in range(frame, frame + pages):
+            self.created.pop(dead, None)
+            self.dropped.add(dead)
+
+    def flush(self) -> None:
+        """Write the operation's end state to memory."""
+        memory = self.memory
+        for frame in self.dropped:
+            memory.clear_page(frame)
+        by_frame: Dict[int, List[Tuple[int, array]]] = {}
+        for addr, line in self.lines.items():
+            by_frame.setdefault(addr >> PAGE_SHIFT, []).append((addr, line))
+        write_words = memory.write_words
+        # created frames first: absent pages appear in first-write order
+        for frame in (*self.created, *by_frame):
+            for addr, line in by_frame.pop(frame, ()):
+                write_words(addr, line)
+        self.lines = {}
+        self.created = {}
+        self.dropped = set()
+
+
+@contextmanager
+def _operation(tables: Sequence["CuckooTable"]) -> Iterator[None]:
+    """One mutating operation over ``tables`` (which share a memory):
+    their kicks and resizes work on one :class:`_LineBuffer`, flushed
+    at the end. Inside an enclosing operation, joins its buffer."""
+    if tables[0]._buffer is not None:
+        yield
+        return
+    buffer = _LineBuffer(tables[0].memory)
+    for table in tables:
+        table._buffer = buffer
+    try:
+        yield
+    finally:
+        for table in tables:
+            table._buffer = None
+        buffer.flush()
+
+
 class CuckooTable:
     """One elastic d-ary cuckoo hash table (one page size).
 
@@ -85,7 +196,9 @@ class CuckooTable:
     step by every placement, eviction, removal and resize; ``_buckets``
     memoises each group's bucket in every way for the current table
     size (``_mix`` stays the definition) and is dropped when the table
-    grows.
+    grows. Insertions move lines through a :class:`_LineBuffer` that is
+    flushed when the public operation ends, so memory is only
+    consistent between operations.
     """
 
     MAX_KICKS = 32
@@ -113,6 +226,8 @@ class CuckooTable:
         self._where: Dict[int, Tuple[int, int]] = {}
         # group -> its bucket in each way at the current nbuckets
         self._buckets: Dict[int, Tuple[int, ...]] = {}
+        # the open operation's line buffer (None between operations)
+        self._buffer: Optional[_LineBuffer] = None
         self._allocate_ways()
 
     # ------------------------------------------------------------------ #
@@ -134,6 +249,7 @@ class CuckooTable:
     def _free_ways(self, frames: List[int], pages: int) -> None:
         for frame in frames:
             self.memory.allocator.free_contig(frame, pages)
+            self._buffer.drop(frame, pages)
 
     def _bucket_addr(self, way: int, bucket: int) -> int:
         return self._way_bases[way] + bucket * _LINE_BYTES
@@ -146,6 +262,15 @@ class CuckooTable:
             buckets = self._buckets[group] = tuple(
                 _mix(group, seed) % nbuckets for seed in self._seeds)
         return buckets
+
+    def _memo_buckets(self, groups: List[int]) -> None:
+        """Fill the bucket memo for ``groups`` with one
+        :func:`_mix_array` pass per way."""
+        values = np.array(groups, dtype=np.uint64)
+        nbuckets = np.uint64(self.nbuckets)
+        columns = [(_mix_array(values, seed) % nbuckets).tolist()
+                   for seed in self._seeds]
+        self._buckets.update(zip(groups, zip(*columns)))
 
     # ------------------------------------------------------------------ #
     # Hash-table operations
@@ -201,71 +326,85 @@ class CuckooTable:
             # already-resident group: update in place
             self.memory.write_word(hit[0], pte)
             return
-        self._place(vpn >> 3, {vpn & 7: pte})
+        line = array("Q", _ZERO_LINE)
+        line[vpn & 7] = pte
+        with _operation((self,)):
+            self._place(vpn >> 3, line)
 
     def insert_run(self, vpn: int, ptes: Sequence[int]) -> int:
         """``insert(vpn + i, pte)`` for every nonzero ``ptes[i]``, in
         order; returns how many. Leaves the table and memory as those
         calls would: a group that is not resident is placed with all of
         its pages in the run at once."""
+        runs = []
         count = 0
         index = 0
         while index < len(ptes):
-            end = index + 8 - ((vpn + index) & 7)
-            slots = {(vpn + i) & 7: pte
-                     for i, pte in enumerate(ptes[index:end], index) if pte}
-            if slots:
-                count += len(slots)
-                group = (vpn + index) >> 3
-                found = self._where.get(group)
-                if found is None:
-                    self._place(group, slots)
+            first = (vpn + index) & 7
+            end = index + 8 - first
+            words = ptes[index:end]
+            if any(words):
+                count += len(words) - words.count(0)
+                if len(words) == 8:
+                    line = array("Q", words)
                 else:
-                    self.memory.put_line(self._bucket_addr(*found), slots)
+                    line = array("Q", _ZERO_LINE)
+                    line[first:first + len(words)] = array("Q", words)
+                runs.append(((vpn + index) >> 3, line))
             index = end
+        homeless = [group for group, _ in runs if group not in self._where]
+        if homeless:
+            self._memo_buckets(homeless)
+        with _operation((self,)):
+            for group, line in runs:
+                found = self._where.get(group)   # a resize replaces the dict
+                if found is None:
+                    self._place(group, line)
+                else:
+                    self._buffer.merge(self._bucket_addr(*found), line)
         return count
 
-    def _place(self, group: int, slots: Dict[int, int]) -> None:
+    def _place(self, group: int, line: array) -> None:
         """Insert a group that is not resident, growing the table if the
         kick chain fails."""
-        pending = self._insert_group(group, slots)
+        pending = self._insert_group(group, line)
         if pending is not None:
             self._resize(pending)
 
-    def _insert_group(self, group: int, slots: Dict[int, int]):
-        """Place a group's slots, cuckoo-kicking resident groups as needed.
+    def _insert_group(self, group: int, line: array):
+        """Place a group's line, cuckoo-kicking resident groups as needed.
 
-        Returns None on success, or the still-homeless ``(group, slots)``
+        Returns None on success, or the still-homeless ``(group, line)``
         when the kick chain exceeds MAX_KICKS (the caller must resize and
         re-place it — losing it would drop live translations).
         """
-        memory = self.memory
+        buffer = self._buffer
         where = self._where
         way = 0
         for _ in range(self.MAX_KICKS):
             bucket = self._buckets_of(group)[way]
             tags = self._tags[way]
             tag = tags.get(bucket, 0)
-            base = self._bucket_addr(way, bucket)
+            base = self._way_bases[way] + bucket * _LINE_BYTES
             if tag == 0:
                 tags[bucket] = group + 1
                 where[group] = (way, bucket)
-                memory.put_line(base, slots)
+                buffer.put(base, line)
                 self.groups += 1
                 return None
             if tag == group + 1:
-                memory.put_line(base, slots)
+                buffer.merge(base, line)
                 return None
             # evict the resident group and take its bucket
             victim_group = tag - 1
-            victim_slots = memory.take_line(base)
+            victim_line = buffer.take(base)
             del where[victim_group]
             tags[bucket] = group + 1
             where[group] = (way, bucket)
-            memory.put_line(base, slots)
-            group, slots = victim_group, victim_slots
+            buffer.put(base, line)
+            group, line = victim_group, victim_line
             way = (way + 1) % self.ways
-        return (group, slots)
+        return (group, line)
 
     def remove(self, vpn: int) -> bool:
         hit = self._slot_hit(vpn)
@@ -281,13 +420,13 @@ class CuckooTable:
             self.groups -= 1
         return True
 
-    def _collect_live(self) -> List[Tuple[int, Dict[int, int]]]:
-        take_line = self.memory.take_line
-        return [(tag - 1, take_line(self._bucket_addr(way, bucket)))
+    def _collect_live(self) -> List[Tuple[int, array]]:
+        take = self._buffer.take
+        return [(tag - 1, take(self._bucket_addr(way, bucket)))
                 for way, tags in enumerate(self._tags)
                 for bucket, tag in tags.items()]
 
-    def _resize(self, extra: Optional[Tuple[int, Dict[int, int]]] = None) -> None:
+    def _resize(self, extra: Optional[Tuple[int, array]] = None) -> None:
         """Elastic growth: double the buckets and rehash (the 'E' in ECPT).
 
         ``extra`` is a group displaced by the failed insertion that
@@ -301,12 +440,13 @@ class CuckooTable:
             live = self._collect_live() + pending
             self.nbuckets *= 2
             self._buckets = {}
+            self._memo_buckets([group for group, _ in live])
             self._allocate_ways()
             self._free_ways(old_frames, old_pages)
             self.groups = 0
             pending = []
-            for index, (group, slots) in enumerate(live):
-                leftover = self._insert_group(group, slots)
+            for index, (group, line) in enumerate(live):
+                leftover = self._insert_group(group, line)
                 if leftover is not None:
                     # extremely unlikely: double again, carrying everything
                     pending = [leftover] + live[index + 1:]
@@ -456,13 +596,16 @@ class ElasticCuckooPageTables:
     def load_from_radix(self, page_table) -> int:
         """Mirror an existing radix page table's leaf mappings, one leaf
         table at a time; the same tables and memory as :meth:`map` per
-        page in va order."""
+        page in va order. The whole load is one operation over the three
+        size tables: one line buffer, flushed once."""
         count = 0
-        for va, size, ptes in page_table.leaf_tables():
-            count += self.tables[size].insert_run(
-                va >> int(size),
-                [make_pte(pte_frame(pte)) if pte & PTE_PRESENT else 0
-                 for pte in ptes])
+        tables = self.tables
+        with _operation(tuple(tables.values())):
+            for va, size, ptes in page_table.leaf_tables():
+                count += tables[size].insert_run(
+                    va >> int(size),
+                    [make_pte(pte_frame(pte)) if pte & PTE_PRESENT else 0
+                     for pte in ptes])
         return count
 
     def total_bytes(self) -> int:

@@ -127,6 +127,11 @@ class VM:
             del hfns[hfns.index(None):]
         return hfns
 
+    def fully_backed(self) -> bool:
+        """Every guest frame has a host frame, so :meth:`gpa_to_hpa`
+        can fault nothing in."""
+        return len(self._reverse) >= self.memory_bytes >> PAGE_SHIFT
+
     def gpa_to_hpa(self, gpa: int) -> int:
         hfn = self.ensure_backed(gpa >> PAGE_SHIFT)
         return (hfn << PAGE_SHIFT) | (gpa & (PAGE_SIZE - 1))

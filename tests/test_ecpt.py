@@ -10,6 +10,7 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.page_table import make_pte, pte_frame
 from repro.kernel.process import Process
 from repro.mem.physmem import PhysicalMemory
+from repro.translation import ecpt as ecpt_module
 from repro.translation.base import MemorySubsystem
 from repro.translation.ecpt import (
     CuckooTable,
@@ -187,6 +188,187 @@ class TestLocationIndex:
             assert [list(tags.items()) for tags in table._tags] == \
                 [list(tags.items()) for tags in other._tags]
             _check_indexes(table)
+
+
+class _MemoryDirectTable(CuckooTable):
+    """Reference: the cuckoo table with every kick, merge and resize
+    going through ``PhysicalMemory.take_line``/``put_line`` at once (no
+    line buffer), and freed way frames cleared when they are freed."""
+
+    def insert(self, vpn, pte):
+        hit = self._slot_hit(vpn)
+        if hit is not None:
+            self.memory.write_word(hit[0], pte)
+            return
+        self._place(vpn >> 3, {vpn & 7: pte})
+
+    def insert_run(self, vpn, ptes):
+        count = 0
+        index = 0
+        while index < len(ptes):
+            end = index + 8 - ((vpn + index) & 7)
+            slots = {(vpn + i) & 7: pte
+                     for i, pte in enumerate(ptes[index:end], index) if pte}
+            if slots:
+                count += len(slots)
+                group = (vpn + index) >> 3
+                found = self._where.get(group)
+                if found is None:
+                    self._place(group, slots)
+                else:
+                    self.memory.put_line(self._bucket_addr(*found), slots)
+            index = end
+        return count
+
+    def _free_ways(self, frames, pages):
+        for frame in frames:
+            self.memory.allocator.free_contig(frame, pages)
+            for dead in range(frame, frame + pages):
+                self.memory.clear_page(dead)
+
+    def _insert_group(self, group, slots):
+        memory = self.memory
+        where = self._where
+        way = 0
+        for _ in range(self.MAX_KICKS):
+            bucket = self._buckets_of(group)[way]
+            tags = self._tags[way]
+            tag = tags.get(bucket, 0)
+            base = self._bucket_addr(way, bucket)
+            if tag == 0:
+                tags[bucket] = group + 1
+                where[group] = (way, bucket)
+                memory.put_line(base, slots)
+                self.groups += 1
+                return None
+            if tag == group + 1:
+                memory.put_line(base, slots)
+                return None
+            victim_group = tag - 1
+            victim_slots = memory.take_line(base)
+            del where[victim_group]
+            tags[bucket] = group + 1
+            where[group] = (way, bucket)
+            memory.put_line(base, slots)
+            group, slots = victim_group, victim_slots
+            way = (way + 1) % self.ways
+        return (group, slots)
+
+    def _collect_live(self):
+        take_line = self.memory.take_line
+        return [(tag - 1, take_line(self._bucket_addr(way, bucket)))
+                for way, tags in enumerate(self._tags)
+                for bucket, tag in tags.items()]
+
+    def _resize(self, extra=None):
+        pending = [extra] if extra is not None else []
+        while True:
+            self.resizes += 1
+            old_frames = self._way_frames
+            old_pages = self._way_pages()
+            live = self._collect_live() + pending
+            self.nbuckets *= 2
+            self._buckets = {}
+            self._allocate_ways()
+            self._free_ways(old_frames, old_pages)
+            self.groups = 0
+            pending = []
+            for index, (group, slots) in enumerate(live):
+                leftover = self._insert_group(group, slots)
+                if leftover is not None:
+                    pending = [leftover] + live[index + 1:]
+                    break
+            if not pending:
+                return
+
+
+def _table_state(table):
+    """Memory page for page and in order, the allocator, and the table
+    (tags in order, location index, counters)."""
+    memory = table.memory
+    return ([(frame, page.tobytes()) for frame, page in memory._pages.items()],
+            [list(blocks) for blocks in memory.allocator.free_lists],
+            [list(tags.items()) for tags in table._tags],
+            table._where,
+            (table.groups, table.resizes, table.nbuckets, table._way_frames))
+
+
+_PTE_FRAME = st.integers(1, 1 << 30)
+#: ("insert", vpn, frame), ("remove", vpn) and ("run", vpn, length,
+#: holes, first frame): a run of ``length`` PTEs, 0 at the hole indexes.
+_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(0, 383), _PTE_FRAME),
+        st.tuples(st.just("run"), st.integers(0, 383), st.integers(1, 64),
+                  st.sets(st.integers(0, 63), max_size=24), _PTE_FRAME),
+        st.tuples(st.just("remove"), st.integers(0, 383))),
+    min_size=8, max_size=60)
+
+
+class TestLineBuffer:
+    """The line buffer is invisible at operation boundaries: the same
+    memory pages in the same order, allocator, tags and index as the
+    memory-direct reference table."""
+
+    @given(_OPERATIONS)
+    @settings(max_examples=200, deadline=None)
+    def test_operations_equal_the_memory_direct_reference(self, history):
+        """Random insert / insert_run / remove histories on a 4-bucket,
+        3-way table over 24 groups (kick chains, merges into resident
+        groups and repeated resizes), compared after every operation."""
+        tables = [cls(PhysicalMemory(64 * MB), PageSize.SIZE_4K,
+                      initial_buckets=4)
+                  for cls in (CuckooTable, _MemoryDirectTable)]
+        for op, vpn, *args in history:
+            if op == "insert":
+                results = [table.insert(vpn, make_pte(args[0]))
+                           for table in tables]
+            elif op == "run":
+                length, holes, frame = args
+                ptes = [0 if index in holes else make_pte(frame + index)
+                        for index in range(length)]
+                results = [table.insert_run(vpn, ptes) for table in tables]
+            else:
+                results = [table.remove(vpn) for table in tables]
+            assert results[0] == results[1]
+            assert _table_state(tables[0]) == _table_state(tables[1])
+            _check_indexes(tables[0])
+
+    def test_resizes_leave_no_zero_pages(self):
+        """Freed way frames are cleared: after many resizes every page
+        in memory lies in a live way."""
+        memory = PhysicalMemory(64 * MB)
+        table = CuckooTable(memory, PageSize.SIZE_4K, initial_buckets=4)
+        table.insert_run(0, [make_pte(page + 1) for page in range(4096)])
+        assert table.resizes >= 4
+        live = {frame + page for frame in table._way_frames
+                for page in range(table._way_pages())}
+        assert set(memory._pages) <= live
+
+    def test_bulk_load_equals_memory_direct_reference(self, monkeypatch):
+        """``load_from_radix`` is one buffered operation over all three
+        size tables, which share one memory: it leaves memory, the
+        allocator and every table as the memory-direct reference
+        tables do, with the 4 KB table resizing during the load."""
+        def build():
+            memory = PhysicalMemory(64 * MB)
+            proc = Process(memory, thp_enabled=True)
+            start = BASE + 2 * MB - 24 * PAGE_SIZE
+            proc.mmap(5 * MB + 40 * PAGE_SIZE, addr=start, populate=True)
+            for page in (0, 9, 536, *range(1100, 1110)):
+                proc.munmap(start + page * PAGE_SIZE, PAGE_SIZE)
+            ecpt = ElasticCuckooPageTables(memory, initial_buckets=4)
+            assert ecpt.load_from_radix(proc.page_table) > 0
+            return ecpt
+
+        buffered = build()
+        monkeypatch.setattr(ecpt_module, "CuckooTable", _MemoryDirectTable)
+        reference = build()
+        assert buffered.tables[PageSize.SIZE_4K].resizes >= 2
+        assert buffered.tables[PageSize.SIZE_2M].groups > 0
+        for size, table in buffered.tables.items():
+            assert type(reference.tables[size]) is _MemoryDirectTable
+            assert _table_state(table) == _table_state(reference.tables[size])
 
 
 #: Groups at the edges: 0, a line's worth, and around 2**45 (the group

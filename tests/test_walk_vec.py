@@ -24,13 +24,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.arch import PAGE_SHIFT, PageSize
 from repro.core.registers import RegisterSet
 from repro.hw.config import xeon_gold_6138
+from repro.kernel.kernel import Kernel
+from repro.kernel.page_table import PTE_HUGE, PTE_PRESENT
 from repro.sim.kernels import HAVE_NUMBA, replay_walks_native
 from repro.sim.machine import ENVIRONMENTS, SimConfig
 from repro.sim.simulator import Stage1Cache, replay_walks
 from repro.sim.sweep import run_group
-from repro.sim.walk_vec import replay_walks_vec, supports
+from repro.sim.walk_vec import _plan_asap, replay_walks_vec, supports
+from repro.translation.asap import ASAPNestedWalker, PREFETCH_LEVELS
+from repro.translation.base import MemorySubsystem
+from repro.virt.hypervisor import Hypervisor
 
 #: Both batched stage-2 engines; the parity suite runs each against the
 #: scalar oracle.
@@ -39,6 +45,8 @@ ENGINES = ("vec", "native")
 #: What ``engine="auto"`` resolves to in this process: the native
 #: kernels when the compiled backend imported, else the vec engine.
 AUTO_ENGINE = "native" if HAVE_NUMBA else "vec"
+
+MB = 1 << 20
 
 #: Every (environment, design) pair the batched engine vectorizes —
 #: since the ECPT/FPT/Agile/ASAP planners landed, that is the full
@@ -247,6 +255,151 @@ def test_probe_fold_keeps_a_live_set_per_line_size(env, engine, machines):
         assert replay(walker_vec, part) == stats_scalar
     assert _memsys_state(walker_scalar) == _memsys_state(walker_vec)
     assert _design_state(walker_scalar) == _design_state(walker_vec)
+
+
+def _asap_prefetch_definition(walker):
+    """The scalar ASAP walker's prefetch addresses for a VA, in issue
+    order (``ASAPNativeWalker._prefetch`` /
+    ``ASAPNestedWalker._prefetch`` without the cache accesses)."""
+    if walker.name == "asap-native":
+        def native(va):
+            return tuple(step.pte_addr
+                         for step in walker.page_table.walk_steps(va)
+                         if step.level in PREFETCH_LEVELS)
+        return native
+    vm = walker.vm
+
+    def nested(gva):
+        addrs = []
+        for step in walker.guest_pt.walk_steps(gva):
+            if step.level not in PREFETCH_LEVELS:
+                continue
+            addrs.append(vm.gpa_to_hpa(step.pte_addr))
+            addrs += [ept_step.pte_addr
+                      for ept_step in vm.ept.walk_steps(step.pte_addr)
+                      if ept_step.level in PREFETCH_LEVELS]
+        return tuple(addrs)
+    return nested
+
+
+def _chain_kinds(page_table, vpn):
+    """How the radix walk of ``vpn`` ends: "dead" at L2 or L1 (some
+    prefetch remains), "dead-high" above, "huge" at a 2 MB leaf, or
+    "leaf"."""
+    last = page_table.walk_steps(vpn << PAGE_SHIFT)[-1]
+    if not last.pte_value & PTE_PRESENT:
+        return "dead" if last.level in PREFETCH_LEVELS else "dead-high"
+    return "huge" if last.pte_value & PTE_HUGE else "leaf"
+
+
+@pytest.mark.parametrize("thp", [False, True])
+@pytest.mark.parametrize("workload", ["GUPS", "BTree"])
+@pytest.mark.parametrize("env", ["native", "virt"])
+def test_asap_prefetch_plan_equals_walk_steps(env, workload, thp,
+                                              machines):
+    """ASAP's prefetch addresses are read off the inner walk plan; for
+    every unique miss VPN, plus VPNs whose walk dies at L1, L2 or
+    higher, they equal the scalar walker's ``walk_steps`` definition
+    (2 MB guest leaves included under THP)."""
+    sim = machines(env, _config(thp=thp), workload)
+    walker = sim.walker("asap")
+    vpns = (sim.tlb.miss_vas >> PAGE_SHIFT).tolist()
+    uniq = list(dict.fromkeys(vpns))
+    top = max(uniq)
+    uniq += [vpn for vpn in (top + 1, top + 512, top + (1 << 18), 0)
+             if vpn not in uniq]
+    page_table = walker.page_table if env == "native" else walker.guest_pt
+    kinds = {_chain_kinds(page_table, vpn) for vpn in uniq}
+    assert {"leaf", "dead", "dead-high"} <= kinds
+    if thp:
+        assert "huge" in kinds
+    views = [level.batch_view() for level in walker.memsys.caches.levels]
+    _inner, _plan, prefetch = _plan_asap(walker.batch_spec(), walker.memsys,
+                                        uniq, views, False)
+    definition = _asap_prefetch_definition(walker)
+    assert [prefetch[vpn] for vpn in uniq] == \
+        [definition(vpn << PAGE_SHIFT) for vpn in uniq]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_asap_prefetch_plan_follows_huge_host_chains(engine):
+    """Guest page-table pages backed by 2 MB EPT leaves: every host
+    chain of a prefetched guest entry ends at L2, so it adds one host
+    prefetch, not two. (Machine builds back guest page-table pages with
+    4 KB leaves, so the parity grid never meets this case.)"""
+    host = Kernel(memory_bytes=512 * MB)
+    vm = Hypervisor(host).create_vm(128 * MB)
+    vm.back_range(0, vm.memory_bytes, PageSize.SIZE_2M)
+    proc = vm.guest_kernel.create_process()
+    vma = proc.mmap(8 * MB, populate=True)
+    rng = np.random.default_rng(0)
+    vas = vma.start + rng.integers(0, vma.size, 2000)
+    walkers = [ASAPNestedWalker(proc.page_table, vm,
+                                MemorySubsystem(xeon_gold_6138()))
+               for _ in range(2)]
+    uniq = list(dict.fromkeys((vas >> PAGE_SHIFT).tolist()))
+    memsys = walkers[1].memsys
+    _inner, _plan, prefetch = _plan_asap(
+        walkers[1].batch_spec(), memsys, uniq,
+        [level.batch_view() for level in memsys.caches.levels], False)
+    definition = _asap_prefetch_definition(walkers[1])
+    assert [prefetch[vpn] for vpn in uniq] == \
+        [definition(vpn << PAGE_SHIFT) for vpn in uniq]
+    assert {len(addrs) for addrs in prefetch.values()} == {4}
+    _assert_parity(walkers[0], walkers[1], vas, engine=engine)
+
+
+def test_asap_on_a_lazily_backed_vm_replays_on_the_scalar_path():
+    """Without backing, the scalar ASAP walker faults a walk's L2/L1
+    guest-PTE pages in before the rest of its chain; a plan read off
+    the walk plan would fault them in walk order and allocate other
+    host frames. So a VM with unbacked frames gets no batched nested
+    ASAP: ``auto`` replays it on the scalar path and says why."""
+    def walker():
+        host = Kernel(memory_bytes=512 * MB)
+        vm = Hypervisor(host).create_vm(128 * MB)
+        proc = vm.guest_kernel.create_process()
+        vma = proc.mmap(8 * MB, populate=True)
+        assert not vm.fully_backed()
+        return vma, ASAPNestedWalker(proc.page_table, vm,
+                                     MemorySubsystem(xeon_gold_6138()))
+
+    vma, walker_scalar = walker()
+    vas = vma.start + np.random.default_rng(0).integers(0, vma.size, 1000)
+    _, walker_auto = walker()
+    assert not supports(walker_auto)
+    stats = replay_walks(walker_auto, vas, engine="auto")
+    assert stats.engine == "scalar"
+    assert stats.fallback_reason == "asap-nested plans need a fully backed VM"
+    assert stats == replay_walks(walker_scalar, vas, engine="scalar")
+    with pytest.raises(ValueError, match="fully backed"):
+        replay_walks_vec(walker()[1], vas)
+
+
+@pytest.mark.parametrize("engine", ("scalar",) + ENGINES)
+def test_virt_asap_replay_allocates_nothing(engine, machines):
+    """The nested ASAP plan takes guest-PTE host addresses from the
+    walk plan instead of calling ``gpa_to_hpa`` per prefetch, which is
+    only equal if that call has no side effect on a built machine: a
+    replay leaves the guest's and the host's free lists and the EPT
+    violation count as they were."""
+    sim = machines("virt", _config())
+    walker = sim.walker("asap")
+
+    def state():
+        return ([list(blocks)
+                 for blocks in sim.vm.guest_memory.allocator.free_lists],
+                [list(blocks)
+                 for blocks in sim.host_kernel.memory.allocator.free_lists],
+                sim.vm.exits.ept_violations)
+
+    before = state()
+    if engine == "native":
+        replay_walks_native(walker, sim.tlb.miss_vas)
+    else:
+        replay_walks(walker, sim.tlb.miss_vas, engine=engine)
+    assert walker.prefetches > 0
+    assert state() == before
 
 
 @pytest.mark.parametrize("engine", ENGINES)
