@@ -48,7 +48,7 @@ import sys
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 _SCOPE_PRAGMA_RE = re.compile(r"#\s*dmtlint-scope:\s*([a-z0-9_, -]+)")
 _IGNORE_RE = re.compile(r"#\s*dmtlint:\s*ignore(?:\[([A-Z0-9, ]+)\])?")
@@ -63,8 +63,7 @@ COSTS_FILES = (("core", "costs.py"), ("sim", "perfmodel.py"),
 #: the observability modules — their public API must likewise be
 #: exercised by the oracle-test corpus (rule L4).
 VEC_FILES = (("sim", "tlb_vec.py"), ("sim", "walk_vec.py"),
-             ("obs", "metrics.py"), ("obs", "trace.py"),
-             ("obs", "regress.py"))
+             ("obs", "trace.py"), ("obs", "regress.py"))
 #: Directory holding the native chunk kernels: scoped ``vec`` (L401's
 #: oracle-test requirement) plus ``kernels`` (L402's declared-oracle
 #: requirement).

@@ -26,7 +26,6 @@ from repro.arch import PAGE_SHIFT, PageSize
 from repro.core.paravirt import GTEATable
 from repro.core.registers import DMTRegister, DMTRegisterFile, RegisterSet
 from repro.kernel.page_table import PTE_HUGE, PTE_PRESENT, pte_frame
-from repro.obs import metrics
 
 ReadPTE = Callable[[int], int]
 Fetch = Callable[[int, str, int], None]
@@ -63,28 +62,9 @@ class DMTFetcher:
 
     def __init__(self, register_file: DMTRegisterFile):
         self.register_file = register_file
-        # Registered with the metrics registry; hits/fallbacks stay
-        # read/write via the compatibility properties below (the batched
-        # replay engine snapshots and restores them during planning).
-        self._fallbacks_counter = metrics.counter("dmt.fetcher.fallbacks")
-        self._hits_counter = metrics.counter("dmt.fetcher.hits")
+        self.fallbacks = 0
+        self.hits = 0
         self._group = 0
-
-    @property
-    def hits(self) -> int:
-        return self._hits_counter.value
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits_counter.value = value
-
-    @property
-    def fallbacks(self) -> int:
-        return self._fallbacks_counter.value
-
-    @fallbacks.setter
-    def fallbacks(self, value: int) -> None:
-        self._fallbacks_counter.value = value
 
     def _next_group(self) -> int:
         self._group += 1

@@ -13,54 +13,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.hw.config import CacheConfig, MachineConfig
-from repro.obs import metrics
-
-
-class CacheStats:
-    """Hit/miss counters, registered as ``cache.<level>.hits``/``.misses``
-    with the metrics registry (:mod:`repro.obs.metrics`)."""
-
-    __slots__ = ("_hits", "_misses")
-
-    def __init__(self, scope: str = "cache"):
-        self._hits = metrics.counter(f"{scope}.hits")
-        self._misses = metrics.counter(f"{scope}.misses")
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits.value = value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self._misses.value = value
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
-    # Value semantics, as when this was a dataclass (parity tests
-    # compare the stats of independently replayed machines).
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CacheStats):
-            return NotImplemented
-        return (self.hits, self.misses) == (other.hits, other.misses)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"CacheStats(hits={self.hits}, misses={self.misses})"
+from repro.hw.stats import HitStats
 
 
 @dataclass
@@ -79,7 +32,7 @@ class CacheBatchView:
     assoc: int
     latency: int
     name: str
-    stats: CacheStats
+    stats: HitStats
 
 
 @dataclass
@@ -96,7 +49,7 @@ class CacheArrayView:
     ``writeback()`` the owner must not be accessed through any other
     path (the dicts are stale). Stats are not carried here — kernels
     accumulate hit/miss counters separately and flush them to
-    :class:`CacheStats` themselves.
+    :class:`HitStats` themselves.
     """
 
     tags: np.ndarray      # int64[num_sets * assoc], -1 = invalid
@@ -106,7 +59,7 @@ class CacheArrayView:
     assoc: int
     latency: int
     name: str
-    stats: CacheStats
+    stats: HitStats
     owner: "SetAssociativeCache"
 
     def writeback(self) -> None:
@@ -136,7 +89,7 @@ class SetAssociativeCache:
         self._assoc = config.assoc
         # set index -> {line_addr: None} in LRU order (oldest first)
         self._sets: Dict[int, Dict[int, None]] = {}
-        self.stats = CacheStats(scope=f"cache.{metrics.slug(config.name)}")
+        self.stats = HitStats()
 
     @property
     def latency(self) -> int:
@@ -249,15 +202,7 @@ class CacheHierarchy:
             raise ValueError("need at least one cache level")
         self.levels = [SetAssociativeCache(cfg) for cfg in levels]
         self.memory_latency = memory_latency
-        self._memory_accesses = metrics.counter("cache.memory_accesses")
-
-    @property
-    def memory_accesses(self) -> int:
-        return self._memory_accesses.value
-
-    @memory_accesses.setter
-    def memory_accesses(self, value: int) -> None:
-        self._memory_accesses.value = value
+        self.memory_accesses = 0
 
     @classmethod
     def from_machine(cls, machine: MachineConfig) -> "CacheHierarchy":

@@ -21,46 +21,7 @@ import numpy as np
 from repro.arch import level_shift
 from repro.hw.config import PWCConfig
 from repro.analysis import sanitizer
-from repro.obs import metrics
-
-
-class PWCStats:
-    """Hit/miss counters, registered as ``<scope>.hits``/``.misses``
-    with the metrics registry (:mod:`repro.obs.metrics`)."""
-
-    __slots__ = ("_hits", "_misses")
-
-    def __init__(self, scope: str = "pwc"):
-        self._hits = metrics.counter(f"{scope}.hits")
-        self._misses = metrics.counter(f"{scope}.misses")
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits.value = value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self._misses.value = value
-
-    # Value semantics, as when this was a dataclass (parity tests
-    # compare the stats of independently replayed machines).
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PWCStats):
-            return NotImplemented
-        return (self.hits, self.misses) == (other.hits, other.misses)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"PWCStats(hits={self.hits}, misses={self.misses})"
+from repro.hw.stats import HitStats
 
 
 @dataclass
@@ -80,7 +41,7 @@ class PWCBatchView:
     credit: list
     key_shifts: list
     top_level: int
-    stats: "PWCStats"
+    stats: HitStats
 
 
 @dataclass
@@ -90,7 +51,7 @@ class NestedPWCBatchView:
     table: dict
     capacity: int
     accept: float
-    stats: "PWCStats"
+    stats: HitStats
     owner: "NestedPWC"   # credit lives on the owner (float, write back)
 
 
@@ -105,7 +66,7 @@ class PWCArrayView:
     must not be probed through any other path in between. ``accept``
     is all-zeros with ``has_accept`` False when thinning is off.
     Hit/miss stats are not carried — kernels accumulate them
-    separately and flush to :class:`PWCStats` themselves; ``credit``
+    separately and flush to :class:`HitStats` themselves; ``credit``
     *is* carried (and written back) because it is replay state.
     """
 
@@ -118,7 +79,7 @@ class PWCArrayView:
     accept: np.ndarray        # float64[levels]
     credit: np.ndarray        # float64[levels]
     top_level: int
-    stats: "PWCStats"
+    stats: HitStats
     owner: "PageWalkCache"
 
     def writeback(self) -> None:
@@ -146,7 +107,7 @@ class NestedPWCArrayView:
     meta: np.ndarray      # int64[2]: [live entries, capacity]
     accept: float
     credit: np.ndarray    # float64[1], written back to the owner
-    stats: "PWCStats"
+    stats: HitStats
     owner: "NestedPWC"
 
     def writeback(self) -> None:
@@ -194,14 +155,13 @@ class PageWalkCache:
     """
 
     def __init__(self, config: PWCConfig, top_level: int = 4,
-                 accept_rates: Optional[Sequence[float]] = None,
-                 scope: str = "pwc"):
+                 accept_rates: Optional[Sequence[float]] = None):
         self.config = config
         self.top_level = top_level
         # PWC level i caches nodes *pointed to by* radix level (top - i),
         # i.e. tables[0] -> skips L4, tables[-1] -> skips down to L2.
         self._tables = [_LRUTable(n) for n in config.entries_per_level]
-        self.stats = PWCStats(scope=scope)
+        self.stats = HitStats()
         # Hit-rate thinning for scaled-down simulations: a hit at PWC
         # level i is *accepted* only at rate accept_rates[i], restoring the
         # hit rate the same structure would see against a full-size
@@ -333,7 +293,7 @@ class NestedPWC:
     def __init__(self, config: PWCConfig, accept_rate: float = 1.0):
         self.config = config
         self._table = _LRUTable(sum(config.entries_per_level))
-        self.stats = PWCStats(scope="pwc.nested")
+        self.stats = HitStats()
         self._accept = accept_rate
         self._credit = 0.0
 

@@ -12,54 +12,7 @@ from typing import Dict, Optional, Tuple
 from repro.arch import PageSize, vpn_of
 from repro.hw.config import MachineConfig, TLBConfig
 from repro.analysis import sanitizer
-from repro.obs import metrics
-
-
-class TLBStats:
-    """Hit/miss counters, registered as ``<scope>.hits``/``.misses``
-    with the metrics registry (:mod:`repro.obs.metrics`)."""
-
-    __slots__ = ("_hits", "_misses")
-
-    def __init__(self, scope: str = "tlb"):
-        self._hits = metrics.counter(f"{scope}.hits")
-        self._misses = metrics.counter(f"{scope}.misses")
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits.value = value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self._misses.value = value
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    # Value semantics, as when this was a dataclass (parity tests
-    # compare the stats of independently replayed machines).
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TLBStats):
-            return NotImplemented
-        return (self.hits, self.misses) == (other.hits, other.misses)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"TLBStats(hits={self.hits}, misses={self.misses})"
+from repro.hw.stats import HitStats
 
 
 Key = Tuple[int, int, int]  # (asid, page-size shift, page-size-granule VPN)
@@ -73,7 +26,7 @@ class TLB:
         self._num_sets = config.num_sets
         self._assoc = config.assoc
         self._sets: Dict[int, Dict[Key, None]] = {}
-        self.stats = TLBStats(scope=f"tlb.{metrics.slug(config.name)}")
+        self.stats = HitStats()
 
     def _set_index(self, key: Key) -> int:
         return key[2] % self._num_sets

@@ -1,14 +1,7 @@
-"""Unified observability layer: metrics, trace spans, regression gate.
+"""Unified observability layer: trace spans and the regression gate.
 
-Three cooperating pieces (DESIGN.md §9):
+Two cooperating pieces (DESIGN.md §9):
 
-* :mod:`repro.obs.metrics` — a process-wide registry of named counters,
-  gauges, and histograms. The hardware structures (TLBs, caches, PWCs),
-  walkers, DMT fetchers, the stage-1 memo, the sweep runner, the
-  multi-process scheduler, and the resumable job layer (e.g.
-  ``sweep.resumed_groups``/``sweep.retried_shards``) all register their
-  counters here, so one ``snapshot()`` call yields every live statistic
-  as a flat dict.
 * :mod:`repro.obs.trace` — nested wall-time/RSS spans emitted as a JSONL
   event stream, enabled with ``--trace <path>`` on ``run``/``sweep``.
 * :mod:`repro.obs.regress` — the bench-regression gate behind
@@ -16,11 +9,16 @@ Three cooperating pieces (DESIGN.md §9):
   and a sweep document against archived baselines and appends to
   ``BENCH_trajectory.json`` on clean runs.
 
+Statistics are not kept here: every counter (TLB, cache and PWC hits,
+walker walks and cycles, fetcher hits, stage-1 memo reuse, artifact
+cache hits) is a plain attribute on the structure that keeps it, and a
+sweep's own counts are in its document's ``meta.metrics``.
+
 The package deliberately imports nothing from the rest of ``repro`` so
 every layer (``hw``, ``translation``, ``core``, ``sim``) can instrument
 itself without creating import cycles.
 """
 
-from repro.obs import metrics, regress, trace
+from repro.obs import regress, trace
 
-__all__ = ["metrics", "regress", "trace"]
+__all__ = ["regress", "trace"]

@@ -43,13 +43,11 @@ payload's canonical JSON; ``load_result`` recomputes it on every read
 and evicts on mismatch, so a torn or hand-edited payload is recomputed
 rather than served. Writes are atomic exactly like array entries.
 
-Telemetry: counters ``artifacts.hits`` / ``artifacts.misses`` /
-``artifacts.evictions`` / ``artifacts.bytes_read`` /
-``artifacts.bytes_written`` (all entries), the segmented-entry
-breakdowns ``artifacts.seg_hits`` / ``artifacts.seg_misses`` /
-``artifacts.seg_evictions``, the result-entry breakdowns
-``artifacts.result_hits`` / ``artifacts.result_misses``, and
-``artifact.load`` / ``artifact.store`` trace spans.
+Telemetry: the cache's ``hits`` / ``misses`` / ``evictions`` counts
+(all entries), the segmented-entry breakdowns ``seg_hits`` /
+``seg_misses`` / ``seg_evictions``, the result-entry breakdowns
+``result_hits`` / ``result_misses``, and ``artifact.load`` /
+``artifact.store`` trace spans.
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs import metrics
 from repro.obs import trace as obs_trace
 
 #: Bump when the digest payload or the on-disk layout changes shape;
@@ -242,8 +239,6 @@ class SegmentWriter:
                     os.remove(tmp)
                 except OSError:
                     pass
-            if self._cache is not None:
-                self._cache.record_write(self._bytes)
             if sp is not None:
                 sp["bytes"] = self._bytes
                 sp["segments"] = len(self._segments)
@@ -280,51 +275,14 @@ class ArtifactCache:
     def __init__(self, root: str):
         self.root = root
         os.makedirs(root, exist_ok=True)
-        self._hits = metrics.counter("artifacts.hits")
-        self._misses = metrics.counter("artifacts.misses")
-        self._evictions = metrics.counter("artifacts.evictions")
-        self._bytes_read = metrics.counter("artifacts.bytes_read")
-        self._bytes_written = metrics.counter("artifacts.bytes_written")
-        self._seg_hits = metrics.counter("artifacts.seg_hits")
-        self._seg_misses = metrics.counter("artifacts.seg_misses")
-        self._seg_evictions = metrics.counter("artifacts.seg_evictions")
-        self._result_hits = metrics.counter("artifacts.result_hits")
-        self._result_misses = metrics.counter("artifacts.result_misses")
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions.value
-
-    @property
-    def seg_hits(self) -> int:
-        return self._seg_hits.value
-
-    @property
-    def seg_misses(self) -> int:
-        return self._seg_misses.value
-
-    @property
-    def seg_evictions(self) -> int:
-        return self._seg_evictions.value
-
-    @property
-    def result_hits(self) -> int:
-        return self._result_hits.value
-
-    @property
-    def result_misses(self) -> int:
-        return self._result_misses.value
-
-    def record_write(self, nbytes: int) -> None:
-        self._bytes_written.inc(nbytes)
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.seg_hits = 0
+        self.seg_misses = 0
+        self.seg_evictions = 0
+        self.result_hits = 0
+        self.result_misses = 0
 
     def _meta_path(self, key_digest: str) -> str:
         return os.path.join(self.root, key_digest + ".json")
@@ -335,13 +293,13 @@ class ArtifactCache:
         files are fine — a concurrent worker may have evicted or
         replaced it first). A segmented entry with one corrupt segment
         is useless as a whole, so eviction is all-or-nothing."""
-        self._evictions.inc()
+        self.evictions += 1
         paths = [self._meta_path(key_digest),
                  os.path.join(self.root, key_digest + ".npy")]
         segment_files = glob.glob(
             os.path.join(glob.escape(self.root), key_digest + ".seg*"))
         if segment_files:
-            self._seg_evictions.inc()
+            self.seg_evictions += 1
             paths += segment_files
         for path in paths:
             try:
@@ -396,11 +354,11 @@ class ArtifactCache:
         key_digest = digest(stage, key)
         manifest = self._read_segmented(stage, key, key_digest)
         if manifest is None:
-            self._misses.inc()
-            self._seg_misses.inc()
+            self.misses += 1
+            self.seg_misses += 1
             return None
-        self._hits.inc()
-        self._seg_hits.inc()
+        self.hits += 1
+        self.seg_hits += 1
         return SegmentReader(self.root, key_digest, manifest, mmap=mmap,
                              cache=self)
 
@@ -416,8 +374,9 @@ class ArtifactCache:
         verified segment's read-only ``np.memmap`` instead of a heap
         copy: sweep workers sharing one cache directory then share the
         trace and miss-stream pages through the OS page cache
-        (zero-copy transfer), and ``bytes_read`` counts the mapped
-        extent, not bytes actually faulted in. An entry of several
+        (zero-copy transfer), and the ``artifact.load`` span's
+        ``bytes`` counts the mapped extent, not bytes actually faulted
+        in. An entry of several
         segments is *assembled* into one heap array either way (the
         segments are mmapped while copying); use :meth:`open_segments`
         to consume it without materializing.
@@ -444,14 +403,13 @@ class ArtifactCache:
                     self.evict(key_digest)
                     array = None
             if array is None:
-                self._misses.inc()
-                self._seg_misses.inc()
+                self.misses += 1
+                self.seg_misses += 1
                 if sp is not None:
                     sp["hit"] = False
                 return None
-            self._hits.inc()
-            self._seg_hits.inc()
-            self._bytes_read.inc(nbytes)
+            self.hits += 1
+            self.seg_hits += 1
             if sp is not None:
                 sp["hit"] = True
                 sp["bytes"] = nbytes
@@ -467,7 +425,6 @@ class ArtifactCache:
         the array-entry contract, applied to JSON payloads.
         """
         key_digest = digest(stage, key)
-        meta_path = self._meta_path(key_digest)
         with obs_trace.span("artifact.load", stage=stage,
                             digest=key_digest[:12], result=True) as sp:
             sidecar = self._read_manifest(stage, key, key_digest)
@@ -485,14 +442,13 @@ class ArtifactCache:
                 # entry kind that collided on stage/key: evict it
                 self.evict(key_digest)
             if payload is None:
-                self._misses.inc()
-                self._result_misses.inc()
+                self.misses += 1
+                self.result_misses += 1
                 if sp is not None:
                     sp["hit"] = False
                 return None
-            self._hits.inc()
-            self._result_hits.inc()
-            self._bytes_read.inc(os.path.getsize(meta_path))
+            self.hits += 1
+            self.result_hits += 1
             if sp is not None:
                 sp["hit"] = True
             return payload
@@ -530,7 +486,6 @@ class ArtifactCache:
                     os.remove(tmp)
                 except OSError:
                     pass
-            self._bytes_written.inc(nbytes)
             if sp is not None:
                 sp["bytes"] = nbytes
         return key_digest

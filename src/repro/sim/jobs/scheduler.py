@@ -49,7 +49,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.obs import metrics
 from repro.obs import trace as obs_trace
 # Module import, attributes read at call time: sweep imports this
 # package in turn, and tests patch sweep.run_group/write_document.
@@ -130,13 +129,13 @@ class JobScheduler:
         self._failures: Dict[str, int] = {}
         self._cancelled = False
         self._last_heartbeat = float("-inf")
-        # Parent-side sweep-wide counters (pool workers count in their
-        # own registries), plus the job-layer resume/retry telemetry.
-        self._groups_done = metrics.counter("sweep.groups")
-        self._cells_done = metrics.counter("sweep.cells")
-        self._errors_seen = metrics.counter("sweep.error_cells")
-        self._resumed = metrics.counter("sweep.resumed_groups")
-        self._retried = metrics.counter("sweep.retried_shards")
+        # Sweep-wide counters for meta["metrics"], plus the job-layer
+        # resume/retry telemetry.
+        self._groups_done = 0
+        self._cells_done = 0
+        self._errors_seen = 0
+        self._resumed = 0
+        self._retried = 0
 
     # ------------------------------------------------------------------
     # journal interaction
@@ -182,7 +181,7 @@ class JobScheduler:
         for shard_id, record in jn.completed_shards(records).items():
             if shard_id in valid:
                 self._journal_cells[shard_id] = record["cells"]
-        self._resumed.inc(len(self._journal_cells))
+        self._resumed += len(self._journal_cells)
 
     def _heartbeat(self, running: List[str], force: bool = True) -> None:
         if self.journal is None:
@@ -214,9 +213,9 @@ class JobScheduler:
             "cells": cells,
         })
         self._new_cells[shard.shard_id] = cells
-        self._groups_done.inc()
-        self._cells_done.inc(len(cells))
-        self._errors_seen.inc(sum(1 for cell in cells if "error" in cell))
+        self._groups_done += 1
+        self._cells_done += len(cells)
+        self._errors_seen += sum(1 for cell in cells if "error" in cell)
         done = len(self._journal_cells) + len(self._new_cells)
         self.notify(f"[{done}/{self._total}] {shard.shard_id} done")
 
@@ -239,7 +238,7 @@ class JobScheduler:
         if failures <= self.max_retries:
             backoff = min(self.backoff * (2 ** (failures - 1)),
                           MAX_BACKOFF_SECONDS)
-            self._retried.inc()
+            self._retried += 1
             self._append({
                 "type": "retry", "shard_id": shard.shard_id,
                 "attempt": failures, "error": error,
@@ -251,9 +250,9 @@ class JobScheduler:
             cells = sweep.dead_group_cells(self.spec.task(shard),
                                            RuntimeError(error))
             self._failed[shard.shard_id] = cells
-            self._groups_done.inc()
-            self._cells_done.inc(len(cells))
-            self._errors_seen.inc(len(cells))
+            self._groups_done += 1
+            self._cells_done += len(cells)
+            self._errors_seen += len(cells)
             self._append({
                 "type": "failed", "shard_id": shard.shard_id,
                 "attempts": failures, "error": error, "unix": time.time(),
@@ -498,9 +497,9 @@ class JobScheduler:
             "trace": self.trace_path,
             "artifact_cache": self.artifact_dir,
             "metrics": {
-                "sweep.groups": self._groups_done.value,
-                "sweep.cells": self._cells_done.value,
-                "sweep.error_cells": self._errors_seen.value,
+                "sweep.groups": self._groups_done,
+                "sweep.cells": self._cells_done,
+                "sweep.error_cells": self._errors_seen,
             },
         }
         if self.job_dir is not None:
@@ -508,12 +507,12 @@ class JobScheduler:
                 "job_id": spec.job_id,
                 "dir": self.job_dir,
                 "resumed_groups": resumed_groups,
-                "retried_shards": self._retried.value,
+                "retried_shards": self._retried,
                 "failed_shards": sorted(self._failed),
                 "cancelled": self._cancelled,
             }
-            meta["metrics"]["sweep.resumed_groups"] = self._resumed.value
-            meta["metrics"]["sweep.retried_shards"] = self._retried.value
+            meta["metrics"]["sweep.resumed_groups"] = self._resumed
+            meta["metrics"]["sweep.retried_shards"] = self._retried
         if partial or missing or self._cancelled:
             meta["partial"] = True
             meta["completed_groups"] = \

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.analysis import sanitizer
 from repro.arch import PAGE_SIZE, PageSize, align_up
-from repro.obs import metrics
 from repro.obs import trace as obs_trace
 from repro.core import costs as core_costs
 from repro.core.costs import Environment as MgmtEnv
@@ -602,8 +601,6 @@ class _SimulationBase:
         if pieces is None:
             pieces = self._generated_chunks()
 
-        refs_counter = metrics.counter("stage1.stream.refs")
-        stream_start = time.perf_counter()
         try:
             for piece in pieces:
                 if trace_writer is not None:
@@ -613,18 +610,11 @@ class _SimulationBase:
                     segment = filt.feed(piece)
                     if sp is not None:
                         sp["misses"] = int(segment.size)
-                refs_counter.inc(len(piece))
                 if segment.size:
                     miss_writer.append(segment)
             if filt.total_refs != total_refs:
                 raise RuntimeError(
                     f"streamed {filt.total_refs} refs, expected {total_refs}")
-            seconds = time.perf_counter() - stream_start
-            if seconds > 0:
-                metrics.gauge("stage1.stream.refs_per_sec").set(
-                    filt.total_refs / seconds)
-            metrics.gauge("stage1.stream.peak_rss_kb").set(
-                obs_trace.peak_rss_kb())
             if trace_writer is not None:
                 trace_writer.commit()
             if artifacts is not None:

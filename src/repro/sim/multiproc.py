@@ -25,7 +25,6 @@ from typing import Dict, List, Optional
 
 from repro.core.dmt_os import DMTLinux
 from repro.kernel.kernel import Kernel
-from repro.obs import metrics
 from repro.obs import trace as obs_trace
 from repro.sim.machine import SimConfig, _page_align
 from repro.sim.simulator import make_size_lookup, tlb_filter
@@ -102,8 +101,6 @@ class MultiProcessSimulation:
         charged total — so designs pay for the switches they cause.
         """
         stats = MultiProcessStats()
-        switch_counter = metrics.counter("multiproc.switches")
-        reload_counter = metrics.counter("multiproc.register_reload_cycles")
         memsys = MemorySubsystem(self.config.machine,
                                  record_refs=self.config.record_refs)
         walkers: List[Walker] = []
@@ -134,9 +131,7 @@ class MultiProcessSimulation:
                     memsys.pwc.flush()
                     memsys.guest_pwc.flush()
                     stats.switches += 1
-                    switch_counter.inc()
                     stats.register_reload_cycles += REGISTER_RELOAD_CYCLES
-                    reload_counter.inc(REGISTER_RELOAD_CYCLES)
                     current = index
                 result = walkers[index].translate(va)
                 walk_cycles += result.cycles

@@ -33,7 +33,6 @@ import numpy as np
 from repro.arch import PageSize
 from repro.hw.config import MachineConfig
 from repro.hw.tlb import TLBHierarchy
-from repro.obs import metrics
 from repro.obs import trace as obs_trace
 from repro.sim import tlb_vec
 from repro.translation.base import Walker
@@ -387,24 +386,16 @@ class Stage1Cache:
         self._entries: Dict[Tuple, Tuple[TLBFilterResult, float]] = {}
         #: Optional :class:`~repro.sim.artifacts.ArtifactCache`.
         self.artifacts = artifacts
-        self._computed = metrics.counter("stage1.computed")
-        self._reused = metrics.counter("stage1.reused")
+        self.computed = 0
+        self.reused = 0
         self.last_seconds = 0.0
         self.last_source = "none"
-
-    @property
-    def computed(self) -> int:
-        return self._computed.value
-
-    @property
-    def reused(self) -> int:
-        return self._reused.value
 
     def fetch(self, key: Tuple,
               build: Callable[[], TLBFilterResult]) -> TLBFilterResult:
         entry = self._entries.get(key)
         if entry is not None:
-            self._reused.inc()
+            self.reused += 1
             self.last_seconds = entry[1]
             self.last_source = "memo"
             return entry[0]
@@ -419,7 +410,7 @@ class Stage1Cache:
                                          int(meta.get("total_refs", 0)))
                 seconds = float(meta.get("seconds", 0.0))
                 self._entries[key] = (result, seconds)
-                self._reused.inc()
+                self.reused += 1
                 self.last_seconds = seconds
                 self.last_source = "disk"
                 return result
@@ -427,7 +418,7 @@ class Stage1Cache:
         result = build()
         seconds = time.perf_counter() - start
         self._entries[key] = (result, seconds)
-        self._computed.inc()
+        self.computed += 1
         self.last_seconds = seconds
         self.last_source = "computed"
         return result

@@ -115,11 +115,6 @@ def unsupported_reason(walker: Walker) -> Optional[str]:
     return _spec_reason(walker.batch_spec(), walker.memsys)
 
 
-def _spec_supported(spec: Optional[BatchSpec],
-                    memsys: MemorySubsystem) -> bool:
-    return _spec_reason(spec, memsys) is None
-
-
 def _spec_reason(spec: Optional[BatchSpec],
                  memsys: MemorySubsystem) -> Optional[str]:
     if spec is None:
@@ -1144,6 +1139,70 @@ def _build_agile_plans(spec: BatchSpec, top_level: int, n_offsets: int,
 # Runners
 # --------------------------------------------------------------------- #
 
+def _make_host_resolver(memsys: MemorySubsystem,
+                        access: Callable[[int], int],
+                        finalizers: List[Callable[[], None]]):
+    """Inlined ``_host_resolve`` of the nested walkers: the nested-PWC
+    consult (LRU touch and credit thinning as ``NestedPWC.get``), on a
+    miss the memoized host chain's replay, then ``NestedPWC.fill``.
+
+    ``resolve_host(gfn, hfn, hsteps, htags, steps, cycles, nrefs)``
+    returns the updated ``(cycles, nrefs)``; the hit/miss counts and the
+    thinning credit are flushed to the nested PWC by a finalizer.
+    """
+    nview = memsys.nested_pwc.batch_view()
+    ntable = nview.table
+    ncapacity = nview.capacity
+    naccept = nview.accept
+    # hits, misses; thinning credit (float) written back at finalize
+    ncounters = [0, 0]
+    ncredit = [nview.owner.credit]
+
+    def resolve_host(gfn, hfn, hsteps, htags, steps, cycles, nrefs):
+        hit = False
+        if gfn in ntable:
+            cached = ntable.pop(gfn)   # LRU touch, even when thinned
+            ntable[gfn] = cached
+            if naccept < 1.0:
+                credit = ncredit[0] + naccept
+                if credit >= 1.0:
+                    ncredit[0] = credit - 1.0
+                    hit = True
+                else:
+                    ncredit[0] = credit
+            else:
+                hit = True
+        if hit:
+            ncounters[0] += 1
+            return cycles, nrefs
+        ncounters[1] += 1
+        if steps is None:
+            for addr in hsteps:
+                cycles += access(addr)
+                nrefs += 1
+        else:
+            for addr, tag in zip(hsteps, htags):
+                latency = access(addr)
+                cycles += latency
+                nrefs += 1
+                steps.append((tag, latency))
+        # NestedPWC.fill after the chain (scalar _host_resolve order)
+        if gfn in ntable:
+            del ntable[gfn]
+        elif len(ntable) >= ncapacity:
+            del ntable[next(iter(ntable))]
+        ntable[gfn] = hfn
+        return cycles, nrefs
+
+    def nested_fin() -> None:
+        nview.stats.hits += ncounters[0]
+        nview.stats.misses += ncounters[1]
+        nview.owner.credit = ncredit[0]
+
+    finalizers.append(nested_fin)
+    return resolve_host
+
+
 def _make_radix_runner(spec: BatchSpec, memsys: MemorySubsystem,
                        uniq_vpns: List[int], access: Callable[[int], int],
                        access_ctx, collect: bool,
@@ -1506,50 +1565,7 @@ def _make_radix_runner(spec: BatchSpec, memsys: MemorySubsystem,
         plans = plan if plan is not None else _build_radix_nested_plans(
             spec.guest_pt, spec.vm, view.top_level, len(tables),
             uniq_vpns, collect)
-        nview = memsys.nested_pwc.batch_view()
-        ntable = nview.table
-        ncapacity = nview.capacity
-        naccept = nview.accept
-        # hits, misses; thinning credit (float) written back at finalize
-        ncounters = [0, 0]
-        ncredit = [nview.owner.credit]
-
-        def resolve_host(gfn, hfn, hsteps, htags, steps, cycles, nrefs):
-            """Nested-PWC consult + host-chain replay; returns updates."""
-            hit = False
-            if gfn in ntable:
-                cached = ntable.pop(gfn)   # LRU touch, even when thinned
-                ntable[gfn] = cached
-                if naccept < 1.0:
-                    credit = ncredit[0] + naccept
-                    if credit >= 1.0:
-                        ncredit[0] = credit - 1.0
-                        hit = True
-                    else:
-                        ncredit[0] = credit
-                else:
-                    hit = True
-            if hit:
-                ncounters[0] += 1
-                return cycles, nrefs
-            ncounters[1] += 1
-            if steps is None:
-                for addr in hsteps:
-                    cycles += access(addr)
-                    nrefs += 1
-            else:
-                for addr, tag in zip(hsteps, htags):
-                    latency = access(addr)
-                    cycles += latency
-                    nrefs += 1
-                    steps.append((tag, latency))
-            # NestedPWC.fill after the chain (scalar _host_resolve order)
-            if gfn in ntable:
-                del ntable[gfn]
-            elif len(ntable) >= ncapacity:
-                del ntable[next(iter(ntable))]
-            ntable[gfn] = hfn
-            return cycles, nrefs
+        resolve_host = _make_host_resolver(memsys, access, finalizers)
 
         def run(vpn: int, steps) -> Tuple[int, int, bool]:
             entries, data = plans[vpn]
@@ -1576,17 +1592,8 @@ def _make_radix_runner(spec: BatchSpec, memsys: MemorySubsystem,
                     table[key] = value
                 i += 1
             if data is not None:
-                dgfn, dhfn, dsteps, dtags = data
-                cycles, nrefs = resolve_host(
-                    dgfn, dhfn, dsteps, dtags, steps, cycles, nrefs)
+                cycles, nrefs = resolve_host(*data, steps, cycles, nrefs)
             return cycles, nrefs, False
-
-        def nested_fin() -> None:
-            nview.stats.hits += ncounters[0]
-            nview.stats.misses += ncounters[1]
-            nview.owner.credit = ncredit[0]
-
-        finalizers.append(nested_fin)
 
     if not credit_walkers:
         return run, run_many
@@ -1877,8 +1884,8 @@ def _make_agile_runner(spec: BatchSpec, memsys: MemorySubsystem,
     Phase 1 replays like a native radix walk against the *host* PWC
     (including the scalar walker's dead-PTE descent quirk, baked into
     the chain rows); phase 2 is one precomputed guest-leaf fetch; phase
-    3 is the nested-PWC consult + memoized host chain, the same shape
-    as the radix-nested ``resolve_host``.
+    3 is the nested-PWC consult + memoized host chain, through the
+    radix-nested runner's :func:`_make_host_resolver`.
     """
     view = memsys.pwc.batch_view()
     probe, probe_fin, _probe_ctx = _make_pwc_probe(view)
@@ -1891,12 +1898,7 @@ def _make_agile_runner(spec: BatchSpec, memsys: MemorySubsystem,
     plans = _build_agile_plans(spec, top_level, len(tables), uniq_vpns,
                                collect)
 
-    nview = memsys.nested_pwc.batch_view()
-    ntable = nview.table
-    ncapacity = nview.capacity
-    naccept = nview.accept
-    ncounters = [0, 0]
-    ncredit = [nview.owner.credit]
+    resolve_host = _make_host_resolver(memsys, access, finalizers)
 
     def run(vpn: int, steps) -> Tuple[int, int, bool]:
         chain, leaf, data = plans[vpn]
@@ -1931,47 +1933,9 @@ def _make_agile_runner(spec: BatchSpec, memsys: MemorySubsystem,
         if steps is not None:
             steps.append((leaf_tag, latency))
         # Phase 3: nested-PWC consult + host chain (scalar _host_resolve)
-        dgfn, dhfn, dsteps, dtags = data
-        hit = False
-        if dgfn in ntable:
-            cached = ntable.pop(dgfn)   # LRU touch, even when thinned
-            ntable[dgfn] = cached
-            if naccept < 1.0:
-                credit = ncredit[0] + naccept
-                if credit >= 1.0:
-                    ncredit[0] = credit - 1.0
-                    hit = True
-                else:
-                    ncredit[0] = credit
-            else:
-                hit = True
-        if hit:
-            ncounters[0] += 1
-            return cycles, nrefs, False
-        ncounters[1] += 1
-        if steps is None:
-            for addr in dsteps:
-                cycles += access(addr)
-                nrefs += 1
-        else:
-            for addr, tag in zip(dsteps, dtags):
-                latency = access(addr)
-                cycles += latency
-                nrefs += 1
-                steps.append((tag, latency))
-        if dgfn in ntable:
-            del ntable[dgfn]
-        elif len(ntable) >= ncapacity:
-            del ntable[next(iter(ntable))]
-        ntable[dgfn] = dhfn
+        cycles, nrefs = resolve_host(*data, steps, cycles, nrefs)
         return cycles, nrefs, False
 
-    def agile_fin() -> None:
-        nview.stats.hits += ncounters[0]
-        nview.stats.misses += ncounters[1]
-        nview.owner.credit = ncredit[0]
-
-    finalizers.append(agile_fin)
     return run
 
 

@@ -17,7 +17,6 @@ from repro.arch import PageSize
 from repro.hw.cache import CacheHierarchy
 from repro.hw.config import MachineConfig
 from repro.hw.pwc import NestedPWC, PageWalkCache
-from repro.obs import metrics
 
 
 @dataclass
@@ -91,10 +90,9 @@ class MemorySubsystem:
             pwc_rates = pwc_accept_rates(machine.pwc, ws_bytes, paper_ws_bytes)
             npwc_rate = ws_bytes / paper_ws_bytes
         self.pwc = PageWalkCache(machine.pwc, top_level=levels,
-                                 accept_rates=pwc_rates, scope="pwc.host")
+                                 accept_rates=pwc_rates)
         self.guest_pwc = PageWalkCache(machine.pwc, top_level=levels,
-                                       accept_rates=pwc_rates,
-                                       scope="pwc.guest")
+                                       accept_rates=pwc_rates)
         self.nested_pwc = NestedPWC(
             machine.nested_pwc,
             accept_rate=npwc_rate if npwc_rate is not None else 1.0,
@@ -218,38 +216,9 @@ class Walker(abc.ABC):
 
     def __init__(self, memsys: MemorySubsystem):
         self.memsys = memsys
-        # Live walk counters, registered as walker.<name>.* with the
-        # metrics registry; the walks/total_cycles/fallbacks attributes
-        # stay read/write through the compatibility properties below
-        # (the batched engine assigns them in bulk).
-        scope = f"walker.{metrics.slug(self.name)}"
-        self._walks = metrics.counter(f"{scope}.walks")
-        self._total_cycles = metrics.counter(f"{scope}.cycles")
-        self._fallbacks = metrics.counter(f"{scope}.fallbacks")
-
-    @property
-    def walks(self) -> int:
-        return self._walks.value
-
-    @walks.setter
-    def walks(self, value: int) -> None:
-        self._walks.value = value
-
-    @property
-    def total_cycles(self) -> int:
-        return self._total_cycles.value
-
-    @total_cycles.setter
-    def total_cycles(self, value: int) -> None:
-        self._total_cycles.value = value
-
-    @property
-    def fallbacks(self) -> int:
-        return self._fallbacks.value
-
-    @fallbacks.setter
-    def fallbacks(self, value: int) -> None:
-        self._fallbacks.value = value
+        self.walks = 0
+        self.total_cycles = 0
+        self.fallbacks = 0
 
     @abc.abstractmethod
     def translate(self, va: int) -> WalkResult:
@@ -260,17 +229,12 @@ class Walker(abc.ABC):
         return None
 
     def record(self, result: WalkResult) -> WalkResult:
-        self._walks.value += 1
-        self._total_cycles.value += result.cycles
+        self.walks += 1
+        self.total_cycles += result.cycles
         if result.fallback:
-            self._fallbacks.value += 1
+            self.fallbacks += 1
         return result
 
     @property
     def mean_latency(self) -> float:
         return self.total_cycles / self.walks if self.walks else 0.0
-
-    def reset_stats(self) -> None:
-        self._walks.value = 0
-        self._total_cycles.value = 0
-        self._fallbacks.value = 0

@@ -359,6 +359,48 @@ def test_result_cache_evicts_corrupted_payload(tmp_path):
     assert recomputed.stage2_source("dmt") == "computed"
 
 
+def test_stored_state_equals_a_fresh_replay(tmp_path):
+    """The audit ``state`` a cold cell stores equals ``_stage2_state`` of
+    a fresh scalar replay of the same design. Memcached with one DMT
+    register falls back on about half its walks, so between the native
+    and virt cells every counter (walker, cache levels, memory
+    accesses, host/guest/nested PWC, fetcher) is nonzero somewhere."""
+    from repro.sim.machine import _stage2_state
+    from repro.sim.simulator import replay_walks
+
+    def leaves(node, path):
+        if isinstance(node, dict):
+            for name, child in node.items():
+                yield from leaves(child, path + (name,))
+        elif isinstance(node, list):
+            for index, child in enumerate(node):
+                yield from leaves(child, path + (index,))
+        else:
+            yield path, node
+
+    kwargs = dict(CONFIG, nrefs=2000, register_count=1)
+    counters = {}
+    for env, design in (("native", "dmt"), ("virt", "pvdmt")):
+        stage1 = Stage1Cache(artifacts=ArtifactCache(str(tmp_path / env)))
+        cold = ENVIRONMENTS[env]("Memcached", SimConfig(**kwargs),
+                                 stage1=stage1)
+        cold.run(design)
+        stored = cold._result_artifacts().load_result(
+            "stage2", cold._stage2_key(design, False))["state"]
+
+        fresh = ENVIRONMENTS[env]("Memcached", SimConfig(**kwargs))
+        walker = fresh.walker(design)
+        replay_walks(walker, fresh.tlb.miss_vas,
+                     warmup_fraction=fresh.config.warmup_fraction,
+                     engine="scalar")
+        assert stored == _stage2_state(walker)
+        for path, value in leaves(stored, ()):
+            counters[path] = counters.get(path, 0) + value
+    assert ("fetcher", "fallbacks") in counters
+    assert ("pwc", "nested", "hits") in counters
+    assert [path for path, total in counters.items() if total == 0] == []
+
+
 def test_sanitize_bypasses_result_cache(tmp_path):
     from repro.analysis import sanitizer
 

@@ -7,6 +7,7 @@ from repro.arch import PageSize
 from repro.hw.cache import CacheHierarchy, SetAssociativeCache
 from repro.hw.config import CacheConfig, PWCConfig, TLBConfig, xeon_gold_6138
 from repro.hw.pwc import NestedPWC, PageWalkCache
+from repro.hw.stats import HitStats
 from repro.hw.tlb import TLB, TLBHierarchy
 
 
@@ -180,3 +181,32 @@ class TestPWC:
         npwc.fill(42, 999)
         hits = sum(npwc.get(42) is not None for _ in range(100))
         assert hits == 50
+
+
+class TestHitStats:
+    def test_plain_values_over_tlb_pte_cache_and_pwc(self):
+        """TLB, PTE-cache and PWC counts are plain ints with value
+        equality (the parity suites compare independent machines)."""
+        machine = xeon_gold_6138()
+        tlb = TLB(machine.l1d_tlb)
+        assert not tlb.lookup(1, 0x1000, PageSize.SIZE_4K)
+        tlb.install(1, 0x1000, PageSize.SIZE_4K)
+        assert tlb.lookup(1, 0x1000, PageSize.SIZE_4K)
+        cache = CacheHierarchy.pte_side(machine).levels[0]
+        assert not cache.lookup(0x4000)
+        cache.install(0x4000)
+        assert cache.lookup(0x4000)
+        pwc = PageWalkCache(PWCConfig())
+        assert pwc.best_entry(0x0) == (4, None)
+        pwc.fill(0x0, 1, 0x9000)
+        assert pwc.best_entry(0x0) == (1, 0x9000)
+        for stats in (tlb.stats, cache.stats, pwc.stats):
+            assert (stats.hits, stats.misses, stats.accesses) == (1, 1, 2)
+            assert type(stats.hits) is int and type(stats.misses) is int
+            assert stats == HitStats(hits=1, misses=1)
+        assert tlb.stats == cache.stats == pwc.stats
+        tlb.stats.hits += 10
+        tlb.stats.misses += 2
+        assert (tlb.stats.hits, tlb.stats.accesses) == (11, 14)
+        assert tlb.stats == HitStats(11, 3)
+        assert tlb.stats != cache.stats

@@ -18,7 +18,6 @@ import time
 
 import pytest
 
-from repro.obs import metrics
 from repro.obs import trace as obs_trace
 from repro.sim import jobs
 from repro.sim.jobs import journal as jn
@@ -242,8 +241,7 @@ class TestKillResumeIdentity:
         job_dir = str(tmp_path / "job")
         spec = small_spec()
         JobScheduler(spec, job_dir, workers=1).run()
-        with metrics.scoped():
-            document = run_sweep(resume_dir=job_dir, workers=1)
+        document = run_sweep(resume_dir=job_dir, workers=1)
         assert document["meta"]["job"]["resumed_groups"] == 3
         assert jobs.stable_cells(document["cells"]) == reference
 

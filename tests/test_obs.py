@@ -1,10 +1,7 @@
 """Tests for the observability layer (:mod:`repro.obs`).
 
-Covers the metrics registry contract (``counter`` / ``gauge`` /
-``histogram`` aggregation, ``registry`` / ``set_registry`` / ``scoped``
-swapping, ``slug`` naming), trace spans (``enable`` / ``disable`` /
-``active`` / ``span`` nesting, ``read_events``, ``peak_rss_kb``), the
-bench-regression gate (``load_document``, ``bench_walks_per_second``,
+Covers trace spans (``enable`` / ``disable`` / ``active`` / ``span``
+nesting, ``read_events``, ``peak_rss_kb``), the bench-regression gate (``load_document``, ``bench_walks_per_second``,
 ``compare_bench``, ``compare_sweep``, ``trajectory_record``,
 ``append_trajectory``, ``run_gate``), and their integration with the
 sweep runner (span wall times agreeing with cell telemetry).
@@ -16,102 +13,10 @@ import subprocess
 
 import pytest
 
-from repro.arch import PageSize
-from repro.hw.config import xeon_gold_6138
-from repro.hw.tlb import TLB
-from repro.obs import metrics, regress, trace
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import regress, trace
 from repro.sim.sweep import run_group, run_sweep
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-# --------------------------------------------------------------------- #
-# metrics registry
-# --------------------------------------------------------------------- #
-
-class TestMetricsRegistry:
-    def test_counter_sums_across_instances(self):
-        with metrics.scoped() as reg:
-            a = metrics.counter("walks.total")
-            b = metrics.counter("walks.total")
-            a.inc()
-            b.inc(3)
-            assert reg.snapshot() == {"walks.total": 4}
-
-    def test_counter_reset(self):
-        with metrics.scoped() as reg:
-            c = metrics.counter("x")
-            c.inc(5)
-            reg.reset()
-            assert c.value == 0
-            assert reg.snapshot() == {"x": 0}
-
-    def test_gauge_last_set_wins(self):
-        with metrics.scoped() as reg:
-            g1 = metrics.gauge("depth")
-            g2 = metrics.gauge("depth")
-            g1.set(5)
-            g2.set(7)
-            assert reg.snapshot()["depth"] == 7
-            g1.set(1)
-            assert reg.snapshot()["depth"] == 1
-
-    def test_histogram_expands_to_summary_fields(self):
-        with metrics.scoped() as reg:
-            h = metrics.histogram("latency")
-            for value in (1, 2, 3):
-                h.observe(value)
-            snap = reg.snapshot()
-            assert snap["latency.count"] == 3
-            assert snap["latency.sum"] == 6
-            assert snap["latency.mean"] == pytest.approx(2.0)
-            assert snap["latency.min"] == 1
-            assert snap["latency.max"] == 3
-
-    def test_kind_mismatch_rejected(self):
-        with metrics.scoped():
-            metrics.counter("metric.name")
-            with pytest.raises(TypeError):
-                metrics.gauge("metric.name")
-
-    def test_snapshot_prefix_filter(self):
-        with metrics.scoped() as reg:
-            metrics.counter("tlb.hits").inc()
-            metrics.counter("cache.hits").inc()
-            assert set(reg.snapshot(prefix="tlb.")) == {"tlb.hits"}
-            assert set(reg.names()) == {"cache.hits", "tlb.hits"}
-
-    def test_set_registry_swaps_active(self):
-        fresh = MetricsRegistry()
-        previous = metrics.set_registry(fresh)
-        try:
-            assert metrics.registry() is fresh
-            metrics.counter("only.here").inc()
-            assert fresh.snapshot() == {"only.here": 1}
-        finally:
-            metrics.set_registry(previous)
-        assert metrics.registry() is previous
-
-    def test_slug_normalizes_structure_names(self):
-        assert metrics.slug("L1D(pte)") == "l1d_pte"
-        assert metrics.slug("L2 STLB") == "l2_stlb"
-        assert metrics.slug("dmt-native") == "dmt_native"
-
-    def test_tlb_stats_register_and_stay_compatible(self):
-        """Structures keep their attribute API while feeding the registry."""
-        with metrics.scoped() as reg:
-            tlb = TLB(xeon_gold_6138().l1d_tlb)
-            assert not tlb.lookup(1, 0x1000, PageSize.SIZE_4K)
-            tlb.install(1, 0x1000, PageSize.SIZE_4K)
-            assert tlb.lookup(1, 0x1000, PageSize.SIZE_4K)
-            # compatibility properties (read and write)
-            assert tlb.stats.hits == 1 and tlb.stats.misses == 1
-            assert tlb.stats.accesses == 2
-            tlb.stats.hits += 10
-            snap = reg.snapshot(prefix="tlb.")
-            name = [n for n in snap if n.endswith(".hits")][0]
-            assert snap[name] == 11
 
 
 # --------------------------------------------------------------------- #
