@@ -6,13 +6,18 @@ process and its backing) and the mirrors its designs share (shadow
 tables, guest and host FPT and ECPT), then compares the process's peak
 resident set size against ``--budget-mb`` and exits 1 above it.
 
-Page-table memory is what grows with the machine: a store that spends
-far more than 8 bytes a PTE word shows here long before a parity test
-notices anything.
+A machine should grow with its page-table pages and its memory size,
+not with the pages it maps: page-table words cost 8 bytes each, and
+the per-frame bookkeeping (the buddy allocator's block heads, each
+VM's reverse map) 1 and 4 bytes a frame. A store that spends far more
+than that per PTE word, or a container with an entry per mapped page,
+shows here long before a parity test notices anything.
 
 Usage::
 
     PYTHONPATH=src python scripts/machine_rss_budget.py --scale 256 \
+        --budget-mb 128
+    PYTHONPATH=src python scripts/machine_rss_budget.py --scale 64 \
         --budget-mb 256
 """
 

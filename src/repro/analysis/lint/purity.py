@@ -32,7 +32,7 @@ Findings (one id per violation class):
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Optional, Set
+from typing import Iterable, List, Set
 
 from repro.analysis.lint.engine import FileContext, Rule, Violation
 

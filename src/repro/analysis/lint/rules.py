@@ -27,7 +27,7 @@ L2 findings
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from repro.analysis.lint.engine import FileContext, Rule, Violation
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 import threading
 import weakref
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.arch import PAGE_SHIFT, PageSize, is_aligned
 

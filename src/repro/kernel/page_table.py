@@ -112,7 +112,6 @@ class RadixPageTable:
         self.stats = PageTableStats()
         # (level, table_key) -> frame; table_key = va >> level_shift(level+1)
         self._tables: Dict[Tuple[int, int], int] = {}
-        self._mapped_pages: Dict[int, PageSize] = {}  # leaf va_base -> size
         self.root_frame = self._new_table(self.levels, 0, PageSize.SIZE_4K, track=False)
 
     # ------------------------------------------------------------------ #
@@ -130,11 +129,14 @@ class RadixPageTable:
 
     @property
     def mapped_pages(self) -> int:
-        return len(self._mapped_pages)
+        """Number of leaf mappings, counted off the tables (no index of
+        mapped pages is kept: it would grow with every page mapped)."""
+        return sum(sum(pte & PTE_PRESENT for pte in ptes)
+                   for _, _, ptes in self.leaf_tables())
 
     def mappings(self) -> List[Tuple[int, PageSize]]:
-        """(va, page size) of every leaf mapping, in the order it was made."""
-        return list(self._mapped_pages.items())
+        """(va, page size) of every leaf mapping, by ascending va."""
+        return [(va, size) for va, _, size in self.leaves()]
 
     def _table_key(self, va: int, level: int) -> int:
         return va >> level_shift(level + 1)
@@ -213,7 +215,6 @@ class RadixPageTable:
             sanitizer.check_pte_target(base, pfn, page_size,
                                        self.memory.total_frames)
         self._write_pte(slot, make_pte(pfn, flags))
-        self._mapped_pages[base] = page_size
         return slot
 
     def _leaf_table(self, va: int, leaf_level: int) -> Tuple[Optional[int], int]:
@@ -253,8 +254,8 @@ class RadixPageTable:
         present entry given a new frame is unmapped first, as ``unmap``
         + ``map`` would. The PTEs of a call are written with one bulk
         memory write, and each takes the same sanitizer check, write
-        hook, ``pte_writes`` count and mapping entry as :meth:`map`, in
-        ascending order. Returns the number of pages written.
+        hook and ``pte_writes`` count as :meth:`map`, in ascending
+        order. Returns the number of pages written.
         """
         leaf_level = page_size.leaf_level
         step = page_size.bytes
@@ -343,19 +344,13 @@ class RadixPageTable:
                       for pfn in frames[lo:passed]]
             addr = frame_to_addr(table) + (index + lo) * PTE_SIZE
             self.memory.write_words(addr, values)
-            first = va + lo * step
-            if None in values:
-                pages = [first + i * step
-                         for i, value in enumerate(values) if value is not None]
-            else:
-                pages = range(first, first + len(values) * step, step)
-            self.stats.pte_writes += len(pages)
+            written = len(values) - values.count(None)
+            self.stats.pte_writes += written
             if self.write_hook is not None:
                 for i, value in enumerate(values):
                     if value is not None:
                         self.write_hook(addr + i * PTE_SIZE, value)
-            self._mapped_pages.update(dict.fromkeys(pages, page_size))
-        return len(pages)
+        return written
 
     def unmap(self, va: int, page_size: Optional[PageSize] = None) -> Optional[int]:
         """Clear the leaf PTE for ``va``; returns the frame it mapped."""
@@ -366,7 +361,6 @@ class RadixPageTable:
         if page_size is not None and size != page_size:
             raise ValueError(f"va {va:#x} is mapped with {size.name}, not {page_size.name}")
         self._write_pte(slot, 0)
-        self._mapped_pages.pop(va & ~(size.bytes - 1), None)
         if sanitizer.active():
             sanitizer.check_unmap_coherence(self.asid, va, size)
         return pte_frame(pte)
@@ -536,5 +530,4 @@ class RadixPageTable:
             self.stats.tables_freed += 1
         self._tables.clear()
         self.memory.allocator.free_pages(self.root_frame)
-        self._mapped_pages.clear()
 

@@ -13,16 +13,29 @@ TEAs, and data frames all come from here. It supports:
 
 Frames are integers (frame numbers). Physical byte addresses are
 ``frame << PAGE_SHIFT``.
+
+Which frames head an allocated block is one byte per frame (``_heads``):
+0 for a frame that heads no block, otherwise the block's code, with
+:data:`_MOVABLE` set for a movable block. So the allocator's size is
+fixed by the size of the zone, not by how many blocks it hands out.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional
+
+import numpy as np
 
 
 MAX_ORDER = 11  # Linux: free lists for 2^0 .. 2^10 pages
+
+#: Head-byte bit of a movable block.
+_MOVABLE = 0x80
+#: Head-byte code of an ``alloc_contig`` block (its size is in ``_contig``);
+#: a buddy block of order ``k`` has code ``k + 1``.
+_CONTIG = 0x7F
 
 
 class OutOfMemoryError(Exception):
@@ -54,10 +67,27 @@ class BuddyAllocator:
         self.stats = BuddyStats()
         # free_lists[order] = insertion-ordered dict of block-start frames
         self.free_lists: List[Dict[int, None]] = [{} for _ in range(MAX_ORDER)]
-        # frame -> order, for allocated block heads
-        self._allocated: Dict[int, int] = {}
-        self._movable: Set[int] = set()
+        # frame - base_frame -> head code of the block it heads, 0 if none
+        self._heads = bytearray(total_frames)
+        # frame -> npages, for the heads of alloc_contig blocks
+        self._contig: Dict[int, int] = {}
         self._seed_free_space()
+
+    def _head(self, frame: int) -> int:
+        """The head byte of ``frame``; 0 outside the zone."""
+        index = frame - self.base_frame
+        return self._heads[index] if 0 <= index < self.total_frames else 0
+
+    def _head_frames(self, mask: int) -> List[int]:
+        """The frames whose head byte has a bit of ``mask`` set, in
+        frame order."""
+        heads = np.frombuffer(self._heads, dtype=np.uint8)
+        return (np.flatnonzero(heads & mask) + self.base_frame).tolist()
+
+    def _npages(self, frame: int, code: int) -> int:
+        """Frames in the block that ``frame`` heads, ``code`` its head byte."""
+        code &= ~_MOVABLE
+        return self._contig[frame] if code == _CONTIG else 1 << code - 1
 
     def _seed_free_space(self) -> None:
         frame = self.base_frame
@@ -88,9 +118,8 @@ class BuddyAllocator:
                     current -= 1
                     buddy = frame + (1 << current)
                     self.free_lists[current][buddy] = None
-                self._allocated[frame] = order
-                if movable:
-                    self._movable.add(frame)
+                self._heads[frame - self.base_frame] = \
+                    order + 1 | (_MOVABLE if movable else 0)
                 self.stats.allocations += 1
                 return frame
         raise OutOfMemoryError(f"no free block of order {order}")
@@ -99,17 +128,20 @@ class BuddyAllocator:
         """The frames of ``count`` successive ``alloc_pages(0, movable)``.
 
         Leaves the allocator exactly as those calls would: the same free
-        lists in the same order, ``_allocated`` in allocation order, the
-        same movable set and stats. The calls first drain the order-0
-        list oldest first; after that each takes the oldest block of the
-        lowest non-empty order and hands it out frame by frame, so a
-        block is cut once and its unused tail goes back as the blocks
-        the splits would have left. When memory runs out the frames
-        handed out so far stay allocated and OutOfMemoryError is raised,
-        as the failing call would.
+        lists in the same order, the same block heads (each frame an
+        order-0 head, movable or not) and stats. The calls first drain
+        the order-0 list oldest first; after that each takes the oldest
+        block of the lowest non-empty order and hands it out frame by
+        frame, so a block is cut once (its frames marked as heads with
+        one slice assignment) and its unused tail goes back as the
+        blocks the splits would have left. When memory runs out the
+        frames handed out so far stay allocated and OutOfMemoryError is
+        raised, as the failing call would.
         """
         if count < 0:
             raise ValueError("count must not be negative")
+        heads, base = self._heads, self.base_frame
+        code = 1 | (_MOVABLE if movable else 0)
         frames: List[int] = []
         try:
             singles = self.free_lists[0]
@@ -120,6 +152,8 @@ class BuddyAllocator:
                 frames.extend(itertools.islice(singles, count))
                 for frame in frames:
                     del singles[frame]
+            for frame in frames:
+                heads[frame - base] = code
             while len(frames) < count:
                 order = next((order for order in range(1, MAX_ORDER)
                               if self.free_lists[order]), None)
@@ -129,6 +163,7 @@ class BuddyAllocator:
                 block = next(iter(blocks))
                 del blocks[block]
                 used = min(count - len(frames), 1 << order)
+                heads[block - base:block - base + used] = bytes((code,)) * used
                 frames.extend(range(block, block + used))
                 # the tail the splits leave: one block per lower order,
                 # each as large as the alignment of its offset allows
@@ -138,20 +173,25 @@ class BuddyAllocator:
                     self.free_lists[size.bit_length() - 1][block + offset] = None
                     offset += size
         finally:
-            self._allocated.update(dict.fromkeys(frames, 0))
-            if movable:
-                self._movable.update(frames)
             self.stats.allocations += len(frames)
         return frames
 
     def free_pages(self, frame: int, order: Optional[int] = None) -> None:
-        """Free a previously allocated block, coalescing with its buddy."""
-        actual = self._allocated.pop(frame, None)
-        if actual is None:
+        """Free a previously allocated block, coalescing with its buddy.
+
+        A frame that heads no block, a contig block or a block of another
+        order than ``order`` raises ValueError and changes nothing.
+        """
+        code = self._head(frame) & ~_MOVABLE
+        if not code:
             raise ValueError(f"frame {frame} is not an allocated block head")
+        if code == _CONTIG:
+            raise ValueError(f"frame {frame} heads a "
+                             f"{self._contig[frame]}-frame contig block")
+        actual = code - 1
         if order is not None and order != actual:
             raise ValueError(f"frame {frame} was allocated at order {actual}, not {order}")
-        self._movable.discard(frame)
+        self._heads[frame - self.base_frame] = 0
         self.stats.frees += 1
         current = actual
         while current < MAX_ORDER - 1:
@@ -183,18 +223,18 @@ class BuddyAllocator:
             self.stats.contig_failures += 1
             raise ContiguityError(f"no contiguous run of {npages} frames")
         self._carve_run(run, npages)
-        self._allocated[run] = -npages  # negative order marks a contig block
-        if movable:
-            self._movable.add(run)
+        self._heads[run - self.base_frame] = \
+            _CONTIG | (_MOVABLE if movable else 0)
+        self._contig[run] = npages
         self.stats.contig_allocations += 1
         return run
 
     def free_contig(self, frame: int, npages: int) -> None:
         """Free a block returned by :meth:`alloc_contig` (free_contig_range)."""
-        recorded = self._allocated.pop(frame, None)
-        if recorded != -npages:
+        if self._contig.get(frame) != npages:
             raise ValueError(f"frame {frame} is not a {npages}-frame contig block")
-        self._movable.discard(frame)
+        self._heads[frame - self.base_frame] = 0
+        del self._contig[frame]
         self.stats.frees += 1
         self._release_run(frame, npages)
 
@@ -205,25 +245,25 @@ class BuddyAllocator:
         This models in-place TEA expansion (§4.3); failure means the caller
         must migrate to a fresh TEA.
         """
-        if self._allocated.get(frame) != -npages:
+        if self._contig.get(frame) != npages:
             raise ValueError(f"frame {frame} is not a {npages}-frame contig block")
         start = frame + npages
         run = self._find_free_run_at(start, extra)
         if not run:
             return False
         self._carve_run(start, extra)
-        self._allocated[frame] = -(npages + extra)
+        self._contig[frame] = npages + extra
         return True
 
     def shrink_contig(self, frame: int, npages: int, new_npages: int) -> None:
         """Release the tail of a contig block, keeping its base in place."""
-        if self._allocated.get(frame) != -npages:
+        if self._contig.get(frame) != npages:
             raise ValueError(f"frame {frame} is not a {npages}-frame contig block")
         if not 0 < new_npages <= npages:
             raise ValueError("new_npages must be within the current block")
         if new_npages == npages:
             return
-        self._allocated[frame] = -new_npages
+        self._contig[frame] = new_npages
         self._release_run(frame + new_npages, npages - new_npages)
 
     def _find_free_run(self, npages: int) -> Optional[int]:
@@ -351,21 +391,20 @@ class BuddyAllocator:
         self.stats.compactions += 1
         relocation: Dict[int, int] = {}
         migrated = 0
-        movable = sorted(self._movable)
-        for frame in movable:
-            order = self._allocated.get(frame)
-            if order is None:
-                continue
-            npages = (1 << order) if order >= 0 else -order
-            alignment = (1 << order) if order > 0 else 1
+        heads, base = self._heads, self.base_frame
+        for frame in self._head_frames(_MOVABLE):
+            code = heads[frame - base]
+            npages = self._npages(frame, code)
+            contig = frame in self._contig
+            alignment = 1 if contig else npages
             target = self._highest_free_run(npages, above=frame + npages, alignment=alignment)
             if target is None:
                 continue
             self._carve_run(target, npages)
-            self._allocated.pop(frame)
-            self._movable.discard(frame)
-            self._allocated[target] = order
-            self._movable.add(target)
+            heads[frame - base] = 0
+            heads[target - base] = code
+            if contig:
+                self._contig[target] = self._contig.pop(frame)
             self._release_run(frame, npages)
             relocation[frame] = target
             migrated += npages
@@ -387,7 +426,9 @@ class BuddyAllocator:
         return best
 
     def owned_blocks(self) -> Iterable[tuple]:
-        """Yield (frame, npages, movable) for every allocated block."""
-        for frame, order in sorted(self._allocated.items()):
-            npages = (1 << order) if order >= 0 else -order
-            yield frame, npages, frame in self._movable
+        """Yield (frame, npages, movable) for every allocated block, in
+        frame order."""
+        heads, base = self._heads, self.base_frame
+        for frame in self._head_frames(0xFF):
+            code = heads[frame - base]
+            yield frame, self._npages(frame, code), bool(code & _MOVABLE)

@@ -15,8 +15,9 @@ allocating a host frame (counted as a VM exit).
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.analysis import sanitizer
 from repro.arch import PAGE_SHIFT, PAGE_SIZE, PageSize, align_up
@@ -63,6 +64,9 @@ class VM:
         ept_placement: Optional[TablePlacementPolicy] = None,
         name: Optional[str] = None,
     ):
+        if memory_bytes >> PAGE_SHIFT > 1 << 31:
+            raise ValueError(f"{memory_bytes} bytes of guest memory: guest "
+                             f"frame numbers do not fit in 31 bits")
         self.vm_id = next(VM._ids)
         self.name = name or f"vm{self.vm_id}"
         self.hypervisor = hypervisor
@@ -79,10 +83,12 @@ class VM:
             hypervisor.host_memory, levels=levels,
             asid=0x1000 + self.vm_id, placement=ept_placement,
         )
-        # Reverse of the EPT at 4 KB granularity: host frame -> guest frame.
-        # Lets a reader holding only a host-physical address find the guest
-        # word store that owns the bytes (guest memory is a separate domain).
-        self._reverse: Dict[int, int] = {}
+        # Reverse of the EPT at 4 KB granularity: host frame -> guest frame,
+        # -1 for a host frame backing none of this guest. Lets a reader
+        # holding only a host-physical address find the guest word store
+        # that owns the bytes (guest memory is a separate domain).
+        self._reverse = array("i", [-1]) * hypervisor.host_memory.total_frames
+        self._reverse_count = 0  # entries of _reverse that are set
         # The single host VMA standing for guest physical memory (§4.5).
         self.backing_vma: VMA = hypervisor.host_process_for(self).addr_space.mmap(
             memory_bytes, name=f"{self.name}-guest-physmem"
@@ -106,7 +112,7 @@ class VM:
         self.exits.ept_violations += 1
         hfn = self.hypervisor.host_memory.allocator.alloc_pages(0, movable=True)
         self.ept.map(gfn << PAGE_SHIFT, hfn, PageSize.SIZE_4K)
-        self._reverse[hfn] = gfn
+        self._set_reverse((hfn,), (gfn,))
         return hfn
 
     def backed_frames(self, gfns: Sequence[int]) -> List[int]:
@@ -130,7 +136,7 @@ class VM:
     def fully_backed(self) -> bool:
         """Every guest frame has a host frame, so :meth:`gpa_to_hpa`
         can fault nothing in."""
-        return len(self._reverse) >= self.memory_bytes >> PAGE_SHIFT
+        return self._reverse_count >= self.memory_bytes >> PAGE_SHIFT
 
     def gpa_to_hpa(self, gpa: int) -> int:
         hfn = self.ensure_backed(gpa >> PAGE_SHIFT)
@@ -166,21 +172,26 @@ class VM:
             return
         host_alloc = self.hypervisor.host_memory.allocator
         per = page_size.bytes >> PAGE_SHIFT
+        # the frames of the last call, entered in the reverse map once the
+        # EPT maps them: at the next call, or after the run
+        handed: List[Iterable[int]] = [(), ()]
 
         def host_frames(gpa: int, olds: List[int]) -> List[Optional[int]]:
+            self._set_reverse(*handed)
             gfn = gpa >> PAGE_SHIFT
             unbacked = [i for i, old in enumerate(olds)
                         if not old & PTE_PRESENT]
             if per == 1:
                 hfns = host_alloc.alloc_run(len(unbacked), movable=True)
-                self._reverse.update(zip(hfns, [gfn + i for i in unbacked]))
+                handed[:] = hfns, [gfn + i for i in unbacked]
             else:
                 hfns = [host_alloc.alloc_pages(9, movable=True)
                         for _ in unbacked]
-                for i, hfn in zip(unbacked, hfns):
-                    self._reverse.update(zip(range(hfn, hfn + per),
-                                             range(gfn + i * per,
-                                                   gfn + (i + 1) * per)))
+                handed[:] = (itertools.chain.from_iterable(
+                    range(hfn, hfn + per) for hfn in hfns),
+                    itertools.chain.from_iterable(
+                        range(gfn + i * per, gfn + (i + 1) * per)
+                        for i in unbacked))
             frames: List[Optional[int]] = [None] * len(olds)
             for i, hfn in zip(unbacked, hfns):
                 frames[i] = hfn
@@ -188,6 +199,21 @@ class VM:
 
         self.ept.map_run(start, -(-(end - start) // page_size.bytes),
                          page_size, host_frames)
+        self._set_reverse(*handed)
+
+    def _set_reverse(self, hfns: Iterable[int], gfns: Iterable[int]) -> None:
+        """Record that each host frame of ``hfns`` backs the guest frame
+        at the same place in ``gfns``."""
+        reverse = self._reverse
+        for hfn, gfn in zip(hfns, gfns):
+            self._reverse_count += reverse[hfn] < 0
+            reverse[hfn] = gfn
+
+    def _clear_reverse(self, hfn: int) -> None:
+        """Record that host frame ``hfn`` backs no guest frame."""
+        if self._reverse[hfn] >= 0:
+            self._reverse_count -= 1
+            self._reverse[hfn] = -1
 
     # dmtlint-domain: return=gpa -- takes host frames, returns the base gPA
     def map_host_frames(self, host_frame: int, npages: int) -> int:
@@ -208,12 +234,12 @@ class VM:
             gpa = (base_gfn + i) << PAGE_SHIFT
             if self.ept.lookup(gpa) is not None:
                 old = self.ept.unmap(gpa)
-                self._reverse.pop(old, None)
-                if old is not None and sanitizer.active():
+                self._clear_reverse(old)
+                if sanitizer.active():
                     sanitizer.release_frames(id(self.hypervisor.host_memory),
                                              old, 1)
             self.ept.map(gpa, host_frame + i, PageSize.SIZE_4K)
-            self._reverse[host_frame + i] = base_gfn + i
+            self._set_reverse((host_frame + i,), (base_gfn + i,))
         return base_gfn << PAGE_SHIFT
 
     # ------------------------------------------------------------------ #
@@ -222,7 +248,11 @@ class VM:
 
     def reverse_lookup(self, host_frame: int) -> Optional[int]:
         """Guest frame backed by ``host_frame``, if any."""
-        return self._reverse.get(host_frame)
+        if 0 <= host_frame < len(self._reverse):
+            gfn = self._reverse[host_frame]
+            if gfn >= 0:
+                return gfn
+        return None
 
     def backed_pages(self) -> int:
         return self.ept.mapped_pages

@@ -19,7 +19,7 @@ from typing import Optional
 
 from repro.kernel.kernel import Kernel
 from repro.kernel.page_table import TablePlacementPolicy
-from repro.virt.hypervisor import VM, Hypervisor
+from repro.virt.hypervisor import Hypervisor
 from repro.virt.shadow import NestedShadowPager
 
 

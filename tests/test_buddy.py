@@ -1,7 +1,7 @@
 """Tests for the buddy allocator, including property-based invariants."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.mem.buddy import (
     MAX_ORDER,
@@ -206,9 +206,9 @@ class TestProperties:
 # --------------------------------------------------------------------- #
 
 def _state(buddy):
-    """Everything an allocation changes, with dict orders kept."""
+    """Everything an allocation changes, with free-list orders kept."""
     return ([list(blocks) for blocks in buddy.free_lists],
-            list(buddy._allocated.items()), set(buddy._movable),
+            list(buddy.owned_blocks()),
             vars(buddy.stats).copy())
 
 
@@ -304,3 +304,245 @@ class TestAllocRun:
         assert _state(buddy) == before
         with pytest.raises(ValueError):
             buddy.alloc_run(-1)
+
+
+# --------------------------------------------------------------------- #
+# Per-frame block heads against per-block dict/set bookkeeping
+# --------------------------------------------------------------------- #
+
+class _DictBuddy(BuddyAllocator):
+    """Reference: block heads kept as a ``{frame: order}`` dict (a
+    contig block's order is ``-npages``) in allocation order and a set
+    of movable heads, as the allocator kept them before its per-frame
+    head bytes. The free-list helpers are shared. A free that raises
+    leaves both alone, and ``free_pages`` of a contig block raises a
+    ValueError naming it."""
+
+    def __init__(self, total_frames):
+        super().__init__(total_frames)
+        self._allocated = {}
+        self._movable = set()
+
+    def alloc_pages(self, order=0, movable=True):
+        if not 0 <= order < MAX_ORDER:
+            raise ValueError(f"order {order} out of range")
+        for current in range(order, MAX_ORDER):
+            if self.free_lists[current]:
+                frame = next(iter(self.free_lists[current]))
+                self.free_lists[current].pop(frame)
+                while current > order:
+                    current -= 1
+                    self.free_lists[current][frame + (1 << current)] = None
+                self._allocated[frame] = order
+                if movable:
+                    self._movable.add(frame)
+                self.stats.allocations += 1
+                return frame
+        raise OutOfMemoryError(f"no free block of order {order}")
+
+    def alloc_run(self, count, movable=True):
+        if count < 0:
+            raise ValueError("count must not be negative")
+        frames = []
+        try:
+            for _ in range(count):
+                order = next((order for order in range(MAX_ORDER)
+                              if self.free_lists[order]), None)
+                if order is None:
+                    raise OutOfMemoryError("no free block of order 0")
+                frame = next(iter(self.free_lists[order]))
+                del self.free_lists[order][frame]
+                while order > 0:
+                    order -= 1
+                    self.free_lists[order][frame + (1 << order)] = None
+                frames.append(frame)
+        finally:
+            self._allocated.update(dict.fromkeys(frames, 0))
+            if movable:
+                self._movable.update(frames)
+            self.stats.allocations += len(frames)
+        return frames
+
+    def free_pages(self, frame, order=None):
+        actual = self._allocated.get(frame)
+        if actual is None:
+            raise ValueError(f"frame {frame} is not an allocated block head")
+        if actual < 0:
+            raise ValueError(f"frame {frame} heads a {-actual}-frame "
+                             f"contig block")
+        if order is not None and order != actual:
+            raise ValueError(f"frame {frame} was allocated at order {actual}, not {order}")
+        del self._allocated[frame]
+        self._movable.discard(frame)
+        self.stats.frees += 1
+        current = actual
+        while current < MAX_ORDER - 1:
+            buddy = frame ^ (1 << current)
+            if buddy not in self.free_lists[current]:
+                break
+            self.free_lists[current].pop(buddy)
+            frame = min(frame, buddy)
+            current += 1
+        self.free_lists[current][frame] = None
+
+    def alloc_contig(self, npages, movable=False):
+        if npages <= 0:
+            raise ValueError("npages must be positive")
+        run = self._find_free_run(npages)
+        if run is None:
+            self.stats.contig_failures += 1
+            raise ContiguityError(f"no contiguous run of {npages} frames")
+        self._carve_run(run, npages)
+        self._allocated[run] = -npages
+        if movable:
+            self._movable.add(run)
+        self.stats.contig_allocations += 1
+        return run
+
+    def _check_contig(self, frame, npages):
+        if self._allocated.get(frame) != -npages:
+            raise ValueError(f"frame {frame} is not a {npages}-frame contig block")
+
+    def free_contig(self, frame, npages):
+        self._check_contig(frame, npages)
+        del self._allocated[frame]
+        self._movable.discard(frame)
+        self.stats.frees += 1
+        self._release_run(frame, npages)
+
+    def expand_contig(self, frame, npages, extra):
+        self._check_contig(frame, npages)
+        start = frame + npages
+        if not self._find_free_run_at(start, extra):
+            return False
+        self._carve_run(start, extra)
+        self._allocated[frame] = -(npages + extra)
+        return True
+
+    def shrink_contig(self, frame, npages, new_npages):
+        self._check_contig(frame, npages)
+        if not 0 < new_npages <= npages:
+            raise ValueError("new_npages must be within the current block")
+        if new_npages == npages:
+            return
+        self._allocated[frame] = -new_npages
+        self._release_run(frame + new_npages, npages - new_npages)
+
+    def compact_with_map(self):
+        self.stats.compactions += 1
+        relocation = {}
+        migrated = 0
+        for frame in sorted(self._movable):
+            order = self._allocated[frame]
+            npages = (1 << order) if order >= 0 else -order
+            alignment = (1 << order) if order > 0 else 1
+            target = self._highest_free_run(npages, above=frame + npages,
+                                            alignment=alignment)
+            if target is None:
+                continue
+            self._carve_run(target, npages)
+            del self._allocated[frame]
+            self._movable.discard(frame)
+            self._allocated[target] = order
+            self._movable.add(target)
+            self._release_run(frame, npages)
+            relocation[frame] = target
+            migrated += npages
+        self.stats.pages_migrated += migrated
+        return migrated, relocation
+
+    def owned_blocks(self):
+        for frame, order in sorted(self._allocated.items()):
+            npages = (1 << order) if order >= 0 else -order
+            yield frame, npages, frame in self._movable
+
+
+@st.composite
+def bookkeeping_history(draw):
+    """Random steps over every operation that reads or writes a block
+    head. ``pick`` chooses a block by index (see :func:`_apply`);
+    ``delta`` skews a size or order so that some calls fail."""
+    pick = st.integers(0, 30)
+    delta = st.sampled_from([0, 0, 0, 1, -1])
+    step = st.one_of(
+        st.tuples(st.just("page"), st.integers(0, 6), st.booleans()),
+        st.tuples(st.just("run"), st.integers(0, 90), st.booleans()),
+        st.tuples(st.just("contig"), st.integers(1, 90), st.booleans()),
+        st.tuples(st.just("free"), pick, st.sampled_from([None, 0, 1])),
+        st.tuples(st.just("free_contig"), pick, delta),
+        st.tuples(st.just("expand"), pick, delta, st.integers(1, 40)),
+        st.tuples(st.just("shrink"), pick, delta, st.integers(1, 60)),
+        st.tuples(st.just("compact")),
+    )
+    return draw(st.lists(step, max_size=40))
+
+
+def _apply(buddy, action, blocks):
+    """Run ``action`` on ``buddy``. ``blocks`` lists the live blocks
+    (as the reference's ``owned_blocks()`` gives them) and then the
+    blocks that were live once but are freed or moved now; a pick past
+    them all takes a frame inside the first block, or frame 0."""
+    op = action[0]
+    if op in ("page", "contig"):
+        alloc = buddy.alloc_pages if op == "page" else buddy.alloc_contig
+        return alloc(action[1], movable=action[2])
+    if op == "run":
+        return buddy.alloc_run(action[1], movable=action[2])
+    if op == "compact":
+        return buddy.compact_with_map()
+    pick = action[1] % (len(blocks) + 1)
+    if pick < len(blocks):
+        frame, npages, _ = blocks[pick]
+    else:
+        frame, npages = (blocks[0][0] + 1, 1) if blocks else (0, 1)
+    if op == "free":
+        order = action[2]
+        if order is not None:
+            order = max(0, npages.bit_length() - 1 + order)
+        return buddy.free_pages(frame, order)
+    npages = max(1, npages + action[2])
+    if op == "free_contig":
+        return buddy.free_contig(frame, npages)
+    if op == "expand":
+        return buddy.expand_contig(frame, npages, action[3])
+    return buddy.shrink_contig(frame, npages, action[3])
+
+
+class TestBlockHeads:
+    @given(bookkeeping_history(), st.sampled_from([512, 1000]))
+    @example([("contig", 5, True), ("compact",), ("free_contig", 1, 0)], 512)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_dict_bookkeeping(self, history, total):
+        """After every operation: the same return value or error, the
+        same free lists in order, the same blocks and the same stats."""
+        buddy, reference = BuddyAllocator(total), _DictBuddy(total)
+        seen = {}
+        for action in history:
+            live = list(reference.owned_blocks())
+            seen.update(dict.fromkeys(live))
+            blocks = live + [block for block in seen if block not in live]
+            outcomes = []
+            for allocator in (buddy, reference):
+                try:
+                    outcomes.append(("ok", _apply(allocator, action, blocks)))
+                except (ValueError, OutOfMemoryError) as error:
+                    outcomes.append((type(error), str(error)))
+            assert outcomes[0] == outcomes[1], action
+            assert _state(buddy) == _state(reference), action
+
+    def test_failed_frees_change_nothing(self, buddy):
+        page = buddy.alloc_pages(2)
+        contig = buddy.alloc_contig(5, movable=True)
+        before = _state(buddy)
+        for call in (lambda: buddy.free_pages(page, 1),
+                     lambda: buddy.free_pages(contig),
+                     lambda: buddy.free_pages(page + 1),
+                     lambda: buddy.free_pages(-1),
+                     lambda: buddy.free_pages(TOTAL),
+                     lambda: buddy.free_contig(contig, 4),
+                     lambda: buddy.free_contig(page, 4)):
+            with pytest.raises(ValueError):
+                call()
+            assert _state(buddy) == before
+        assert list(buddy.owned_blocks()) == [(page, 4, True),
+                                              (contig, 5, True)]

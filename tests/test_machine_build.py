@@ -5,9 +5,9 @@ per leaf table and ``leaves()`` reads each table page once. The build
 paths rebuilt on them (``Process.populate``, ``VM.back_range``, both
 shadow ``sync`` methods, FPT/ECPT ``load_from_radix``) must leave a
 machine in exactly the state the per-page loops they replaced left it
-in: the same words in physical memory, the same buddy free lists, the
-same reverse map, exit counters and PTE-write counts, and the same
-mapping order. The per-page loops live on below as the oracle.
+in: the same words in physical memory, the same buddy free lists and
+block heads, the same reverse map, exit counters and PTE-write counts,
+and the same mappings. The per-page loops live on below as the oracle.
 
 Lazy machines: a cell served from the stage-1 and stage-2 caches
 builds no machine, and a machine built late (on the first walker)
@@ -91,13 +91,13 @@ def _oracle_back_range(self, gpa_start, nbytes, page_size=PageSize.SIZE_4K):
                 self.ept.map(gpa, hfn, PageSize.SIZE_2M)
                 gfn = gpa >> PAGE_SHIFT
                 for i in range(512):
-                    self._reverse[hfn + i] = gfn + i
+                    self._set_reverse((hfn + i,), (gfn + i,))
             gpa += page_size.bytes
         else:
             if self.ept.lookup(gpa) is None:
                 hfn = host_alloc.alloc_pages(0, movable=True)
                 self.ept.map(gpa, hfn, PageSize.SIZE_4K)
-                self._reverse[hfn] = gpa >> PAGE_SHIFT
+                self._set_reverse((hfn,), (gpa >> PAGE_SHIFT,))
             gpa += PAGE_SIZE
 
 
@@ -180,9 +180,17 @@ def _memory_state(memory):
         "pages": [(frame, page.tobytes())
                   for frame, page in memory._pages.items()],
         "free_lists": [list(blocks) for blocks in allocator.free_lists],
-        "allocated": list(allocator._allocated.items()),
-        "movable": sorted(allocator._movable),
+        "blocks": list(allocator.owned_blocks()),
     }
+
+
+def _reverse_state(vm):
+    """The VM's reverse map as sorted (host frame, guest frame) pairs,
+    and its count of backed host frames."""
+    pairs = [(hfn, vm.reverse_lookup(hfn))
+             for hfn in range(vm.hypervisor.host_memory.total_frames)]
+    return [pair for pair in pairs if pair[1] is not None], \
+        vm._reverse_count
 
 
 def _table_state(table):
@@ -214,7 +222,7 @@ def _machine_state(sim):
     return {
         "memories": [_memory_state(memory) for memory in memories],
         "tables": [_table_state(table) for table in tables],
-        "reverse": [list(vm._reverse.items()) for vm in vms],
+        "reverse": [_reverse_state(vm) for vm in vms],
         "exits": [dataclasses.astuple(vm.exits) for vm in vms],
         "fpt": [(m.mapped, list(m._leaves.items()),
                  list(m._huge_tables.items()))
@@ -319,7 +327,7 @@ def test_sync_faulting_in_backing_equals_per_page_sync(nested, thp):
             vm.ensure_backed(gfn)
         installed = [sync(pager), sync(pager)]
         return (installed, _memory_state(host.memory),
-                _table_state(pager.spt), list(vm._reverse.items()),
+                _table_state(pager.spt), _reverse_state(vm),
                 dataclasses.astuple(vm.exits))
 
     oracle = _oracle_nested_sync if nested else _oracle_shadow_sync

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch import PAGE_SIZE, PageSize
+from repro.arch import PAGE_SHIFT, PAGE_SIZE, PageSize
+from repro.kernel import thp
 from repro.kernel.page_table import (
     PTE_ACCESSED,
     PTE_DIRTY,
@@ -14,6 +15,7 @@ from repro.kernel.page_table import (
     make_pte,
     pte_frame,
 )
+from repro.kernel.process import Process
 from repro.mem.physmem import PhysicalMemory
 
 MB = 1 << 20
@@ -163,7 +165,7 @@ class TestPlacementPolicy:
 
         table = RadixPageTable(memory, placement=Policy())
         slot = table.map(BASE, 100)
-        assert slot >> 12 == reserved  # leaf PTE lives in the reserved frame
+        assert slot >> PAGE_SHIFT == reserved  # leaf PTE lives in the reserved frame
         table.destroy()  # must not free the policy-owned frame
         memory.allocator.free_contig(reserved, 4)
 
@@ -177,7 +179,7 @@ class TestRelocation:
         # translations survive and walks now land in the new frame
         assert table.translate(BASE)[0] == 100 * PAGE_SIZE
         assert table.translate(BASE + PAGE_SIZE)[0] == 101 * PAGE_SIZE
-        assert table.walk_steps(BASE)[-1].pte_addr >> 12 == new_frame
+        assert table.walk_steps(BASE)[-1].pte_addr >> PAGE_SHIFT == new_frame
         memory.allocator.free_pages(old_frame)
 
     def test_relocate_missing_table_raises(self, table, memory):
@@ -208,3 +210,114 @@ class TestProperties:
         for va, frame in mapping.items():
             assert table.translate(va) == (frame * PAGE_SIZE, PageSize.SIZE_4K)
         assert table.mapped_pages == len(mapping)
+
+
+# --------------------------------------------------------------------- #
+# Mapping counts read off the tables, against a dict model
+# --------------------------------------------------------------------- #
+
+#: 2 MB regions the mapping histories work in (one leaf table each).
+REGIONS = 4
+HUGE = PageSize.SIZE_2M.bytes
+SPAN = HUGE // PAGE_SIZE
+
+
+@st.composite
+def mapping_history(draw):
+    """Random map / map_run / unmap / THP promote and demote steps over
+    ``REGIONS`` 2 MB regions, some of them across a region's edge."""
+    vpn = st.integers(0, REGIONS * SPAN - 1)
+    region = st.integers(0, REGIONS - 1)
+    step = st.one_of(
+        st.tuples(st.just("map"), vpn),
+        st.tuples(st.just("map_huge"), region),
+        st.tuples(st.just("run"), vpn, st.integers(1, 700)),
+        st.tuples(st.just("unmap"), vpn),
+        st.tuples(st.just("promote"), region),
+        st.tuples(st.just("demote"), region),
+    )
+    return draw(st.lists(step, max_size=30))
+
+
+def _model_huge(model, base):
+    """The va of the 2 MB mapping covering region ``base``, or None."""
+    found = model.get(base)
+    return base if found is not None and found[0] == PageSize.SIZE_2M \
+        else None
+
+
+def _model_drop_region(model, base):
+    for va in range(base, base + HUGE, PAGE_SIZE):
+        model.pop(va, None)
+
+
+class TestMappingIndex:
+    @given(mapping_history())
+    @settings(max_examples=100, deadline=None)
+    def test_counts_equal_dict_model(self, history):
+        """``mapped_pages`` and ``mappings()`` equal a ``{va: (size,
+        frame)}`` model after every step, and ``mappings()`` is by
+        ascending va."""
+        memory = PhysicalMemory(128 * MB)
+        proc = Process(memory)
+        table = proc.page_table
+        alloc = memory.allocator
+        model = {}
+        for op, arg, *rest in history:
+            if op in ("map_huge", "promote", "demote"):
+                base = arg * HUGE
+            else:
+                va = arg * PAGE_SIZE
+                base = va - va % HUGE
+            huge = _model_huge(model, base)
+            if op == "map":
+                if huge is not None:
+                    with pytest.raises(ValueError):
+                        table.map(va, alloc.alloc_pages(0))
+                else:
+                    frame = alloc.alloc_pages(0)
+                    table.map(va, frame)
+                    model[va] = (PageSize.SIZE_4K, frame)
+            elif op == "map_huge":
+                # over a leaf table, the huge entry replaces its pointer
+                frame = alloc.alloc_pages(9)
+                table.map(base, frame, PageSize.SIZE_2M)
+                _model_drop_region(model, base)
+                model[base] = (PageSize.SIZE_2M, frame)
+            elif op == "run":
+                count = min(rest[0], REGIONS * SPAN - arg)
+
+                def frames_for(first, olds):
+                    return [None if old & PTE_PRESENT else
+                            alloc.alloc_pages(0) for old in olds]
+
+                written = table.map_run(va, count, PageSize.SIZE_4K,
+                                        frames_for)
+                fresh = 0
+                for page in range(va, va + count * PAGE_SIZE, PAGE_SIZE):
+                    covered = _model_huge(model, page - page % HUGE)
+                    if covered is None and page not in model:
+                        model[page] = (PageSize.SIZE_4K,
+                                       table.lookup(page)[1] >> PAGE_SHIFT)
+                        fresh += 1
+                assert written == fresh
+            elif op == "unmap":
+                target = huge if huge is not None else va
+                expected = model.pop(target, (None, None))[1]
+                assert table.unmap(va) == expected
+            elif op == "promote" and huge is None:
+                if thp.promote(proc, base):
+                    _model_drop_region(model, base)
+                    model[base] = (PageSize.SIZE_2M,
+                                   table.lookup(base)[1] >> PAGE_SHIFT)
+            elif op == "demote" and huge is not None:
+                thp.demote(proc, base)
+                del model[base]
+                for page in range(base, base + HUGE, PAGE_SIZE):
+                    model[page] = (PageSize.SIZE_4K,
+                                   table.lookup(page)[1] >> PAGE_SHIFT)
+            assert table.mapped_pages == len(model)
+            assert table.mappings() == [(va, size) for va, (size, _)
+                                        in sorted(model.items())]
+        for va, (size, frame) in model.items():
+            assert table.translate(va) == (frame << PAGE_SHIFT, size)

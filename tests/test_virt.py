@@ -1,9 +1,11 @@
 """Tests for the virtualization substrate: EPT, shadow paging, nesting."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.arch import PAGE_SHIFT, PAGE_SIZE, PageSize
 from repro.kernel.kernel import Kernel
+from repro.kernel.page_table import pte_frame
 from repro.virt.hypervisor import Hypervisor
 from repro.virt.nested import NestedSetup
 from repro.virt.shadow import ShadowPager
@@ -66,6 +68,104 @@ class TestEPT:
         # §4.5: the hypervisor creates one VMA for guest physical memory
         assert vm.backing_vma.size == vm.memory_bytes
         assert vm.gpa_space_vma().size == vm.memory_bytes
+
+    def test_guest_frames_must_fit_in_31_bits(self, host):
+        with pytest.raises(ValueError, match="31 bits"):
+            Hypervisor(host).create_vm(((1 << 31) + 1) * PAGE_SIZE)
+
+
+# --------------------------------------------------------------------- #
+# The reverse map against a dict model
+# --------------------------------------------------------------------- #
+
+GUEST_FRAMES = 2048  # 8 MB: four 2 MB regions
+
+
+@st.composite
+def backing_history(draw):
+    """Random back_range (4 KB and 2 MB), ensure_backed and
+    map_host_frames steps; the last take fresh host frames or, with
+    ``reuse``, host frames that may back guest frames already."""
+    gfn = st.integers(0, GUEST_FRAMES - 1)
+    step = st.one_of(
+        st.tuples(st.just("back"), gfn, st.integers(1, GUEST_FRAMES),
+                  st.booleans()),
+        st.tuples(st.just("ensure"), gfn),
+        st.tuples(st.just("insert"), st.integers(1, 8), st.booleans(),
+                  st.integers(0, 1 << 16)),
+    )
+    return draw(st.lists(step, max_size=20))
+
+
+def _ept_leaves(vm):
+    """{gPA of each EPT leaf: (host frame, page size)}."""
+    return {gpa: (pte_frame(pte), size) for gpa, pte, size in vm.ept.leaves()}
+
+
+def _backing(vm):
+    """{gfn: hfn} of every backed guest frame, read off the EPT."""
+    return {gfn: hfn for gfn, hfn in
+            enumerate(vm.ept.leaf_frames(range(GUEST_FRAMES)))
+            if hfn is not None}
+
+
+class TestReverseMap:
+    @pytest.mark.parametrize("size", [PageSize.SIZE_4K, PageSize.SIZE_2M])
+    def test_fully_backed_once_every_guest_frame_is(self, host, size):
+        vm = Hypervisor(host).create_vm(GUEST_FRAMES * PAGE_SIZE)
+        vm.back_range(PAGE_SIZE, (GUEST_FRAMES - 1) * PAGE_SIZE, size)
+        assert not vm.fully_backed()
+        vm.ensure_backed(0)
+        assert vm.fully_backed()
+
+    @given(backing_history())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_dict_model(self, history):
+        """``reverse_lookup`` and ``fully_backed()`` equal a ``{hfn:
+        gfn}`` model after every step. A host frame the EPT newly maps
+        is entered. ``map_host_frames`` enters its frames one by one and
+        drops the frame of each EPT leaf it unmaps on the way, even one
+        it entered itself."""
+        host = Kernel(memory_bytes=64 * MB)
+        vm = Hypervisor(host).create_vm(GUEST_FRAMES * PAGE_SIZE)
+        model = {}
+        for op, arg, *rest in history:
+            if op == "insert":
+                leaves = _ept_leaves(vm)
+                if rest[0] and model:
+                    host_base = min(sorted(model)[rest[1] % len(model)],
+                                    host.memory.total_frames - arg)
+                else:
+                    host_base = host.memory.allocator.alloc_contig(arg)
+                base = vm.map_host_frames(host_base, arg) >> PAGE_SHIFT
+                for i in range(arg):
+                    gpa = (base + i) << PAGE_SHIFT
+                    for va in (gpa, gpa - gpa % PageSize.SIZE_2M.bytes):
+                        if va in leaves and (va == gpa or leaves[va][1]
+                                             == PageSize.SIZE_2M):
+                            model.pop(leaves.pop(va)[0], None)
+                            break
+                    leaves[gpa] = (host_base + i, PageSize.SIZE_4K)
+                    model[host_base + i] = base + i
+            else:
+                before = _backing(vm)
+                if op == "back":
+                    count = min(rest[0], GUEST_FRAMES - arg)
+                    size = PageSize.SIZE_2M if rest[1] else PageSize.SIZE_4K
+                    vm.back_range(arg << PAGE_SHIFT, count << PAGE_SHIFT,
+                                  size)
+                else:
+                    vm.ensure_backed(arg)
+                for gfn, hfn in _backing(vm).items():
+                    if gfn not in before:
+                        model[hfn] = gfn
+            for hfn, gfn in model.items():
+                assert vm.reverse_lookup(hfn) == gfn
+            assert vm._reverse_count == len(model)
+            assert vm.fully_backed() == (len(model) >= GUEST_FRAMES)
+        assert [vm.reverse_lookup(hfn) for hfn in
+                range(host.memory.total_frames + 4)] == \
+            [model.get(hfn) for hfn in range(host.memory.total_frames + 4)]
 
 
 class TestGuestKernel:
