@@ -37,7 +37,7 @@ class PWCBatchView:
 
     tables: list
     capacities: list
-    accept: Optional[list]
+    accept: list
     credit: list
     key_shifts: list
     top_level: int
@@ -63,8 +63,7 @@ class PWCArrayView:
     level's entries in LRU order, oldest first (unused slots ``-1``).
     This is a *copy* of the live tables: the caller mutates the arrays
     and must call :meth:`writeback` exactly once afterwards; the owner
-    must not be probed through any other path in between. ``accept``
-    is all-zeros with ``has_accept`` False when thinning is off.
+    must not be probed through any other path in between.
     Hit/miss stats are not carried — kernels accumulate them
     separately and flush to :class:`HitStats` themselves; ``credit``
     *is* carried (and written back) because it is replay state.
@@ -75,7 +74,6 @@ class PWCArrayView:
     sizes: np.ndarray         # int64[levels], live entries per level
     capacities: np.ndarray    # int64[levels]
     key_shifts: np.ndarray    # int64[levels], VA -> lookup key shifts
-    has_accept: bool
     accept: np.ndarray        # float64[levels]
     credit: np.ndarray        # float64[levels]
     top_level: int
@@ -165,8 +163,11 @@ class PageWalkCache:
         # Hit-rate thinning for scaled-down simulations: a hit at PWC
         # level i is *accepted* only at rate accept_rates[i], restoring the
         # hit rate the same structure would see against a full-size
-        # working set (DESIGN.md §5). Deterministic (credit counters).
-        self._accept = list(accept_rates) if accept_rates is not None else None
+        # working set (DESIGN.md §5). Deterministic (credit counters); a
+        # rate of 1.0 (the default) accepts every hit and keeps its
+        # credit at exactly 0.0.
+        self._accept = (list(accept_rates) if accept_rates is not None
+                        else [1.0] * len(self._tables))
         self._credit = [0.0] * len(self._tables)
         sanitizer.register_pwc(self)  # no-op unless --sanitize is active
 
@@ -201,8 +202,6 @@ class PageWalkCache:
         return (self.top_level, None)
 
     def _accept_hit(self, offset: int) -> bool:
-        if self._accept is None:
-            return True
         self._credit[offset] += self._accept[offset]
         if self._credit[offset] >= 1.0:
             self._credit[offset] -= 1.0
@@ -251,9 +250,6 @@ class PageWalkCache:
                 keys[offset, k] = key
                 vals[offset, k] = val
             sizes[offset] = len(table._entries)
-        accept = (np.asarray(self._accept, dtype=np.float64)
-                  if self._accept is not None
-                  else np.zeros(nlev, dtype=np.float64))
         return PWCArrayView(
             keys=keys,
             vals=vals,
@@ -262,8 +258,7 @@ class PageWalkCache:
                                 dtype=np.int64),
             key_shifts=np.array([level_shift(self.top_level - offset)
                                  for offset in range(nlev)], dtype=np.int64),
-            has_accept=self._accept is not None,
-            accept=accept,
+            accept=np.asarray(self._accept, dtype=np.float64),
             credit=np.asarray(self._credit, dtype=np.float64),
             top_level=self.top_level,
             stats=self.stats,

@@ -80,14 +80,15 @@ class TLBHierarchy:
     512x larger — especially distorting for 2 MB entries, whose reach can
     cover the entire scaled working set. Accepting hits at the ratio of
     paper-scale to simulated-scale hit rates restores the miss behaviour
-    (DESIGN.md §5); the thinning is deterministic (credit counters).
+    (DESIGN.md §5); the thinning is deterministic (credit counters). A
+    size without a rate, or with rate 1.0, is not thinned.
     """
 
     def __init__(self, l1: TLBConfig, stlb: TLBConfig,
                  accept_rates: Optional[Dict[PageSize, float]] = None):
         self.l1 = TLB(l1)
         self.stlb = TLB(stlb)
-        self._accept = dict(accept_rates) if accept_rates else None
+        self._accept = dict(accept_rates or {})
         self._credit: Dict[PageSize, float] = {}
         sanitizer.register_tlb(self)  # no-op unless --sanitize is active
 
@@ -98,8 +99,6 @@ class TLBHierarchy:
         return cls(machine.l1d_tlb, machine.l2_stlb, accept_rates)
 
     def _accept_hit(self, page_size: PageSize) -> bool:
-        if self._accept is None:
-            return True
         rate = self._accept.get(page_size, 1.0)
         if rate >= 1.0:
             return True

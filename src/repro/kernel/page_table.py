@@ -202,6 +202,8 @@ class RadixPageTable:
 
         ``pfn`` is in units of the page size (for 2 MB pages it is the 4 KB
         frame number of the first frame, which must be 512-aligned).
+        A huge page over an empty lower table releases that table (as
+        :meth:`destroy` does); over one that still maps a page it raises.
         Returns the physical address of the written leaf PTE.
         """
         leaf_level = page_size.leaf_level
@@ -214,8 +216,24 @@ class RadixPageTable:
         if sanitizer.active():
             sanitizer.check_pte_target(base, pfn, page_size,
                                        self.memory.total_frames)
+        old = self.memory.read_word(slot)
+        if leaf_level > 1 and old & PTE_PRESENT and not old & PTE_HUGE:
+            self._release_table(pte_frame(old), leaf_level - 1, base)
         self._write_pte(slot, make_pte(pfn, flags))
         return slot
+
+    def _release_table(self, frame: int, level: int, va: int) -> None:
+        """Free the empty level-``level`` table at ``frame`` covering
+        ``va``, whose parent entry the caller is about to overwrite."""
+        if any(pte & PTE_PRESENT for pte in self.memory.read_page(frame)):
+            raise ValueError(
+                f"va {va:#x}: the level-{level} table below still maps "
+                f"pages; unmap them before mapping a huge page over it")
+        if not self.placement.table_released(frame, level, va):
+            self.memory.allocator.free_pages(frame)
+        self.memory.clear_page(frame)
+        self.stats.tables_freed += 1
+        del self._tables[(level, self._table_key(va, level))]
 
     def _leaf_table(self, va: int, leaf_level: int) -> Tuple[Optional[int], int]:
         """``(frame, 0)`` of the level-``leaf_level`` table covering ``va``,

@@ -16,9 +16,9 @@ specializes them):
   mem_lat]``; ``cc`` holds the 7 counters
   ``[h1, h2, h3, m1, m2, m3, mem]`` flushed to stats afterwards.
 - ``ps``  — page-walk cache:
-  ``(keys2d, vals2d, sizes, caps, shifts, flags, counters, accept,
-  credit)`` with ``shifts`` already VPN-relative and ``flags[0]``
-  selecting hit thinning.
+  ``(keys2d, vals2d, sizes, caps, shifts, counters, accept, credit)``
+  with ``shifts`` already VPN-relative; every hit runs the credit
+  thinning (an unthinned level has rate 1.0).
 - ``ns``  — nested PWC: ``(keys, vals, meta, counters, flt)`` with
   ``meta = [size, capacity]`` and ``flt = [accept_rate, credit]``.
 - ``ws``  — cuckoo-walk cache: ``(keys, ways, meta, counters)`` with
@@ -164,7 +164,7 @@ def pwc_probe(ps, vpn):
     credit counter thins the hit away, in which case the probe continues
     to shallower offsets; counters[0]/[1] mirror the hit/miss stats.
     """
-    pk, pv, psz, pcap, pshift, pflags, pcnt, pacc, pcred = ps
+    pk, pv, psz, pcap, pshift, pcnt, pacc, pcred = ps
     nlev = psz.shape[0]
     for off in range(nlev - 1, -1, -1):
         key = vpn >> pshift[off]
@@ -181,9 +181,6 @@ def pwc_probe(ps, vpn):
                 pv[off, m] = pv[off, m + 1]
             pk[off, n - 1] = key
             pv[off, n - 1] = val
-            if pflags[0] == 0:
-                pcnt[0] += 1
-                return off + 1
             credit = pcred[off] + pacc[off]
             if credit >= 1.0:
                 pcred[off] = credit - 1.0
@@ -202,7 +199,7 @@ def pwc_fill(ps, off, key, val):
     existing key to MRU with the new value, else evict the oldest entry
     when the level is full.
     """
-    pk, pv, psz, pcap, pshift, pflags, pcnt, pacc, pcred = ps
+    pk, pv, psz, pcap, pshift, pcnt, pacc, pcred = ps
     n = psz[off]
     pos = -1
     for k in range(n):

@@ -122,11 +122,10 @@ def _cache_state(caches):
 def _pwc_state(pwc):
     """PWC state bundle ``ps`` + flush/writeback closure."""
     view = pwc.array_view()
-    pflags = np.array([1 if view.has_accept else 0], dtype=np.int64)
     pcnt = np.zeros(2, dtype=np.int64)
     pshift = view.key_shifts - PAGE_SHIFT
     ps = (view.keys, view.vals, view.sizes, view.capacities, pshift,
-          pflags, pcnt, view.accept, view.credit)
+          pcnt, view.accept, view.credit)
 
     def finish(_w, _m):
         view.stats.hits += int(pcnt[0])

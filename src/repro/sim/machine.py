@@ -21,7 +21,7 @@ import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -112,10 +112,6 @@ class SimConfig:
     record_refs: bool = False
     register_count: int = 16
     bubble_threshold: float = 0.02
-    #: Thin TLB/PWC hit rates back to paper scale (DESIGN.md §5). Without
-    #: this, the fixed-reach MMU caches cover the entire scaled-down
-    #: working set and every design collapses to one memory reference.
-    scale_mmu_caches: bool = True
     #: Stage-2 replay engine: "auto" (native kernels when the compiled
     #: backend and the design support them, else batched
     #: :mod:`repro.sim.walk_vec` when supported, scalar otherwise — the
@@ -357,11 +353,14 @@ class _SimulationBase:
         """
         raise NotImplementedError
 
+    def _working_sets(self) -> Tuple[int, int]:
+        """(simulated, paper-scale) working-set bytes: the inputs of the
+        TLB/PWC hit thinning (DESIGN.md §5)."""
+        return (self.workload.working_set_bytes(),
+                int(self.workload.paper_working_set_gb * (1 << 30)))
+
     def _memsys(self) -> MemorySubsystem:
-        ws = paper_ws = None
-        if self.config.scale_mmu_caches:
-            ws = self.workload.working_set_bytes()
-            paper_ws = int(self.workload.paper_working_set_gb * (1 << 30))
+        ws, paper_ws = self._working_sets()
         return MemorySubsystem(
             self.config.machine,
             levels=self.config.levels,
@@ -467,7 +466,6 @@ class _SimulationBase:
                 "bubble_threshold": cfg.bubble_threshold,
                 "warmup_fraction": cfg.warmup_fraction,
                 "record_refs": cfg.record_refs,
-                "scale_mmu_caches": cfg.scale_mmu_caches,
                 "machine": dataclasses.asdict(cfg.machine),
             },
             core_costs.COST_MODEL_VERSION,
@@ -517,7 +515,7 @@ class _SimulationBase:
         """
         cfg = self.config
         return (self.workload.name, cfg.scale, cfg.nrefs, cfg.seed,
-                cfg.thp, cfg.levels, cfg.scale_mmu_caches)
+                cfg.thp, cfg.levels)
 
     def _trace_key(self) -> list:
         """Stage-0 artifact key: everything the address trace depends on.
@@ -531,15 +529,10 @@ class _SimulationBase:
         return [self.workload.name, cfg.scale, cfg.nrefs, cfg.seed,
                 cfg.thp, cfg.levels]
 
-    def _accept_rates(self):
-        """TLB acceptance rates for the scaled working set, or None."""
-        if not self.config.scale_mmu_caches:
-            return None
-        ws = self.workload.working_set_bytes()
-        paper_ws = int(self.workload.paper_working_set_gb * (1 << 30))
-        if ws < paper_ws:
-            return tlb_accept_rates(self.config.machine, ws, paper_ws)
-        return None
+    def _accept_rates(self) -> Dict[PageSize, float]:
+        """TLB acceptance rates for the scaled working set (all 1.0 for
+        one at least the paper's)."""
+        return tlb_accept_rates(self.config.machine, *self._working_sets())
 
     def _generated_chunks(self):
         """The stage-0 trace, drawn chunk by chunk, each draw in a

@@ -122,7 +122,8 @@ def tlb_accept_rates(machine: MachineConfig, ws_bytes: int,
 
     A TLB entry of page size ``p`` covers ``entries * p`` bytes; its raw
     hit rate against a working set is roughly min(1, reach/ws). The
-    acceptance rate restores the paper-scale hit rate (DESIGN.md §5).
+    acceptance rate restores the paper-scale hit rate (DESIGN.md §5), at
+    most 1.0: a working set at least the paper's is not thinned.
     """
     entries = machine.l2_stlb.entries
     rates = {}
@@ -130,7 +131,7 @@ def tlb_accept_rates(machine: MachineConfig, ws_bytes: int,
         reach = entries * size.bytes
         paper_hit = min(1.0, reach / paper_ws_bytes)
         sim_hit = min(1.0, reach / ws_bytes)
-        rates[size] = paper_hit / sim_hit if sim_hit else 1.0
+        rates[size] = min(1.0, paper_hit / sim_hit) if sim_hit else 1.0
     return rates
 
 

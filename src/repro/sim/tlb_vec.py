@@ -84,13 +84,12 @@ def classify_trace(trace: np.ndarray, size_lookup) -> np.ndarray:
 
 
 def _accept_rate_table(accept_rates: Optional[Dict[PageSize, float]]):
-    """Per-code acceptance rates, or None when thinning is off.
+    """Per-code acceptance rates.
 
-    Mirrors ``TLBHierarchy.__init__``: a falsy dict disables thinning
-    entirely, and sizes missing from the dict default to rate 1.0.
+    Mirrors ``TLBHierarchy.__init__``: sizes missing from the dict (or
+    no dict at all) default to rate 1.0, which accepts every hit.
     """
-    if not accept_rates:
-        return None
+    accept_rates = accept_rates or {}
     return [float(accept_rates.get(size, 1.0)) for size in _CODE_TO_SIZE]
 
 
@@ -172,88 +171,62 @@ class TLBFilterStream:
         append_miss = misses.append
         rows = zip(trace.tolist(), tags.tolist(), l1_idx.tolist(),
                    stlb_idx.tolist(), codes.tolist())
-        if rates is None:
-            for va, tag, s1, s2, _code in rows:
-                ways = l1_state[s1]
-                if tag in ways:                      # L1 hit: touch LRU
-                    if ways[-1] != tag:
-                        ways.remove(tag)
-                        ways.append(tag)
-                    continue
-                sways = stlb_state[s2]
-                if tag in sways:                     # STLB hit: refill L1
-                    if sways[-1] != tag:
-                        sways.remove(tag)
-                        sways.append(tag)
-                    if len(ways) >= l1_assoc:
-                        del ways[0]
+        for va, tag, s1, s2, code in rows:
+            ways = l1_state[s1]
+            if tag in ways:
+                # L1 hit: touch, then run the credit counter. A rejected
+                # hit counts as a miss and refills the STLB (the fill's
+                # L1 install is an order no-op: the tag is already MRU).
+                if ways[-1] != tag:
+                    ways.remove(tag)
                     ways.append(tag)
+                rate = rates[code]
+                if rate >= 1.0:
                     continue
-                append_miss(va)                      # full miss: fill both
-                if len(sways) >= stlb_assoc:
-                    del sways[0]
-                sways.append(tag)
-                if len(ways) >= l1_assoc:
-                    del ways[0]
-                ways.append(tag)
-        else:
-            for va, tag, s1, s2, code in rows:
-                ways = l1_state[s1]
-                if tag in ways:
-                    # L1 hit: touch, then run the credit counter. A
-                    # rejected hit counts as a miss and refills the STLB
-                    # (the fill's L1 install is an order no-op: the tag
-                    # is already MRU).
-                    if ways[-1] != tag:
-                        ways.remove(tag)
-                        ways.append(tag)
-                    rate = rates[code]
-                    if rate >= 1.0:
-                        continue
-                    acc = credit[code] + rate
-                    if acc >= 1.0:
-                        credit[code] = acc - 1.0
-                        continue
-                    credit[code] = acc
-                    append_miss(va)
-                    sways = stlb_state[s2]
-                    if tag in sways:
-                        if sways[-1] != tag:
-                            sways.remove(tag)
-                            sways.append(tag)
-                    else:
-                        if len(sways) >= stlb_assoc:
-                            del sways[0]
-                        sways.append(tag)
+                acc = credit[code] + rate
+                if acc >= 1.0:
+                    credit[code] = acc - 1.0
                     continue
+                credit[code] = acc
+                append_miss(va)
                 sways = stlb_state[s2]
                 if tag in sways:
-                    # STLB hit: touch STLB, refill L1, then thin. On a
-                    # rejected hit the fill re-installs both levels, but
-                    # the tag is already MRU in each — no state change.
                     if sways[-1] != tag:
                         sways.remove(tag)
                         sways.append(tag)
-                    if len(ways) >= l1_assoc:
-                        del ways[0]
-                    ways.append(tag)
-                    rate = rates[code]
-                    if rate >= 1.0:
-                        continue
-                    acc = credit[code] + rate
-                    if acc >= 1.0:
-                        credit[code] = acc - 1.0
-                        continue
-                    credit[code] = acc
-                    append_miss(va)
-                    continue
-                append_miss(va)
-                if len(sways) >= stlb_assoc:
-                    del sways[0]
-                sways.append(tag)
+                else:
+                    if len(sways) >= stlb_assoc:
+                        del sways[0]
+                    sways.append(tag)
+                continue
+            sways = stlb_state[s2]
+            if tag in sways:
+                # STLB hit: touch STLB, refill L1, then thin. On a rejected
+                # hit the fill re-installs both levels, but the tag is
+                # already MRU in each — no state change.
+                if sways[-1] != tag:
+                    sways.remove(tag)
+                    sways.append(tag)
                 if len(ways) >= l1_assoc:
                     del ways[0]
                 ways.append(tag)
+                rate = rates[code]
+                if rate >= 1.0:
+                    continue
+                acc = credit[code] + rate
+                if acc >= 1.0:
+                    credit[code] = acc - 1.0
+                    continue
+                credit[code] = acc
+                append_miss(va)
+                continue
+            append_miss(va)
+            if len(sways) >= stlb_assoc:
+                del sways[0]
+            sways.append(tag)
+            if len(ways) >= l1_assoc:
+                del ways[0]
+            ways.append(tag)
         return np.asarray(misses, dtype=np.int64)
 
 

@@ -22,6 +22,9 @@ replacement, following the :mod:`repro.sim.tlb_vec` pattern:
    float credit update replicates the scalar operation in the scalar
    order, so cycles, ref counts, fallbacks, step breakdowns, and the
    post-replay cache/PWC state are **bit-identical** to the oracle.
+   Radix-native replays over the Table 3 cache shape run each chunk in
+   one fused runner; every other shape and design replays walk by walk.
+   Hit thinning has one path: an unthinned structure has rate 1.0.
 
 Supported walkers (via :meth:`~repro.translation.base.Walker.batch_spec`):
 radix native/shadow, radix nested, every DMT/pvDMT variant (register
@@ -317,8 +320,10 @@ def _make_pwc_probe(view) -> Tuple[Callable[[int], int], Callable[[], None]]:
     ``_LRUTable.get``) resumes the walk at chain index ``o + 1``; a full
     miss starts at index 0 (the root). The cached table *address* is not
     needed — plans precompute every chain address from the static table.
-    Also returns ``(order, accept, credit, counters)`` so the native
+    Also returns ``(order, accept, credit, counters)`` so the Table 3
     chunk runner can inline the same probe over the same shared state.
+    A rate of 1.0 runs the credit path too: the credit goes 0.0 -> 1.0
+    -> 0.0 and every hit is accepted.
     """
     accept = view.accept
     credit = view.credit
@@ -329,31 +334,19 @@ def _make_pwc_probe(view) -> Tuple[Callable[[int], int], Callable[[], None]]:
                   for offset in range(len(view.tables) - 1, -1, -1))
     counters = [0, 0]  # hits, misses
 
-    if accept is None:
-        def probe(vpn: int) -> int:
-            for table, shift, offset in order:
-                key = vpn >> shift
-                if key in table:
-                    value = table.pop(key)
-                    table[key] = value
+    def probe(vpn: int) -> int:
+        for table, shift, offset in order:
+            key = vpn >> shift
+            if key in table:
+                value = table.pop(key)
+                table[key] = value
+                credit[offset] += accept[offset]
+                if credit[offset] >= 1.0:
+                    credit[offset] -= 1.0
                     counters[0] += 1
                     return offset + 1
-            counters[1] += 1
-            return 0
-    else:
-        def probe(vpn: int) -> int:
-            for table, shift, offset in order:
-                key = vpn >> shift
-                if key in table:
-                    value = table.pop(key)
-                    table[key] = value
-                    credit[offset] += accept[offset]
-                    if credit[offset] >= 1.0:
-                        credit[offset] -= 1.0
-                        counters[0] += 1
-                        return offset + 1
-            counters[1] += 1
-            return 0
+        counters[1] += 1
+        return 0
 
     def finalize() -> None:
         view.stats.hits += counters[0]
@@ -1214,13 +1207,15 @@ def _make_radix_runner(spec: BatchSpec, memsys: MemorySubsystem,
     PWC probe (with LRU touch and credit thinning), the remaining chain
     fetches, and the PWC fills — all against live flat state — and
     returns ``(cycles, nrefs, False)``. ``steps`` collects Figure 16
-    ``(tag, latency)`` pairs when not None. For radix-native,
+    ``(tag, latency)`` pairs when not None. For radix-native over the
+    Table 3 shape — a single-set L1 PTE cache and a three-level PWC —
     ``run_many(vpn_list) -> (cycles, nrefs)`` additionally replays a
     whole chunk with the probe and the cache hierarchy fully inlined
     over ``access_ctx`` (the shared counters behind ``access``), every
     line/set index precomputed, and all counters held in locals that
-    flush once per chunk; ``run_many`` is None otherwise. The nested
-    path goes through ``access``.
+    flush once per chunk. Every other shape, and the nested path,
+    replays walk by walk through ``run`` (``run_many`` is None); the
+    nested path goes through ``access``.
 
     ``credit_walkers`` names walkers whose walks/cycles counters must
     mirror these walks (the DMT fallback path: the scalar loop records
@@ -1327,7 +1322,7 @@ def _make_radix_runner(spec: BatchSpec, memsys: MemorySubsystem,
                 j += 1
             return cycles, chain_len - start, False
 
-        if v1.num_sets == 1 and paccept is not None and len(porder) == 3:
+        if v1.num_sets == 1 and len(porder) == 3:
             # The Table 3 shape: the PTE-share-thinned L1 collapses to a
             # single set at evaluation scale (its one ways dict is
             # hoisted out of the loop — no set-index column load, no
@@ -1426,114 +1421,6 @@ def _make_radix_runner(spec: BatchSpec, memsys: MemorySubsystem,
                                     w2[l2] = None
                             if w1 is None:
                                 w1 = s1[0] = {l1: None}
-                            else:
-                                if len(w1) >= a1:
-                                    del w1[next(iter(w1))]
-                                w1[l1] = None
-                        key = fkeys[j]
-                        if key >= 0:
-                            offset = j - base
-                            table = tables[offset]
-                            if key in table:
-                                del table[key]
-                            elif len(table) >= capacities[offset]:
-                                del table[next(iter(table))]
-                            table[key] = fvals[j]
-                        j += 1
-                    total_cycles += cycles
-                    refs += chain_len - start
-                counters[0] += h1
-                counters[1] += h2
-                counters[2] += h3
-                counters[3] += miss1
-                counters[4] += miss2
-                counters[5] += miss3
-                counters[6] += mem
-                pcounters[0] += phits
-                pcounters[1] += pmisses
-                return total_cycles, refs
-        else:
-            def run_many(vpn_list) -> Tuple[int, int]:
-                # One chunk, probe + hierarchy + fills inlined, every
-                # counter in a local int flushed once at the end.
-                h1 = h2 = h3 = miss1 = miss2 = miss3 = mem = 0
-                phits = pmisses = 0
-                total_cycles = 0
-                refs = 0
-                for vpn in vpn_list:
-                    base, chain_len = slots[vpn]
-                    start = 0
-                    hit = False
-                    for table, shift, offset in porder:
-                        key = vpn >> shift
-                        if key in table:
-                            table[key] = table.pop(key)   # LRU touch
-                            if paccept is None:
-                                hit = True
-                            else:
-                                credit = pcredit[offset] + paccept[offset]
-                                if credit >= 1.0:
-                                    pcredit[offset] = credit - 1.0
-                                    hit = True
-                                else:
-                                    pcredit[offset] = credit
-                                    continue
-                            start = offset + 1
-                            break
-                    if hit:
-                        phits += 1
-                    else:
-                        pmisses += 1
-                    cycles = pwc_latency
-                    j = base + start
-                    end = base + chain_len
-                    while j < end:
-                        l1 = line1[j]
-                        w1 = s1.get(idx1[j])
-                        if w1 is not None and l1 in w1:
-                            del w1[l1]
-                            w1[l1] = None
-                            h1 += 1
-                            cycles += lat1
-                        else:
-                            miss1 += 1
-                            l2 = line2[j]
-                            i2 = idx2[j]
-                            w2 = s2.get(i2)
-                            if w2 is not None and l2 in w2:
-                                del w2[l2]
-                                w2[l2] = None
-                                h2 += 1
-                                cycles += lat2
-                            else:
-                                miss2 += 1
-                                l3 = line3[j]
-                                i3 = idx3[j]
-                                w3 = s3.get(i3)
-                                if w3 is not None and l3 in w3:
-                                    del w3[l3]
-                                    w3[l3] = None
-                                    h3 += 1
-                                    cycles += lat3
-                                else:
-                                    miss3 += 1
-                                    mem += 1
-                                    cycles += mem_latency
-                                    if w3 is None:
-                                        s3[i3] = {l3: None}
-                                    else:
-                                        if len(w3) >= a3:
-                                            del w3[next(iter(w3))]
-                                        w3[l3] = None
-                                if w2 is None:
-                                    s2[i2] = {l2: None}
-                                else:
-                                    if len(w2) >= a2:
-                                        del w2[next(iter(w2))]
-                                    w2[l2] = None
-                            i1 = idx1[j]
-                            if w1 is None:
-                                s1[i1] = {l1: None}
                             else:
                                 if len(w1) >= a1:
                                     del w1[next(iter(w1))]

@@ -64,7 +64,8 @@ def pwc_accept_rates(pwc_config, ws_bytes: int, paper_ws_bytes: int):
     4-level tree). Against a working set ``ws``, its raw hit rate is
     roughly ``min(1, n*c/ws)``; scaled-down working sets inflate this, so
     hits are accepted at the ratio of paper-scale to simulated-scale hit
-    rates (DESIGN.md §5).
+    rates (DESIGN.md §5), at most 1.0: a working set at least the
+    paper's is not thinned.
     """
     rates = []
     nlevels = len(pwc_config.entries_per_level)
@@ -72,7 +73,7 @@ def pwc_accept_rates(pwc_config, ws_bytes: int, paper_ws_bytes: int):
         coverage = 1 << (12 + 9 * (nlevels - i))   # bytes per entry
         paper_hit = min(1.0, entries * coverage / paper_ws_bytes)
         sim_hit = min(1.0, entries * coverage / ws_bytes)
-        rates.append(paper_hit / sim_hit if sim_hit else 1.0)
+        rates.append(min(1.0, paper_hit / sim_hit) if sim_hit else 1.0)
     return rates
 
 
@@ -85,18 +86,16 @@ class MemorySubsystem:
                  paper_ws_bytes: Optional[int] = None):
         self.machine = machine
         self.caches = CacheHierarchy.pte_side(machine)
-        pwc_rates = npwc_rate = None
-        if ws_bytes and paper_ws_bytes and ws_bytes < paper_ws_bytes:
+        pwc_rates = None
+        npwc_rate = 1.0
+        if ws_bytes and paper_ws_bytes:
             pwc_rates = pwc_accept_rates(machine.pwc, ws_bytes, paper_ws_bytes)
-            npwc_rate = ws_bytes / paper_ws_bytes
+            npwc_rate = min(1.0, ws_bytes / paper_ws_bytes)
         self.pwc = PageWalkCache(machine.pwc, top_level=levels,
                                  accept_rates=pwc_rates)
         self.guest_pwc = PageWalkCache(machine.pwc, top_level=levels,
                                        accept_rates=pwc_rates)
-        self.nested_pwc = NestedPWC(
-            machine.nested_pwc,
-            accept_rate=npwc_rate if npwc_rate is not None else 1.0,
-        )
+        self.nested_pwc = NestedPWC(machine.nested_pwc, accept_rate=npwc_rate)
         self.pwc_latency = machine.pwc.latency
         #: When False, walkers skip building per-reference MemRef lists
         #: (bulk simulation mode; Figure 16 turns it back on).

@@ -232,12 +232,22 @@ class VM:
                                    host_frame, npages, self.vm_id)
         for i in range(npages):
             gpa = (base_gfn + i) << PAGE_SHIFT
-            if self.ept.lookup(gpa) is not None:
+            found = self.ept.lookup(gpa)
+            if found is not None:
+                # The whole leaf goes (a 2 MB leaf unbacks all its guest
+                # frames); a host frame's entry is cleared only while it
+                # still names the guest frame unmapped here, so a frame
+                # this call already entered keeps its entry.
+                _, _, size = found
+                per = size.bytes >> PAGE_SHIFT
+                first_gfn = (base_gfn + i) & ~(per - 1)
                 old = self.ept.unmap(gpa)
-                self._clear_reverse(old)
+                for k in range(per):
+                    if self._reverse[old + k] == first_gfn + k:
+                        self._clear_reverse(old + k)
                 if sanitizer.active():
                     sanitizer.release_frames(id(self.hypervisor.host_memory),
-                                             old, 1)
+                                             old, per)
             self.ept.map(gpa, host_frame + i, PageSize.SIZE_4K)
             self._set_reverse((host_frame + i,), (base_gfn + i,))
         return base_gfn << PAGE_SHIFT

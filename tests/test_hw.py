@@ -1,5 +1,8 @@
 """Tests for the hardware models: caches, TLBs, PWCs."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +12,7 @@ from repro.hw.config import CacheConfig, PWCConfig, TLBConfig, xeon_gold_6138
 from repro.hw.pwc import NestedPWC, PageWalkCache
 from repro.hw.stats import HitStats
 from repro.hw.tlb import TLB, TLBHierarchy
+from repro.sim.tlb_vec import TLBFilterStream
 
 
 class TestCacheConfig:
@@ -181,6 +185,97 @@ class TestPWC:
         npwc.fill(42, 999)
         hits = sum(npwc.get(42) is not None for _ in range(100))
         assert hits == 50
+
+
+_UNIT_PWC = PWCConfig(entries_per_level=(1, 2, 2))
+_SMALL_TLBS = dict(l1d_tlb=TLBConfig("L1", 4, 2), l2_stlb=TLBConfig("L2", 8, 2))
+
+
+def _page_size_of(va):
+    """Page size by region: 4 KB below 1 GB, 2 MB from 1 GB, 1 GB from
+    4 GB (uniform within each 2 MB unit, as stage 1 requires)."""
+    if va >= 4 << 30:
+        return PageSize.SIZE_1G
+    return PageSize.SIZE_2M if va >= 1 << 30 else PageSize.SIZE_4K
+
+
+# VAs over a few 4 KB pages, 2 MB pages and 1 GB pages, so short streams
+# both hit and evict in the small structures above.
+_vas = st.one_of(
+    st.integers(0, 40).map(lambda i: i << 12),
+    st.integers(0, 6).map(lambda i: (1 << 30) + (i << 21)),
+    st.integers(0, 3).map(lambda i: (4 + i) << 30),
+)
+
+
+class TestUnitRatesAreUnthinned:
+    """A structure built without rates is the structure with every rate
+    1.0, and a rate of 1.0 accepts every hit the LRU state holds."""
+
+    @given(st.lists(st.tuples(st.booleans(), _vas, st.integers(1, 3)),
+                    max_size=120))
+    @settings(max_examples=150, deadline=None)
+    def test_pwc(self, ops):
+        plain = PageWalkCache(_UNIT_PWC)
+        unit = PageWalkCache(_UNIT_PWC, accept_rates=[1.0, 1.0, 1.0])
+        for fill, va, level in ops:
+            if fill:
+                for pwc in (plain, unit):
+                    pwc.fill(va, level, va >> 12)
+                continue
+            present = [lvl for lvl in (1, 2, 3)
+                       if plain.peek(va, lvl) is not None]
+            expected = (min(present), plain.peek(va, min(present))) \
+                if present else (4, None)
+            assert plain.best_entry(va) == expected
+            assert unit.best_entry(va) == expected
+        for pwc in (plain, unit):
+            assert pwc._credit == [0.0, 0.0, 0.0]
+        assert [list(t._entries.items()) for t in plain._tables] == \
+            [list(t._entries.items()) for t in unit._tables]
+        assert plain.stats == unit.stats
+
+    @given(st.lists(st.tuples(st.booleans(), _vas), max_size=120))
+    @settings(max_examples=150, deadline=None)
+    def test_tlb_hierarchy(self, ops):
+        l1, l2 = _SMALL_TLBS["l1d_tlb"], _SMALL_TLBS["l2_stlb"]
+        plain = TLBHierarchy(l1, l2)
+        unit = TLBHierarchy(l1, l2, {size: 1.0 for size in PageSize})
+        for fill, va in ops:
+            size = _page_size_of(va)
+            if fill:
+                for tlbs in (plain, unit):
+                    tlbs.fill(1, va, size)
+                continue
+            present = plain.probe(1, va, size)
+            assert plain.lookup(1, va, size) == present
+            assert unit.lookup(1, va, size) == present
+        for level in ("l1", "stlb"):
+            a, b = getattr(plain, level), getattr(unit, level)
+            assert a._sets == b._sets
+            assert [list(ways) for ways in a._sets.values()] == \
+                [list(ways) for ways in b._sets.values()]
+        assert plain._credit == unit._credit == {}
+
+    @given(st.lists(_vas, max_size=300), st.integers(1, 64))
+    @settings(max_examples=100, deadline=None)
+    def test_filter_stream(self, vas, chunk):
+        machine = replace(xeon_gold_6138(), **_SMALL_TLBS)
+        trace = np.asarray(vas, dtype=np.int64)
+        plain = TLBFilterStream(machine, _page_size_of, chunk=chunk)
+        unit = TLBFilterStream(machine, _page_size_of, chunk=chunk,
+                               accept_rates={size: 1.0 for size in PageSize})
+        oracle = TLBHierarchy.from_machine(machine)
+        expected = []
+        for va in vas:
+            size = _page_size_of(va)
+            if not oracle.lookup(1, va, size):
+                expected.append(va)
+                oracle.fill(1, va, size)
+        assert plain.feed(trace).tolist() == expected
+        assert unit.feed(trace).tolist() == expected
+        assert plain.end_state() == unit.end_state()
+        assert plain.credit == [0.0, 0.0, 0.0]
 
 
 class TestHitStats:

@@ -91,6 +91,20 @@ class TestScalingMath:
         rates = pwc_accept_rates(machine.pwc, 128 * GB, 128 * GB)
         assert all(r == pytest.approx(1.0) for r in rates)
 
+    @pytest.mark.parametrize("ws", [128 * GB, 128 * GB + 4096, 1 << 50])
+    def test_rates_are_exactly_one_at_or_above_paper_scale(self, ws):
+        """A working set at least the paper's is not thinned: every
+        rate is exactly 1.0 (a PWC credit then stays at 0.0)."""
+        machine = xeon_gold_6138()
+        paper = 128 * GB
+        assert pwc_accept_rates(machine.pwc, ws, paper) == [1.0, 1.0, 1.0]
+        assert tlb_accept_rates(machine, ws, paper) == \
+            {size: 1.0 for size in PageSize}
+        memsys = MemorySubsystem(machine, ws_bytes=ws, paper_ws_bytes=paper)
+        assert memsys.nested_pwc.batch_view().accept == 1.0
+        for pwc in (memsys.pwc, memsys.guest_pwc):
+            assert pwc.batch_view().accept == [1.0, 1.0, 1.0]
+
 
 class TestMachineReader:
     def test_single_level_chain(self):

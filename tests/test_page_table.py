@@ -256,8 +256,9 @@ class TestMappingIndex:
     @settings(max_examples=100, deadline=None)
     def test_counts_equal_dict_model(self, history):
         """``mapped_pages`` and ``mappings()`` equal a ``{va: (size,
-        frame)}`` model after every step, and ``mappings()`` is by
-        ascending va."""
+        frame)}`` model after every step, ``mappings()`` is by
+        ascending va, and no region mapped by a 2 MB page keeps a leaf
+        table."""
         memory = PhysicalMemory(128 * MB)
         proc = Process(memory)
         table = proc.page_table
@@ -279,11 +280,18 @@ class TestMappingIndex:
                     table.map(va, frame)
                     model[va] = (PageSize.SIZE_4K, frame)
             elif op == "map_huge":
-                # over a leaf table, the huge entry replaces its pointer
+                # over a leaf table: released when empty, refused while
+                # it still maps a page
                 frame = alloc.alloc_pages(9)
-                table.map(base, frame, PageSize.SIZE_2M)
-                _model_drop_region(model, base)
-                model[base] = (PageSize.SIZE_2M, frame)
+                if huge is None and any(
+                        base <= page < base + HUGE for page in model):
+                    with pytest.raises(ValueError, match="still maps"):
+                        table.map(base, frame, PageSize.SIZE_2M)
+                    alloc.free_pages(frame, 9)
+                else:
+                    table.map(base, frame, PageSize.SIZE_2M)
+                    _model_drop_region(model, base)
+                    model[base] = (PageSize.SIZE_2M, frame)
             elif op == "run":
                 count = min(rest[0], REGIONS * SPAN - arg)
 
@@ -317,6 +325,9 @@ class TestMappingIndex:
                     model[page] = (PageSize.SIZE_4K,
                                    table.lookup(page)[1] >> PAGE_SHIFT)
             assert table.mapped_pages == len(model)
+            for region in range(REGIONS):
+                if _model_huge(model, region * HUGE) is not None:
+                    assert table.table_frame(region * HUGE, 1) is None
             assert table.mappings() == [(va, size) for va, (size, _)
                                         in sorted(model.items())]
         for va, (size, frame) in model.items():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.arch import PAGE_SIZE, PageSize
+from repro.core.dmt_os import DMTLinux
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import PageFaultError
 from repro.kernel.thp import demote, khugepaged_pass, promotable_ranges, promote
@@ -87,6 +88,41 @@ class TestTHPPromotion:
         # every page still mapped after the round trip
         for offset in range(0, 2 * MB, PAGE_SIZE):
             assert proc.page_table.translate(vma.start + offset) is not None
+
+    @pytest.mark.parametrize("dmt", [False, True], ids=["plain", "dmt"])
+    def test_promote_releases_the_leaf_table(self, dmt):
+        """Promotion frees the emptied 4 KB leaf table (to the buddy
+        allocator, or back to its TEA under DMT), so a promote + demote
+        round trip costs no frame: demote re-creates just that table."""
+        kernel = Kernel(memory_bytes=128 * MB)
+        if dmt:
+            DMTLinux(kernel)
+        proc = kernel.create_process()
+        vma = proc.mmap(2 * MB, populate=True)
+        table = proc.page_table
+        alloc = proc.memory.allocator
+        leaf = table.table_frame(vma.start, 1)
+        assert leaf is not None
+        # a buddy-placed table goes back to the allocator; a TEA slot stays
+        freed = 0 if dmt else 1
+        before = alloc.free_frames
+        assert promote(proc, vma.start)
+        assert table.table_frame(vma.start, 1) is None
+        assert alloc.free_frames == before + freed
+        assert table.table_pages == 3
+        demote(proc, vma.start)
+        assert table.table_frame(vma.start, 1) is not None
+        assert alloc.free_frames == before
+        if dmt:
+            assert table.table_frame(vma.start, 1) == leaf
+
+    def test_huge_map_over_a_live_leaf_table_raises(self, kernel):
+        proc = kernel.create_process()
+        vma = proc.mmap(2 * MB, populate=True)
+        frame = proc.memory.allocator.alloc_pages(9)
+        with pytest.raises(ValueError, match="still maps"):
+            proc.page_table.map(vma.start, frame, PageSize.SIZE_2M)
+        assert proc.page_table.translate(vma.start)[1] == PageSize.SIZE_4K
 
     def test_khugepaged_pass(self, kernel):
         proc = kernel.create_process()

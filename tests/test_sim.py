@@ -207,17 +207,19 @@ class TestSimConfigSmall:
         cfg = SimConfig(scale=512, nrefs=50_000, seed=7, thp=True, levels=5,
                         warmup_fraction=0.2, record_refs=True,
                         register_count=8, bubble_threshold=0.05,
-                        scale_mmu_caches=False, walk_engine="scalar")
+                        sanitize=True, stream_chunk=7000,
+                        walk_engine="scalar")
         small = cfg.small(nrefs=123, scale=64)
         assert small.nrefs == 123 and small.scale == 64
 
     def test_small_propagates_every_field(self):
         """small() must carry every field over — including ones added
-        after it was written (it once dropped scale_mmu_caches)."""
+        after it was written (it once dropped one)."""
         overrides = {"seed": 9, "thp": True, "levels": 5,
                      "warmup_fraction": 0.25, "record_refs": True,
                      "register_count": 4, "bubble_threshold": 0.07,
-                     "scale_mmu_caches": False, "walk_engine": "scalar"}
+                     "sanitize": True, "stream_chunk": 7000,
+                     "walk_engine": "scalar"}
         cfg = SimConfig(**overrides)
         small = cfg.small()
         for field in dataclasses.fields(SimConfig):

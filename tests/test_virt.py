@@ -118,14 +118,51 @@ class TestReverseMap:
         vm.ensure_backed(0)
         assert vm.fully_backed()
 
+    def test_map_host_frames_over_a_2mb_leaf(self, host):
+        """Remapping one guest frame of a 2 MB EPT leaf unbacks the
+        leaf's other 511 guest frames: their host frames leave the
+        reverse map too."""
+        vm = Hypervisor(host).create_vm(GUEST_FRAMES * PAGE_SIZE)
+        vm.back_range(0, GUEST_FRAMES * PAGE_SIZE, PageSize.SIZE_2M)
+        assert vm.fully_backed()
+        base = vm.guest_memory.allocator.alloc_contig(1)
+        vm.guest_memory.allocator.free_contig(base, 1)
+        _, pte, size = vm.ept.lookup(base << PAGE_SHIFT)
+        assert size == PageSize.SIZE_2M
+        huge = pte_frame(pte)
+        new = host.memory.allocator.alloc_contig(1)
+        assert vm.map_host_frames(new, 1) == base << PAGE_SHIFT
+        assert vm.reverse_lookup(new) == base
+        lo = base - base % 512
+        assert [vm.reverse_lookup(huge + k) for k in range(512)] == \
+            [None] * 512
+        assert vm._reverse_count == len(_backing(vm)) == GUEST_FRAMES - 511
+        assert not vm.fully_backed()
+
+    def test_map_host_frames_already_backing_the_region(self, host):
+        """Given host frames that back the region shifted by one page,
+        each page's old leaf maps the frame the page before entered:
+        that entry stays."""
+        vm = Hypervisor(host).create_vm(GUEST_FRAMES * PAGE_SIZE)
+        olds = host.memory.allocator.alloc_contig(5)
+        base = vm.map_host_frames(olds, 5) >> PAGE_SHIFT
+        vm.guest_memory.allocator.free_contig(base, 5)
+        assert vm.map_host_frames(olds + 1, 4) == base << PAGE_SHIFT
+        assert [vm.reverse_lookup(olds + k) for k in range(5)] == \
+            [None, base, base + 1, base + 2, base + 3]
+        assert _backing(vm) == {base + i: olds + 1 + i for i in range(4)} \
+            | {base + 4: olds + 4}
+        assert vm._reverse_count == 4
+
     @given(backing_history())
     @settings(max_examples=150, deadline=None)
     def test_equals_dict_model(self, history):
         """``reverse_lookup`` and ``fully_backed()`` equal a ``{hfn:
         gfn}`` model after every step. A host frame the EPT newly maps
-        is entered. ``map_host_frames`` enters its frames one by one and
-        drops the frame of each EPT leaf it unmaps on the way, even one
-        it entered itself."""
+        is entered. ``map_host_frames`` enters its frames one by one;
+        for each EPT leaf it unmaps on the way it drops every host frame
+        of the leaf whose entry still names the leaf's guest frame, so
+        a frame it entered itself stays."""
         host = Kernel(memory_bytes=64 * MB)
         vm = Hypervisor(host).create_vm(GUEST_FRAMES * PAGE_SIZE)
         model = {}
@@ -143,7 +180,10 @@ class TestReverseMap:
                     for va in (gpa, gpa - gpa % PageSize.SIZE_2M.bytes):
                         if va in leaves and (va == gpa or leaves[va][1]
                                              == PageSize.SIZE_2M):
-                            model.pop(leaves.pop(va)[0], None)
+                            hfn, size = leaves.pop(va)
+                            for k in range(size.bytes >> PAGE_SHIFT):
+                                if model.get(hfn + k) == (va >> PAGE_SHIFT) + k:
+                                    del model[hfn + k]
                             break
                     leaves[gpa] = (host_base + i, PageSize.SIZE_4K)
                     model[host_base + i] = base + i

@@ -423,16 +423,19 @@ def test_vec_replay_matches_scalar_on_dmt_fallbacks(env, design, which,
 
 @pytest.mark.parametrize("env,design,pte_share", [
     ("native", "vanilla", None),    # Table 3 default: single-set L1(pte)
-    ("native", "vanilla", 0.25),    # wide L1(pte): the multi-set variant
+    pytest.param("native", "vanilla", 0.25, id="wide-l1-per-walk"),
     ("virt", "shadow", None),
 ])
 def test_vec_chunk_runner_matches_scalar_without_step_collection(
-        env, design, pte_share, machines):
-    """Without step collection radix-native replays take the fused
-    chunk runner (inlined probe + hierarchy, counters flushed per
-    chunk); a small chunk size exercises the flush boundaries and
-    ``pte_share`` selects between its single-set-L1 and general
-    variants."""
+        env, design, pte_share, machines, monkeypatch):
+    """Without step collection radix-native replays of the Table 3
+    cache shape take the fused chunk runner (inlined probe + hierarchy,
+    counters flushed per chunk); a small chunk size exercises the flush
+    boundaries. A wide L1(pte) (``pte_share`` 0.25, several sets) builds
+    no chunk runner and replays walk by walk, still matching the
+    oracle."""
+    from repro.sim import walk_vec
+
     config = _config(seed=1)
     if pte_share is not None:
         machine = replace(xeon_gold_6138(), pte_cache_share=pte_share)
@@ -442,8 +445,18 @@ def test_vec_chunk_runner_matches_scalar_without_step_collection(
     if pte_share is not None:
         l1 = walker_vec.memsys.caches.levels[0]
         assert l1.batch_view().num_sets > 1
+    built = []
+    make_runner = walk_vec._make_radix_runner
+
+    def spy(*args, **kwargs):
+        run, run_many = make_runner(*args, **kwargs)
+        built.append(run_many is not None)
+        return run, run_many
+
+    monkeypatch.setattr(walk_vec, "_make_radix_runner", spy)
     stats_scalar = replay_walks(walker_scalar, miss_vas, engine="scalar")
     stats_vec = replay_walks_vec(walker_vec, miss_vas, chunk=512)
+    assert built == [pte_share is None]
     assert stats_vec.engine == "vec"
     assert stats_scalar == stats_vec
     assert _walker_counters(walker_scalar) == _walker_counters(walker_vec)
