@@ -15,9 +15,9 @@ Not a paper figure — this bench guards the simulator's own performance:
   at the repo root;
 * when the compiled kernel backend imported (numba), the native engine
   is timed too and must clear ``NATIVE_FLOORS`` (>= 10x on the vanilla
-  radix walk, >= 3x elsewhere); without numba the native engine is
-  unavailable (it refuses to run uncompiled, DESIGN.md §11), so the
-  table has no native column;
+  radix walk, >= 3x elsewhere); without numba the kernels run
+  uncompiled and are not timed (DESIGN.md §11), so the table has no
+  native column;
 * the two-level executor must replay a native+virt GUPS group with
   ``REPRO_BENCH_CELL_THREADS`` threads bit-identically to sequential
   replay, and >= 2x faster on the numba backend (nogil kernels; the
@@ -34,12 +34,13 @@ loaded or tiny-trace CI machines; the per-design floors scale with it
 import json
 import os
 import time
+from functools import partial
 
 import numpy as np
 
 from repro.analysis.report import banner, format_table
 from repro.sim.kernels import BACKEND as KERNEL_BACKEND
-from repro.sim.kernels import HAVE_NUMBA
+from repro.sim.kernels import HAVE_NUMBA, replay_walks_native
 from repro.sim.simulator import (
     Stage1Cache,
     make_size_lookup,
@@ -49,6 +50,7 @@ from repro.sim.simulator import (
     tlb_filter_scalar,
 )
 from repro.sim.sweep import build_sim, run_cells, run_sweep
+from repro.sim.walk_vec import replay_walks_vec
 from repro.sim import NativeSimulation, SimConfig
 
 from conftest import SCALE
@@ -56,6 +58,10 @@ from conftest import SCALE
 #: The acceptance target for the reference stage-1 run.
 NREFS = int(os.environ.get("REPRO_BENCH_ENGINE_NREFS", "40000"))
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "3.0"))
+#: Each timed stage-2 engine: the scalar oracle and the two batched
+#: backends, each called directly.
+REPLAYS = {"scalar": partial(replay_walks, engine="scalar"),
+           "vec": replay_walks_vec, "native": replay_walks_native}
 #: Timing rounds per engine for the stage-2 comparison.
 ROUNDS = int(os.environ.get("REPRO_BENCH_ENGINE_ROUNDS", "5"))
 #: CI legs that install numba pin the backend they expect: a numba leg
@@ -211,8 +217,7 @@ def test_stage2_vectorized_speedup(benchmark):
                 sim = build_sim(env, "GUPS", config, stage1=stage1)
                 walker = sim.walker(design)
                 start = time.perf_counter()
-                result = replay_walks(walker, sim.tlb.miss_vas,
-                                      engine=engine)
+                result = REPLAYS[engine](walker, sim.tlb.miss_vas)
                 seconds[engine].append(time.perf_counter() - start)
                 stats[engine] = result
         best = {engine: min(times) for engine, times in seconds.items()}
@@ -288,8 +293,7 @@ def test_stage2_vectorized_speedup(benchmark):
 
     sim = NativeSimulation("GUPS", config, stage1=stage1)
     benchmark.pedantic(
-        lambda: replay_walks(sim.walker("dmt"), sim.tlb.miss_vas,
-                             engine="vec"),
+        lambda: replay_walks_vec(sim.walker("dmt"), sim.tlb.miss_vas),
         rounds=3, iterations=1,
     )
 

@@ -280,16 +280,15 @@ def main(argv=None) -> int:
                               "extension; default 4)")
     simopts.add_argument("--register-count", type=int, default=16,
                          help="DMT registers per set (default 16, Fig. 13)")
-    simopts.add_argument("--walk-engine",
-                         choices=("auto", "native", "vec", "scalar"),
+    simopts.add_argument("--walk-engine", choices=("auto", "scalar"),
                          default="auto",
-                         help="stage-2 replay engine: 'native' runs the "
-                              "compiled chunk kernels (requires numba), "
-                              "'vec' batches walks per design, 'scalar' "
-                              "is the reference oracle (always replays, "
-                              "bypassing the result cache), 'auto' "
-                              "picks native when compiled, else vec, "
-                              "when the design supports it (default)")
+                         help="stage-2 replay engine: 'auto' (default) "
+                              "replays batched, on the compiled kernels "
+                              "with numba and the vec runners without, "
+                              "and falls back to scalar for a walker it "
+                              "cannot batch; 'scalar' is the reference "
+                              "oracle (always replays, bypassing the "
+                              "result cache)")
     simopts.add_argument("--stream-chunk", type=int, default=None,
                          metavar="REFS",
                          help="stage 0->1 chunk size in references; stage "

@@ -57,10 +57,6 @@ class GTEATable:
             0, movable=False
         )
 
-    @property
-    def base_addr(self) -> int:
-        return self.table_frame << PAGE_SHIFT
-
     def add(self, host_base_frame: int, npages: int, gpa_base: int,
             vma_base: int, page_size_shift: int = 12) -> GTEAEntry:
         entry = GTEAEntry(
@@ -99,12 +95,6 @@ class GTEATable:
 
     def entries(self) -> List[GTEAEntry]:
         return list(self._entries.values())
-
-    def find_by_gpa(self, gpa_base: int) -> Optional[GTEAEntry]:
-        for entry in self._entries.values():
-            if entry.gpa_base == gpa_base:
-                return entry
-        return None
 
 
 class PvDMTHost:

@@ -257,11 +257,6 @@ class CacheHierarchy:
         for cache in self.levels:
             cache.install(addr)
 
-    def warm_outer(self, addr: int) -> None:
-        """Install a line only beyond L1 (models prefetch into L2/LLC)."""
-        for cache in self.levels[1:]:
-            cache.install(addr)
-
     def contains(self, addr: int) -> bool:
         return any(cache.contains(addr) for cache in self.levels)
 

@@ -175,15 +175,6 @@ class PageWalkCache:
         """VA bits that select the level-``level`` table."""
         return va >> level_shift(level + 1)
 
-    def cached_levels(self) -> range:
-        """Radix levels whose *table address* this PWC can provide.
-
-        With three PWC levels on a 4-level tree these are levels 3, 2, 1
-        skipped down to — i.e. the PWC can provide the address of the L3,
-        L2, or L1 table directly.
-        """
-        return range(self.top_level - 1, self.top_level - 1 - len(self._tables), -1)
-
     def best_entry(self, va: int) -> Tuple[int, Optional[int]]:
         """Deepest cached partial walk for ``va``.
 
@@ -294,7 +285,8 @@ class NestedPWC:
 
     def get(self, gfn: int) -> Optional[int]:
         hfn = self._table.get(gfn)
-        if hfn is not None and self._accept < 1.0:
+        if hfn is not None:
+            # credit thinning; a rate of 1.0 keeps the credit at 0.0
             self._credit += self._accept
             if self._credit >= 1.0:
                 self._credit -= 1.0

@@ -273,7 +273,9 @@ class RadixPageTable:
         + ``map`` would. The PTEs of a call are written with one bulk
         memory write, and each takes the same sanitizer check, write
         hook and ``pte_writes`` count as :meth:`map`, in ascending
-        order. Returns the number of pages written.
+        order. A huge page over a lower table releases it, or raises if
+        the table still maps pages, as :meth:`map` does. Returns the
+        number of pages written.
         """
         leaf_level = page_size.leaf_level
         step = page_size.bytes
@@ -320,16 +322,23 @@ class RadixPageTable:
                       frames: List[Optional[int]], flags: int) -> int:
         """Write ``frames`` into the leaf table ``table`` from its entry
         ``index`` (the entry of ``va``), skipping None. A present entry
-        given a frame is unmapped right before its page is written.
-        Returns the number of PTEs written."""
+        given a frame is unmapped (a lower table's pointer: the table
+        released) right before its page is written. Returns the number
+        of PTEs written."""
         written = 0
         lo = 0
         if any(olds):
+            leaf_level = page_size.leaf_level
             for hi, (old, pfn) in enumerate(zip(olds, frames)):
                 if old & PTE_PRESENT and pfn is not None:
                     written += self._store(table, index, va, page_size,
                                            frames, lo, hi, flags)
-                    self.unmap(va + hi * page_size.bytes)
+                    page = va + hi * page_size.bytes
+                    if leaf_level > 1 and not old & PTE_HUGE:
+                        self._release_table(pte_frame(old), leaf_level - 1,
+                                            page)
+                    else:
+                        self.unmap(page)
                     lo = hi
         return written + self._store(table, index, va, page_size, frames,
                                      lo, len(frames), flags)

@@ -4,10 +4,10 @@ Numba is an optional dependency: when it imports, every kernel in this
 package is compiled with ``@njit(cache=True)``; when it does not, the
 ``jit`` decorator is the identity and the *same source* runs under the
 plain interpreter. The uncompiled kernels are bit-identical by
-construction but 2.5-13x slower than the vec engine (DESIGN.md §11),
-so the ``native`` engine requires numba (:data:`NATIVE_REQUIRES_NUMBA`)
-and ``auto`` resolves to vec without it. The parity suites still call
-the kernels directly, so their source is checked uncompiled too.
+construction but 2.5-13x slower than the vec runners (DESIGN.md §11),
+so ``auto`` replays on the kernels only when numba is installed. The
+parity suites still call the kernels directly, so their source is
+checked uncompiled too.
 """
 
 from __future__ import annotations
@@ -21,13 +21,6 @@ except ImportError:  # pragma: no cover - exercised by the no-numba CI leg
     _njit = None
     HAVE_NUMBA = False
     BACKEND = "python"
-
-#: Why ``walk_engine="native"`` is refused when numba is absent.
-NATIVE_REQUIRES_NUMBA = (
-    "walk_engine 'native' needs numba, which is not installed "
-    "(use 'auto', which resolves to 'vec' without it, or 'vec')"
-)
-
 
 def jit(func):
     """Compile ``func`` with Numba when available, else return it as is.

@@ -249,15 +249,12 @@ def npwc_resolve(ns, cs, gfn, hfn, rs, rc, haddrs):
             nv[m] = nv[m + 1]
         nk[n - 1] = gfn
         nv[n - 1] = val
-        if nflt[0] < 1.0:
-            credit = nflt[1] + nflt[0]
-            if credit >= 1.0:
-                nflt[1] = credit - 1.0
-                hit = True
-            else:
-                nflt[1] = credit
-        else:
+        credit = nflt[1] + nflt[0]
+        if credit >= 1.0:
+            nflt[1] = credit - 1.0
             hit = True
+        else:
+            nflt[1] = credit
     if hit:
         ncnt[0] += 1
         return 0, 0

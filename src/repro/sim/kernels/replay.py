@@ -1,24 +1,20 @@
-"""The native kernel engine's entry point and plan/state flattening.
+"""The native kernel backend of the batched replay: plan/state flattening.
 
-``replay_walks_native`` is the third stage-2 engine, beside the scalar
-oracle and the batched (vec) engine. It reuses the vec engine's
-planners verbatim — same unique-VPN first-occurrence order, same lazy
-first-touch side effects — then flattens the plans into int64 arrays
-and replays the history-dependent state (cache LRU sets, PWC tables,
-credit counters, the ECPT cuckoo-walk cache) inside the compiled chunk
-kernels of :mod:`repro.sim.kernels.radix` /
+:func:`_kernel_replayer` is the kernels' half of
+:func:`repro.sim.walk_vec.replay_batched`. That frame plans each unique
+VPN through the vec planners (same first-occurrence order, same lazy
+first-touch side effects); this module flattens the plan into int64
+arrays and replays the history-dependent state (cache LRU sets, PWC
+tables, credit counters, the ECPT cuckoo-walk cache) inside the compiled
+chunk kernels of :mod:`repro.sim.kernels.radix` /
 :mod:`repro.sim.kernels.designs` over ``array_view()`` snapshots.
 
 Bit-identity contract: identical ``WalkStats`` and identical
 post-replay cache/PWC/CWC/walker state versus the scalar oracle, on
 both backends (``tests/test_walk_vec.py`` parametrizes the parity
-suite over the vec and native engines; the no-numba CI leg pins the
-pure-Python backend).
-
-Step collection (``collect_steps`` with ``record_refs``) delegates to
-the interpreted vec runners — the kernels carry no tag strings — and
-records :data:`STEP_COLLECTION_REASON` so profiling runs are visibly
-not kernel-timed.
+suite over the vec and native backends; the no-numba CI leg pins the
+pure-Python kernels). The kernels carry no step tags, so a
+step-collecting replay runs on the vec runners.
 
 **Thread safety.** A replay writes only to the walker it is given and
 that walker's private memory subsystem. The planners read the machine
@@ -33,10 +29,7 @@ stream is read-only and memmap-shared.
 
 from __future__ import annotations
 
-import gc
-import threading
-from contextlib import contextmanager
-from typing import List
+from typing import Callable, List
 
 import numpy as np
 
@@ -51,45 +44,11 @@ from repro.sim.kernels.designs import (
     ops_chunk,
 )
 from repro.sim.kernels.radix import radix_native_chunk, radix_nested_chunk
-from repro.translation.base import MemorySubsystem, Walker
-
-#: Recorded as ``WalkStats.fallback_reason`` when ``engine="native"``
-#: is asked to collect per-step latency tags.
-STEP_COLLECTION_REASON = (
-    "step collection runs on the interpreted vec runners "
-    "(native kernels carry no step tags)"
-)
+from repro.translation.base import BatchSpec, MemorySubsystem, Walker
 
 
 def _ia(seq) -> np.ndarray:
     return np.asarray(seq, dtype=np.int64)
-
-
-# ``gc.disable`` is process-global, so concurrent cell replays refcount
-# it: the first replay in pauses collection, the last one out restores
-# whatever the outermost caller had.
-_GC_LOCK = threading.Lock()
-_GC_DEPTH = 0
-_GC_REENABLE = False
-
-
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic GC for a block; refcounted across threads."""
-    global _GC_DEPTH, _GC_REENABLE
-    with _GC_LOCK:
-        if _GC_DEPTH == 0:
-            _GC_REENABLE = gc.isenabled()
-            if _GC_REENABLE:
-                gc.disable()
-        _GC_DEPTH += 1
-    try:
-        yield
-    finally:
-        with _GC_LOCK:
-            _GC_DEPTH -= 1
-            if _GC_DEPTH == 0 and _GC_REENABLE:
-                gc.enable()
 
 
 # --------------------------------------------------------------------- #
@@ -97,7 +56,7 @@ def _gc_paused():
 # --------------------------------------------------------------------- #
 
 def _cache_state(caches):
-    """Hierarchy state bundle ``cs`` + views + flush/writeback closure."""
+    """Hierarchy state bundle ``cs`` + flush/writeback closure."""
     views = [level.array_view() for level in caches.levels]
     v1, v2, v3 = views
     cp = np.array([v1.line_shift, v1.num_sets, v1.assoc, v1.latency,
@@ -108,7 +67,7 @@ def _cache_state(caches):
     cs = (v1.tags, v1.nvalid, v2.tags, v2.nvalid, v3.tags, v3.nvalid,
           cp, cc)
 
-    def finish(_w, _m):
+    def finish():
         for view, hit_i, miss_i in ((v1, 0, 3), (v2, 1, 4), (v3, 2, 5)):
             view.stats.hits += int(cc[hit_i])
             view.stats.misses += int(cc[miss_i])
@@ -116,7 +75,7 @@ def _cache_state(caches):
         for view in views:
             view.writeback()
 
-    return cs, views, finish
+    return cs, finish
 
 
 def _pwc_state(pwc):
@@ -127,7 +86,7 @@ def _pwc_state(pwc):
     ps = (view.keys, view.vals, view.sizes, view.capacities, pshift,
           pcnt, view.accept, view.credit)
 
-    def finish(_w, _m):
+    def finish():
         view.stats.hits += int(pcnt[0])
         view.stats.misses += int(pcnt[1])
         view.writeback()
@@ -142,7 +101,7 @@ def _npwc_state(npwc):
     nflt = np.array([view.accept, view.credit[0]], dtype=np.float64)
     ns = (view.keys, view.vals, view.meta, ncnt, nflt)
 
-    def finish(_w, _m):
+    def finish():
         view.stats.hits += int(ncnt[0])
         view.stats.misses += int(ncnt[1])
         view.credit[0] = nflt[1]
@@ -161,7 +120,7 @@ def _cwc_state(cwc):
     ccnt = np.zeros(2, dtype=np.int64)
     ws = (view.keys, view.ways, view.meta, ccnt)
 
-    def finish(_w, _m):
+    def finish():
         cwc.hits += int(ccnt[0])
         cwc.misses += int(ccnt[1])
         view.writeback()
@@ -382,245 +341,174 @@ def _flatten_prefetch(pf_plans, uniq_ordered):
 
 
 # --------------------------------------------------------------------- #
-# Entry point
+# Entry points
 # --------------------------------------------------------------------- #
 
-def replay_walks_native(
-    walker: Walker,
-    miss_vas,
-    warmup_fraction: float = 0.1,
-    collect_steps: bool = False,
-    chunk: int = walk_vec.DEFAULT_CHUNK,
-):
-    """Native-kernel stage 2: replay a miss stream, bit-identical to scalar.
+def _kernel_replayer(walker: Walker, spec: BatchSpec,
+                     memsys: MemorySubsystem, plan, uniq_ordered: List[int],
+                     vpns: np.ndarray, order: np.ndarray,
+                     inverse: np.ndarray,
+                     finalizers: List[Callable[[], None]]):
+    """The kernel backend of :func:`~repro.sim.walk_vec.replay_batched`.
+
+    Flattens ``plan`` (the frame's planner output for ``spec.kind``),
+    checks out this walker's state as ``array_view()`` bundles and
+    appends their writebacks to ``finalizers``. ``order`` sorts the
+    unique VPNs into first-occurrence order and ``inverse`` maps each
+    miss to its unique VPN, so each miss gets its plan row. Returns
+    ``replay(lo, hi, _step_cycles) -> (cycles, refs, fallbacks)``; a
+    kernel runs each range whole (its counters live in arrays, nothing
+    needs a per-chunk flush).
+    """
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size, dtype=np.int64)
+    pidx = np.ascontiguousarray(rank[inverse.reshape(-1)], dtype=np.int64)
+    cs, cache_fin = _cache_state(memsys.caches)
+    finalizers.append(cache_fin)
+    pwc_latency = memsys.pwc_latency
+    kind = spec.kind
+    out_len = 3   # cycles, refs, fallbacks; then the design's counters
+
+    if kind == "radix-native":
+        ps, ps_fin = _pwc_state(memsys.pwc)
+        finalizers.append(ps_fin)
+        row_base, chain_len, cols = _flatten_radix_native(plan,
+                                                          uniq_ordered)
+
+        def run_range(lo, hi, out):
+            radix_native_chunk(vpns, pidx, lo, hi, row_base, chain_len,
+                               cols, ps, cs, pwc_latency, out)
+
+    elif kind == "radix-nested":
+        ps, ps_fin = _pwc_state(memsys.guest_pwc)
+        ns, ns_fin = _npwc_state(memsys.nested_pwc)
+        finalizers.extend((ps_fin, ns_fin))
+        nested_plan, haddrs = _flatten_radix_nested(plan, uniq_ordered)
+
+        def run_range(lo, hi, out):
+            radix_nested_chunk(vpns, pidx, lo, hi, nested_plan, haddrs, ps,
+                               ns, cs, pwc_latency, out)
+
+    elif kind == "dmt":
+        plans, fallback_vpns, fb_spec, fb_plan = plan
+        dplan, gaddrs = _flatten_dmt(plans, uniq_ordered, fallback_vpns)
+        if fb_spec.kind == "radix-native":
+            ps, ps_fin = _pwc_state(memsys.pwc)
+            finalizers.append(ps_fin)
+            fb_row_base, fb_chain_len, fb_cols = _flatten_radix_native(
+                fb_plan, fallback_vpns)
+
+            def run_range(lo, hi, out):
+                dmt_native_chunk(vpns, pidx, lo, hi, dplan, gaddrs,
+                                 fb_row_base, fb_chain_len, fb_cols,
+                                 ps, cs, pwc_latency, out)
+        else:
+            ps, ps_fin = _pwc_state(memsys.guest_pwc)
+            ns, ns_fin = _npwc_state(memsys.nested_pwc)
+            finalizers.extend((ps_fin, ns_fin))
+            fb_nested_plan, fb_haddrs = _flatten_radix_nested(
+                fb_plan, fallback_vpns)
+
+            def run_range(lo, hi, out):
+                dmt_nested_chunk(vpns, pidx, lo, hi, dplan, gaddrs,
+                                 fb_nested_plan, fb_haddrs, ps, ns, cs,
+                                 pwc_latency, out)
+
+        fetcher = spec.fetcher
+        credit_targets = (spec.fallback,) + tuple(fb_spec.extra_walkers)
+
+        def dmt_fin():
+            fetcher.hits += int(acc[3])
+            fetcher.fallbacks += int(acc[4])
+            for target in credit_targets:
+                target.walks += int(acc[5])
+                target.total_cycles += int(acc[6])
+
+        finalizers.append(dmt_fin)
+        out_len = 7
+
+    elif kind == "agile":
+        ps, ps_fin = _pwc_state(memsys.pwc)
+        ns, ns_fin = _npwc_state(memsys.nested_pwc)
+        finalizers.extend((ps_fin, ns_fin))
+        top_level = memsys.pwc.top_level
+        chain_top = min(top_level, spec.guest_pt.levels)
+        agile_plan, haddrs = _flatten_agile(plan, uniq_ordered)
+
+        def run_range(lo, hi, out):
+            agile_chunk(vpns, pidx, lo, hi, agile_plan, haddrs, ps, ns, cs,
+                        pwc_latency, chain_top, top_level, out)
+
+    elif kind in ("asap-native", "asap-nested"):
+        _inner_spec, inner_plan, pf_plans = plan
+        pf_start, pf_count, pf_addr = _flatten_prefetch(pf_plans,
+                                                        uniq_ordered)
+        if kind == "asap-native":
+            ps, ps_fin = _pwc_state(memsys.pwc)
+            finalizers.append(ps_fin)
+            row_base, chain_len, cols = _flatten_radix_native(
+                inner_plan, uniq_ordered)
+
+            def run_range(lo, hi, out):
+                asap_native_chunk(vpns, pidx, lo, hi, pf_start, pf_count,
+                                  pf_addr, row_base, chain_len, cols, ps,
+                                  cs, pwc_latency, 0, out)
+        else:
+            chain_hop = walker.CHAIN_HOP_CYCLES
+            ps, ps_fin = _pwc_state(memsys.guest_pwc)
+            ns, ns_fin = _npwc_state(memsys.nested_pwc)
+            finalizers.extend((ps_fin, ns_fin))
+            nested_plan, haddrs = _flatten_radix_nested(inner_plan,
+                                                        uniq_ordered)
+
+            def run_range(lo, hi, out):
+                asap_nested_chunk(vpns, pidx, lo, hi, pf_start, pf_count,
+                                  pf_addr, nested_plan, haddrs, ps, ns, cs,
+                                  pwc_latency, chain_hop, out)
+
+        inner = spec.inner
+
+        def asap_fin():
+            inner.walks += int(acc[3])
+            inner.total_cycles += int(acc[4])
+            walker.prefetches += int(acc[5])
+
+        finalizers.append(asap_fin)
+        out_len = 6
+
+    else:  # the ECPT and FPT op programs
+        (base_cycles, op_start, op_count, ops_arr, cand_addr,
+         cand_crit) = _flatten_ops(plan, uniq_ordered)
+        ws, ws_fin = _cwc_state(spec.cwc)
+        if ws_fin is not None:
+            finalizers.append(ws_fin)
+
+        def run_range(lo, hi, out):
+            ops_chunk(vpns, pidx, lo, hi, base_cycles, op_start, op_count,
+                      ops_arr, cand_addr, cand_crit, ws, cs, out)
+
+    acc = np.zeros(out_len, dtype=np.int64)   # every range's ``out``
+
+    def replay(lo: int, hi: int, _step_cycles):
+        out = np.zeros(out_len, dtype=np.int64)
+        if lo < hi:
+            run_range(lo, hi, out)
+        acc[:] += out
+        return int(out[0]), int(out[1]), int(out[2])
+
+    return replay
+
+
+def replay_walks_native(walker: Walker, miss_vas,
+                        warmup_fraction: float = 0.1,
+                        collect_steps: bool = False,
+                        chunk: int = walk_vec.DEFAULT_CHUNK):
+    """:func:`~repro.sim.walk_vec.replay_batched` on the kernels, numba
+    or not (uncompiled they run the same source, DESIGN.md §11).
 
     Oracle: :func:`repro.sim.simulator.replay_walks` with
-    ``engine="scalar"`` — same ``WalkStats`` (cycles, refs, fallbacks),
-    same post-replay cache/PWC/CWC/walker state; the vec engine's
-    planners supply the address streams, the compiled kernels replay
-    the state machine. ``chunk`` is accepted for signature parity with
-    :func:`~repro.sim.walk_vec.replay_walks_vec`; kernels process whole
-    warmup/measured ranges (their counters live in arrays, nothing
-    needs a per-chunk flush). Raises ``ValueError`` for unsupported
-    walkers, exactly like the vec engine.
+    ``engine="scalar"`` — same ``WalkStats``, same post-replay
+    cache/PWC/CWC/walker state.
     """
-    from repro.sim.simulator import WalkStats
-
-    reason = walk_vec.unsupported_reason(walker)
-    if reason is not None:
-        raise ValueError(
-            f"walker {walker.name!r} has no batched replay path: {reason} "
-            "(use the scalar engine)")
-    memsys: MemorySubsystem = walker.memsys
-    if collect_steps and memsys.record_refs:
-        stats = walk_vec.replay_walks_vec(
-            walker, miss_vas, warmup_fraction=warmup_fraction,
-            collect_steps=True, chunk=chunk)
-        stats.engine = "native"
-        stats.fallback_reason = STEP_COLLECTION_REASON
-        return stats
-
-    spec = walker.batch_spec()
-    vas = np.asarray(miss_vas, dtype=np.int64)
-    stats = WalkStats(design=walker.name, engine="native")
-    total = int(vas.size)
-    if total == 0:
-        return stats
-    vpns = vas >> PAGE_SHIFT
-
-    # Unique VPNs in first-occurrence order (planning must touch lazily
-    # populated structures in the scalar loop's order) + the per-miss
-    # plan-row index.
-    uniq, first_index, inverse = np.unique(
-        vpns, return_index=True, return_inverse=True)
-    order = np.argsort(first_index, kind="stable")
-    uniq_ordered = uniq[order].tolist()
-    rank = np.empty(uniq.size, dtype=np.int64)
-    rank[order] = np.arange(uniq.size, dtype=np.int64)
-    pidx = np.ascontiguousarray(rank[inverse.reshape(-1)], dtype=np.int64)
-
-    with _gc_paused():
-        cs, cache_views, cache_fin = _cache_state(memsys.caches)
-        finishers = [cache_fin]
-        pwc_latency = memsys.pwc_latency
-        kind = spec.kind
-        out_len = 3
-
-        if kind in ("radix-native", "radix-nested"):
-            if kind == "radix-native":
-                pwc = memsys.pwc
-                ps, ps_fin = _pwc_state(pwc)
-                finishers.append(ps_fin)
-                row_base, chain_len, cols = _flatten_radix_native(
-                    walk_vec._build_radix_native_columns(
-                        spec.page_table, pwc.top_level, int(ps[2].shape[0]),
-                        uniq_ordered, cache_views), uniq_ordered)
-
-                def run_range(lo, hi, out):
-                    radix_native_chunk(vpns, pidx, lo, hi, row_base,
-                                       chain_len, cols, ps, cs,
-                                       pwc_latency, out)
-            else:
-                pwc = memsys.guest_pwc
-                ps, ps_fin = _pwc_state(pwc)
-                ns, ns_fin = _npwc_state(memsys.nested_pwc)
-                finishers.extend((ps_fin, ns_fin))
-                plans = walk_vec._build_radix_nested_plans(
-                    spec.guest_pt, spec.vm, pwc.top_level,
-                    int(ps[2].shape[0]), uniq_ordered, False)
-                plan, haddrs = _flatten_radix_nested(plans, uniq_ordered)
-
-                def run_range(lo, hi, out):
-                    radix_nested_chunk(vpns, pidx, lo, hi, plan, haddrs,
-                                       ps, ns, cs, pwc_latency, out)
-
-        elif kind == "dmt":
-            plans, fallback_vpns = walk_vec._build_dmt_plans(
-                spec, uniq_ordered, False)
-            dplan, gaddrs = _flatten_dmt(plans, uniq_ordered,
-                                         fallback_vpns)
-            fb_spec = spec.fallback.batch_spec()
-            if fb_spec.kind == "radix-native":
-                pwc = memsys.pwc
-                ps, ps_fin = _pwc_state(pwc)
-                finishers.append(ps_fin)
-                fb_row_base, fb_chain_len, fb_cols = _flatten_radix_native(
-                    walk_vec._build_radix_native_columns(
-                        fb_spec.page_table, pwc.top_level,
-                        int(ps[2].shape[0]), fallback_vpns, cache_views),
-                    fallback_vpns)
-
-                def run_range(lo, hi, out):
-                    dmt_native_chunk(vpns, pidx, lo, hi, dplan, gaddrs,
-                                     fb_row_base, fb_chain_len, fb_cols,
-                                     ps, cs, pwc_latency, out)
-            else:
-                pwc = memsys.guest_pwc
-                ps, ps_fin = _pwc_state(pwc)
-                ns, ns_fin = _npwc_state(memsys.nested_pwc)
-                finishers.extend((ps_fin, ns_fin))
-                fb_plans = walk_vec._build_radix_nested_plans(
-                    fb_spec.guest_pt, fb_spec.vm, pwc.top_level,
-                    int(ps[2].shape[0]), fallback_vpns, False)
-                fb_plan, fb_haddrs = _flatten_radix_nested(
-                    fb_plans, fallback_vpns)
-
-                def run_range(lo, hi, out):
-                    dmt_nested_chunk(vpns, pidx, lo, hi, dplan, gaddrs,
-                                     fb_plan, fb_haddrs, ps, ns, cs,
-                                     pwc_latency, out)
-
-            fetcher = spec.fetcher
-            credit_targets = (spec.fallback,) + tuple(
-                fb_spec.extra_walkers)
-
-            def dmt_fin(w, m):
-                fetcher.hits += int(w[3] + m[3])
-                fetcher.fallbacks += int(w[4] + m[4])
-                for target in credit_targets:
-                    target.walks += int(w[5] + m[5])
-                    target.total_cycles += int(w[6] + m[6])
-
-            finishers.append(dmt_fin)
-            out_len = 7
-
-        elif kind in ("ecpt-native", "ecpt-nested", "fpt-native",
-                      "fpt-nested"):
-            planner = {
-                "ecpt-native": walk_vec._build_ecpt_native_plans,
-                "ecpt-nested": walk_vec._build_ecpt_nested_plans,
-                "fpt-native": walk_vec._build_fpt_native_plans,
-                "fpt-nested": walk_vec._build_fpt_nested_plans,
-            }[kind]
-            plans = planner(spec, uniq_ordered, False, memsys.caches)
-            (base_cycles, op_start, op_count, ops_arr, cand_addr,
-             cand_crit) = _flatten_ops(plans, uniq_ordered)
-            ws, ws_fin = _cwc_state(spec.cwc)
-            if ws_fin is not None:
-                finishers.append(ws_fin)
-
-            def run_range(lo, hi, out):
-                ops_chunk(vpns, pidx, lo, hi, base_cycles, op_start,
-                          op_count, ops_arr, cand_addr, cand_crit, ws,
-                          cs, out)
-
-        elif kind == "agile":
-            pwc = memsys.pwc
-            ps, ps_fin = _pwc_state(pwc)
-            ns, ns_fin = _npwc_state(memsys.nested_pwc)
-            finishers.extend((ps_fin, ns_fin))
-            top_level = pwc.top_level
-            chain_top = min(top_level, spec.guest_pt.levels)
-            plans = walk_vec._build_agile_plans(
-                spec, top_level, int(ps[2].shape[0]), uniq_ordered, False)
-            plan, haddrs = _flatten_agile(plans, uniq_ordered)
-
-            def run_range(lo, hi, out):
-                agile_chunk(vpns, pidx, lo, hi, plan, haddrs, ps, ns, cs,
-                            pwc_latency, chain_top, top_level, out)
-
-        elif kind in ("asap-native", "asap-nested"):
-            inner_spec, plan, pf_plans = walk_vec._plan_asap(
-                spec, memsys, uniq_ordered, cache_views, False)
-            pf_start, pf_count, pf_addr = _flatten_prefetch(
-                pf_plans, uniq_ordered)
-            if kind == "asap-native":
-                chain_hop = 0
-                ps, ps_fin = _pwc_state(memsys.pwc)
-                finishers.append(ps_fin)
-                row_base, chain_len, cols = _flatten_radix_native(
-                    plan, uniq_ordered)
-
-                def run_range(lo, hi, out):
-                    asap_native_chunk(vpns, pidx, lo, hi, pf_start,
-                                      pf_count, pf_addr, row_base,
-                                      chain_len, cols, ps, cs,
-                                      pwc_latency, chain_hop, out)
-            else:
-                chain_hop = walker.CHAIN_HOP_CYCLES
-                ps, ps_fin = _pwc_state(memsys.guest_pwc)
-                ns, ns_fin = _npwc_state(memsys.nested_pwc)
-                finishers.extend((ps_fin, ns_fin))
-                nested_plan, haddrs = _flatten_radix_nested(plan,
-                                                            uniq_ordered)
-
-                def run_range(lo, hi, out):
-                    asap_nested_chunk(vpns, pidx, lo, hi, pf_start,
-                                      pf_count, pf_addr, nested_plan,
-                                      haddrs, ps, ns, cs, pwc_latency,
-                                      chain_hop, out)
-            del plan, pf_plans   # flattened: only the arrays live on
-
-            inner = spec.inner
-
-            def asap_fin(w, m):
-                inner.walks += int(w[3] + m[3])
-                inner.total_cycles += int(w[4] + m[4])
-                walker.prefetches += int(w[5] + m[5])
-
-            finishers.append(asap_fin)
-            out_len = 6
-
-        else:  # pragma: no cover - guarded by unsupported_reason
-            raise ValueError(f"unknown batch-spec kind {kind!r}")
-
-        warmup = int(total * warmup_fraction)
-        out_warm = np.zeros(out_len, dtype=np.int64)
-        out_meas = np.zeros(out_len, dtype=np.int64)
-        if warmup > 0:
-            run_range(0, warmup, out_warm)
-        if warmup < total:
-            run_range(warmup, total, out_meas)
-    stats.walks = total - warmup
-    stats.total_cycles = int(out_meas[0])
-    stats.ref_count = int(out_meas[1]) if memsys.record_refs else 0
-    stats.fallbacks = int(out_meas[2])
-    for finish in finishers:
-        finish(out_warm, out_meas)
-    all_cycles = int(out_warm[0] + out_meas[0])
-    all_fallbacks = int(out_warm[2] + out_meas[2])
-    for target in (walker,) + tuple(spec.extra_walkers):
-        target.walks += total
-        target.total_cycles += all_cycles
-        target.fallbacks += all_fallbacks
-    return stats
+    return walk_vec.replay_batched(walker, miss_vas, warmup_fraction,
+                                   collect_steps, native=True, chunk=chunk)

@@ -35,7 +35,7 @@ from repro.core.paravirt import PvDMTHost, PvTEAAllocator
 from repro.core.registers import REGISTERS_PER_SET, RegisterSet
 from repro.hw.config import MachineConfig, xeon_gold_6138
 from repro.kernel.kernel import Kernel
-from repro.sim import kernels, tlb_vec
+from repro.sim import tlb_vec
 from repro.sim.artifacts import SegmentWriter
 from repro.sim.simulator import (
     Stage1Cache,
@@ -112,14 +112,12 @@ class SimConfig:
     record_refs: bool = False
     register_count: int = 16
     bubble_threshold: float = 0.02
-    #: Stage-2 replay engine: "auto" (native kernels when the compiled
-    #: backend and the design support them, else batched
-    #: :mod:`repro.sim.walk_vec` when supported, scalar otherwise — the
-    #: default), "native" (:mod:`repro.sim.kernels` chunk kernels,
-    #: erroring on unsupported designs; requires numba), "vec"
-    #: (batched, same erroring), or "scalar" (the per-walk reference
-    #: oracle, never served from the stage-2 result cache). All paths
-    #: are bit-identical on supported designs.
+    #: Stage-2 replay engine: "auto" (the default: the batched replay,
+    #: :func:`repro.sim.walk_vec.replay_batched`, on the compiled kernels
+    #: when numba is installed and on the vec runners otherwise; scalar,
+    #: with the reason recorded, for a walker it cannot take) or
+    #: "scalar" (the per-walk reference oracle, never served from the
+    #: stage-2 result cache). Both are bit-identical.
     walk_engine: str = "auto"
     #: Run the machine build, the shared set-up and each replay with the
     #: runtime translation sanitizer (:mod:`repro.analysis.sanitizer`)
@@ -145,13 +143,11 @@ class SimConfig:
             raise ValueError(
                 f"levels={self.levels}: x86-64 radix trees are 4- or 5-level"
             )
-        if self.walk_engine not in ("auto", "native", "vec", "scalar"):
+        if self.walk_engine not in ("auto", "scalar"):
             raise ValueError(
-                f"walk_engine={self.walk_engine!r}: expected 'auto', "
-                f"'native', 'vec' or 'scalar'"
+                f"walk_engine={self.walk_engine!r}: expected 'auto' or "
+                f"'scalar'"
             )
-        if self.walk_engine == "native" and not kernels.HAVE_NUMBA:
-            raise ValueError(kernels.NATIVE_REQUIRES_NUMBA)
         if self.stream_chunk is not None and self.stream_chunk <= 0:
             raise ValueError(
                 f"stream_chunk={self.stream_chunk} must be None (the "
@@ -511,11 +507,14 @@ class _SimulationBase:
         Environment is deliberately absent — the workload layout, trace,
         page sizes, and TLB acceptance rates are functions of the
         workload and these config knobs alone, so environments sharing
-        the signature share the miss stream (pinned by test).
+        the signature share the miss stream (pinned by test). The two
+        TLB levels the filter models are in it as tuples (the in-process
+        :class:`Stage1Cache` key must hash).
         """
         cfg = self.config
+        tlbs = (cfg.machine.l1d_tlb, cfg.machine.l2_stlb)
         return (self.workload.name, cfg.scale, cfg.nrefs, cfg.seed,
-                cfg.thp, cfg.levels)
+                cfg.thp, cfg.levels) + tuple(map(dataclasses.astuple, tlbs))
 
     def _trace_key(self) -> list:
         """Stage-0 artifact key: everything the address trace depends on.

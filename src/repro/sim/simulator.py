@@ -15,10 +15,10 @@ path is kept as the reference oracle (:class:`ScalarTLBFilterStream`,
 bit-identical by construction and by test (``tests/test_tlb_vec.py``).
 
 Stage 2 mirrors that structure: :func:`replay_walks` is the scalar
-oracle and dispatcher, and :mod:`repro.sim.walk_vec` is the batched
-engine for the designs with a planable walk (radix and DMT/pvDMT;
-``tests/test_walk_vec.py`` pins bit-identity). ``engine="auto"`` picks
-the batched path whenever the walker supports it.
+oracle and the one dispatcher, and :func:`repro.sim.walk_vec.replay_batched`
+is the batched replay every design has (``tests/test_walk_vec.py`` pins
+bit-identity). ``engine="auto"`` picks the batched path whenever the
+walker supports it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.arch import PageSize
 from repro.hw.config import MachineConfig
 from repro.hw.tlb import TLBHierarchy
 from repro.obs import trace as obs_trace
-from repro.sim import tlb_vec
+from repro.sim import tlb_vec, walk_vec
 from repro.translation.base import Walker
 
 SizeLookup = Callable[[int], PageSize]
@@ -217,7 +217,8 @@ class WalkStats:
     ref_count: int = 0
     #: per-position mean breakdown for Figure 16 (tag -> [sum, count])
     step_cycles: Dict[str, List[float]] = field(default_factory=dict)
-    #: Which stage-2 engine produced these stats ("scalar" or "vec").
+    #: Which stage-2 path produced these stats: "scalar", "vec" (the
+    #: batched runners) or "native" (the batched kernels).
     #: Telemetry only — excluded from equality so parity tests can
     #: compare vec and scalar WalkStats directly.
     engine: str = field(default="scalar", compare=False)
@@ -275,41 +276,24 @@ def replay_walks(
     allocates nothing per walk beyond what the walker itself returns.
 
     ``engine`` selects the stage-2 path: ``"scalar"`` (this loop, the
-    reference oracle), ``"vec"`` (:mod:`repro.sim.walk_vec`, raising for
-    walkers without a batched path), ``"native"``
-    (:mod:`repro.sim.kernels`, the compiled chunk kernels — same raise,
-    and a :class:`ValueError` when Numba is absent), or ``"auto"``
-    (native when the compiled backend is available and the walker
-    supports it, else vec when supported, scalar otherwise). All paths
-    are bit-identical on supported designs (``tests/test_walk_vec.py``).
+    reference oracle) or ``"auto"``, which checks
+    :func:`repro.sim.walk_vec.unsupported_reason` once and then runs
+    :func:`repro.sim.walk_vec.replay_batched` (the compiled kernels
+    when numba is installed and no steps are collected, the vec runners
+    otherwise) or, for a walker it names a reason for, this loop with
+    that reason as ``fallback_reason``. All paths are bit-identical on
+    supported designs (``tests/test_walk_vec.py``).
     """
-    if engine not in ("scalar", "vec", "native", "auto"):
+    if engine not in ("scalar", "auto"):
         raise ValueError(f"unknown stage-2 engine {engine!r} "
-                         "(expected 'scalar', 'vec', 'native' or 'auto')")
-    from repro.sim import kernels
-    if engine == "native" and not kernels.HAVE_NUMBA:
-        raise ValueError(kernels.NATIVE_REQUIRES_NUMBA)
+                         "(expected 'scalar' or 'auto')")
     fallback_reason: Optional[str] = None
-    if engine != "scalar":
-        from repro.sim import walk_vec
+    if engine == "auto":
         fallback_reason = walk_vec.unsupported_reason(walker)
         if fallback_reason is None:
-            if engine == "native" or (engine == "auto"
-                                      and kernels.HAVE_NUMBA):
-                return kernels.replay_walks_native(
-                    walker, miss_vas,
-                    warmup_fraction=warmup_fraction,
-                    collect_steps=collect_steps,
-                )
-            return walk_vec.replay_walks_vec(
-                walker, miss_vas,
-                warmup_fraction=warmup_fraction,
-                collect_steps=collect_steps,
-            )
-        if engine in ("vec", "native"):
-            raise ValueError(
-                f"walker {walker.name!r} has no batched replay path: "
-                f"{fallback_reason} (use engine='auto' or 'scalar')")
+            return walk_vec.replay_batched(
+                walker, miss_vas, warmup_fraction=warmup_fraction,
+                collect_steps=collect_steps)
     vas = np.asarray(miss_vas, dtype=np.int64)
     stats = WalkStats(design=walker.name, fallback_reason=fallback_reason)
     total = len(vas)

@@ -43,10 +43,14 @@ bit-for-bit; background probes of lines no level can hold during the
 replay are folded into miss counts at plan time (:class:`_ProbeFold`).
 ``tests/test_walk_vec.py`` pins parity for every design.
 
-:func:`unsupported_reason` names why a walker cannot batch (sanitized
-run, missing spec, non-standard hierarchy); ``engine="auto"`` callers
-surface it as ``WalkStats.fallback_reason`` instead of silently
-reporting a scalar replay.
+:func:`replay_batched` is the one frame of a batched replay: it plans
+each unique VPN through one ``spec.kind`` -> planner table
+(:data:`_PLANNERS`) and hands the plan either to the per-walk runners
+below or to the compiled kernels' flatteners
+(:mod:`repro.sim.kernels.replay`). :func:`unsupported_reason` names why
+a walker cannot batch; ``replay_walks(engine="auto")`` checks it once
+and surfaces it as ``WalkStats.fallback_reason`` when it falls back to
+the scalar loop.
 
 The planning pass preserves lazy first-touch side effects (EPT
 backfill, shadow-table extension) by visiting unique VPNs in
@@ -58,6 +62,8 @@ which is the order the scalar loop would have touched them.
 from __future__ import annotations
 
 import gc
+import threading
+from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -91,96 +97,27 @@ _LEAF = object()    # leaf PTE (level 1 or PS bit)
 _NEXT = object()    # interior PTE: payload is the next table's address
 
 
-def supports(walker: Walker) -> bool:
-    """True when ``walker`` has a batched path bit-identical to scalar.
-
-    False routes the replay to the scalar loop; see
-    :func:`unsupported_reason` for the specific cause (sanitized run,
-    missing spec, non-standard hierarchy, incomplete spec).
-    """
-    return unsupported_reason(walker) is None
-
-
 def unsupported_reason(walker: Walker) -> Optional[str]:
     """Why ``walker`` cannot take the batched path, or None if it can.
 
-    The reasons are the genuine fallback conditions left after every
-    design gained a planner: sanitized runs (the sanitizer hooks the
-    scalar structures), walkers exposing no
-    :meth:`~repro.translation.base.Walker.batch_spec`, non-standard
-    cache hierarchies (the inlined access path is unrolled for the
-    3-level PTE-side hierarchy of Table 3), and specs missing the
-    structures their planner needs. ``engine="auto"`` callers record
-    this string as ``WalkStats.fallback_reason``.
+    Every design has a planner, so what is left is a sanitized run (the
+    sanitizer hooks the scalar structures), a walker exposing no
+    :meth:`~repro.translation.base.Walker.batch_spec` (only hand-made
+    test walkers), and nested ASAP on a VM that is not fully backed
+    (:func:`_plan_asap`). ``engine="auto"`` records this string as
+    ``WalkStats.fallback_reason`` and replays on the scalar loop.
     """
     if sanitizer.active():
         return "sanitizer active: batched replay bypasses its hooks"
-    return _spec_reason(walker.batch_spec(), walker.memsys)
-
-
-def _spec_reason(spec: Optional[BatchSpec],
-                 memsys: MemorySubsystem) -> Optional[str]:
+    spec = walker.batch_spec()
     if spec is None:
         return "walker exposes no batch spec"
-    if len(memsys.caches.levels) != 3:
-        return (f"{len(memsys.caches.levels)}-level PTE cache hierarchy "
-                "(batched access path is unrolled for 3 levels)")
-    kind = spec.kind
-    if kind == "radix-native":
-        return None if spec.page_table is not None \
-            else "radix-native spec lacks a page table"
-    if kind == "radix-nested":
-        if spec.guest_pt is None or spec.vm is None:
-            return "radix-nested spec lacks a guest page table or VM"
-        return None
-    if kind == "dmt":
-        if spec.attempt is None or spec.fetcher is None \
-                or spec.fallback is None:
-            return "dmt spec lacks an attempt, fetcher, or fallback walker"
-        fallback_spec = spec.fallback.batch_spec()
-        if fallback_spec is None or fallback_spec.kind not in (
-                "radix-native", "radix-nested"):
-            return "dmt fallback walker has no batched radix plan"
-        reason = _spec_reason(fallback_spec, memsys)
-        return f"dmt fallback: {reason}" if reason else None
-    if kind == "ecpt-native":
-        return None if spec.ecpt is not None \
-            else "ecpt-native spec lacks the cuckoo tables"
-    if kind == "ecpt-nested":
-        if spec.ecpt is None or spec.host_ecpt is None or spec.vm is None:
-            return "ecpt-nested spec lacks guest/host cuckoo tables or VM"
-        return None
-    if kind == "fpt-native":
-        return None if spec.fpt is not None \
-            else "fpt-native spec lacks the flattened table"
-    if kind == "fpt-nested":
-        if spec.fpt is None or spec.host_fpt is None or spec.vm is None:
-            return "fpt-nested spec lacks guest/host flattened tables or VM"
-        return None
-    if kind == "agile":
-        if spec.guest_pt is None or spec.spt is None or spec.vm is None:
-            return "agile spec lacks the guest table, shadow table, or VM"
-        return None
-    if kind in ("asap-native", "asap-nested"):
-        if spec.inner is None:
-            return f"{kind} spec lacks the inner radix walker"
-        if kind == "asap-native" and spec.page_table is None:
-            return "asap-native spec lacks a page table"
-        if kind == "asap-nested" and (spec.guest_pt is None
-                                      or spec.vm is None):
-            return "asap-nested spec lacks a guest page table or VM"
-        if kind == "asap-nested" and not spec.vm.fully_backed():
-            # the plan takes prefetch host addresses from the walk plan,
-            # so lazy EPT faults would come in another order than the
-            # scalar walker's
-            return "asap-nested plans need a fully backed VM"
-        inner_spec = spec.inner.batch_spec()
-        expected = "radix-native" if kind == "asap-native" else "radix-nested"
-        if inner_spec is None or inner_spec.kind != expected:
-            return f"{kind} inner walker has no {expected} plan"
-        reason = _spec_reason(inner_spec, memsys)
-        return f"{kind} inner walk: {reason}" if reason else None
-    return f"unknown batch-spec kind {kind!r}"
+    if spec.kind == "asap-nested" and not spec.vm.fully_backed():
+        # the plan takes prefetch host addresses from the walk plan, so
+        # lazy EPT faults would come in another order than the scalar
+        # walker's
+        return "asap-nested plans need a fully backed VM"
+    return None
 
 
 # --------------------------------------------------------------------- #
@@ -359,6 +296,12 @@ def _make_pwc_probe(view) -> Tuple[Callable[[int], int], Callable[[], None]]:
 # Planners
 # --------------------------------------------------------------------- #
 
+def _pwc_shape(pwc) -> Tuple[int, int]:
+    """``(top_level, n_offsets)``: the radix level a PWC probe starts
+    from and how many levels the PWC caches."""
+    return pwc.top_level, len(pwc.batch_view().tables)
+
+
 def _build_radix_native_columns(page_table, top_level: int, n_offsets: int,
                                 uniq_vpns: List[int], views,
                                 prefetch_levels: Tuple[int, ...] = ()):
@@ -478,24 +421,16 @@ def _build_radix_native_columns(page_table, top_level: int, n_offsets: int,
                              fval_mat.ravel().tolist()), prefetch
 
 
-def _build_radix_nested_plans(guest_pt, vm, top_level: int, n_offsets: int,
-                              uniq_vpns: List[int], collect: bool):
-    """Per-VPN 2D walk chains: guest dimension + memoized host chains.
+def _host_chains(vm) -> Callable[[int], tuple]:
+    """The host-chain memo of the nested planners: ``resolve(gfn) ->
+    (hfn, pte addrs, levels)``, the guest frame's host frame and the
+    EPT walk that finds it, computed once per guest frame.
 
-    A plan is ``(entries, data)``. Each guest-level entry is
-    ``(gfn, hfn, hsteps, gpte_hpa, fill, gtag, htags)``: the guest-PTE
-    page's guest frame (the nested-PWC key), its host frame (the fill
-    value), the host-dimension fetch chain replayed on a nested-PWC
-    miss, the guest-PTE's host address, and the guest-PWC fill. ``data``
-    is the leaf page's host resolution, or ``None`` for a dead chain.
-
-    Host chains are memoized per guest frame; the memo resolves
-    ``vm.gpa_to_hpa`` before ``ept.walk_steps`` in first-touch order,
-    which reproduces the scalar loop's lazy EPT backfill / shadow-table
-    extension sequence exactly (allocation order determines addresses).
+    The memo resolves ``vm.gpa_to_hpa`` before ``ept.walk_steps`` in
+    first-touch order, which reproduces the scalar loop's lazy EPT
+    backfill / shadow-table extension sequence exactly (allocation
+    order determines addresses).
     """
-    gread = guest_pt.memory.read_word
-    root_gpa = guest_pt.root_frame << PAGE_SHIFT
     ept = vm.ept
     gpa_to_hpa = vm.gpa_to_hpa
     host = {}
@@ -511,6 +446,31 @@ def _build_radix_nested_plans(guest_pt, vm, top_level: int, n_offsets: int,
             host[gfn] = entry
         return entry
 
+    return resolve
+
+
+def _data_resolution(resolve, dgfn: int, collect: bool) -> tuple:
+    """``(dgfn, dhfn, dsteps, dtags)``: the data page's host resolution."""
+    dhfn, dsteps, dlevels = resolve(dgfn)
+    dtags = tuple(f"hdL{sl}" for sl in dlevels) if collect else None
+    return dgfn, dhfn, dsteps, dtags
+
+
+def _build_radix_nested_plans(guest_pt, vm, top_level: int, n_offsets: int,
+                              uniq_vpns: List[int], collect: bool):
+    """Per-VPN 2D walk chains: guest dimension + memoized host chains.
+
+    A plan is ``(entries, data)``. Each guest-level entry is
+    ``(gfn, hfn, hsteps, gpte_hpa, fill, gtag, htags)``: the guest-PTE
+    page's guest frame (the nested-PWC key), its host frame (the fill
+    value), the host-dimension fetch chain replayed on a nested-PWC
+    miss, the guest-PTE's host address, and the guest-PWC fill. ``data``
+    is the leaf page's host resolution, or ``None`` for a dead chain.
+    Host chains come from :func:`_host_chains`.
+    """
+    gread = guest_pt.memory.read_word
+    root_gpa = guest_pt.root_frame << PAGE_SHIFT
+    resolve = _host_chains(vm)
     nodes = {}
     plans = {}
     for vpn in uniq_vpns:
@@ -557,11 +517,8 @@ def _build_radix_nested_plans(guest_pt, vm, top_level: int, n_offsets: int,
                 leaf_frame, leaf_level = payload
                 data_gpa = (leaf_frame << PAGE_SHIFT) \
                     + ((vpn << PAGE_SHIFT) & (_LEAF_BYTES[leaf_level] - 1))
-                dgfn = data_gpa >> PAGE_SHIFT
-                dhfn, dsteps, dlevels = resolve(dgfn)
-                dtags = tuple(f"hdL{sl}" for sl in dlevels) \
-                    if collect else None
-                data = (dgfn, dhfn, dsteps, dtags)
+                data = _data_resolution(resolve, data_gpa >> PAGE_SHIFT,
+                                        collect)
             break
         plans[vpn] = (tuple(entries), data)
     return plans
@@ -754,13 +711,13 @@ def _plan_ecpt_probe_step(ecpt, va: int, cand_addrs, cand_tags, tag: str,
                      cand_tags, crit)
 
 
-def _build_ecpt_native_plans(spec: BatchSpec, uniq_vpns: List[int],
-                             collect: bool, caches):
+def _build_ecpt_native_plans(spec: BatchSpec, memsys: MemorySubsystem,
+                             uniq_vpns: List[int], collect: bool):
     """Native ECPT: hash charge + one probe step per walk."""
     from repro.translation.ecpt import HASH_CYCLES
 
     ecpt = spec.ecpt
-    fold = _ProbeFold(caches)
+    fold = _ProbeFold(memsys.caches)
     cand_rows = ecpt.candidate_array(
         np.asarray(uniq_vpns, dtype=np.int64) << PAGE_SHIFT).tolist()
     cand_tags = _cand_tags(ecpt, "ecpt", collect)
@@ -773,8 +730,8 @@ def _build_ecpt_native_plans(spec: BatchSpec, uniq_vpns: List[int],
     return plans
 
 
-def _build_ecpt_nested_plans(spec: BatchSpec, uniq_vpns: List[int],
-                             collect: bool, caches):
+def _build_ecpt_nested_plans(spec: BatchSpec, memsys: MemorySubsystem,
+                             uniq_vpns: List[int], collect: bool):
     """Nested ECPT: the three sequential steps compiled to one op list.
 
     Step 1 host-resolves every guest candidate (a full probe step when
@@ -795,7 +752,7 @@ def _build_ecpt_nested_plans(spec: BatchSpec, uniq_vpns: List[int],
 
     guest = spec.ecpt
     host = spec.host_ecpt
-    fold = _ProbeFold(caches)
+    fold = _ProbeFold(memsys.caches)
     fetched = fold.fetched
     guest_tables = [(int(size), size.bytes - 1, table)
                     for size, table in guest.tables.items()]
@@ -887,8 +844,8 @@ def _build_ecpt_nested_plans(spec: BatchSpec, uniq_vpns: List[int],
     return plans
 
 
-def _build_fpt_native_plans(spec: BatchSpec, uniq_vpns: List[int],
-                            collect: bool, caches):
+def _build_fpt_native_plans(spec: BatchSpec, memsys: MemorySubsystem,
+                            uniq_vpns: List[int], collect: bool):
     """Native FPT: fully static two-reference plans (root + leaf slots).
 
     The winning leaf slot is identified at plan time exactly like the
@@ -897,7 +854,7 @@ def _build_fpt_native_plans(spec: BatchSpec, uniq_vpns: List[int],
     probe runs (folded like ECPT's, :class:`_ProbeFold`).
     """
     fpt = spec.fpt
-    fold = _ProbeFold(caches)
+    fold = _ProbeFold(memsys.caches)
     fetched = fold.fetched
     read = fpt.memory.read_word
     probe_huge = spec.probe_huge
@@ -933,8 +890,8 @@ def _build_fpt_native_plans(spec: BatchSpec, uniq_vpns: List[int],
     return plans
 
 
-def _build_fpt_nested_plans(spec: BatchSpec, uniq_vpns: List[int],
-                            collect: bool, caches):
+def _build_fpt_nested_plans(spec: BatchSpec, memsys: MemorySubsystem,
+                            uniq_vpns: List[int], collect: bool):
     """Virtualized FPT: eight-reference plans, both dimensions flattened.
 
     Each host resolution gets a fresh per-walk group id (2, 3, ...);
@@ -955,7 +912,7 @@ def _build_fpt_nested_plans(spec: BatchSpec, uniq_vpns: List[int],
     probe_huge = spec.probe_huge
     gread = guest.memory.read_word
     hread = host.memory.read_word
-    fold = _ProbeFold(caches)
+    fold = _ProbeFold(memsys.caches)
     fetched = fold.fetched
     offset_mask = PAGE_SIZE - 1
     resolutions: Dict[Tuple[int, str], tuple] = {}
@@ -1061,7 +1018,7 @@ def _build_fpt_nested_plans(spec: BatchSpec, uniq_vpns: List[int],
     return plans
 
 
-def _build_agile_plans(spec: BatchSpec, top_level: int, n_offsets: int,
+def _build_agile_plans(spec: BatchSpec, memsys: MemorySubsystem,
                        uniq_vpns: List[int], collect: bool):
     """Agile Paging plans: shadow chain + guest leaf + data resolution.
 
@@ -1076,24 +1033,11 @@ def _build_agile_plans(spec: BatchSpec, top_level: int, n_offsets: int,
     """
     guest_pt = spec.guest_pt
     spt = spec.spt
-    vm = spec.vm
     sread = spt.memory.read_word
-    gpa_to_hpa = vm.gpa_to_hpa
-    ept = vm.ept
+    gpa_to_hpa = spec.vm.gpa_to_hpa
+    top_level, n_offsets = _pwc_shape(memsys.pwc)
     chain_top = min(top_level, guest_pt.levels)
-    host = {}
-
-    def resolve(gfn: int):
-        entry = host.get(gfn)
-        if entry is None:
-            hpa = gpa_to_hpa(gfn << PAGE_SHIFT)   # lazy backing first-touch
-            steps = ept.walk_steps(gfn << PAGE_SHIFT)
-            entry = (hpa >> PAGE_SHIFT,
-                     tuple(step.pte_addr for step in steps),
-                     tuple(f"hdL{step.level}" for step in steps)
-                     if collect else None)
-            host[gfn] = entry
-        return entry
+    resolve = _host_chains(spec.vm)
 
     plans = {}
     for vpn in uniq_vpns:
@@ -1122,10 +1066,101 @@ def _build_agile_plans(spec: BatchSpec, top_level: int, n_offsets: int,
         leaf = (leaf_addr, f"gL{leaf_level}" if collect else None)
         data_gpa = (pte_frame(leaf_step.pte_value) << PAGE_SHIFT) \
             + (gva & (_LEAF_BYTES[leaf_level] - 1))
-        dgfn = data_gpa >> PAGE_SHIFT
-        dhfn, dsteps, dtags = resolve(dgfn)
-        plans[vpn] = (tuple(chain), leaf, (dgfn, dhfn, dsteps, dtags))
+        plans[vpn] = (tuple(chain), leaf, _data_resolution(
+            resolve, data_gpa >> PAGE_SHIFT, collect))
     return plans
+
+
+def _plan_radix_native(spec: BatchSpec, memsys: MemorySubsystem,
+                       uniq_vpns: List[int], collect: bool,
+                       prefetch_levels: Tuple[int, ...] = ()):
+    """Radix-native columns (:func:`_build_radix_native_columns`)."""
+    views = [level.batch_view() for level in memsys.caches.levels]
+    return _build_radix_native_columns(
+        spec.page_table, *_pwc_shape(memsys.pwc), uniq_vpns, views,
+        prefetch_levels)
+
+
+def _plan_radix_nested(spec: BatchSpec, memsys: MemorySubsystem,
+                       uniq_vpns: List[int], collect: bool):
+    """Radix-nested chains (:func:`_build_radix_nested_plans`)."""
+    return _build_radix_nested_plans(
+        spec.guest_pt, spec.vm, *_pwc_shape(memsys.guest_pwc), uniq_vpns,
+        collect)
+
+
+def _plan_dmt(spec: BatchSpec, memsys: MemorySubsystem,
+              uniq_vpns: List[int], collect: bool):
+    """``(plans, fallback_vpns, fallback_spec, fallback_plan)``: pass 1
+    (:func:`_build_dmt_plans`), then pass 2, the radix fallback walker's
+    plan for only the VPNs whose attempt fell back."""
+    plans, fallback_vpns = _build_dmt_plans(spec, uniq_vpns, collect)
+    fallback_spec = spec.fallback.batch_spec()
+    fallback_plan = _PLANNERS[fallback_spec.kind](
+        fallback_spec, memsys, fallback_vpns, collect)
+    return plans, fallback_vpns, fallback_spec, fallback_plan
+
+
+def _plan_asap(spec: BatchSpec, memsys: MemorySubsystem,
+               uniq_vpns: List[int], collect: bool):
+    """Plan an ASAP replay: ``(inner_spec, plan, prefetch)``, the inner
+    radix walker's spec and walk plan, and each unique VPN's prefetch
+    addresses, read off that plan.
+
+    Native ASAP prefetches the walk's L2/L1 PTE addresses: the rows of
+    :func:`_build_radix_native_columns` at :data:`PREFETCH_LEVELS`.
+    Nested ASAP prefetches each guest L2/L1 entry's host address
+    (``gpte_hpa``) followed by the L2/L1 steps of that entry's memoised
+    host chain — what the scalar walker's ``gpa_to_hpa`` and EPT
+    ``walk_steps`` give on a fully backed VM (:func:`unsupported_reason`
+    refuses any other; machine builds back the whole guest-physical
+    space before any walker exists).
+    """
+    inner_spec = spec.inner.batch_spec()
+    if spec.kind == "asap-native":
+        slots, columns, prefetch = _plan_radix_native(
+            inner_spec, memsys, uniq_vpns, collect, PREFETCH_LEVELS)
+        return inner_spec, (slots, columns), prefetch
+    top_level = memsys.guest_pwc.top_level
+    plans = _plan_radix_nested(inner_spec, memsys, uniq_vpns, collect)
+    host_levels = inner_spec.vm.ept.levels
+    guest_depths = [depth for depth in range(top_level)
+                    if top_level - depth in PREFETCH_LEVELS]
+    host_depths = [depth for depth in range(host_levels)
+                   if host_levels - depth in PREFETCH_LEVELS]
+    host_prefetch: Dict[int, Tuple[int, ...]] = {}   # per guest frame
+    prefetch = {}
+    for vpn in uniq_vpns:
+        entries = plans[vpn][0]
+        addrs: List[int] = []
+        for depth in guest_depths:
+            if depth >= len(entries):
+                break
+            gfn, _hfn, hsteps, gpte_hpa = entries[depth][:4]
+            steps = host_prefetch.get(gfn)
+            if steps is None:
+                steps = host_prefetch[gfn] = tuple(
+                    hsteps[k] for k in host_depths if k < len(hsteps))
+            addrs.append(gpte_hpa)
+            addrs += steps
+        prefetch[vpn] = tuple(addrs)
+    return inner_spec, plans, prefetch
+
+#: ``spec.kind`` -> planner ``(spec, memsys, uniq_vpns, collect) ->
+#: plan``: the one planning step of both batched backends. The plan goes
+#: to the vec runner builders or to the kernels' flatteners unchanged.
+_PLANNERS: Dict[str, Callable] = {
+    "radix-native": _plan_radix_native,
+    "radix-nested": _plan_radix_nested,
+    "dmt": _plan_dmt,
+    "ecpt-native": _build_ecpt_native_plans,
+    "ecpt-nested": _build_ecpt_nested_plans,
+    "fpt-native": _build_fpt_native_plans,
+    "fpt-nested": _build_fpt_nested_plans,
+    "agile": _build_agile_plans,
+    "asap-native": _plan_asap,
+    "asap-nested": _plan_asap,
+}
 
 
 # --------------------------------------------------------------------- #
@@ -1136,8 +1171,9 @@ def _make_host_resolver(memsys: MemorySubsystem,
                         access: Callable[[int], int],
                         finalizers: List[Callable[[], None]]):
     """Inlined ``_host_resolve`` of the nested walkers: the nested-PWC
-    consult (LRU touch and credit thinning as ``NestedPWC.get``), on a
-    miss the memoized host chain's replay, then ``NestedPWC.fill``.
+    consult (LRU touch and credit thinning as ``NestedPWC.get``; a rate
+    of 1.0 accepts every hit), on a miss the memoized host chain's
+    replay, then ``NestedPWC.fill``.
 
     ``resolve_host(gfn, hfn, hsteps, htags, steps, cycles, nrefs)``
     returns the updated ``(cycles, nrefs)``; the hit/miss counts and the
@@ -1156,15 +1192,12 @@ def _make_host_resolver(memsys: MemorySubsystem,
         if gfn in ntable:
             cached = ntable.pop(gfn)   # LRU touch, even when thinned
             ntable[gfn] = cached
-            if naccept < 1.0:
-                credit = ncredit[0] + naccept
-                if credit >= 1.0:
-                    ncredit[0] = credit - 1.0
-                    hit = True
-                else:
-                    ncredit[0] = credit
-            else:
+            credit = ncredit[0] + naccept
+            if credit >= 1.0:
+                ncredit[0] = credit - 1.0
                 hit = True
+            else:
+                ncredit[0] = credit
         if hit:
             ncounters[0] += 1
             return cycles, nrefs
@@ -1196,12 +1229,11 @@ def _make_host_resolver(memsys: MemorySubsystem,
     return resolve_host
 
 
-def _make_radix_runner(spec: BatchSpec, memsys: MemorySubsystem,
-                       uniq_vpns: List[int], access: Callable[[int], int],
-                       access_ctx, collect: bool,
+def _make_radix_runner(spec: BatchSpec, memsys: MemorySubsystem, plan,
+                       access: Callable[[int], int], access_ctx,
                        finalizers: List[Callable[[], None]],
-                       credit_walkers: Tuple = (), plan=None):
-    """Build plans + the per-miss radix walk function for ``spec``.
+                       credit_walkers: Tuple = ()):
+    """The per-miss radix walk function for ``spec`` over its ``plan``.
 
     Returns ``(run, run_many)``. ``run(vpn, steps)`` executes one walk:
     PWC probe (with LRU touch and credit thinning), the remaining chain
@@ -1220,8 +1252,6 @@ def _make_radix_runner(spec: BatchSpec, memsys: MemorySubsystem,
     ``credit_walkers`` names walkers whose walks/cycles counters must
     mirror these walks (the DMT fallback path: the scalar loop records
     each fallback walk on the fallback walker before the DMT walker).
-    ``plan`` is the spec's walk plan when the caller built it already
-    (ASAP, :func:`_plan_asap`).
     """
     pwc = memsys.guest_pwc if spec.kind == "radix-nested" else memsys.pwc
     view = pwc.batch_view()
@@ -1235,10 +1265,6 @@ def _make_radix_runner(spec: BatchSpec, memsys: MemorySubsystem,
     if spec.kind == "radix-native":
         (v1, v2, v3), mem_latency, counters = access_ctx
         top_level = view.top_level
-        if plan is None:
-            plan = _build_radix_native_columns(
-                spec.page_table, top_level, len(tables), uniq_vpns,
-                (v1, v2, v3))
         slots, columns = plan[:2]
         line1, idx1, line2, idx2, line3, idx3, fkeys, fvals = columns
         tag_by_step = tuple(
@@ -1449,13 +1475,10 @@ def _make_radix_runner(spec: BatchSpec, memsys: MemorySubsystem,
                 return total_cycles, refs
 
     else:  # radix-nested
-        plans = plan if plan is not None else _build_radix_nested_plans(
-            spec.guest_pt, spec.vm, view.top_level, len(tables),
-            uniq_vpns, collect)
         resolve_host = _make_host_resolver(memsys, access, finalizers)
 
         def run(vpn: int, steps) -> Tuple[int, int, bool]:
-            entries, data = plans[vpn]
+            entries, data = plan[vpn]
             cycles = pwc_latency
             nrefs = 0
             i = probe(vpn)
@@ -1503,26 +1526,22 @@ def _make_radix_runner(spec: BatchSpec, memsys: MemorySubsystem,
     return tracked, None
 
 
-def _make_dmt_runner(spec: BatchSpec, memsys: MemorySubsystem,
-                     uniq_vpns: List[int], access: Callable[[int], int],
-                     access_ctx, collect: bool,
+def _make_dmt_runner(spec: BatchSpec, memsys: MemorySubsystem, plan,
+                     access: Callable[[int], int], access_ctx,
                      finalizers: List[Callable[[], None]]):
-    """Build the per-miss DMT run function (register hit or fallback).
+    """The per-miss DMT run function (register hit or fallback) over
+    :func:`_plan_dmt`'s two-pass plan.
 
-    Pass 1 captures every attempt's fetch groups and counter deltas from
-    the live fetcher; pass 2 plans radix fallbacks for only the VPNs
-    that fell back. At runtime a register hit charges each group's
-    slowest member sequentially (``WalkRecorder.fetch_grouped``
-    semantics); a register miss applies the attempt's cache traffic with
-    its latency discarded — exactly the scalar ``_run``, which drops the
-    recorder on fallback but keeps the cache/PWC mutations — then runs
-    the radix fallback walk, whose cycles and refs are the walk's result.
+    A register hit charges each group's slowest member sequentially
+    (``WalkRecorder.fetch_grouped`` semantics); a register miss applies
+    the attempt's cache traffic with its latency discarded — exactly the
+    scalar ``_run``, which drops the recorder on fallback but keeps the
+    cache/PWC mutations — then runs the radix fallback walk, whose
+    cycles and refs are the walk's result.
     """
-    plans, fallback_vpns = _build_dmt_plans(spec, uniq_vpns, collect)
-    fallback_spec = spec.fallback.batch_spec()
+    plans, _fallback_vpns, fallback_spec, fallback_plan = plan
     fallback_run, _ = _make_radix_runner(
-        fallback_spec, memsys, fallback_vpns, access, access_ctx, collect,
-        finalizers,
+        fallback_spec, memsys, fallback_plan, access, access_ctx, finalizers,
         credit_walkers=(spec.fallback,) + tuple(fallback_spec.extra_walkers))
     fetcher = spec.fetcher
     acc = [0, 0]  # fetcher hits / fallbacks deltas, applied at finalize
@@ -1734,37 +1753,8 @@ def _make_ops_runner(plans, access: Callable[[int], int], access_ctx, cwc,
     return run
 
 
-def _make_ecpt_runner(spec: BatchSpec, memsys: MemorySubsystem,
-                      uniq_vpns: List[int], access: Callable[[int], int],
-                      access_ctx, collect: bool,
-                      finalizers: List[Callable[[], None]]):
-    """ECPT (native or nested): plans + the live-CWC op interpreter."""
-    if spec.kind == "ecpt-native":
-        plans = _build_ecpt_native_plans(spec, uniq_vpns, collect,
-                                         memsys.caches)
-    else:
-        plans = _build_ecpt_nested_plans(spec, uniq_vpns, collect,
-                                         memsys.caches)
-    return _make_ops_runner(plans, access, access_ctx, spec.cwc, finalizers)
-
-
-def _make_fpt_runner(spec: BatchSpec, memsys: MemorySubsystem,
-                     uniq_vpns: List[int], access: Callable[[int], int],
-                     access_ctx, collect: bool,
-                     finalizers: List[Callable[[], None]]):
-    """FPT (native or nested): fully static plans, no prediction state."""
-    if spec.kind == "fpt-native":
-        plans = _build_fpt_native_plans(spec, uniq_vpns, collect,
-                                        memsys.caches)
-    else:
-        plans = _build_fpt_nested_plans(spec, uniq_vpns, collect,
-                                        memsys.caches)
-    return _make_ops_runner(plans, access, access_ctx, None, finalizers)
-
-
-def _make_agile_runner(spec: BatchSpec, memsys: MemorySubsystem,
-                       uniq_vpns: List[int], access: Callable[[int], int],
-                       access_ctx, collect: bool,
+def _make_agile_runner(spec: BatchSpec, memsys: MemorySubsystem, plans,
+                       access: Callable[[int], int],
                        finalizers: List[Callable[[], None]]):
     """Agile Paging: PWC-probed shadow chain + nested data resolution.
 
@@ -1782,9 +1772,6 @@ def _make_agile_runner(spec: BatchSpec, memsys: MemorySubsystem,
     pwc_latency = memsys.pwc_latency
     top_level = view.top_level
     chain_top = min(top_level, spec.guest_pt.levels)
-    plans = _build_agile_plans(spec, top_level, len(tables), uniq_vpns,
-                               collect)
-
     resolve_host = _make_host_resolver(memsys, access, finalizers)
 
     def run(vpn: int, steps) -> Tuple[int, int, bool]:
@@ -1826,62 +1813,9 @@ def _make_agile_runner(spec: BatchSpec, memsys: MemorySubsystem,
     return run
 
 
-def _plan_asap(spec: BatchSpec, memsys: MemorySubsystem,
-               uniq_vpns: List[int], views, collect: bool):
-    """Plan an ASAP replay (both engines): ``(inner_spec, plan,
-    prefetch)``, the inner radix walker's spec and walk plan, and each
-    unique VPN's prefetch addresses, read off that plan.
-
-    Native ASAP prefetches the walk's L2/L1 PTE addresses: the rows of
-    :func:`_build_radix_native_columns` at :data:`PREFETCH_LEVELS`.
-    Nested ASAP prefetches each guest L2/L1 entry's host address
-    (``gpte_hpa``) followed by the L2/L1 steps of that entry's memoised
-    host chain — what the scalar walker's ``gpa_to_hpa`` and EPT
-    ``walk_steps`` give on a fully backed VM (:func:`unsupported_reason`
-    refuses any other; machine builds back the whole guest-physical
-    space before any walker exists). ``views`` are the cache-level
-    views the native columns index.
-    """
-    inner_spec = spec.inner.batch_spec()
-    if spec.kind == "asap-native":
-        pwc = memsys.pwc
-        slots, columns, prefetch = _build_radix_native_columns(
-            inner_spec.page_table, pwc.top_level,
-            len(pwc.batch_view().tables), uniq_vpns, views, PREFETCH_LEVELS)
-        return inner_spec, (slots, columns), prefetch
-    pwc = memsys.guest_pwc
-    top_level = pwc.top_level
-    plans = _build_radix_nested_plans(
-        inner_spec.guest_pt, inner_spec.vm, top_level,
-        len(pwc.batch_view().tables), uniq_vpns, collect)
-    host_levels = inner_spec.vm.ept.levels
-    guest_depths = [depth for depth in range(top_level)
-                    if top_level - depth in PREFETCH_LEVELS]
-    host_depths = [depth for depth in range(host_levels)
-                   if host_levels - depth in PREFETCH_LEVELS]
-    host_prefetch: Dict[int, Tuple[int, ...]] = {}   # per guest frame
-    prefetch = {}
-    for vpn in uniq_vpns:
-        entries = plans[vpn][0]
-        addrs: List[int] = []
-        for depth in guest_depths:
-            if depth >= len(entries):
-                break
-            gfn, _hfn, hsteps, gpte_hpa = entries[depth][:4]
-            steps = host_prefetch.get(gfn)
-            if steps is None:
-                steps = host_prefetch[gfn] = tuple(
-                    hsteps[k] for k in host_depths if k < len(hsteps))
-            addrs.append(gpte_hpa)
-            addrs += steps
-        prefetch[vpn] = tuple(addrs)
-    return inner_spec, plans, prefetch
-
-
 def _make_asap_runner(walker: Walker, spec: BatchSpec,
-                      memsys: MemorySubsystem, uniq_vpns: List[int],
+                      memsys: MemorySubsystem, plan,
                       access: Callable[[int], int], access_ctx,
-                      collect: bool,
                       finalizers: List[Callable[[], None]]):
     """ASAP (native or nested): prefetch cost model over the radix plan.
 
@@ -1893,12 +1827,10 @@ def _make_asap_runner(walker: Walker, spec: BatchSpec,
     and the inner walker's own walks/cycles counters mirror the inner
     replays.
     """
-    inner_spec, plan, pf_plans = _plan_asap(spec, memsys, uniq_vpns,
-                                            access_ctx[0], collect)
+    inner_spec, inner_plan, pf_plans = plan
     chain_hop = walker.CHAIN_HOP_CYCLES if spec.kind == "asap-nested" else 0
     inner_run, _ = _make_radix_runner(
-        inner_spec, memsys, uniq_vpns, access, access_ctx, collect,
-        finalizers, plan=plan)
+        inner_spec, memsys, inner_plan, access, access_ctx, finalizers)
 
     inner = spec.inner
     acc = [0, 0, 0]  # inner walks, inner cycles, prefetches issued
@@ -1928,151 +1860,189 @@ def _make_asap_runner(walker: Walker, spec: BatchSpec,
 
 
 # --------------------------------------------------------------------- #
-# Entry point
+# Entry point: the one batched replay frame
 # --------------------------------------------------------------------- #
 
-def replay_walks_vec(
+# ``gc.disable`` is process-global, so concurrent cell replays refcount
+# it: the first replay in pauses collection, the last one out restores
+# whatever the outermost caller had.
+_GC_LOCK = threading.Lock()
+_GC_DEPTH = 0
+_GC_REENABLE = False
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic GC for a block; refcounted across threads."""
+    global _GC_DEPTH, _GC_REENABLE
+    with _GC_LOCK:
+        if _GC_DEPTH == 0:
+            _GC_REENABLE = gc.isenabled()
+            if _GC_REENABLE:
+                gc.disable()
+        _GC_DEPTH += 1
+    try:
+        yield
+    finally:
+        with _GC_LOCK:
+            _GC_DEPTH -= 1
+            if _GC_DEPTH == 0 and _GC_REENABLE:
+                gc.enable()
+
+
+def _vec_replayer(walker: Walker, spec: BatchSpec, memsys: MemorySubsystem,
+                  plan, vpns: np.ndarray, collect: bool, chunk: int,
+                  finalizers: List[Callable[[], None]]):
+    """The vec backend of :func:`replay_batched`: the runner for
+    ``spec.kind`` over ``plan``, driven chunk by chunk.
+
+    Returns ``replay(lo, hi, step_cycles) -> (cycles, refs, fallbacks)``
+    for the walks of ``vpns[lo:hi]``; ``step_cycles`` (a
+    ``WalkStats.step_cycles`` dict) collects the steps when not None.
+    """
+    access, access_fin, access_ctx = _make_access(memsys.caches)
+    finalizers.append(access_fin)
+    kind = spec.kind
+    run_many = None
+    if kind in ("radix-native", "radix-nested"):
+        run, run_many = _make_radix_runner(spec, memsys, plan, access,
+                                           access_ctx, finalizers)
+    elif kind == "dmt":
+        run = _make_dmt_runner(spec, memsys, plan, access, access_ctx,
+                               finalizers)
+    elif kind == "agile":
+        run = _make_agile_runner(spec, memsys, plan, access, finalizers)
+    elif kind in ("asap-native", "asap-nested"):
+        run = _make_asap_runner(walker, spec, memsys, plan, access,
+                                access_ctx, finalizers)
+    else:  # the ECPT and FPT op programs
+        run = _make_ops_runner(plan, access, access_ctx, spec.cwc,
+                               finalizers)
+    if collect:
+        run_many = None
+
+    def replay(lo: int, hi: int, step_cycles) -> Tuple[int, int, int]:
+        cycles = refs = fallbacks = 0
+        # Chunks reach the runners as memoryviews of the ndarray slices
+        # — zero-copy (no Python-list materialization), yet iteration
+        # yields native ints, so the runners' dict lookups and shifts
+        # skip np.int64 scalar overhead (~25% on the radix fast path).
+        for start in range(lo, hi, chunk):
+            chunk_vpns = memoryview(vpns[start:min(start + chunk, hi)])
+            if run_many is not None:
+                chunk_cycles, nrefs = run_many(chunk_vpns)
+                cycles += chunk_cycles
+                refs += nrefs
+            elif step_cycles is None:
+                for vpn in chunk_vpns:
+                    walk_cycles, nrefs, fell_back = run(vpn, None)
+                    cycles += walk_cycles
+                    refs += nrefs
+                    if fell_back:
+                        fallbacks += 1
+            else:
+                for vpn in chunk_vpns:
+                    steps = []
+                    walk_cycles, nrefs, fell_back = run(vpn, steps)
+                    cycles += walk_cycles
+                    refs += nrefs
+                    if fell_back:
+                        fallbacks += 1
+                    position = 0
+                    for tag, latency in steps:
+                        position += 1
+                        bucket = step_cycles.setdefault(
+                            "%02d:%s" % (position, tag), [0.0, 0])
+                        bucket[0] += latency
+                        bucket[1] += 1
+        return cycles, refs, fallbacks
+
+    return replay
+
+
+def replay_batched(
     walker: Walker,
     miss_vas,
     warmup_fraction: float = 0.1,
     collect_steps: bool = False,
+    native: Optional[bool] = None,
     chunk: int = DEFAULT_CHUNK,
 ):
     """Batched stage 2: replay a miss stream, bit-identical to scalar.
 
-    Drop-in for :func:`repro.sim.simulator.replay_walks` on supported
-    walkers (see :func:`supports`): same ``WalkStats`` (cycles, refs,
-    fallbacks, step breakdown), same post-replay cache/PWC/walker state.
-    Raises ``ValueError`` for unsupported walkers — callers route those
-    through the scalar loop (``engine="auto"`` does this automatically).
+    Drop-in for :func:`repro.sim.simulator.replay_walks` on walkers
+    :func:`unsupported_reason` accepts (the caller checks): same
+    ``WalkStats`` (cycles, refs, fallbacks, step breakdown), same
+    post-replay cache/PWC/CWC/walker state. The frame plans each unique
+    VPN through :data:`_PLANNERS`, then replays the warm-up and the
+    measured walks on one backend: the compiled kernels
+    (:func:`repro.sim.kernels.replay._kernel_replayer`) when ``native``
+    is true, the per-walk runners otherwise. ``native=None`` means the
+    kernels when numba is installed. Step collection always runs the
+    runners (the kernels carry no step tags). ``chunk`` bounds the
+    runners' transient lists; the kernels take whole ranges.
     """
+    from repro.sim import kernels
     from repro.sim.simulator import WalkStats
 
-    reason = unsupported_reason(walker)
-    if reason is not None:
-        raise ValueError(
-            f"walker {walker.name!r} has no batched replay path: {reason} "
-            "(use the scalar engine)")
     spec = walker.batch_spec()
     memsys = walker.memsys
-    record_refs = memsys.record_refs
-    collect = bool(collect_steps and record_refs)
+    collect = bool(collect_steps and memsys.record_refs)
+    if native is None:
+        native = kernels.HAVE_NUMBA
+    native = native and not collect
 
     vas = np.asarray(miss_vas, dtype=np.int64)
-    stats = WalkStats(design=walker.name, engine="vec")
+    stats = WalkStats(design=walker.name,
+                      engine="native" if native else "vec")
     total = int(vas.size)
     if total == 0:
         return stats
     vpns = vas >> PAGE_SHIFT
 
     # Unique VPNs in first-occurrence order: planning must touch lazily
-    # populated structures in the same order the scalar loop would.
-    uniq, first_index = np.unique(vpns, return_index=True)
-    uniq_ordered = uniq[np.argsort(first_index, kind="stable")].tolist()
+    # populated structures in the same order the scalar loop would. The
+    # kernels also index plan rows per miss (``inverse``).
+    uniq, first_index, *inverse = np.unique(
+        vpns, return_index=True, return_inverse=native)
+    order = np.argsort(first_index, kind="stable")
+    uniq_ordered = uniq[order].tolist()
 
+    finalizers: List[Callable[[], None]] = []
     # Planning + replay allocate at a small bounded rate; pausing the
     # cyclic collector for the duration costs nothing semantically.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        access, access_fin, access_ctx = _make_access(memsys.caches)
-        finalizers: List[Callable[[], None]] = [access_fin]
-        run_many = None
-        if spec.kind == "dmt":
-            run = _make_dmt_runner(spec, memsys, uniq_ordered, access,
-                                   access_ctx, collect, finalizers)
-        elif spec.kind in ("ecpt-native", "ecpt-nested"):
-            run = _make_ecpt_runner(spec, memsys, uniq_ordered, access,
-                                    access_ctx, collect, finalizers)
-        elif spec.kind in ("fpt-native", "fpt-nested"):
-            run = _make_fpt_runner(spec, memsys, uniq_ordered, access,
-                                   access_ctx, collect, finalizers)
-        elif spec.kind == "agile":
-            run = _make_agile_runner(spec, memsys, uniq_ordered, access,
-                                     access_ctx, collect, finalizers)
-        elif spec.kind in ("asap-native", "asap-nested"):
-            run = _make_asap_runner(walker, spec, memsys, uniq_ordered,
-                                    access, access_ctx, collect, finalizers)
+    with _gc_paused():
+        plan = _PLANNERS[spec.kind](spec, memsys, uniq_ordered, collect)
+        if native:
+            from repro.sim.kernels.replay import _kernel_replayer
+            replay = _kernel_replayer(walker, spec, memsys, plan,
+                                      uniq_ordered, vpns, order, inverse[0],
+                                      finalizers)
         else:
-            run, run_many = _make_radix_runner(
-                spec, memsys, uniq_ordered, access, access_ctx, collect,
-                finalizers)
-        if collect:
-            run_many = None
-
+            replay = _vec_replayer(walker, spec, memsys, plan, vpns,
+                                   collect, chunk, finalizers)
+        del plan   # the runners keep what they need
         warmup = int(total * warmup_fraction)
-        warm_cycles = 0
-        warm_fallbacks = 0
-        walks = measured_cycles = refs = fallbacks = 0
-        # Chunks reach the runners as memoryviews of the ndarray slices
-        # — zero-copy (no Python-list materialization), yet iteration
-        # yields native ints, so the runners' dict lookups and shifts
-        # skip np.int64 scalar overhead (~25% on the radix fast path).
-        if run_many is not None:
-            for start in range(0, warmup, chunk):
-                cycles, _nrefs = run_many(
-                    memoryview(vpns[start:min(start + chunk, warmup)]))
-                warm_cycles += cycles
-            for start in range(max(warmup, 0), total, chunk):
-                chunk_vpns = memoryview(vpns[start:min(start + chunk,
-                                                       total)])
-                cycles, nrefs = run_many(chunk_vpns)
-                walks += len(chunk_vpns)
-                measured_cycles += cycles
-                refs += nrefs
-        else:
-            for start in range(0, warmup, chunk):
-                for vpn in memoryview(vpns[start:min(start + chunk,
-                                                     warmup)]):
-                    cycles, _nrefs, fell_back = run(vpn, None)
-                    warm_cycles += cycles
-                    if fell_back:
-                        warm_fallbacks += 1
+        warm_cycles, _refs, warm_fallbacks = replay(0, warmup, None)
+        cycles, refs, fallbacks = replay(
+            warmup, total, stats.step_cycles if collect else None)
 
-            step_cycles = stats.step_cycles
-            for start in range(max(warmup, 0), total, chunk):
-                chunk_vpns = memoryview(vpns[start:min(start + chunk,
-                                                       total)])
-                if not collect:
-                    for vpn in chunk_vpns:
-                        cycles, nrefs, fell_back = run(vpn, None)
-                        walks += 1
-                        measured_cycles += cycles
-                        refs += nrefs
-                        if fell_back:
-                            fallbacks += 1
-                else:
-                    for vpn in chunk_vpns:
-                        steps = []
-                        cycles, nrefs, fell_back = run(vpn, steps)
-                        walks += 1
-                        measured_cycles += cycles
-                        refs += nrefs
-                        if fell_back:
-                            fallbacks += 1
-                        position = 0
-                        for tag, latency in steps:
-                            position += 1
-                            bucket = step_cycles.setdefault(
-                                "%02d:%s" % (position, tag), [0.0, 0])
-                            bucket[0] += latency
-                            bucket[1] += 1
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    stats.walks = walks
-    stats.total_cycles = measured_cycles
-    stats.ref_count = refs if record_refs else 0
+    stats.walks = total - warmup
+    stats.total_cycles = cycles
+    stats.ref_count = refs if memsys.record_refs else 0
     stats.fallbacks = fallbacks
-
     for finalize in finalizers:
         finalize()
-    all_cycles = warm_cycles + measured_cycles
-    all_fallbacks = warm_fallbacks + fallbacks
     for target in (walker,) + tuple(spec.extra_walkers):
         target.walks += total
-        target.total_cycles += all_cycles
-        target.fallbacks += all_fallbacks
+        target.total_cycles += warm_cycles + cycles
+        target.fallbacks += warm_fallbacks + fallbacks
     return stats
+
+
+def replay_walks_vec(walker: Walker, miss_vas, warmup_fraction: float = 0.1,
+                     collect_steps: bool = False,
+                     chunk: int = DEFAULT_CHUNK):
+    """:func:`replay_batched` on the per-walk runners, numba or not."""
+    return replay_batched(walker, miss_vas, warmup_fraction, collect_steps,
+                          native=False, chunk=chunk)

@@ -454,10 +454,6 @@ class CuckooTable:
             if not pending:
                 return
 
-    @property
-    def load_factor(self) -> float:
-        return self.groups / (self.nbuckets * self.ways)
-
     def table_bytes(self) -> int:
         return self.ways * self._way_pages() * PAGE_SIZE
 

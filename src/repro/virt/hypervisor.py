@@ -302,6 +302,3 @@ class Hypervisor:
         )
         self.vms[vm.vm_id] = vm
         return vm
-
-    def destroy_vm(self, vm: VM) -> None:
-        self.vms.pop(vm.vm_id, None)

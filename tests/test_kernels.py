@@ -14,7 +14,6 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from repro.arch import PAGE_SHIFT
 from repro.hw.cache import CacheHierarchy
@@ -23,9 +22,7 @@ from repro.sim.artifacts import ArtifactCache
 from repro.sim.kernels import (
     BACKEND,
     HAVE_NUMBA,
-    NATIVE_REQUIRES_NUMBA,
     jit,
-    replay_walks_native,
 )
 from repro.sim.kernels import designs, primitives, radix
 from repro.sim.kernels.replay import _cache_state, _cwc_state, _pwc_state
@@ -45,7 +42,6 @@ def _sets_state(caches):
 
 def test_backend_selection():
     assert BACKEND == ("numba" if HAVE_NUMBA else "python")
-    assert "numba" in NATIVE_REQUIRES_NUMBA
     decorated = jit(lambda: 0)
     assert callable(decorated)
 
@@ -81,7 +77,7 @@ def test_cache_array_view_writeback_roundtrip():
 
 def test_cache_access_primitive_matches_hierarchy():
     oracle, subject = _hierarchy(), _hierarchy()
-    cs, _views, finish = _cache_state(subject)
+    cs, finish = _cache_state(subject)
     rng = np.random.default_rng(11)
     addrs = rng.integers(0, 1 << 28, 3000).tolist()
     for i, addr in enumerate(addrs):
@@ -91,15 +87,15 @@ def test_cache_access_primitive_matches_hierarchy():
         else:
             expected = oracle.access(addr).latency
             assert primitives.cache_access(cs, addr) == expected
-    finish(None, None)
+    finish()
     assert _sets_state(subject) == _sets_state(oracle)
     assert subject.memory_accesses == oracle.memory_accesses
 
 
 def test_cache_access_cols_matches_plain_access():
     plain, cols = _hierarchy(), _hierarchy()
-    cs_a, _va, fin_a = _cache_state(plain)
-    cs_b, _vb, fin_b = _cache_state(cols)
+    cs_a, fin_a = _cache_state(plain)
+    cs_b, fin_b = _cache_state(cols)
     shifts = [level.array_view() for level in plain.levels]
     rng = np.random.default_rng(13)
     for addr in rng.integers(0, 1 << 28, 2000).tolist():
@@ -109,8 +105,8 @@ def test_cache_access_cols_matches_plain_access():
             lines += [line, line % view.num_sets]
         assert (primitives.cache_access(cs_a, addr)
                 == primitives.cache_access_cols(cs_b, *lines))
-    fin_a(None, None)
-    fin_b(None, None)
+    fin_a()
+    fin_b()
     assert _sets_state(cols) == _sets_state(plain)
 
 
@@ -139,7 +135,7 @@ def test_pwc_primitives_match_oracle():
             # scalar hit at level L resumes there; the kernel returns
             # how many chain steps are skipped — the same quantity
             assert start == top - level
-    finish(None, None)
+    finish()
     assert [tuple(t._entries.items()) for t in subject._tables] == \
         [tuple(t._entries.items()) for t in oracle._tables]
     assert subject._credit == oracle._credit
@@ -161,19 +157,9 @@ def test_cwc_primitives_match_oracle():
             way = int(rng.integers(0, 8))
             oracle.put(size, group, way)
             primitives.cwc_put(ws, (group << 6) | size, way)
-    finish(None, None)
+    finish()
     assert tuple(subject._entries.items()) == tuple(oracle._entries.items())
     assert (subject.hits, subject.misses) == (oracle.hits, oracle.misses)
-
-
-def test_replay_walks_native_rejects_unsupported():
-    from repro.analysis import sanitizer
-    config = SimConfig(scale=4096, nrefs=500, seed=0, sanitize=True)
-    sim = ENVIRONMENTS["native"]("GUPS", config)
-    with sanitizer.enabled():
-        with pytest.raises(ValueError, match="sanitizer"):
-            replay_walks_native(sim.walker("vanilla"),
-                                sim.tlb.miss_vas[:32])
 
 
 _WORKER = """

@@ -161,16 +161,13 @@ class TestCLI:
         assert code == 2
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize("flags", [["--walk-engine", "native"],
+    @pytest.mark.parametrize("flags", [["--register-count", "0"],
                                        ["--stream-chunk", "0"]])
     def test_bad_config_flag_exits_2_with_one_error_line(
             self, capsys, tmp_path, command, flags):
         """A config SimConfig rejects ends like an unknown design: one
         ``error:`` line and exit 2, not a traceback."""
         from repro.__main__ import main
-        from repro.sim.kernels import HAVE_NUMBA
-        if flags[0] == "--walk-engine" and HAVE_NUMBA:
-            pytest.skip("the native engine runs when numba is installed")
         grid = (["--workload", "GUPS"] if command == "run" else
                 ["--workloads", "GUPS", "--out", str(tmp_path / "s.json")])
         code = main([command, *grid, "--nrefs", "1000", "--scale", "8192",
@@ -189,17 +186,17 @@ class TestCLI:
         assert "walk speedup" in capsys.readouterr().out
 
     def test_run_fails_on_an_error_cell(self, capsys):
-        """vec refuses sanitized replays, so every cell is an error cell:
-        run prints each error and exits 1 (CI's sanitized run steps rely
-        on a failing cell failing the command)."""
+        """An unknown workload makes the group an error cell: run
+        prints the error and exits 1 (CI's sanitized run steps rely on
+        a failing cell failing the command)."""
         from repro.__main__ import main
-        code = main(["run", "--workload", "GUPS", "--env", "native",
-                     "--designs", "vanilla,dmt", "--nrefs", "1500",
-                     "--scale", "8192", "--sanitize", "--walk-engine",
-                     "vec"])
+        code = main(["run", "--workload", "NoSuchWorkload", "--env",
+                     "native", "--designs", "vanilla,dmt", "--nrefs",
+                     "1500", "--scale", "8192"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.count("sanitizer active") == 2
+        assert err.startswith("error: ")
+        assert "unknown workload 'NoSuchWorkload'" in err
 
     def test_sanitized_run_leaves_the_sanitizer_off(self, capsys):
         """``--sanitize`` turns the process-wide checks on only around
@@ -208,7 +205,7 @@ class TestCLI:
         from repro.__main__ import main
         from repro.analysis import sanitizer
         from repro.sim.machine import ENVIRONMENTS, SimConfig
-        from repro.sim.walk_vec import supports
+        from repro.sim.walk_vec import unsupported_reason
 
         code = main(["run", "--workload", "GUPS", "--env", "virt",
                      "--designs", "vanilla,pvdmt", "--nrefs", "1500",
@@ -217,7 +214,7 @@ class TestCLI:
         assert not sanitizer.active()
         sim = ENVIRONMENTS["native"]("GUPS", SimConfig(scale=8192,
                                                         nrefs=1500))
-        assert supports(sim.walker("vanilla"))
+        assert unsupported_reason(sim.walker("vanilla")) is None
         assert not sanitizer.active()
 
     def test_run_trace_records_sweep_and_replay_spans(self, capsys,

@@ -69,6 +69,27 @@ class TestMapping:
         with pytest.raises(ValueError):
             table.map(BASE + PAGE_SIZE, 7, PageSize.SIZE_4K)
 
+    def test_map_run_huge_page_over_a_leaf_table(self, table):
+        """A 2 MB ``map_run`` over a 4 KB leaf table behaves like ``map``:
+        refused while the table still maps a page (which stays mapped),
+        and once the table is empty it is released."""
+        table.map(0x203000, 7)
+        leaf = table.table_frame(0x200000, 1)
+        freed = table.stats.tables_freed
+        with pytest.raises(ValueError, match="still maps pages"):
+            table.map_run(0x200000, 1, PageSize.SIZE_2M,
+                          lambda va, olds: [512])
+        assert table.table_frame(0x200000, 1) == leaf
+        assert table.translate(0x203000) == (7 * PAGE_SIZE, PageSize.SIZE_4K)
+        assert table.mapped_pages == 1
+        table.unmap(0x203000)
+        assert table.map_run(0x200000, 1, PageSize.SIZE_2M,
+                             lambda va, olds: [512]) == 1
+        assert table.table_frame(0x200000, 1) is None
+        assert table.stats.tables_freed == freed + 1
+        assert table.translate(0x200000) == (512 * PAGE_SIZE,
+                                             PageSize.SIZE_2M)
+
     def test_table_page_accounting(self, table):
         assert table.table_pages == 1  # root only
         table.map(BASE, 100)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.arch import PageSize
-from repro.hw.config import xeon_gold_6138
+from repro.hw.config import TLBConfig, xeon_gold_6138
 from repro.kernel.kernel import Kernel
 from repro.sim import tlb_vec
 from repro.sim.artifacts import ArtifactCache
@@ -190,6 +190,31 @@ def test_streaming_persists_segmented_artifacts(tmp_path):
     assert default.stage1_source == "disk"
     assert np.array_equal(np.asarray(default.tlb.miss_vas),
                           np.asarray(cold.tlb.miss_vas))
+
+
+def test_stage1_entry_is_keyed_on_the_tlb_geometry(tmp_path):
+    """A config with another STLB filters to another miss stream, so it
+    must not be served the stored one (from disk, or from the memo of a
+    shared Stage1Cache); the trace is reused, it does not depend on the
+    TLBs."""
+    cfg = SimConfig(scale=1024, nrefs=8000, seed=0)
+    small = dataclasses.replace(cfg, machine=dataclasses.replace(
+        xeon_gold_6138(), l2_stlb=TLBConfig("L2 STLB", 64, 4)))
+    NativeSimulation("BTree", cfg, stage1=Stage1Cache(
+        artifacts=ArtifactCache(str(tmp_path))))
+    fresh = NativeSimulation("BTree", small)
+    served_cache = ArtifactCache(str(tmp_path))
+    served = NativeSimulation("BTree", small,
+                              stage1=Stage1Cache(artifacts=served_cache))
+    assert served.stage1_source == "computed"
+    assert served_cache.seg_hits >= 1   # the stored trace segments
+    assert np.array_equal(np.asarray(served.tlb.miss_vas),
+                          np.asarray(fresh.tlb.miss_vas))
+    memo = Stage1Cache()
+    default = NativeSimulation("BTree", cfg, stage1=memo)
+    other = NativeSimulation("BTree", small, stage1=memo)
+    assert other.stage1_source == "computed"
+    assert default.tlb.miss_count != other.tlb.miss_count
 
 
 def test_streaming_reuses_spilled_trace_segments(tmp_path):

@@ -20,6 +20,7 @@ register file, so they build private machines.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,7 +34,12 @@ from repro.sim.kernels import HAVE_NUMBA, replay_walks_native
 from repro.sim.machine import ENVIRONMENTS, SimConfig
 from repro.sim.simulator import Stage1Cache, replay_walks
 from repro.sim.sweep import run_group
-from repro.sim.walk_vec import _plan_asap, replay_walks_vec, supports
+from repro.sim.walk_vec import (
+    _plan_asap,
+    replay_batched,
+    replay_walks_vec,
+    unsupported_reason,
+)
 from repro.translation.asap import ASAPNestedWalker, PREFETCH_LEVELS
 from repro.translation.base import MemorySubsystem
 from repro.virt.hypervisor import Hypervisor
@@ -198,7 +204,8 @@ def test_vec_replay_matches_scalar_oracle(env, design, thp, seed, engine,
                                          machines):
     sim = machines(env, _config(thp=thp, seed=seed))
     walker_scalar, walker_vec, miss_vas = _walker_pair(sim, design)
-    assert supports(walker_scalar) and supports(walker_vec)
+    assert unsupported_reason(walker_scalar) is None
+    assert unsupported_reason(walker_vec) is None
     stats = _assert_parity(walker_scalar, walker_vec, miss_vas,
                            engine=engine)
     assert stats.walks > 0 and stats.ref_count > 0
@@ -313,9 +320,8 @@ def test_asap_prefetch_plan_equals_walk_steps(env, workload, thp,
     assert {"leaf", "dead", "dead-high"} <= kinds
     if thp:
         assert "huge" in kinds
-    views = [level.batch_view() for level in walker.memsys.caches.levels]
     _inner, _plan, prefetch = _plan_asap(walker.batch_spec(), walker.memsys,
-                                        uniq, views, False)
+                                        uniq, False)
     definition = _asap_prefetch_definition(walker)
     assert [prefetch[vpn] for vpn in uniq] == \
         [definition(vpn << PAGE_SHIFT) for vpn in uniq]
@@ -340,8 +346,7 @@ def test_asap_prefetch_plan_follows_huge_host_chains(engine):
     uniq = list(dict.fromkeys((vas >> PAGE_SHIFT).tolist()))
     memsys = walkers[1].memsys
     _inner, _plan, prefetch = _plan_asap(
-        walkers[1].batch_spec(), memsys, uniq,
-        [level.batch_view() for level in memsys.caches.levels], False)
+        walkers[1].batch_spec(), memsys, uniq, False)
     definition = _asap_prefetch_definition(walkers[1])
     assert [prefetch[vpn] for vpn in uniq] == \
         [definition(vpn << PAGE_SHIFT) for vpn in uniq]
@@ -367,13 +372,11 @@ def test_asap_on_a_lazily_backed_vm_replays_on_the_scalar_path():
     vma, walker_scalar = walker()
     vas = vma.start + np.random.default_rng(0).integers(0, vma.size, 1000)
     _, walker_auto = walker()
-    assert not supports(walker_auto)
+    assert unsupported_reason(walker_auto) is not None
     stats = replay_walks(walker_auto, vas, engine="auto")
     assert stats.engine == "scalar"
     assert stats.fallback_reason == "asap-nested plans need a fully backed VM"
     assert stats == replay_walks(walker_scalar, vas, engine="scalar")
-    with pytest.raises(ValueError, match="fully backed"):
-        replay_walks_vec(walker()[1], vas)
 
 
 @pytest.mark.parametrize("engine", ("scalar",) + ENGINES)
@@ -396,6 +399,8 @@ def test_virt_asap_replay_allocates_nothing(engine, machines):
     before = state()
     if engine == "native":
         replay_walks_native(walker, sim.tlb.miss_vas)
+    elif engine == "vec":
+        replay_walks_vec(walker, sim.tlb.miss_vas)
     else:
         replay_walks(walker, sim.tlb.miss_vas, engine=engine)
     assert walker.prefetches > 0
@@ -467,23 +472,18 @@ def test_auto_engine_falls_back_to_scalar():
     """Every design now has a planner, so the remaining genuine
     fallbacks are environmental — here a sanitized run, whose runtime
     hooks the batched engine would bypass. ``auto`` must fall back and
-    record why; ``vec`` must refuse with the same reason."""
+    record why."""
     from repro.analysis import sanitizer
-    from repro.sim.walk_vec import unsupported_reason
 
     config = replace(_config(), sanitize=True)
     sim = ENVIRONMENTS["native"]("GUPS", config)
     with sanitizer.enabled():
         walker = sim.walker("vanilla")
-        assert not supports(walker)
         reason = unsupported_reason(walker)
         assert "sanitizer" in reason
         stats = replay_walks(walker, sim.tlb.miss_vas[:64], engine="auto")
         assert stats.engine == "scalar"
         assert stats.fallback_reason == reason
-        with pytest.raises(ValueError, match="sanitizer"):
-            replay_walks(sim.walker("vanilla"), sim.tlb.miss_vas[:64],
-                         engine="vec")
     assert not sanitizer.active()
 
 
@@ -498,43 +498,46 @@ def test_auto_engine_prefers_native_when_compiled(machines):
     assert stats.fallback_reason is None
 
 
-def test_explicit_native_requires_numba(machines):
-    """``engine="native"`` runs the compiled kernels, and without numba
-    it refuses (in replay and in the config) instead of running them
-    uncompiled."""
-    from repro.sim.kernels import NATIVE_REQUIRES_NUMBA
+@pytest.mark.parametrize("engine", ["vec", "native"])
+def test_vec_and_native_are_unknown_engines(engine, machines):
+    """The engine choice is ``auto`` or ``scalar``: the batched backend
+    is picked inside ``auto`` (native with numba, else vec), so naming
+    one is an unknown engine, in replay, in the config and on the
+    command line (an argparse error, exit 2)."""
+    from repro.__main__ import main
 
     sim = machines("native", _config())
-    if HAVE_NUMBA:
-        stats = replay_walks(sim.walker("vanilla"), sim.tlb.miss_vas[:64],
-                             engine="native")
-        assert stats.engine == "native"
-        assert stats.fallback_reason is None
-        return
-    assert "numba" in NATIVE_REQUIRES_NUMBA
-    with pytest.raises(ValueError, match="needs numba"):
+    with pytest.raises(ValueError, match="unknown stage-2 engine"):
         replay_walks(sim.walker("vanilla"), sim.tlb.miss_vas[:64],
-                     engine="native")
-    with pytest.raises(ValueError, match="needs numba"):
-        SimConfig(walk_engine="native")
+                     engine=engine)
+    with pytest.raises(ValueError, match="walk_engine"):
+        SimConfig(walk_engine=engine)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--workload", "GUPS", "--walk-engine", engine])
+    assert exit_info.value.code == 2
 
 
 def test_native_step_collection_delegates_to_vec(machines):
-    """Step collection needs the interpreted runners' latency tags; the
-    native engine must hand off and say so, bit-identically."""
-    from repro.sim.kernels.replay import STEP_COLLECTION_REASON
-
-    walker_scalar, walker_native, miss_vas = _walker_pair(
-        machines("native", _config()), "vanilla")
+    """Step collection needs the interpreted runners' latency tags, so
+    an ``auto`` replay that collects steps runs on vec whatever the
+    backend (and so do ``replay_batched``'s default backend and a
+    forced native one), says ``vec``, and is bit-identical to the
+    oracle."""
+    sim = machines("native", _config())
+    miss_vas = sim.tlb.miss_vas
+    walker_scalar = sim.walker("vanilla")
     stats_scalar = replay_walks(walker_scalar, miss_vas,
                                 collect_steps=True, engine="scalar")
-    stats_native = replay_walks_native(walker_native, miss_vas,
-                                       collect_steps=True)
-    assert stats_native.engine == "native"
-    assert stats_native.fallback_reason == STEP_COLLECTION_REASON
-    assert stats_scalar == stats_native
-    assert stats_scalar.step_breakdown() == stats_native.step_breakdown()
-    assert _memsys_state(walker_scalar) == _memsys_state(walker_native)
+    assert stats_scalar.step_cycles
+    for replay in (partial(replay_walks, engine="auto"), replay_batched,
+                   replay_walks_native):
+        walker = sim.walker("vanilla")
+        stats = replay(walker, miss_vas, collect_steps=True)
+        assert stats.engine == "vec"
+        assert stats.fallback_reason is None
+        assert stats_scalar == stats
+        assert stats_scalar.step_breakdown() == stats.step_breakdown()
+        assert _memsys_state(walker_scalar) == _memsys_state(walker)
 
 
 def test_independent_machines_replay_identically():
