@@ -39,11 +39,9 @@ RESULTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             os.pardir, "BENCH_stage1_stream.json")
 
 
-def run_bench(workload: str, scale: int, nrefs: int, seed: int,
-              chunk: int) -> dict:
+def run_bench(workload: str, scale: int, nrefs: int, seed: int) -> dict:
     """One stage 0→1 pass; returns the result record."""
-    config = SimConfig(scale=scale, nrefs=nrefs, seed=seed,
-                       stream_chunk=chunk)
+    config = SimConfig(scale=scale, nrefs=nrefs, seed=seed)
     start = time.perf_counter()
     sim = NativeSimulation(workload, config)
     wall = time.perf_counter() - start
@@ -53,7 +51,7 @@ def run_bench(workload: str, scale: int, nrefs: int, seed: int,
         "scale": scale,
         "nrefs": nrefs,
         "seed": seed,
-        "chunk": chunk,
+        "chunk": DEFAULT_STREAM_CHUNK,
         "total_refs": sim.tlb.total_refs,
         "miss_count": sim.tlb.miss_count,
         "stage1_seconds": seconds,
@@ -70,9 +68,6 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", type=int, default=1024)
     parser.add_argument("--nrefs", type=int, default=10_000_000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--chunk", type=int, default=DEFAULT_STREAM_CHUNK,
-                        help="refs per streamed chunk "
-                             f"(default {DEFAULT_STREAM_CHUNK})")
     parser.add_argument("--rss-budget-mb", type=int, default=None,
                         help="hard peak-RSS budget; exceeding it fails "
                              "the run (exit 1)")
@@ -82,8 +77,7 @@ def main(argv=None) -> int:
                              "write")
     args = parser.parse_args(argv)
 
-    record = run_bench(args.workload, args.scale, args.nrefs, args.seed,
-                       args.chunk)
+    record = run_bench(args.workload, args.scale, args.nrefs, args.seed)
     document = {"meta": {"bench": "stage1_stream"}, "stream": record}
     if args.out != "-":
         with open(args.out, "w", encoding="utf-8") as handle:

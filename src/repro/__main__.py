@@ -133,8 +133,7 @@ def _config_kwargs(args: argparse.Namespace) -> dict:
     """The SimConfig kwargs shared by run and sweep."""
     return dict(scale=args.scale, nrefs=args.nrefs, seed=args.seed,
                 levels=args.levels, register_count=args.register_count,
-                walk_engine=args.walk_engine, sanitize=args.sanitize,
-                stream_chunk=args.stream_chunk)
+                walk_engine=args.walk_engine, sanitize=args.sanitize)
 
 
 def _print_sweep_summary(document: dict, args: argparse.Namespace,
@@ -289,12 +288,6 @@ def main(argv=None) -> int:
                               "cannot batch; 'scalar' is the reference "
                               "oracle (always replays, bypassing the "
                               "result cache)")
-    simopts.add_argument("--stream-chunk", type=int, default=None,
-                         metavar="REFS",
-                         help="stage 0->1 chunk size in references; stage "
-                              "1 always streams chunk by chunk (constant "
-                              "memory, bit-identical results for any "
-                              "positive size; default: 1048576)")
     simopts.add_argument("--sanitize", action="store_true",
                          help="enable the runtime translation sanitizer "
                               "(invariant checks on TEAs, PTEs, TLB/PWC "
@@ -303,8 +296,8 @@ def main(argv=None) -> int:
                          help="append trace spans (stage-1 filter, stage-2 "
                               "replays, sweep groups) to this JSONL file")
     simopts.add_argument("--artifact-cache", default=None, metavar="DIR",
-                         help="persist stage-0 traces and stage-1 miss "
-                              "streams to this content-addressed cache "
+                         help="persist stage-1 miss streams and stage-2 "
+                              "cells to this content-addressed cache "
                               "directory and reuse them across runs "
                               "(sweep default: .repro-artifacts; run "
                               "default: off)")

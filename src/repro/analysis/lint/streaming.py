@@ -2,11 +2,11 @@
 
 The streaming stage-0→1 pipeline (DESIGN.md §13) exists so that a
 multi-gigabyte trace never lives in memory at once: generators yield
-fixed-size chunks, the TLB filter carries state across them, and miss
-segments spill to disk. One careless ``np.concatenate(chunks)`` quietly
-restores the monolithic footprint while every test still passes — the
-results are bit-identical either way, so only memory telemetry (or this
-rule) notices.
+fixed-size chunks, the TLB filter carries state across them, and each
+chunk's misses land in one preallocated buffer. One careless
+``np.concatenate(chunks)`` quietly restores the monolithic footprint
+while every test still passes — the results are bit-identical either
+way, so only memory telemetry (or this rule) notices.
 
 L7 findings
 -----------

@@ -18,7 +18,6 @@ from repro.sim.simulator import (
     geomean,
     make_size_lookup,
     replay_walks,
-    tlb_filter,
     tlb_filter_scalar,
 )
 from repro.sim.sweep import build_sim, load_sweep, run_sweep
@@ -46,7 +45,6 @@ __all__ = [
     "geomean",
     "make_size_lookup",
     "replay_walks",
-    "tlb_filter",
     "tlb_filter_scalar",
     "build_sim",
     "load_sweep",

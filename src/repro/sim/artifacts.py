@@ -1,16 +1,16 @@
 """Content-addressed on-disk cache for cross-run simulation artifacts.
 
 The in-process :class:`~repro.sim.simulator.Stage1Cache` already keeps a
-sweep group from recomputing its trace and TLB-miss stream, but the memo
-dies with the worker. This module persists those artifacts across
-processes and runs: an :class:`ArtifactCache` stores int64 arrays (the
-stage-0 address trace, the stage-1 miss stream) under a content address
-— the SHA-256 digest of a canonical-JSON payload combining a schema
-version, the artifact *stage*, and the stage's key material (workload
-name, scale, nrefs, seed, THP mode, tree depth, ...). Anything that can
-change the bytes of the artifact must be in the key; the digest is then
-stable across interpreter invocations, ``PYTHONHASHSEED`` values, and
-machines (``tests/test_artifacts.py`` pins this with a subprocess).
+sweep group from recomputing its TLB-miss stream, but the memo dies
+with the worker. This module persists it across processes and runs: an
+:class:`ArtifactCache` stores int64 arrays (the stage-1 miss stream)
+under a content address — the SHA-256 digest of a canonical-JSON
+payload combining a schema version, the artifact *stage*, and the
+stage's key material (workload name, scale, nrefs, seed, THP mode, tree
+depth, TLB geometry). Anything that can change the bytes of the
+artifact must be in the key; the digest is then stable across
+interpreter invocations, ``PYTHONHASHSEED`` values, and machines
+(``tests/test_artifacts.py`` pins this with a subprocess).
 
 Every array entry is **segmented** (the one array format, DESIGN.md
 §10/§13): one array spread across ``<digest>.seg<k>.npy`` chunk files
@@ -21,19 +21,17 @@ as the original compute time). Each file goes to a per-process temp
 name and ``os.replace`` into place, segments before the manifest, so
 concurrent sweep workers sharing one directory either see a complete
 entry or none; a writer that dies mid-stream leaves only orphan segment
-files that the next writer overwrites. Loads verify the manifest
-against the requested stage/key/schema and each segment digest as it is
-consumed; a mismatch (digest collision, stale schema), an unreadable
-file (corruption, torn write) or a corrupt segment **evicts** the
-*whole* entry — manifest and every segment, because a partially-valid
-chunk sequence is useless — and reports a miss, so the caller simply
-recomputes and re-stores. A sidecar without ``segmented`` is a
-monolithic ``<digest>.npy`` entry from an older layout: it is evicted
-the same way. ``open_segments`` is the constant-memory path (one
-verified, memmap-backed segment at a time); ``load_array`` returns a
-one-segment entry as that segment's memmap and assembles longer ones
-into one preallocated array (transient footprint: result + one
-segment).
+files that the next writer overwrites. ``load_array`` verifies the
+manifest against the requested stage/key/schema and each segment digest
+as it is consumed; a mismatch (digest collision, stale schema), an
+unreadable file (corruption, torn write) or a corrupt segment
+**evicts** the *whole* entry — manifest and every segment, because a
+partially-valid chunk sequence is useless — and reports a miss, so the
+caller simply recomputes and re-stores. A sidecar without ``segmented``
+is a monolithic ``<digest>.npy`` entry from an older layout: it is
+evicted the same way. A one-segment entry can come back as that
+segment's memmap; longer ones are assembled into one preallocated array
+(transient footprint: result + one segment).
 
 **Result entries** (the stage-2 result cache, DESIGN.md §15) are pure
 JSON payloads — a replayed cell's WalkStats, step breakdown, and
@@ -44,10 +42,7 @@ and evicts on mismatch, so a torn or hand-edited payload is recomputed
 rather than served. Writes are atomic exactly like array entries.
 
 Telemetry: the cache's ``hits`` / ``misses`` / ``evictions`` counts
-(all entries), the segmented-entry breakdowns ``seg_hits`` /
-``seg_misses`` / ``seg_evictions``, the result-entry breakdowns
-``result_hits`` / ``result_misses``, and ``artifact.load`` /
-``artifact.store`` trace spans.
+(all entries) and ``artifact.load`` / ``artifact.store`` trace spans.
 """
 
 from __future__ import annotations
@@ -65,10 +60,6 @@ from repro.obs import trace as obs_trace
 #: Bump when the digest payload or the on-disk layout changes shape;
 #: entries written under another schema are evicted on load.
 SCHEMA_VERSION = 1
-
-
-class CorruptSegment(Exception):
-    """A segment failed digest verification; the entry has been evicted."""
 
 
 def digest(stage: str, key) -> str:
@@ -100,72 +91,6 @@ def _file_sha256(path: str) -> str:
     return hasher.hexdigest()
 
 
-class SegmentReader:
-    """Iterate one segmented artifact, verifying each segment digest.
-
-    Yields one array per segment (memmap-backed when ``mmap=True``), in
-    manifest order. A segment whose bytes no longer match its recorded
-    SHA-256 raises :class:`CorruptSegment`, after evicting the whole
-    entry — manifest plus every segment — through the owning ``cache``
-    when there is one.
-    """
-
-    def __init__(self, root: str, key_digest: str, manifest: Dict,
-                 mmap: bool = True,
-                 cache: Optional["ArtifactCache"] = None):
-        self._root = root
-        self._cache = cache
-        self._digest = key_digest
-        self._segments: List[Dict] = manifest.get("segments", [])
-        self._mmap = mmap
-        self.meta: Dict = manifest.get("meta", {})
-        self.total_rows = int(sum(seg["rows"] for seg in self._segments))
-
-    def __len__(self) -> int:
-        return len(self._segments)
-
-    @property
-    def payload_bytes(self) -> int:
-        return sum(os.path.getsize(os.path.join(self._root, seg["file"]))
-                   for seg in self._segments)
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        for seg in self._segments:
-            path = os.path.join(self._root, seg["file"])
-            try:
-                if _file_sha256(path) != seg["sha256"]:
-                    raise ValueError("segment digest mismatch")
-                array = np.load(path, allow_pickle=False,
-                                mmap_mode="r" if self._mmap else None)
-                if len(array) != int(seg["rows"]):
-                    raise ValueError("segment row count mismatch")
-            except (OSError, ValueError, EOFError) as exc:
-                if self._cache is not None:
-                    self._cache.evict(self._digest)
-                raise CorruptSegment(
-                    f"segment {seg.get('file')} of {self._digest[:12]} "
-                    f"is corrupt: {exc}") from exc
-            yield array
-
-    def concatenated(self) -> np.ndarray:
-        """All segments assembled into one preallocated array.
-
-        Peak transient memory is the result plus one segment (plus the
-        page-cache-backed mmap of the segment being copied).
-        """
-        out = None
-        pos = 0
-        for seg in self:
-            if out is None:
-                out = np.empty((self.total_rows,) + seg.shape[1:],
-                               dtype=seg.dtype)
-            out[pos:pos + len(seg)] = seg
-            pos += len(seg)
-        if out is None:
-            out = np.empty(0, dtype=np.int64)
-        return out
-
-
 class SegmentWriter:
     """Append-only writer for one segmented artifact under ``root``.
 
@@ -174,17 +99,12 @@ class SegmentWriter:
     only then does the entry exist for readers. ``abort`` removes the
     segments of an uncommitted entry. Two workers racing on the same
     digest write identical content for identical keys, so lost races
-    are harmless. ``cache`` is the owning :class:`ArtifactCache`, which
-    counts the bytes a commit writes; a writer without one (the
-    stage-1 spill into a temporary directory) records nothing and is
-    read back uncommitted.
+    are harmless. Built by :meth:`ArtifactCache.segment_writer`.
     """
 
     def __init__(self, root: str, stage: str, key,
-                 meta: Optional[Dict] = None,
-                 cache: Optional["ArtifactCache"] = None):
+                 meta: Optional[Dict] = None):
         self._root = root
-        self._cache = cache
         self._stage = stage
         self._key = key
         self._meta = dict(meta or {})
@@ -257,17 +177,6 @@ class SegmentWriter:
                 pass
         self._segments = []
 
-    def reader(self, mmap: bool = True) -> SegmentReader:
-        """A reader over the segments written so far.
-
-        Built directly from this writer's segment list rather than
-        through :meth:`ArtifactCache.open_segments`, so re-reading what
-        we just wrote does not inflate the cache's hit counters.
-        """
-        manifest = {"segments": self._segments, "meta": self._meta}
-        return SegmentReader(self._root, self.key_digest, manifest,
-                             mmap=mmap, cache=self._cache)
-
 
 class ArtifactCache:
     """One cache directory of content-addressed simulation artifacts."""
@@ -278,11 +187,6 @@ class ArtifactCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.seg_hits = 0
-        self.seg_misses = 0
-        self.seg_evictions = 0
-        self.result_hits = 0
-        self.result_misses = 0
 
     def _meta_path(self, key_digest: str) -> str:
         return os.path.join(self.root, key_digest + ".json")
@@ -296,11 +200,8 @@ class ArtifactCache:
         self.evictions += 1
         paths = [self._meta_path(key_digest),
                  os.path.join(self.root, key_digest + ".npy")]
-        segment_files = glob.glob(
+        paths += glob.glob(
             os.path.join(glob.escape(self.root), key_digest + ".seg*"))
-        if segment_files:
-            self.seg_evictions += 1
-            paths += segment_files
         for path in paths:
             try:
                 os.remove(path)
@@ -341,45 +242,40 @@ class ArtifactCache:
     def segment_writer(self, stage: str, key,
                        meta: Optional[Dict] = None) -> SegmentWriter:
         """A writer that streams ``(stage, key)`` to disk chunk-by-chunk."""
-        return SegmentWriter(self.root, stage, key, meta=meta, cache=self)
+        return SegmentWriter(self.root, stage, key, meta=meta)
 
-    def open_segments(self, stage: str, key,
-                      mmap: bool = True) -> Optional[SegmentReader]:
-        """A verified segment iterator for ``(stage, key)``, or None.
-
-        The constant-memory read path: segments are verified and
-        yielded one at a time. Iteration may raise
-        :class:`CorruptSegment`, after evicting the whole entry.
-        """
-        key_digest = digest(stage, key)
-        manifest = self._read_segmented(stage, key, key_digest)
-        if manifest is None:
-            self.misses += 1
-            self.seg_misses += 1
-            return None
-        self.hits += 1
-        self.seg_hits += 1
-        return SegmentReader(self.root, key_digest, manifest, mmap=mmap,
-                             cache=self)
+    def _segments(self, manifest: Dict) -> Iterator[np.ndarray]:
+        """Each segment of a validated manifest, memory-mapped, in
+        order; a segment whose SHA-256 or row count does not match its
+        manifest raises ValueError."""
+        for seg in manifest.get("segments", []):
+            path = os.path.join(self.root, seg["file"])
+            if _file_sha256(path) != seg["sha256"]:
+                raise ValueError(f"segment {seg['file']} digest mismatch")
+            array = np.load(path, allow_pickle=False, mmap_mode="r")
+            if len(array) != int(seg["rows"]):
+                raise ValueError(f"segment {seg['file']} row count mismatch")
+            yield array
 
     def load_array(self, stage: str, key,
                    mmap: bool = False) -> Optional[Tuple[np.ndarray, Dict]]:
         """The stored ``(array, meta)`` for ``(stage, key)``, or None.
 
-        None covers both a plain miss and a corrupt/mismatched entry
-        (which is evicted on the way out) — the caller's response is
-        the same: compute and store through :meth:`segment_writer`.
+        None covers both a plain miss and a corrupt/mismatched entry —
+        one bad segment (digest, row count, unreadable file) evicts the
+        whole entry, manifest and every segment — and the caller's
+        response is the same: compute and store through
+        :meth:`segment_writer`.
 
         With ``mmap=True`` a one-segment entry comes back as that
         verified segment's read-only ``np.memmap`` instead of a heap
         copy: sweep workers sharing one cache directory then share the
-        trace and miss-stream pages through the OS page cache
-        (zero-copy transfer), and the ``artifact.load`` span's
-        ``bytes`` counts the mapped extent, not bytes actually faulted
-        in. An entry of several
-        segments is *assembled* into one heap array either way (the
-        segments are mmapped while copying); use :meth:`open_segments`
-        to consume it without materializing.
+        miss-stream pages through the OS page cache (zero-copy
+        transfer), and the ``artifact.load`` span's ``bytes`` counts the
+        mapped extent, not bytes actually faulted in. An entry of
+        several segments is assembled into one preallocated heap array
+        either way, one verified segment at a time (transient
+        footprint: the result plus one segment).
         """
         key_digest = digest(stage, key)
         with obs_trace.span("artifact.load", stage=stage,
@@ -387,29 +283,32 @@ class ArtifactCache:
             manifest = self._read_segmented(stage, key, key_digest)
             array = None
             if manifest is not None:
-                reader = SegmentReader(self.root, key_digest, manifest,
-                                       mmap=True, cache=self)
+                segments = manifest.get("segments", [])
                 try:
-                    if mmap and len(reader) == 1:
-                        array = next(iter(reader))
+                    if mmap and len(segments) == 1:
+                        array = next(self._segments(manifest))
                     else:
-                        array = reader.concatenated()
-                    nbytes = (reader.payload_bytes
-                              + os.path.getsize(self._meta_path(key_digest)))
-                except CorruptSegment:
-                    array = None        # the reader evicted the entry
-                except OSError:
-                    # a concurrent worker evicted or replaced the entry
+                        array = np.empty(sum(int(seg["rows"])
+                                             for seg in segments),
+                                         dtype=np.int64)
+                        pos = 0
+                        for seg in self._segments(manifest):
+                            array[pos:pos + len(seg)] = seg
+                            pos += len(seg)
+                    nbytes = sum(os.path.getsize(os.path.join(self.root,
+                                                              seg["file"]))
+                                 for seg in segments)
+                    nbytes += os.path.getsize(self._meta_path(key_digest))
+                except (OSError, ValueError, EOFError):
+                    # corrupt, or evicted/replaced by a concurrent worker
                     self.evict(key_digest)
                     array = None
             if array is None:
                 self.misses += 1
-                self.seg_misses += 1
                 if sp is not None:
                     sp["hit"] = False
                 return None
             self.hits += 1
-            self.seg_hits += 1
             if sp is not None:
                 sp["hit"] = True
                 sp["bytes"] = nbytes
@@ -443,12 +342,10 @@ class ArtifactCache:
                 self.evict(key_digest)
             if payload is None:
                 self.misses += 1
-                self.result_misses += 1
                 if sp is not None:
                     sp["hit"] = False
                 return None
             self.hits += 1
-            self.result_hits += 1
             if sp is not None:
                 sp["hit"] = True
             return payload

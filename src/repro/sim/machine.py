@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import tempfile
 import threading
 import time
 from contextlib import nullcontext
@@ -36,7 +35,6 @@ from repro.core.registers import REGISTERS_PER_SET, RegisterSet
 from repro.hw.config import MachineConfig, xeon_gold_6138
 from repro.kernel.kernel import Kernel
 from repro.sim import tlb_vec
-from repro.sim.artifacts import SegmentWriter
 from repro.sim.simulator import (
     Stage1Cache,
     TLBFilterResult,
@@ -77,9 +75,13 @@ from repro.workloads import generators
 
 _MB = 1 << 20
 
-#: Trace references per stage 0→1 chunk when ``stream_chunk`` is None:
-#: 1 Mi refs = 8 MB per chunk.
+#: Trace references per stage 0→1 chunk: 1 Mi refs = 8 MB per chunk.
+#: The miss stream is bit-identical for every chunk size (DESIGN.md §13).
 DEFAULT_STREAM_CHUNK = 1 << 20
+
+#: Fraction of the miss stream that warms the PTE caches and PWCs
+#: before stage 2 starts counting.
+WARMUP_FRACTION = 0.1
 
 #: Version of what a stage-2 result-cache entry means. Version 2: cells
 #: no longer depend on which designs ran earlier on the same machine
@@ -108,10 +110,8 @@ class SimConfig:
     #: nested walks grow to 35 references; DMT stays at 1/2/3)
     levels: int = 4
     machine: MachineConfig = field(default_factory=xeon_gold_6138)
-    warmup_fraction: float = 0.1
     record_refs: bool = False
     register_count: int = 16
-    bubble_threshold: float = 0.02
     #: Stage-2 replay engine: "auto" (the default: the batched replay,
     #: :func:`repro.sim.walk_vec.replay_batched`, on the compiled kernels
     #: when numba is installed and on the vec runners otherwise; scalar,
@@ -123,12 +123,6 @@ class SimConfig:
     #: runtime translation sanitizer (:mod:`repro.analysis.sanitizer`)
     #: on; it is back in its prior state after each.
     sanitize: bool = False
-    #: Stage-0→1 chunk size in references: ``None`` (default) means
-    #: :data:`DEFAULT_STREAM_CHUNK`, a positive value that many. Stage 1
-    #: always streams chunk by chunk, and the miss stream is
-    #: bit-identical for every chunk size (DESIGN.md §13), so the knob
-    #: trades memory against per-chunk overhead, never results.
-    stream_chunk: Optional[int] = None
 
     def __post_init__(self):
         """Reject invalid configurations here, with a clear error, instead
@@ -148,18 +142,10 @@ class SimConfig:
                 f"walk_engine={self.walk_engine!r}: expected 'auto' or "
                 f"'scalar'"
             )
-        if self.stream_chunk is not None and self.stream_chunk <= 0:
-            raise ValueError(
-                f"stream_chunk={self.stream_chunk} must be None (the "
-                f"default chunk) or a positive chunk size")
         if self.scale < 1:
             raise ValueError(f"scale={self.scale} must be >= 1")
         if self.nrefs < 1:
             raise ValueError(f"nrefs={self.nrefs} must be >= 1")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValueError(
-                f"warmup_fraction={self.warmup_fraction} must be in [0, 1)"
-            )
         # Power-of-two page/line geometry: VPN and set-index extraction is
         # pure shift/mask arithmetic, so non-power-of-two sizes would
         # silently translate wrong addresses rather than error out.
@@ -399,7 +385,7 @@ class _SimulationBase:
             stats = replay_walks(
                 walker,
                 self.tlb.miss_vas,
-                warmup_fraction=self.config.warmup_fraction,
+                warmup_fraction=WARMUP_FRACTION,
                 collect_steps=collect_steps,
                 engine=self.config.walk_engine,
             )
@@ -437,13 +423,12 @@ class _SimulationBase:
     def _stage2_key(self, design: str, collect_steps: bool) -> list:
         """Stage-2 result-cache key: everything a replayed cell depends on.
 
-        The miss-stream digest subsumes the stage-1 knob stream_chunk
-        (bit-identical by contract and pinned by test); ``walk_engine``
-        is deliberately absent because the fast stage-2 engines are
-        bit-identical on supported designs, so cells cached by one
-        serve the other (the ``scalar`` oracle bypasses the cache,
-        :meth:`_result_artifacts`). The cost-model
-        version constant invalidates every cached cell when calibrated
+        The miss-stream digest stands for everything stage 1 read;
+        ``walk_engine`` is deliberately absent because the fast stage-2
+        engines are bit-identical on supported designs, so cells cached
+        by one serve the other (the ``scalar`` oracle bypasses the
+        cache, :meth:`_result_artifacts`). The cost-model version
+        constant invalidates every cached cell when calibrated
         latencies change, and :data:`STAGE2_KEY_VERSION` when the
         meaning of a cell does.
         """
@@ -459,8 +444,6 @@ class _SimulationBase:
                 "thp": cfg.thp,
                 "levels": cfg.levels,
                 "register_count": cfg.register_count,
-                "bubble_threshold": cfg.bubble_threshold,
-                "warmup_fraction": cfg.warmup_fraction,
                 "record_refs": cfg.record_refs,
                 "machine": dataclasses.asdict(cfg.machine),
             },
@@ -516,114 +499,68 @@ class _SimulationBase:
         return (self.workload.name, cfg.scale, cfg.nrefs, cfg.seed,
                 cfg.thp, cfg.levels) + tuple(map(dataclasses.astuple, tlbs))
 
-    def _trace_key(self) -> list:
-        """Stage-0 artifact key: everything the address trace depends on.
-
-        The trace is a pure function of the workload layout (workload,
-        scale, THP, tree depth) and the generator inputs (nrefs, seed);
-        the TLB configuration does not enter, so stage-0 artifacts are
-        shared by runs that differ only in filter settings.
-        """
-        cfg = self.config
-        return [self.workload.name, cfg.scale, cfg.nrefs, cfg.seed,
-                cfg.thp, cfg.levels]
-
     def _accept_rates(self) -> Dict[PageSize, float]:
         """TLB acceptance rates for the scaled working set (all 1.0 for
         one at least the paper's)."""
         return tlb_accept_rates(self.config.machine, *self._working_sets())
 
-    def _generated_chunks(self):
-        """The stage-0 trace, drawn chunk by chunk, each draw in a
-        ``workloads.generate_trace`` span."""
-        cfg = self.config
-        pieces = self.workload.generate_trace_chunks(
-            self.layout, cfg.nrefs, cfg.seed,
-            cfg.stream_chunk or DEFAULT_STREAM_CHUNK)
-        remaining = self.workload.trace_length(cfg.nrefs)
-        while remaining > 0:
-            with obs_trace.span("workloads.generate_trace",
-                                workload=self.workload.name) as sp:
-                piece = next(pieces, None)
-                if sp is not None and piece is not None:
-                    sp["refs"] = len(piece)
-            if piece is None:
-                return
-            remaining -= len(piece)
-            yield piece
-
     def _stream_stage1(self, start: float) -> TLBFilterResult:
-        """Stage 0→1 in constant memory: filter the trace chunk by chunk.
+        """Stage 0→1 in one pass: draw the trace chunk by chunk and
+        filter each chunk as it comes.
 
-        One loop on this thread. Each chunk comes from the stored trace
-        segments or from the workload's chunked generator; with an
-        artifact cache attached a generated chunk is appended to the
-        trace's segment writer. The chunk goes through the stage-1
-        filter (which carries its TLB state across chunks), and
-        its misses are appended to a segment writer: under the stage-1
-        key with a cache, in a temporary directory without one. The
-        miss stream is assembled at the end into one preallocated
-        array, so peak memory is the miss stream plus one segment —
-        never the trace. Bit-identical for every chunk size (DESIGN.md
-        §13). ``start`` is when the build began; the committed entry
-        records the seconds since.
+        Each draw runs in a ``workloads.generate_trace`` span, each
+        filter step in a ``stage1.tlb_filter`` span; the filter carries
+        its TLB state across chunks. A chunk's misses are copied into
+        one int64 buffer with a slot per trace reference, cut to the
+        miss count at the end, so peak memory is that buffer plus one
+        chunk, never the trace. With an artifact cache attached each
+        miss segment is also appended to the stage-1 entry, committed
+        with its ``total_refs`` and the seconds since ``start`` (when
+        the build began). Bit-identical for every chunk size
+        (DESIGN.md §13).
         """
         cfg = self.config
-        artifacts = self._stage1.artifacts if self._stage1 is not None \
-            else None
         total_refs = self.workload.trace_length(cfg.nrefs)
+        pieces = self.workload.generate_trace_chunks(
+            self.layout, cfg.nrefs, cfg.seed, DEFAULT_STREAM_CHUNK)
         filt = tlb_vec.TLBFilterStream(
             cfg.machine, make_size_lookup(self.process.page_table),
             accept_rates=self._accept_rates())
-
-        # Trace segments: reuse a stored stage-0 entry when there is
-        # one; otherwise generate, storing segments for next time.
-        pieces = trace_writer = spill = None
-        if artifacts is not None:
-            pieces = artifacts.open_segments("trace", self._trace_key())
-            if pieces is None:
-                trace_writer = artifacts.segment_writer("trace",
-                                                        self._trace_key())
-            miss_writer = artifacts.segment_writer(
+        writer = None
+        if self._stage1 is not None and self._stage1.artifacts is not None:
+            writer = self._stage1.artifacts.segment_writer(
                 "stage1", list(self._stage1_key()))
-        else:
-            spill = tempfile.TemporaryDirectory(prefix="repro-stage1-")
-            miss_writer = SegmentWriter(spill.name, "stage1",
-                                        list(self._stage1_key()))
-        if pieces is None:
-            pieces = self._generated_chunks()
-
+        misses = np.empty(total_refs, dtype=np.int64)
+        count = 0
         try:
-            for piece in pieces:
-                if trace_writer is not None:
-                    trace_writer.append(piece)
+            while filt.total_refs < total_refs:
+                with obs_trace.span("workloads.generate_trace",
+                                    workload=self.workload.name) as sp:
+                    piece = next(pieces, None)
+                    if sp is not None and piece is not None:
+                        sp["refs"] = len(piece)
+                if piece is None:
+                    break
                 with obs_trace.span("stage1.tlb_filter",
                                     refs=len(piece)) as sp:
                     segment = filt.feed(piece)
                     if sp is not None:
                         sp["misses"] = int(segment.size)
-                if segment.size:
-                    miss_writer.append(segment)
+                misses[count:count + segment.size] = segment
+                count += segment.size
+                if writer is not None and segment.size:
+                    writer.append(segment)
             if filt.total_refs != total_refs:
                 raise RuntimeError(
                     f"streamed {filt.total_refs} refs, expected {total_refs}")
-            if trace_writer is not None:
-                trace_writer.commit()
-            if artifacts is not None:
-                miss_writer.commit({"total_refs": total_refs,
-                                    "seconds": time.perf_counter() - start})
-            # the result array plus one segment at a time, read onto the
-            # heap: on the 10^7-reference stream bench that measured a
-            # lower peak RSS than mapping each segment
-            misses = miss_writer.reader(mmap=False).concatenated()
+            if writer is not None:
+                writer.commit({"total_refs": total_refs,
+                               "seconds": time.perf_counter() - start})
         except BaseException:
-            miss_writer.abort()
-            if trace_writer is not None:
-                trace_writer.abort()
+            if writer is not None:
+                writer.abort()
             raise
-        finally:
-            if spill is not None:
-                spill.cleanup()
+        misses.resize(count, refcheck=False)
         return TLBFilterResult(misses, total_refs)
 
     def _trace_and_filter(self) -> TLBFilterResult:
@@ -666,7 +603,6 @@ class NativeSimulation(_SimulationBase):
         self.dmt = DMTLinux(
             self.kernel,
             register_count=self.config.register_count,
-            bubble_threshold=self.config.bubble_threshold,
         )
         self.process = self.kernel.create_process(self.workload.name)
         self.layout = self.workload.install(self.process)
@@ -718,7 +654,6 @@ class VirtSimulation(_SimulationBase):
         self.host_dmt = DMTLinux(
             self.host_kernel, register_set=RegisterSet.NATIVE,
             register_count=cfg.register_count,
-            bubble_threshold=cfg.bubble_threshold,
         )
         self.hypervisor = Hypervisor(self.host_kernel)
         self.vm = self.hypervisor.create_vm(guest_bytes, thp_enabled=cfg.thp,
@@ -733,7 +668,6 @@ class VirtSimulation(_SimulationBase):
             register_file=self.host_dmt.register_file,
             environment=MgmtEnv.VIRTUALIZED,
             register_count=cfg.register_count,
-            bubble_threshold=cfg.bubble_threshold,
             tea_allocator=self.pv_alloc,
         )
 

@@ -27,7 +27,8 @@ from repro.core.dmt_os import DMTLinux
 from repro.kernel.kernel import Kernel
 from repro.obs import trace as obs_trace
 from repro.sim.machine import SimConfig, _page_align
-from repro.sim.simulator import make_size_lookup, tlb_filter
+from repro.sim.simulator import make_size_lookup
+from repro.sim.tlb_vec import TLBFilterStream
 from repro.translation.base import MemorySubsystem, Walker
 from repro.translation.dmt import DMTNativeWalker
 from repro.translation.radix import NativeRadixWalker
@@ -69,9 +70,9 @@ class MultiProcessSimulation:
             layout = workload.install(process)
             trace = workload.generate_trace(layout, self.config.nrefs,
                                             self.config.seed)
-            misses = tlb_filter(trace, self.config.machine,
-                                make_size_lookup(process.page_table),
-                                asid=process.asid).miss_vas
+            misses = TLBFilterStream(
+                self.config.machine, make_size_lookup(process.page_table),
+                asid=process.asid).feed(trace)
             self.processes.append(process)
             # plain ints: the interleaver re-slices these streams per
             # quantum and the walkers expect native integers

@@ -33,7 +33,6 @@ import numpy as np
 from repro.arch import PageSize
 from repro.hw.config import MachineConfig
 from repro.hw.tlb import TLBHierarchy
-from repro.obs import trace as obs_trace
 from repro.sim import tlb_vec, walk_vec
 from repro.translation.base import Walker
 
@@ -184,28 +183,6 @@ def tlb_filter_scalar(
     return TLBFilterResult(stream.feed(trace), len(trace))
 
 
-def tlb_filter(
-    trace: np.ndarray,
-    machine: MachineConfig,
-    size_lookup: SizeLookup,
-    asid: int = 1,
-    accept_rates: Optional[Dict[PageSize, float]] = None,
-) -> TLBFilterResult:
-    """Run stage 1 on a whole trace: return the TLB-miss address stream.
-
-    The one-shot wrapper: one feed of a fresh
-    :class:`~repro.sim.tlb_vec.TLBFilterStream`, bit-identical to
-    :func:`tlb_filter_scalar`.
-    """
-    stream = tlb_vec.TLBFilterStream(machine, size_lookup, asid=asid,
-                                     accept_rates=accept_rates)
-    with obs_trace.span("stage1.tlb_filter", refs=len(trace)) as sp:
-        result = TLBFilterResult(stream.feed(trace), len(trace))
-        if sp is not None:
-            sp["misses"] = result.miss_count
-        return result
-
-
 @dataclass
 class WalkStats:
     """Stage-2 output for one design."""
@@ -340,10 +317,10 @@ def replay_walks(
 
 
 class Stage1Cache:
-    """Sweep-wide stage-1 memo: trace + TLB-miss stream, computed once.
+    """Sweep-wide stage-1 memo: the TLB-miss stream, computed once.
 
     Grid cells that share a stage-1 input signature — workload, scale,
-    trace length, seed, THP mode, tree depth, MMU-cache scaling — produce
+    trace length, seed, THP mode, tree depth, TLB geometry — produce
     the same miss stream regardless of environment: the workload layout
     and trace are deterministic in the process address space, and the
     TLB filter sees only virtual addresses and page sizes

@@ -40,7 +40,6 @@ from __future__ import annotations
 import gc
 import json
 import os
-import resource
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -76,11 +75,6 @@ def build_sim(env: str, workload: str, config: SimConfig,
         raise KeyError(f"unknown environment {env!r}; "
                        f"have {sorted(ENVIRONMENTS)}") from None
     return env_cls(workload, config, stage1=stage1)
-
-
-def peak_rss_kb() -> int:
-    """This process's peak resident set size in KiB (Linux ru_maxrss)."""
-    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 def error_cell(env: str, workload: str, thp: bool,
@@ -335,7 +329,7 @@ def _cell_record(sim, env: str, workload: str, thp: bool, design: str,
         "walks_per_second": (stats.walks / replay_seconds
                              if replay_seconds > 0 else 0.0),
         "build_seconds": build_seconds,
-        "peak_rss_kb": peak_rss_kb(),
+        "peak_rss_kb": obs_trace.peak_rss_kb(),
         "worker_pid": os.getpid(),
     }
 
@@ -393,8 +387,8 @@ def run_sweep(envs: Sequence[str] = ("native",),
     caller already opened a trace stream, ``run_sweep`` leaves it open
     on exit instead of closing it from under them. With ``artifact_dir``
     set, workers share a cross-run
-    :class:`~repro.sim.artifacts.ArtifactCache` there: traces and
-    TLB-miss streams computed by any previous run (or concurrent
+    :class:`~repro.sim.artifacts.ArtifactCache` there: TLB-miss
+    streams and stage-2 cells computed by any previous run (or concurrent
     worker) are reused instead of recomputed, and each cell's
     ``stage1_source`` telemetry says whether its stage 1 came from
     ``"disk"``.

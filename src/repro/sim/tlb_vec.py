@@ -23,7 +23,6 @@ lists and thinning credits live on the instance and persist across
 ``feed`` calls, so the trace can arrive as a sequence of chunks (the
 streaming stage-0→1 pipeline, DESIGN.md §13) and the emitted miss
 segments concatenate to exactly the monolithic result.
-:func:`filter_misses` is the one-shot wrapper over a fresh stream.
 
 The loop is sequential by necessity: LRU state and thinning credits at
 reference *i* depend on every hit/miss decision before it. The speedup
@@ -228,17 +227,3 @@ class TLBFilterStream:
                 del ways[0]
             ways.append(tag)
         return np.asarray(misses, dtype=np.int64)
-
-
-def filter_misses(
-    trace: np.ndarray,
-    machine: MachineConfig,
-    size_lookup,
-    asid: int = 1,
-    accept_rates: Optional[Dict[PageSize, float]] = None,
-    chunk: int = DEFAULT_CHUNK,
-) -> np.ndarray:
-    """TLB-miss VAs of ``trace``, bit-identical to the scalar hierarchy."""
-    stream = TLBFilterStream(machine, size_lookup, asid=asid,
-                             accept_rates=accept_rates, chunk=chunk)
-    return stream.feed(trace)

@@ -115,7 +115,6 @@ class WalkRecorder:
         self.memsys = memsys
         self.refs: List[MemRef] = []
         self.cycles = 0
-        self.ref_count = 0
         self._record = memsys.record_refs
         self._open_group: int = -1
         self._group_max = 0
@@ -124,7 +123,6 @@ class WalkRecorder:
         """One sequential memory reference."""
         self._close_group()
         result = self.memsys.caches.access(addr)
-        self.ref_count += 1
         self.cycles += result.latency
         if not self._record:
             return None
@@ -138,7 +136,6 @@ class WalkRecorder:
             self._close_group()
             self._open_group = group
         result = self.memsys.caches.access(addr)
-        self.ref_count += 1
         if result.latency > self._group_max:
             self._group_max = result.latency
         if not self._record:

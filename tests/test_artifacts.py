@@ -166,23 +166,15 @@ def test_segment_writer_round_trip(tmp_path):
     out, meta = loaded
     assert np.array_equal(out, expected) and out.dtype == np.int64
     assert meta == {"origin": "test", "total_refs": len(expected)}
-    assert cache.hits == 1 and cache.seg_hits == 1
-    assert cache.seg_misses == 0
-
-    reader = cache.open_segments("stage1", KEY)
-    assert reader is not None and len(reader) == 3
-    assert reader.total_rows == len(expected)
-    assert np.array_equal(reader.concatenated(), expected)
-    segments = list(reader)
-    assert [len(seg) for seg in segments] == [10, 7, 5]
-    assert np.array_equal(np.concatenate(segments), expected)
-
-
-def test_segment_writer_reader_skips_hit_counters(tmp_path):
-    cache = ArtifactCache(str(tmp_path))
-    writer, expected = _write_segments(cache)
-    assert np.array_equal(writer.reader().concatenated(), expected)
-    assert cache.hits == 0 and cache.seg_hits == 0
+    assert cache.hits == 1 and cache.misses == 0
+    with open(os.path.join(str(tmp_path), writer.key_digest + ".json"),
+              encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    assert [seg["rows"] for seg in manifest["segments"]] == [10, 7, 5]
+    # mmap asks for a memmap, but only a one-segment entry can be one
+    mapped, _ = cache.load_array("stage1", KEY, mmap=True)
+    assert not isinstance(mapped, np.memmap)
+    assert np.array_equal(mapped, expected)
 
 
 def test_segment_writer_abort_removes_segments(tmp_path):
@@ -203,7 +195,7 @@ def test_corrupt_segment_evicts_whole_entry(tmp_path):
     with open(victim, "wb") as handle:
         handle.write(b"\x93NUMPY garbage")
     assert cache.load_array("stage1", KEY) is None
-    assert cache.seg_evictions == 1 and cache.evictions == 1
+    assert cache.evictions == 1 and cache.misses == 1
     leftovers = [name for name in os.listdir(str(tmp_path))
                  if name.startswith(writer.key_digest)]
     assert leftovers == []
@@ -213,18 +205,17 @@ def test_corrupt_segment_evicts_whole_entry(tmp_path):
     assert loaded is not None
 
 
-def test_corrupt_segment_raises_mid_iteration(tmp_path):
-    from repro.sim.artifacts import CorruptSegment
-
+def test_corrupt_last_segment_is_a_load_miss(tmp_path):
+    """The bad segment is found only after the good ones were copied:
+    the load still evicts the whole entry and reports a miss."""
     cache = ArtifactCache(str(tmp_path))
     writer, _ = _write_segments(cache)
-    reader = cache.open_segments("stage1", KEY)
     victim = os.path.join(str(tmp_path), writer.key_digest + ".seg2.npy")
     with open(victim, "wb") as handle:
         handle.write(b"nonsense")
-    with pytest.raises(CorruptSegment):
-        list(reader)
-    assert cache.seg_evictions == 1
+    assert cache.load_array("stage1", KEY, mmap=True) is None
+    assert (cache.hits, cache.misses, cache.evictions) == (0, 1, 1)
+    assert os.listdir(str(tmp_path)) == []
 
 
 def _write_legacy_entry(root, stage, key, array, meta):
@@ -241,7 +232,7 @@ def _write_legacy_entry(root, stage, key, array, meta):
     return key_digest
 
 
-def test_open_segments_on_monolithic_entry_is_a_seg_miss(tmp_path):
+def test_monolithic_entry_is_a_load_miss(tmp_path):
     """A pre-segmented entry left by an older run is evicted — both of
     its files — and recomputed, never served."""
     from repro.sim.machine import NativeSimulation, SimConfig
@@ -250,14 +241,10 @@ def test_open_segments_on_monolithic_entry_is_a_seg_miss(tmp_path):
     cache = ArtifactCache(root)
     legacy = _write_legacy_entry(root, "stage1", KEY,
                                  np.arange(8, dtype=np.int64), {})
-    assert cache.open_segments("stage1", KEY) is None
-    assert cache.seg_misses == 1 and cache.evictions == 1
+    assert cache.load_array("stage1", KEY) is None
+    assert cache.misses == 1 and cache.evictions == 1
     assert not [name for name in os.listdir(root)
                 if name.startswith(legacy)]
-    _write_legacy_entry(root, "stage1", KEY, np.arange(8, dtype=np.int64),
-                        {})
-    assert cache.load_array("stage1", KEY) is None
-    assert cache.evictions == 2
 
     # machine level: a stale stage-1 entry under the real key holds the
     # wrong miss stream; the run recomputes it instead of serving it

@@ -32,7 +32,7 @@ from repro.core.registers import RegisterSet
 from repro.sim import kernels
 from repro.sim.artifacts import ArtifactCache
 from repro.sim.jobs import JobSpec
-from repro.sim.machine import ENVIRONMENTS, SimConfig
+from repro.sim.machine import ENVIRONMENTS, WARMUP_FRACTION, SimConfig
 from repro.sim.simulator import Stage1Cache
 from repro.sim.sweep import (
     NO_JIT_THREADS_REASON,
@@ -309,7 +309,7 @@ def test_result_cache_cold_then_warm(tmp_path, monkeypatch):
     assert stats_warm == stats_cold
     assert stats_warm.engine == stats_cold.engine
     assert stats_warm.step_cycles == stats_cold.step_cycles
-    assert warm._result_artifacts().result_hits >= 1
+    assert warm._result_artifacts().hits >= 1
 
 
 def test_result_cache_key_separates_designs_and_config(tmp_path):
@@ -391,7 +391,7 @@ def test_stored_state_equals_a_fresh_replay(tmp_path):
         fresh = ENVIRONMENTS[env]("Memcached", SimConfig(**kwargs))
         walker = fresh.walker(design)
         replay_walks(walker, fresh.tlb.miss_vas,
-                     warmup_fraction=fresh.config.warmup_fraction,
+                     warmup_fraction=WARMUP_FRACTION,
                      engine="scalar")
         assert stored == _stage2_state(walker)
         for path, value in leaves(stored, ()):

@@ -28,7 +28,6 @@ class TestWalkRecorder:
         rec.fetch(0x1000, "a")
         rec.fetch(0x2000, "b")
         assert rec.finish() == 400  # two cold memory accesses
-        assert rec.ref_count == 2
 
     def test_grouped_fetches_take_max(self):
         memsys = self._memsys()
@@ -53,7 +52,7 @@ class TestWalkRecorder:
         memsys = MemorySubsystem(xeon_gold_6138(), record_refs=False)
         rec = WalkRecorder(memsys)
         rec.fetch(0x1000, "a")
-        assert rec.refs == [] and rec.ref_count == 1
+        assert rec.refs == [] and rec.finish() == 200
 
 
 class TestWalkResultSteps:
@@ -162,7 +161,7 @@ class TestCLI:
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("flags", [["--register-count", "0"],
-                                       ["--stream-chunk", "0"]])
+                                       ["--nrefs", "0"]])
     def test_bad_config_flag_exits_2_with_one_error_line(
             self, capsys, tmp_path, command, flags):
         """A config SimConfig rejects ends like an unknown design: one

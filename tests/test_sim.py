@@ -205,10 +205,8 @@ class TestGeomean:
 class TestSimConfigSmall:
     def test_small_overrides_only_scale_and_nrefs(self):
         cfg = SimConfig(scale=512, nrefs=50_000, seed=7, thp=True, levels=5,
-                        warmup_fraction=0.2, record_refs=True,
-                        register_count=8, bubble_threshold=0.05,
-                        sanitize=True, stream_chunk=7000,
-                        walk_engine="scalar")
+                        record_refs=True, register_count=8,
+                        sanitize=True, walk_engine="scalar")
         small = cfg.small(nrefs=123, scale=64)
         assert small.nrefs == 123 and small.scale == 64
 
@@ -216,10 +214,8 @@ class TestSimConfigSmall:
         """small() must carry every field over — including ones added
         after it was written (it once dropped one)."""
         overrides = {"seed": 9, "thp": True, "levels": 5,
-                     "warmup_fraction": 0.25, "record_refs": True,
-                     "register_count": 4, "bubble_threshold": 0.07,
-                     "sanitize": True, "stream_chunk": 7000,
-                     "walk_engine": "scalar"}
+                     "record_refs": True, "register_count": 4,
+                     "sanitize": True, "walk_engine": "scalar"}
         cfg = SimConfig(**overrides)
         small = cfg.small()
         for field in dataclasses.fields(SimConfig):

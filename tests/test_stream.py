@@ -3,15 +3,18 @@
 Contract under test (DESIGN.md §13): for every workload, seed, and
 chunk size — dividing or not — the concatenated chunk stream equals the
 monolithic trace draw for draw; the streamed TLB filter emits the same
-miss stream and reaches the same TLB/credit end state as the one-shot
-filter; and the machine's stage 0→1 pipeline — the only one — is
+miss stream and reaches the same TLB/credit end state as one feed of
+the whole trace; and the machine's stage 0→1 pass — the only one — is
 byte-identical to both one-shot oracles, the scalar reference
-``tlb_filter_scalar(generate_trace())`` and the vectorised
-``tlb_filter(generate_trace())``, cold or warm, with or without an
-artifact cache.
+``tlb_filter_scalar(generate_trace())`` and one ``TLBFilterStream.feed``
+of ``generate_trace()``, cold or warm, with or without an artifact
+cache, at a chunk size that divides no trace length.
 """
 
 import dataclasses
+import glob
+import json
+import os
 
 import numpy as np
 import pytest
@@ -21,9 +24,10 @@ from repro.hw.config import TLBConfig, xeon_gold_6138
 from repro.kernel.kernel import Kernel
 from repro.sim import tlb_vec
 from repro.sim.artifacts import ArtifactCache
-from repro.sim.machine import NativeSimulation, SimConfig
-from repro.sim.simulator import (Stage1Cache, make_size_lookup, tlb_filter,
-                                  tlb_filter_scalar)
+from repro.sim.machine import (DEFAULT_STREAM_CHUNK, NativeSimulation,
+                                SimConfig)
+from repro.sim.simulator import (Stage1Cache, TLBFilterResult,
+                                  make_size_lookup, tlb_filter_scalar)
 from repro.workloads import catalogue, get
 
 MB = 1 << 20
@@ -92,10 +96,8 @@ def test_stream_filter_matches_one_shot(accept, chunk):
     machine = xeon_gold_6138()
     lookup = make_size_lookup(proc.page_table)
 
-    mono = tlb_vec.filter_misses(trace, machine, lookup,
-                                 accept_rates=accept)
     oracle = tlb_vec.TLBFilterStream(machine, lookup, accept_rates=accept)
-    oracle_misses = oracle.feed(trace)
+    mono = oracle.feed(trace)
 
     stream = tlb_vec.TLBFilterStream(machine, lookup, accept_rates=accept)
     segments = [stream.feed(trace[i:i + chunk])
@@ -103,7 +105,6 @@ def test_stream_filter_matches_one_shot(accept, chunk):
     got = np.concatenate([s for s in segments if s.size]) \
         if any(s.size for s in segments) else np.empty(0, dtype=np.int64)
 
-    assert np.array_equal(mono, oracle_misses)
     assert np.array_equal(got, mono)
     assert stream.total_refs == oracle.total_refs == len(trace)
     assert stream.total_misses == len(mono)
@@ -126,13 +127,21 @@ def test_stream_filter_empty_chunk_is_noop():
 BASE = SimConfig(scale=2048, nrefs=40_000, seed=3)
 
 
-def test_stream_chunk_rejects_non_positive():
-    for chunk in (0, -1):
-        with pytest.raises(ValueError):
-            SimConfig(stream_chunk=chunk)
+def _vec_one_shot(trace, machine, size_lookup, accept_rates=None):
+    """One feed of a fresh vectorised stream over the whole trace."""
+    stream = tlb_vec.TLBFilterStream(machine, size_lookup,
+                                     accept_rates=accept_rates)
+    return TLBFilterResult(stream.feed(trace), len(trace))
 
 
-ORACLES = {"scalar": tlb_filter_scalar, "vec": tlb_filter}
+ORACLES = {"scalar": tlb_filter_scalar, "vec": _vec_one_shot}
+
+
+@pytest.fixture
+def chunk_7001(monkeypatch):
+    """Stage 0→1 chunks of 7001 refs, a size that divides no trace
+    length here: chunks straddle every layout."""
+    monkeypatch.setattr("repro.sim.machine.DEFAULT_STREAM_CHUNK", 7001)
 
 
 def _one_shot(sim, oracle):
@@ -147,9 +156,8 @@ def _one_shot(sim, oracle):
 
 @pytest.mark.parametrize("oracle", ["vec", "scalar"])
 @pytest.mark.parametrize("name", ["GUPS", "Redis", "BTree"])
-def test_machine_streaming_matches_one_shot(name, oracle):
-    """7001 divides no trace length here: chunks straddle every layout."""
-    sim = NativeSimulation(name, dataclasses.replace(BASE, stream_chunk=7001))
+def test_machine_streaming_matches_one_shot(name, oracle, chunk_7001):
+    sim = NativeSimulation(name, BASE)
     expected = _one_shot(sim, oracle)
     assert sim.tlb.total_refs == expected.total_refs
     assert np.array_equal(np.asarray(sim.tlb.miss_vas),
@@ -157,57 +165,57 @@ def test_machine_streaming_matches_one_shot(name, oracle):
 
 
 @pytest.mark.parametrize("oracle", ["vec", "scalar"])
-def test_machine_streaming_matches_one_shot_1m_gups(oracle):
+def test_machine_streaming_matches_one_shot_1m_gups(oracle, chunk_7001):
     """10^6 references in 143 chunks, against the one-shot oracle."""
-    cfg = SimConfig(scale=1024, nrefs=1_000_000, seed=0, stream_chunk=7001)
+    cfg = SimConfig(scale=1024, nrefs=1_000_000, seed=0)
     sim = NativeSimulation("GUPS", cfg)
     expected = _one_shot(sim, oracle)
     assert np.array_equal(np.asarray(sim.tlb.miss_vas), expected.miss_vas)
     assert sim.tlb.total_refs == expected.total_refs == 1_000_000
 
 
-def test_streaming_persists_segmented_artifacts(tmp_path):
-    cfg = dataclasses.replace(BASE, stream_chunk=9000)
+def _manifests(root):
+    """The stage of every entry manifest in a cache directory."""
+    stages = []
+    for path in sorted(glob.glob(os.path.join(root, "*.json"))):
+        with open(path, encoding="utf-8") as handle:
+            stages.append(json.load(handle)["stage"])
+    return stages
+
+
+def test_streaming_persists_segmented_artifacts(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.sim.machine.DEFAULT_STREAM_CHUNK", 9000)
     cold = NativeSimulation(
-        "Redis", cfg, stage1=Stage1Cache(artifacts=ArtifactCache(
+        "Redis", BASE, stage1=Stage1Cache(artifacts=ArtifactCache(
             str(tmp_path))))
     assert cold.stage1_source == "computed"
+    [manifest] = glob.glob(os.path.join(str(tmp_path), "*.json"))
+    with open(manifest, encoding="utf-8") as handle:
+        assert len(json.load(handle)["segments"]) > 1
 
     # warm run: the segmented stage-1 entry is served from disk
     warm_cache = ArtifactCache(str(tmp_path))
-    warm = NativeSimulation("Redis", cfg,
+    warm = NativeSimulation("Redis", BASE,
                             stage1=Stage1Cache(artifacts=warm_cache))
     assert warm.stage1_source == "disk"
-    assert warm_cache.seg_hits >= 1
+    assert warm_cache.hits == 1
     assert np.array_equal(np.asarray(warm.tlb.miss_vas),
-                          np.asarray(cold.tlb.miss_vas))
-
-    # the chunk size is not part of the key: a run at the default
-    # chunk reads the same entry
-    default = NativeSimulation(
-        "Redis", dataclasses.replace(cfg, stream_chunk=None),
-        stage1=Stage1Cache(artifacts=ArtifactCache(str(tmp_path))))
-    assert default.stage1_source == "disk"
-    assert np.array_equal(np.asarray(default.tlb.miss_vas),
                           np.asarray(cold.tlb.miss_vas))
 
 
 def test_stage1_entry_is_keyed_on_the_tlb_geometry(tmp_path):
     """A config with another STLB filters to another miss stream, so it
     must not be served the stored one (from disk, or from the memo of a
-    shared Stage1Cache); the trace is reused, it does not depend on the
-    TLBs."""
+    shared Stage1Cache)."""
     cfg = SimConfig(scale=1024, nrefs=8000, seed=0)
     small = dataclasses.replace(cfg, machine=dataclasses.replace(
         xeon_gold_6138(), l2_stlb=TLBConfig("L2 STLB", 64, 4)))
     NativeSimulation("BTree", cfg, stage1=Stage1Cache(
         artifacts=ArtifactCache(str(tmp_path))))
     fresh = NativeSimulation("BTree", small)
-    served_cache = ArtifactCache(str(tmp_path))
-    served = NativeSimulation("BTree", small,
-                              stage1=Stage1Cache(artifacts=served_cache))
+    served = NativeSimulation("BTree", small, stage1=Stage1Cache(
+        artifacts=ArtifactCache(str(tmp_path))))
     assert served.stage1_source == "computed"
-    assert served_cache.seg_hits >= 1   # the stored trace segments
     assert np.array_equal(np.asarray(served.tlb.miss_vas),
                           np.asarray(fresh.tlb.miss_vas))
     memo = Stage1Cache()
@@ -217,38 +225,27 @@ def test_stage1_entry_is_keyed_on_the_tlb_geometry(tmp_path):
     assert default.tlb.miss_count != other.tlb.miss_count
 
 
-def test_streaming_reuses_spilled_trace_segments(tmp_path):
-    """Evicting stage 1 but keeping the trace segments: the second
-    streaming run replays the stored trace instead of regenerating."""
-    import glob
-    import json
-    import os
+def test_cold_run_stores_the_miss_stream_alone(tmp_path, monkeypatch):
+    """Stage 0→1 stores one artifact, the miss stream: a cold run
+    leaves one array manifest (``stage1``) and no trace entry, and a run
+    without a cache writes no spill directory."""
+    NativeSimulation("GUPS", BASE, stage1=Stage1Cache(
+        artifacts=ArtifactCache(str(tmp_path))))
+    assert _manifests(str(tmp_path)) == ["stage1"]
 
-    cfg = dataclasses.replace(BASE, stream_chunk=9000)
-    cold = NativeSimulation(
-        "GUPS", cfg, stage1=Stage1Cache(artifacts=ArtifactCache(
-            str(tmp_path))))
-    for path in glob.glob(os.path.join(str(tmp_path), "*.json")):
-        with open(path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        if manifest.get("stage") == "stage1":
-            ArtifactCache(str(tmp_path)).evict(
-                os.path.basename(path)[:-len(".json")])
-    rerun_cache = ArtifactCache(str(tmp_path))
-    rerun = NativeSimulation("GUPS", cfg,
-                             stage1=Stage1Cache(artifacts=rerun_cache))
-    assert rerun.stage1_source == "computed"
-    assert rerun_cache.seg_hits >= 1  # the trace segments were read back
-    assert np.array_equal(np.asarray(rerun.tlb.miss_vas),
-                          np.asarray(cold.tlb.miss_vas))
+    def no_spill(*args, **kwargs):
+        raise AssertionError("stage 1 spilled to a temporary directory")
+
+    monkeypatch.setattr("tempfile.TemporaryDirectory", no_spill)
+    monkeypatch.setattr("tempfile.mkdtemp", no_spill)
+    sim = NativeSimulation("GUPS", BASE)
+    assert sim.tlb.total_refs == sim.workload.trace_length(BASE.nrefs)
 
 
 def test_stream_bench_budget_gate(tmp_path):
     """benchmarks/bench_stage1_stream.py is CI's RSS tripwire: it must
     write its document and exit 0 under a generous budget, and exit 1
     when the budget is impossibly tight."""
-    import json
-    import os
     import subprocess
     import sys
 
@@ -256,7 +253,7 @@ def test_stream_bench_budget_gate(tmp_path):
     script = os.path.join(root, "benchmarks", "bench_stage1_stream.py")
     out = str(tmp_path / "bench.json")
     base = [sys.executable, script, "--workload", "GUPS", "--scale",
-            "1024", "--nrefs", "200000", "--chunk", "65536"]
+            "1024", "--nrefs", "200000"]
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
 
     ok = subprocess.run(base + ["--rss-budget-mb", "4096", "--out", out],
@@ -267,6 +264,7 @@ def test_stream_bench_budget_gate(tmp_path):
     record = document["stream"]
     assert document["meta"]["bench"] == "stage1_stream"
     assert record["total_refs"] == 200000
+    assert record["chunk"] == DEFAULT_STREAM_CHUNK
     assert record["refs_per_sec"] > 0 and record["peak_rss_kb"] > 0
 
     tight = subprocess.run(base + ["--rss-budget-mb", "10", "--out", "-"],

@@ -15,11 +15,10 @@ from repro.sim.simulator import (
     SizeClassifier,
     make_size_lookup,
     tlb_accept_rates,
-    tlb_filter,
     tlb_filter_scalar,
 )
 from repro.sim.sweep import ALL_WORKLOADS
-from repro.sim.tlb_vec import classify_trace, filter_misses
+from repro.sim.tlb_vec import TLBFilterStream, classify_trace
 from repro.workloads import generators
 
 SCALE = 4096
@@ -54,20 +53,21 @@ def test_miss_stream_bit_identical(workload, thp):
         scalar = tlb_filter_scalar(trace, machine,
                                    make_size_lookup(page_table),
                                    accept_rates=accept)
-        vec = tlb_filter(trace, machine, make_size_lookup(page_table),
-                         accept_rates=accept)
+        stream = TLBFilterStream(machine, make_size_lookup(page_table),
+                                 accept_rates=accept)
+        vec = stream.feed(trace)
         label = (workload, thp, "thinned" if accept else "raw")
-        assert vec.miss_vas.dtype == np.int64
-        assert vec.total_refs == scalar.total_refs == NREFS
-        assert np.array_equal(vec.miss_vas, scalar.miss_vas), label
+        assert vec.dtype == np.int64
+        assert stream.total_refs == scalar.total_refs == NREFS
+        assert np.array_equal(vec, scalar.miss_vas), label
 
 
 class TestEngineUnits:
     def test_empty_trace(self):
         machine = xeon_gold_6138()
-        result = tlb_filter(np.empty(0, dtype=np.int64), machine,
-                            lambda va: PageSize.SIZE_4K)
-        assert result.miss_count == 0 and result.total_refs == 0
+        stream = TLBFilterStream(machine, lambda va: PageSize.SIZE_4K)
+        misses = stream.feed(np.empty(0, dtype=np.int64))
+        assert misses.size == 0 and stream.total_refs == 0
 
     def test_asid_keys_distinguish_processes(self):
         """Two ASIDs touching the same VPNs must not alias in the TLB."""
@@ -79,15 +79,16 @@ class TestEngineUnits:
 
         for asid in (1, 7):
             scalar = tlb_filter_scalar(trace, machine, size_4k, asid=asid)
-            vec = tlb_filter(trace, machine, size_4k, asid=asid)
-            assert np.array_equal(vec.miss_vas, scalar.miss_vas)
+            vec = TLBFilterStream(machine, size_4k, asid=asid).feed(trace)
+            assert np.array_equal(vec, scalar.miss_vas)
 
     def test_plain_callable_size_lookup(self):
         """The vec engine accepts any SizeLookup, not just SizeClassifier."""
         machine = xeon_gold_6138()
         trace = np.array([0x1000, 0x200000, 0x1000, 0x400000],
                          dtype=np.int64)
-        misses = filter_misses(trace, machine, lambda va: PageSize.SIZE_4K)
+        misses = TLBFilterStream(machine,
+                                 lambda va: PageSize.SIZE_4K).feed(trace)
         assert misses.tolist() == [0x1000, 0x200000, 0x400000]
 
     def test_classifier_batch_matches_scalar_calls(self):
@@ -115,8 +116,8 @@ class TestEngineUnits:
         machine = xeon_gold_6138()
         page_table, trace, ws, paper_ws = setup_for("GUPS", False)
         accept = tlb_accept_rates(machine, ws, paper_ws)
-        whole = filter_misses(trace, machine, make_size_lookup(page_table),
-                              accept_rates=accept)
-        chunked = filter_misses(trace, machine, make_size_lookup(page_table),
-                                accept_rates=accept, chunk=17)
+        whole = TLBFilterStream(machine, make_size_lookup(page_table),
+                                accept_rates=accept).feed(trace)
+        chunked = TLBFilterStream(machine, make_size_lookup(page_table),
+                                  accept_rates=accept, chunk=17).feed(trace)
         assert np.array_equal(whole, chunked)
